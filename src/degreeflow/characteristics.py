@@ -25,10 +25,19 @@ algebraic form of the trapping property: backward characteristics started in
 x(t) path from the flow maps.  Substituting the path (instead of integrating
 x jointly) matters: the raw x equation is exponentially unstable forward in
 time near x = 1, and any x drift would contaminate G through G_x.
+
+Grids are transported in a single forward pass: the curves through the grid
+points of every output time start together from their traced origins,
+stacked in one state vector that is integrated segment by segment over
+[t_{j-1}, t_j] (the segmented bookkeeping of Hairer, Norsett and Wanner,
+Solving ODEs I, sec. II.6).  The curves of time t_j are retired at t_j and
+never integrated past it, because a forward path may leave [-1, 1] after
+its output time, where the denominator e^L v0 + psi can reach zero.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 
@@ -37,7 +46,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import AccuracyError, DomainError, IntegrationError, ValidationError
 from .initial import InitialCondition
-from .model import ProcessRates, derive_riccati, evaluate_H
+from .model import ProcessRates, coefficients, derive_riccati, evaluate_H
 from .riccati import MomentTrajectory, solve_closed_form
 
 __all__ = [
@@ -88,6 +97,19 @@ class SolutionField:
     g: MomentTrajectory
 
 
+def _check_grid(x_grid, t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """x strictly increasing in [-1, 1], t finite, nonnegative and strictly increasing."""
+    x = np.asarray(x_grid, dtype=float)
+    t = np.asarray(t_grid, dtype=float)
+    if x.ndim != 1 or x.size == 0 or not np.all(np.diff(x) > 0.0):
+        raise ValidationError("x must be a strictly increasing 1-d sequence")
+    if t.ndim != 1 or t.size == 0 or not np.all(np.diff(t) > 0.0) or not 0.0 <= t[0] <= t[-1] < math.inf:
+        raise ValidationError("t must be finite, nonnegative and strictly increasing")
+    if not -1.0 - 1e-12 <= x[0] <= x[-1] <= 1.0 + 1e-12:
+        raise ValidationError(f"x must lie in [-1, 1], got [{x[0]!r}, {x[-1]!r}]")
+    return x, t
+
+
 def _require_trajectory(g) -> MomentTrajectory:
     if not callable(g) or not hasattr(g, "derivative"):
         raise ValidationError(
@@ -108,17 +130,13 @@ def char_rhs(state: CharacteristicState, rates: ProcessRates, g) -> np.ndarray:
         raise DomainError(f"first moment must be positive, got g({state.t}) = {gv!r}")
     gdot = float(g.derivative(state.t))
     x, p1, p2, z = state.x, state.p1, state.p2, state.z
-    wsum = 2.0 * rates.l_p + rates.m * rates.n_p
-    A = rates.omega_p + wsum / gv
-    B = rates.l_d + rates.omega_p + rates.omega_r + rates.n_d * gv
-    C = rates.omega_r * gv + 2.0 * rates.l_r + rates.m * rates.n_r
-    c4 = rates.n_r + rates.n_p
-    hb = (x - 1.0) * C - c4
-    src = rates.m * c4 * x ** (rates.m - 1) if rates.m > 0 else 0.0
-    dx = -(x - 1.0) * (A * x - B)
-    dp1 = (2.0 * A * x - A - B + hb) * p1 + C * z + src
-    dp2 = -(x - 1.0) * gdot / gv**2 * (x * wsum * p1 + (rates.n_d * p1 - rates.omega_r * z) * gv**2) + hb * p2
-    dz = (1.0 - x) * (A * x - B) * p1 + p2
+    k = coefficients(rates, gv)
+    hb = (x - 1.0) * k.C - k.c4
+    src = rates.m * k.c4 * x ** (rates.m - 1) if rates.m > 0 else 0.0
+    dx = -(x - 1.0) * (k.A * x - k.B)
+    dp1 = (2.0 * k.A * x - k.A - k.B + hb) * p1 + k.C * z + src
+    dp2 = (x - 1.0) * gdot * ((k.A_g * x - k.B_g) * p1 + k.C_g * z) + hb * p2
+    dz = (1.0 - x) * (k.A * x - k.B) * p1 + p2
     return np.array([dx, dp1, dp2, dz])
 
 
@@ -129,14 +147,11 @@ class _ProjectedFlow:
         self.rates = rates
         self.g = g
         self.t_max = float(t_max)
-        wsum = 2.0 * rates.l_p + rates.m * rates.n_p
-        bconst = rates.l_d + rates.omega_p + rates.omega_r
 
         def rhs(t, y):
-            gv = g(t)
-            A = rates.omega_p + wsum / gv
-            lam = A - bconst - rates.n_d * gv
-            return (lam, lam * y[1] + A)
+            k = coefficients(rates, float(g(t)))
+            lam = k.A - k.B
+            return (lam, lam * y[1] + k.A)
 
         sol = solve_ivp(
             rhs,
@@ -203,15 +218,10 @@ class CharacteristicSolver:
         below 1e-6; larger excursions, or a failed forward roundtrip check at
         ``tol``, raise AccuracyError.
         """
-        x0 = self._trace_back_many(np.array([x_bar]), t_bar, tol)[0]
-        return float(x0)
+        x, t = _check_grid([x_bar], [t_bar])
+        return float(self._trace_back_many(x, float(t[0]), tol)[0])
 
     def _trace_back_many(self, x_bar: np.ndarray, t_bar: float, tol: float) -> np.ndarray:
-        x_bar = np.asarray(x_bar, dtype=float)
-        if np.any(x_bar < -1.0 - 1e-12) or np.any(x_bar > 1.0 + 1e-12):
-            raise ValidationError(f"x must lie in [-1, 1], got {x_bar[np.argmax(np.abs(x_bar))]!r}")
-        if not math.isfinite(t_bar) or t_bar < 0.0:
-            raise ValidationError(f"t must be finite and >= 0, got {t_bar!r}")
         x_bar = np.clip(x_bar, -1.0, 1.0)
         if t_bar == 0.0:
             return x_bar.copy()
@@ -250,58 +260,73 @@ class CharacteristicSolver:
 
     # -- transported values ------------------------------------------------
 
-    def _initial_block(self, x0: np.ndarray) -> np.ndarray:
-        h = self.h
-        if h is None:
+    def _march(self, x, t, tol, init, rhs, rtol, atol):
+        """Data at every grid point, carried from t = 0 in one forward pass.
+
+        ``init(x0)`` gives the data at the origins, shape (k, n), and
+        ``rhs(s, y, xs)`` its time derivative while the curves sit at xs.
+        Returns the data, shape (k, len(t), len(x)), and the origins.
+        """
+        if self.h is None:
             raise ValidationError("an initial condition h is required to evaluate G")
-        p1 = np.asarray(h.derivative(x0), dtype=float)
-        z = np.asarray(h(x0), dtype=float)
-        p2 = np.asarray(evaluate_H(p1, z, x0, 0.0, self.rates, self.g), dtype=float)
-        return np.concatenate([p1, p2, z])
+        n_x, times = x.size, t.tolist()
+        flow = self._ensure(times[-1])
+        origins = np.empty((t.size, n_x))
+        for j, tj in enumerate(times):
+            try:
+                origins[j] = self._trace_back_many(x, tj, tol)
+            except AccuracyError as exc:
+                raise AccuracyError(f"{exc} [at output time t = {tj!r}]") from exc
+        x0 = origins.ravel()
+        one = x0 == 1.0
+        v0 = np.where(one, 0.0, 1.0 / np.where(one, -1.0, x0 - 1.0))
+        y = np.array(init(x0), dtype=float)
+        k = y.shape[0]
+        out = np.empty((k, t.size, n_x))
+        t_prev = 0.0
+        for j, tj in enumerate(times):
+            lo = j * n_x  # the curves of earlier output times are retired
+            if tj > t_prev:
+                v, on_one = v0[lo:], one[lo:]
+                sol = solve_ivp(
+                    lambda s, q: rhs(s, q.reshape(k, -1), flow.positions(v, on_one, s)).ravel(),
+                    (t_prev, tj),
+                    y[:, lo:].ravel(),
+                    method="DOP853",
+                    rtol=rtol,
+                    atol=atol,
+                    t_eval=[tj],
+                )
+                if sol.status != 0:
+                    raise IntegrationError(
+                        f"characteristic transport failed on [{t_prev!r}, {tj!r}]: {sol.message} "
+                        f"[at output time t = {tj!r}]"
+                    )
+                y[:, lo:] = sol.y[:, -1].reshape(k, -1)
+                t_prev = tj
+                # scipy leaves each finished solver in a reference cycle that
+                # holds a (16, n) stage array; collect it before they pile up.
+                gc.collect(0)
+            out[:, j] = y[:, lo : lo + n_x]
+        return out, origins
 
-    def _integrate_block(self, x_bar: np.ndarray, t_bar: float, tol: float):
-        """Transport (p1, p2, z) from t = 0 to t_bar for every grid point."""
+    def _initial_data(self, x0: np.ndarray) -> np.ndarray:
+        """(p1, p2, z) = (h', H, h) at the origins x0."""
+        p1 = np.asarray(self.h.derivative(x0), dtype=float)
+        z = np.asarray(self.h(x0), dtype=float)
+        return np.array([p1, evaluate_H(p1, z, x0, 0.0, self.rates, self.g), z])
+
+    def _rhs(self, s: float, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """d(p1, p2, z)/dt along the curves that sit at x at time s."""
         rates, g = self.rates, self.g
-        x0 = self._trace_back_many(x_bar, t_bar, tol)
-        one_mask = x_bar == 1.0
-        v0 = np.where(one_mask, 0.0, 1.0 / np.where(one_mask, -1.0, x0 - 1.0))
-        y0 = self._initial_block(x0)
-        n = x0.size
-        flow = self._ensure(t_bar)
-        wsum = 2.0 * rates.l_p + rates.m * rates.n_p
-        bconst = rates.l_d + rates.omega_p + rates.omega_r
-        c4 = rates.n_r + rates.n_p
-
-        def rhs(t, y):
-            gv = float(g(t))
-            gdot = float(g.derivative(t))
-            x = flow.positions(v0, one_mask, t)
-            A = rates.omega_p + wsum / gv
-            B = bconst + rates.n_d * gv
-            C = rates.omega_r * gv + 2.0 * rates.l_r + rates.m * rates.n_r
-            p1, p2, z = y[:n], y[n : 2 * n], y[2 * n :]
-            hb = (x - 1.0) * C - c4
-            src = rates.m * c4 * x ** (rates.m - 1) if rates.m > 0 else 0.0
-            dp1 = (2.0 * A * x - A - B + hb) * p1 + C * z + src
-            dp2 = -(x - 1.0) * gdot / gv**2 * (x * wsum * p1 + (rates.n_d * p1 - rates.omega_r * z) * gv**2) + hb * p2
-            dz = (1.0 - x) * (A * x - B) * p1 + p2
-            return np.concatenate([dp1, dp2, dz])
-
-        sol = solve_ivp(
-            rhs,
-            (0.0, t_bar),
-            y0,
-            method="DOP853",
-            rtol=RTOL,
-            atol=ATOL,
-            t_eval=[t_bar],
-        )
-        if sol.status != 0:
-            raise IntegrationError(
-                f"characteristic transport failed on [0, {t_bar!r}]: {sol.message}"
-            )
-        y = sol.y[:, -1]
-        return y[:n], y[n : 2 * n], y[2 * n :], x0
+        k = coefficients(rates, float(g(s)))
+        p1, p2, z = y
+        hb = (x - 1.0) * k.C - k.c4
+        src = rates.m * k.c4 * x ** (rates.m - 1) if rates.m > 0 else 0.0
+        dp1 = (2.0 * k.A * x - k.A - k.B + hb) * p1 + k.C * z + src
+        dp2 = (x - 1.0) * float(g.derivative(s)) * ((k.A_g * x - k.B_g) * p1 + k.C_g * z) + hb * p2
+        dz = (1.0 - x) * (k.A * x - k.B) * p1 + p2
+        return np.concatenate([dp1, dp2, dz])
 
     def solve_at(self, x_bar: float, t_bar: float, tol: float = 1e-8) -> tuple[float, float]:
         """(G, G_x) at a single point (x_bar, t_bar)."""
@@ -310,54 +335,21 @@ class CharacteristicSolver:
 
     def solve_state(self, x_bar: float, t_bar: float, tol: float = 1e-8) -> CharacteristicState:
         """Full transported state at (x_bar, t_bar), including p2 = G_t."""
-        if self.h is None:
-            raise ValidationError("an initial condition h is required to evaluate G")
-        if t_bar == 0.0:
-            x_arr = np.array([float(x_bar)])
-            y = self._initial_block(x_arr)
-            return CharacteristicState(x=float(x_bar), p1=y[0], p2=y[1], z=y[2], t=0.0)
-        try:
-            p1, p2, z, _ = self._integrate_block(np.array([float(x_bar)]), float(t_bar), tol)
-        except (AccuracyError, IntegrationError) as exc:
-            raise type(exc)(f"{exc} [at grid point (x, t) = ({x_bar!r}, {t_bar!r})]") from exc
-        return CharacteristicState(x=float(x_bar), p1=float(p1[0]), p2=float(p2[0]), z=float(z[0]), t=float(t_bar))
+        x, t = _check_grid([x_bar], [t_bar])
+        out, _ = self._march(x, t, tol, self._initial_data, self._rhs, RTOL, ATOL)
+        p1, p2, z = out[:, 0, 0].tolist()
+        return CharacteristicState(x=float(x[0]), p1=p1, p2=p2, z=z, t=float(t[0]))
 
     def solve_grid(self, x_grid, t_grid, tol: float = 1e-8) -> SolutionField:
         """Solution field on the tensor grid x_grid x t_grid.
 
         x values must be strictly increasing inside [-1, 1]; t values
-        nonnegative and strictly increasing.  All characteristics for one
-        output time are transported in a single stacked integration.
+        nonnegative and strictly increasing.  The characteristics of all
+        output times are transported in one stacked forward pass.
         """
-        x = np.asarray(x_grid, dtype=float)
-        t = np.asarray(t_grid, dtype=float)
-        if x.ndim != 1 or x.size == 0 or np.any(np.diff(x) <= 0.0):
-            raise ValidationError("x grid must be a strictly increasing 1-d sequence")
-        if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0.0) or t[0] < 0.0:
-            raise ValidationError("t grid must be strictly increasing and nonnegative")
-        if x[0] < -1.0 - 1e-12 or x[-1] > 1.0 + 1e-12:
-            raise ValidationError("x grid must lie in [-1, 1]")
-        if self.h is None:
-            raise ValidationError("an initial condition h is required to evaluate G")
-        self._ensure(float(t[-1]))
-        n_x, n_t = x.size, t.size
-        G = np.empty((n_t, n_x))
-        Gx = np.empty((n_t, n_x))
-        P2 = np.empty((n_t, n_x))
-        origins = np.empty((n_t, n_x))
-        for j, tj in enumerate(t):
-            if tj == 0.0:
-                G[j] = self.h(x)
-                Gx[j] = self.h.derivative(x)
-                P2[j] = evaluate_H(Gx[j], G[j], x, 0.0, self.rates, self.g)
-                origins[j] = x
-                continue
-            try:
-                p1, p2, z, x0 = self._integrate_block(x, float(tj), tol)
-            except (AccuracyError, IntegrationError) as exc:
-                raise type(exc)(f"{exc} [at output time t = {tj!r}]") from exc
-            G[j], Gx[j], P2[j], origins[j] = z, p1, p2, x0
-        return SolutionField(x=x, t=t, G=G, Gx=Gx, origins=origins, p2=P2, rates=self.rates, g=self.g)
+        x, t = _check_grid(x_grid, t_grid)
+        (p1, p2, z), origins = self._march(x, t, tol, self._initial_data, self._rhs, RTOL, ATOL)
+        return SolutionField(x=x, t=t, G=z, Gx=p1, origins=origins, p2=p2, rates=self.rates, g=self.g)
 
     def solve_difference_grid(self, x_grid, t_grid, steady, tol: float = 1e-8) -> np.ndarray:
         """Deviation field D(x, t) = G(x, t) - G*(x) on the tensor grid.
@@ -385,23 +377,13 @@ class CharacteristicSolver:
 
         Returns an array of shape (len(t_grid), len(x_grid)).
         """
-        x = np.asarray(x_grid, dtype=float)
-        t = np.asarray(t_grid, dtype=float)
-        if x.ndim != 1 or x.size == 0 or np.any(np.diff(x) <= 0.0):
-            raise ValidationError("x grid must be a strictly increasing 1-d sequence")
-        if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0.0) or t[0] < 0.0:
-            raise ValidationError("t grid must be strictly increasing and nonnegative")
-        if x[0] < -1.0 - 1e-12 or x[-1] > 1.0 + 1e-12:
-            raise ValidationError("x grid must lie in [-1, 1]")
-        if self.h is None:
-            raise ValidationError("an initial condition h is required to evaluate G")
+        x, t = _check_grid(x_grid, t_grid)
         if not callable(steady) or not hasattr(steady, "derivative"):
             raise ValidationError("steady must be a callable profile with a .derivative method")
-        rates, g = self.rates, self.g
+        rates, g, h = self.rates, self.g, self.h
         g_inf = g.equilibrium
         if not math.isfinite(g_inf):
             raise DomainError("no finite moment equilibrium; the deviation field has no target")
-        self._ensure(float(t[-1]))
 
         # The source needs G* and dG*/dx along moving paths; tabulating once
         # on a fine grid keeps the right-hand side cheap and vectorized.
@@ -409,49 +391,24 @@ class CharacteristicSolver:
         gs_tab = np.asarray(steady(xs_tab), dtype=float)
         gsx_tab = np.asarray(steady.derivative(xs_tab), dtype=float)
 
-        wsum = 2.0 * rates.l_p + rates.m * rates.n_p
-        c4 = rates.n_r + rates.n_p
-        one_mask = x == 1.0
-        active = ~one_mask
-        rtol = max(tol * 1e-2, 1e-12)
+        def rhs(s, d, xp):
+            gv = float(g(s))
+            gap = float(g.gap(s))
+            k = coefficients(rates, gv)
+            # A is linear in 1/g, so A(g) - A(g_inf) = A_g(g) g gap / g_inf;
+            # A_g vanishes whenever g_inf does.
+            dA = k.A_g * gv * gap / g_inf if k.A_g else 0.0
+            gs = np.interp(xp, xs_tab, gs_tab)
+            gsx = np.interp(xp, xs_tab, gsx_tab)
+            src = (xp - 1.0) * ((dA * xp - k.B_g * gap) * gsx + k.C_g * gap * gs)
+            return ((xp - 1.0) * k.C - k.c4) * d + src
+
+        active = x != 1.0
         D = np.zeros((t.size, x.size))
-        for j, tj in enumerate(t):
-            if tj == 0.0:
-                D[j, active] = self.h(x[active]) - np.asarray(steady(x[active]), dtype=float)
-                continue
-            x0 = self._trace_back_many(x, float(tj), tol)[active]
-            v0 = 1.0 / (x0 - 1.0)
-            d0 = self.h(x0) - np.asarray(steady(x0), dtype=float)
-            flow = self._ensure(float(tj))
-            none_mask = np.zeros(x0.size, dtype=bool)
-
-            def rhs(s, d):
-                xp = flow.positions(v0, none_mask, s)
-                gv = float(g(s))
-                delta = float(g.gap(s))
-                C = rates.omega_r * gv + 2.0 * rates.l_r + rates.m * rates.n_r
-                dA = -wsum * delta / (gv * g_inf) if wsum > 0.0 else 0.0
-                dB = rates.n_d * delta
-                dC = rates.omega_r * delta
-                gs = np.interp(xp, xs_tab, gs_tab)
-                gsx = np.interp(xp, xs_tab, gsx_tab)
-                src = (xp - 1.0) * ((dA * xp - dB) * gsx + dC * gs)
-                return ((xp - 1.0) * C - c4) * d + src
-
-            sol = solve_ivp(
-                rhs,
-                (0.0, float(tj)),
-                d0,
-                method="DOP853",
-                rtol=rtol,
-                atol=1e-280,
-                t_eval=[float(tj)],
-            )
-            if sol.status != 0:
-                raise IntegrationError(
-                    f"deviation transport failed on [0, {tj!r}]: {sol.message}"
-                )
-            D[j, active] = sol.y[:, -1]
+        out, _ = self._march(
+            x[active], t, tol, lambda x0: [h(x0) - steady(x0)], rhs, max(tol * 1e-2, 1e-12), 1e-280
+        )
+        D[:, active] = out[0]
         return D
 
 

@@ -100,8 +100,13 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
     def override(self, **kwargs) -> "ExperimentConfig":
+        """Copy with the non-None fields replaced, validated like a parsed file."""
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kwargs) if kwargs else self
+        if not kwargs:
+            return self
+        cfg = replace(self, **kwargs)
+        _validate(cfg)
+        return cfg
 
 
 def _get(parser, section, key, conv, default):
@@ -199,6 +204,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValidationError("tolerances must be positive")
     if cfg.oracle_k_max < cfg.rates.m + 2:
         raise ValidationError(f"[oracle] k_max must be >= m + 2 = {cfg.rates.m + 2}")
+    if cfg.mc_seed < 0:
+        raise ValidationError(f"[mc] seed must be >= 0, got {cfg.mc_seed}")
     if cfg.fit_norm not in ("sup", "l2"):
         raise ValidationError(f"[analysis] norm must be sup or l2, got {cfg.fit_norm!r}")
     cfg.initial()  # validates the initial condition eagerly

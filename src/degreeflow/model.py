@@ -10,8 +10,9 @@ G(x, t) then satisfies a nonlocal first-order PDE whose nonlocality enters
 only through the first moment g(t) = G_x(1, t).
 
 This module holds the rate container, the reduction of the PDE's moment
-equation to Riccati form, the PDE right-hand side functional H, and the
-constants of the stationary equation.
+equation to Riccati form, the characteristic coefficients A, B, C and c4,
+the PDE right-hand side functional H, and the constants of the stationary
+equation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,9 +28,11 @@ from .errors import DomainError, ValidationError
 
 __all__ = [
     "ProcessRates",
+    "Coefficients",
     "RiccatiCoefficients",
     "Degeneracy",
     "SteadyConstants",
+    "coefficients",
     "derive_riccati",
     "evaluate_H",
     "steady_constants",
@@ -129,6 +133,32 @@ def derive_riccati(rates: ProcessRates) -> RiccatiCoefficients:
     return RiccatiCoefficients(n_d=rates.n_d, b=b, c=c)
 
 
+class Coefficients(NamedTuple):
+    """PDE coefficients at one first moment g; A_g, B_g, C_g are d/dg."""
+
+    A: float
+    B: float
+    C: float
+    c4: float
+    A_g: float
+    B_g: float
+    C_g: float
+
+
+def coefficients(rates: ProcessRates, g: float) -> Coefficients:
+    """Coefficients of G_t = (x-1)(A x - B) G_x + ((x-1) C - c4) G + c4 x^m at g > 0."""
+    wsum = 2.0 * rates.l_p + rates.m * rates.n_p
+    return Coefficients(
+        A=rates.omega_p + wsum / g,
+        B=rates.omega_r + rates.omega_p + rates.l_d + rates.n_d * g,
+        C=rates.omega_r * g + 2.0 * rates.l_r + rates.m * rates.n_r,
+        c4=rates.n_r + rates.n_p,
+        A_g=-wsum / g**2,
+        B_g=rates.n_d,
+        C_g=rates.omega_r,
+    )
+
+
 def evaluate_H(a, b, c, d, rates: ProcessRates, g):
     """Right-hand side functional of the generating-function PDE.
 
@@ -148,11 +178,8 @@ def evaluate_H(a, b, c, d, rates: ProcessRates, g):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    adv = rates.omega_p + (2.0 * rates.l_p + rates.n_p * rates.m) / gd
-    drift = (c - 1.0) * (c * adv - rates.omega_r - rates.omega_p - rates.l_d - rates.n_d * gd)
-    growth = (c - 1.0) * (rates.omega_r * gd + 2.0 * rates.l_r + rates.n_r * rates.m)
-    loss = rates.n_r + rates.n_p
-    out = drift * a + (growth - loss) * b + loss * c**rates.m
+    k = coefficients(rates, gd)
+    out = (c - 1.0) * (c * k.A - k.B) * a + ((c - 1.0) * k.C - k.c4) * b + k.c4 * c**rates.m
     if out.ndim == 0:
         return float(out)
     return out
@@ -173,10 +200,7 @@ def steady_constants(rates: ProcessRates) -> SteadyConstants:
         return SteadyConstants(g_inf=math.inf, degeneracy=Degeneracy.DIVERGENT, m=rates.m)
     if g_inf == 0.0:
         return SteadyConstants(g_inf=0.0, degeneracy=Degeneracy.UNIFORM, m=rates.m)
-    c1 = rates.omega_p + (2.0 * rates.l_p + rates.n_p * rates.m) / g_inf
-    c2 = rates.omega_r + rates.omega_p + rates.l_d + rates.n_d * g_inf
-    c3 = rates.omega_r * g_inf + 2.0 * rates.l_r + rates.n_r * rates.m
-    c4 = rates.n_r + rates.n_p
+    c1, c2, c3, c4 = coefficients(rates, g_inf)[:4]
     # Consistency identity: g_inf * (c4 + c2 - c1) == c3 + c4 * m exactly.
     lhs = g_inf * (c4 + c2 - c1)
     rhs = c3 + c4 * rates.m

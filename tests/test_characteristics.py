@@ -151,13 +151,45 @@ def test_grid_shape_and_origins():
 
 
 def test_grid_validation():
+    # one check guards every transport: grids, deviation grids and points
     ts = np.array([0.0, 0.5])
-    with pytest.raises(ValidationError):
-        solve_grid(np.array([0.0, 1.5]), ts, FIG2, H_SQUARE)
-    with pytest.raises(ValidationError):
-        solve_grid(np.array([0.0, 0.5]), np.array([0.5, 0.0]), FIG2, H_SQUARE)
-    with pytest.raises(ValidationError):
-        solve_grid(np.array([0.0, 0.5]), np.array([-0.5, 0.5]), FIG2, H_SQUARE)
+    bad = ((np.array([0.0, 1.5]), ts),
+           (np.array([0.0, 0.5]), np.array([0.5, 0.0])),
+           (np.array([0.0, 0.5]), np.array([-0.5, 0.5])))
+    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=0.5)
+    steady = steady_from_rates(FIG2)
+    for xs, bad_ts in bad:
+        with pytest.raises(ValidationError):
+            solve_grid(xs, bad_ts, FIG2, H_SQUARE)
+        with pytest.raises(ValidationError):
+            solver.solve_difference_grid(xs, bad_ts, steady)
+    for x, t in ((1.5, 0.5), (0.0, -0.5)):
+        with pytest.raises(ValidationError):
+            solve_at(x, t, FIG2, _g(), H_SQUARE)
+
+
+def test_single_pass_rows_match_separate_solves():
+    # a curve group retired at the wrong time, or a wrongly sliced stack,
+    # would make a row of the single pass differ from a solve that stops
+    # at that row's time
+    xs = np.linspace(-1, 1, 21)
+    ts = np.linspace(0, 1, 11)
+    field = solve_grid(xs, ts, FIG2, H_SQUARE)
+    for j, t in enumerate(ts[1:], start=1):
+        alone = solve_grid(xs, [0.0, t], FIG2, H_SQUARE)
+        np.testing.assert_allclose(field.G[j], alone.G[1], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(field.Gx[j], alone.Gx[1], rtol=0, atol=1e-8)
+
+
+def test_difference_rows_match_separate_solves():
+    steady = steady_from_rates(FIG2)
+    xs = np.linspace(-1, 1, 21)
+    ts = np.linspace(0, 0.5, 6)
+    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=float(ts[-1]))
+    D = solver.solve_difference_grid(xs, ts, steady)
+    for j, t in enumerate(ts[1:], start=1):
+        row = solver.solve_difference_grid(xs, [t], steady)[0]
+        assert np.max(np.abs(D[j] - row)) <= 1e-6 * np.max(np.abs(row))
 
 
 def test_difference_grid_matches_subtraction_early():

@@ -198,6 +198,12 @@ def test_version_flag(capsys):
 def test_constants_flag_validation(tmp_path, capsys):
     ini, _ = _ini(tmp_path)
     assert main(["steady", "--config", ini, "--constants", "1,2,3"]) == 1
+    capsys.readouterr()
+    # command-line overrides are validated like values read from the file
+    assert main(["solve", "--config", ini, "--tol", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["mc", "--config", ini, "--seed", "-5"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_parse_config_round_trip(tmp_path):
