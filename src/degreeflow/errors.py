@@ -33,7 +33,7 @@ class DomainError(DegreeFlowError):
 
 
 class IntegrationError(DegreeFlowError):
-    """An ODE solve failed to reach its endpoint."""
+    """An ODE solve failed to reach its endpoint, or a quadrature missed its tolerance."""
 
 
 class AccuracyError(DegreeFlowError):

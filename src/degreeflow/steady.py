@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -39,12 +40,17 @@ __all__ = [
     "classify",
     "construct",
     "steady_from_rates",
-    "build_two_singularity",
-    "build_series_seeded",
     "residual",
 ]
 
 _ZTOL = 1e-12  # tie tolerance for vanishing/coinciding constants
+_X_LOW = -1.0 - 5e-3  # every construction covers [_X_LOW, 1]
+_ONE_TIE = 1e-12  # points this close to 1 count as x = 1
+_XI_TIE = 1e-9  # points this close to xi take the continuity value G*(xi)
+_STEP = 1e-5  # finite-difference step of SteadyState.derivative
+_RESIDUAL_H = 1e-4  # central-difference step of residual
+_SEED_EPS = 1e-5  # the series seed sits at x = 1 - _SEED_EPS
+_QUAD_TOL = 1e-10  # bound on the two-singularity error estimate, relative to max(1, |G*|)
 
 
 class SteadyCaseTag(enum.Enum):
@@ -79,35 +85,38 @@ class SteadyState:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = self._eval(np.atleast_1d(x))
+        xv = np.atleast_1d(x)
+        bad = ~((xv >= _X_LOW) & (xv <= 1.0 + _ONE_TIE))
+        if np.any(bad):
+            raise ValidationError(f"x = {float(xv[bad][0])!r} lies outside the profile domain [{_X_LOW}, 1]")
+        out = self._eval(xv)
         return float(out[0]) if x.ndim == 0 else out
 
-    def derivative(self, x, step: float = 1e-5):
+    def derivative(self, x):
         """dG*/dx by differencing the profile.
 
-        Central stencil away from singular points; second-order one-sided
-        within 2*step of an interior singularity or of x = 1, where some
-        constructions cannot be evaluated on the far side.
+        Each point first picks its stencil: central, or second-order
+        one-sided within 2 steps of x = 1 or of an interior singular point
+        (on the point's own side) and within one step of the lower domain
+        end.  The profile is then evaluated once on all stencil nodes, none
+        of which leaves the domain or crosses a singular point.
         """
         x = np.asarray(x, dtype=float)
-        xv = np.atleast_1d(x).astype(float)
-        out = (self._eval(xv + step) - self._eval(xv - step)) / (2.0 * step)
-        guarded = np.abs(xv - 1.0) < 2.0 * step
+        xv = np.atleast_1d(x)
+        side = np.zeros_like(xv)  # 0: central, +1: forward, -1: backward
+        side[xv - _STEP < _X_LOW] = 1.0
+        side[xv > 1.0 - 2.0 * _STEP] = -1.0
         for s in self.case.singular_points:
             if abs(s) < 1.0:
-                guarded |= np.abs(xv - s) < 2.0 * step
-        if np.any(guarded):
-            xg = xv[guarded]
-            side = np.ones_like(xg)  # +1: forward stencil, -1: backward
-            side[xg > 1.0 - 2.0 * step] = -1.0
-            for s in self.case.singular_points:
-                if abs(s) < 1.0:
-                    near = np.abs(xg - s) < 2.0 * step
-                    side[near] = np.where(xg[near] >= s, 1.0, -1.0)
-            h = side * step
-            out[guarded] = (
-                -3.0 * self._eval(xg) + 4.0 * self._eval(xg + h) - self._eval(xg + 2.0 * h)
-            ) / (2.0 * h)
+                near = np.abs(xv - s) < 2.0 * _STEP
+                side[near] = np.where(xv[near] >= s, 1.0, -1.0)
+        one = side != 0.0
+        xc, xo, h = xv[~one], xv[one], side[one] * _STEP
+        f = self(np.concatenate([xc + _STEP, xc - _STEP, xo, xo + h, xo + 2.0 * h]))
+        fp, fm, f0, f1, f2 = np.split(f, np.cumsum([xc.size, xc.size, xo.size, xo.size]))
+        out = np.empty_like(xv)
+        out[~one] = (fp - fm) / (2.0 * _STEP)
+        out[one] = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
         return float(out[0]) if x.ndim == 0 else out
 
 
@@ -219,51 +228,78 @@ def _regular_slope(c1, c2, c3, c4, m):
     return a1, a2
 
 
-def _kernel_integral(c_m: int, alpha: float, beta: float, xi: float, lo: float, hi: float) -> float:
-    """Integral of s^m (1-s)^(-alpha-1) |s - xi|^(-beta-1) over [lo, hi].
+def _kernel_profile(side: float, xi: float, alpha: float, beta: float, m: int, pref: float):
+    """Two-singularity profile on one side of xi, integrated outward from xi.
 
-    One endpoint may equal xi; the substitution s = xi -/+ u^(-1/beta)
-    absorbs the |s - xi| factor exactly, so the transformed integrand is
-    bounded.  Both endpoints must stay strictly below 1.
+    In u = |s - xi|^(-beta) the kernel s^m (1-s)^(-alpha-1) |s - xi|^(-beta-1) ds
+    becomes the bounded nu s^m (1-s)^(-alpha-1) du, nu = -1/beta, and
+    G*(x) = pref (1-x)^alpha I(x) / u(x) with I the integral from u = 0.
+    A fixed mesh in u, graded geometrically toward u = 0 and (right of xi)
+    toward s = 1, carries a 20-node Gauss-Legendre rule per panel; the
+    10-node rule on the same panels estimates its error.  One prefix scan
+    over the full panels gives G* at every mesh node, and each query adds
+    one partial panel to the node below it.  The scan carries G* itself
+    rather than I, whose range overflows doubles once alpha or -beta pass
+    about 30.  The mesh does not depend on the queries, so a point gets the
+    same value alone as in a batch.
     """
-    if hi <= lo:
-        return 0.0
-    nu = -1.0 / beta
+    nb, nu = -beta, -1.0 / beta
+    # Toward u = 0 each level halves u, and also |s - xi| where u is the
+    # flatter of the two.  Toward s = 1 each panel at least halves 1 - s, and
+    # (1-s)^(-alpha-1) grows at most 16-fold across it.
+    d_end = xi - _X_LOW if side < 0.0 else (1.0 - xi) - _ONE_TIE
+    nodes = [[0.0], np.geomspace(d_end, _XI_TIE, math.ceil(math.log2(d_end / _XI_TIE) / min(1.0, nu)) + 1)]
+    if side > 0.0:
+        panels = math.ceil(math.log2((1.0 - xi) / _ONE_TIE) * max(1.0, (alpha + 1.0) / 4.0))
+        nodes.append((1.0 - xi) - np.geomspace(1.0 - xi, _ONE_TIE, panels + 1)[1:])
+    d = np.unique(np.concatenate(nodes))  # offsets |s - xi| of the mesh nodes
+    e = (1.0 - xi) - side * d  # 1 - s there
+    rules = [np.polynomial.legendre.leggauss(n) for n in (20, 10)]  # value rule, estimate rule
 
-    def smooth(s):
-        return s**c_m * (1.0 - s) ** (-alpha - 1.0)
+    def step(dq, eq, k):
+        """Carry factor from node k-1 to offset dq, where 1 - s = eq, and the
+        partial panel's share of G* with its error estimate.  log1p/expm1
+        place the nodes so that 1 - s stays exact near s = 1."""
+        r = (d[k - 1] / dq) ** nb  # u at node k-1 over u at dq
+        parts = []
+        for t, w in rules:
+            log_rho = np.log1p(np.multiply.outer(r - 1.0, 0.5 * (1.0 - t)))
+            en = eq[:, None] - side * dq[:, None] * np.expm1(nu * log_rho)
+            f = nu * (xi + side * dq[:, None] * np.exp(nu * log_rho)) ** m * (eq[:, None] / en) ** alpha / en
+            parts.append(pref * (1.0 - r) * 0.5 * (f * w).sum(axis=1))
+        return (eq / e[k - 1]) ** alpha * r, parts[0], np.abs(parts[0] - parts[1])
 
-    if math.isclose(lo, xi, rel_tol=0.0, abs_tol=1e-300) or lo == xi:
-        # ascending from xi: s = xi + u^nu
-        u_hi = (hi - xi) ** (-beta)
-        val, _ = quad(lambda u: nu * smooth(xi + u**nu), 0.0, u_hi, epsabs=1e-14, epsrel=1e-12, limit=300)
+    carry, part, est = (a.tolist() for a in step(d[1:], e[1:], np.arange(1, d.size)))
+    value, error = (np.array(list(accumulate(zip(carry, a), lambda g, ca: ca[0] * g + ca[1], initial=0.0)))
+                    for a in (part, est))
+
+    def profile(x: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(d, np.abs(x - xi))
+        carry, part, est = step(np.abs(x - xi), 1.0 - x, k)
+        val, err = carry * value[k - 1] + part, carry * error[k - 1] + est
+        bad = ~(err <= _QUAD_TOL * np.maximum(1.0, np.abs(val)))
+        if np.any(bad):
+            raise IntegrationError(
+                f"two-singularity quadrature error estimate {float(err[bad][0])!r} at x = {float(x[bad][0])!r}"
+            )
         return val
-    if hi == xi:
-        # ascending to xi: s = xi - u^nu
-        u_hi = (xi - lo) ** (-beta)
-        val, _ = quad(lambda u: nu * smooth(xi - u**nu), 0.0, u_hi, epsabs=1e-14, epsrel=1e-12, limit=300)
-        return val
-    val, _ = quad(
-        lambda s: smooth(s) * abs(s - xi) ** (-beta - 1.0), lo, hi, epsabs=1e-14, epsrel=1e-12, limit=300
-    )
-    return val
+
+    return profile
 
 
-def build_two_singularity(constants: SteadyConstants, anchor: float | None = None) -> SteadyState:
+def _two_singularity(case: SteadyCase, anchor: float | None) -> SteadyState:
     """Stationary profile when both x = 1 and xi = c2/c1 lie in [-1, 1].
 
     The solution is an integral against the homogeneous weight
     (1-x)^alpha (x-xi)^beta with alpha = c4/(c1-c2) > 0 and
     beta = -c3/c1 - alpha < 0; its value at xi is fixed by continuity to
-    c4 xi^m / (c4 + (1-xi) c3).  ``anchor`` picks the reference point y of
-    the right-segment variation-of-constants form; any y in (xi, 1) yields
-    the same profile, and passing it explicitly exercises that cancellation.
-    By default the right segment is anchored at xi itself.
+    c4 xi^m / (c4 + (1-xi) c3).  Both segments integrate outward from xi
+    (``_kernel_profile``).  ``anchor`` picks the reference point y of the
+    right-segment variation-of-constants form, integrated from y by adaptive
+    quadrature instead; any y in (xi, 1) yields the same profile, and
+    passing it explicitly exercises that cancellation.
     """
-    c1, c2, c3, c4, m = _unpack(constants)
-    scale = max(c1, c2, c3, c4)
-    if _near_zero(c1, scale) or c2 > c1 - _ZTOL * max(1.0, scale) or _near_zero(c4, scale):
-        raise ValidationError("two-singularity construction requires c4 > 0 and 0 <= c2 < c1")
+    c1, c2, c3, c4, m = _unpack(case.constants)
     xi = c2 / c1
     alpha = c4 / (c1 - c2)
     beta = -c3 / c1 - alpha
@@ -272,47 +308,28 @@ def build_two_singularity(constants: SteadyConstants, anchor: float | None = Non
         raise ValidationError(f"anchor must lie in (xi, 1) = ({xi!r}, 1), got {anchor!r}")
 
     pref = c4 / c1
+    left = _kernel_profile(-1.0, xi, alpha, beta, m, pref)
+    right = _kernel_profile(1.0, xi, alpha, beta, m, pref)
+    if anchor is not None:
+        w_y = (1.0 - anchor) ** alpha * (anchor - xi) ** beta
+        g_y = float(right(np.array([anchor]))[0])
+        kern = lambda s: s**m * (1.0 - s) ** (-alpha - 1.0) * (s - xi) ** (-beta - 1.0)  # noqa: E731
 
-    def left(x: float) -> float:
-        # (-inf, xi): weight anchored at xi through the kernel integral
-        val = _kernel_integral(m, alpha, beta, xi, x, xi)
-        return pref * (1.0 - x) ** alpha * (xi - x) ** beta * val
-
-    if anchor is None:
-
-        def right(x: float) -> float:
-            val = _kernel_integral(m, alpha, beta, xi, xi, x)
-            return pref * (1.0 - x) ** alpha * (x - xi) ** beta * val
-
-    else:
-        y = float(anchor)
-        w_y = (1.0 - y) ** alpha * (y - xi) ** beta
-        g_y = pref * w_y * _kernel_integral(m, alpha, beta, xi, xi, y)
-
-        def right(x: float) -> float:
-            # variation of constants anchored at y; no reference back to xi
-            kern = lambda s: s**m * (1.0 - s) ** (-alpha - 1.0) * (s - xi) ** (-beta - 1.0)
-            j, _ = quad(kern, y, x, epsabs=1e-14, epsrel=1e-12, limit=300)
-            w_rel = (1.0 - x) ** alpha * (x - xi) ** beta / w_y
-            return w_rel * (g_y + pref * w_y * j)
+        def right(x: np.ndarray) -> np.ndarray:
+            # variation of constants anchored at y = anchor; no reference back to xi
+            j = np.array([quad(kern, anchor, xv, epsabs=1e-14, epsrel=1e-12, limit=300)[0] for xv in x])
+            return (1.0 - x) ** alpha * (x - xi) ** beta / w_y * (g_y + pref * w_y * j)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        for i, xv in enumerate(x):
-            if abs(xv - 1.0) <= 1e-12:
-                out[i] = 1.0
-            elif abs(xv - xi) <= 1e-9:
-                out[i] = g_xi
-            elif xv < xi:
-                out[i] = left(float(xv))
-            else:
-                out[i] = right(float(xv))
+        at_one = np.abs(x - 1.0) <= _ONE_TIE
+        out = np.where(at_one, 1.0, g_xi)
+        lo, hi = x - xi < -_XI_TIE, (x - xi > _XI_TIE) & ~at_one
+        out[lo], out[hi] = left(x[lo]), right(x[hi])
         return out
 
     a1 = _analytic_a1(c1, c2, c3, c4, m)
     # The singular branch (1-x)^alpha dominates the slope unless alpha > 1.
     slope = a1 if a1 is not None and alpha > 1.0 + 1e-12 else None
-    case = classify(constants)
     return SteadyState(
         case=case,
         value_at_one=1.0,
@@ -324,23 +341,18 @@ def build_two_singularity(constants: SteadyConstants, anchor: float | None = Non
     )
 
 
-def build_series_seeded(constants: SteadyConstants, eps: float = 1e-5, margin: float = 5e-3) -> SteadyState:
+def _series_seeded(case: SteadyCase) -> SteadyState:
     """Stationary profile when x = 1 is the only singular point in [-1, 1].
 
-    Seeds the analytic branch at x = 1 - eps with its quadratic expansion
-    and integrates the explicit ODE backward to -1 - margin.  Backward
+    Seeds the analytic branch at x = 1 - _SEED_EPS with its quadratic
+    expansion and integrates the explicit ODE backward to _X_LOW.  Backward
     integration is stable here: the homogeneous modes decay away from 1.
     """
-    c1, c2, c3, c4, m = _unpack(constants)
-    scale = max(c1, c2, c3, c4)
-    if _near_zero(c4, scale):
-        raise ValidationError("series-seeded construction requires c4 > 0")
-    if not (_near_zero(c1, scale) or c2 > c1 - _ZTOL * max(1.0, scale)):
-        raise ValidationError("series-seeded construction requires c2 >= c1 (or c1 = 0)")
+    c1, c2, c3, c4, m = _unpack(case.constants)
     seed = _regular_slope(c1, c2, c3, c4, m)
     if seed is None:
         raise DegenerateSeedError(
-            f"series seed undefined: resonant denominators for constants {constants!r}"
+            f"series seed undefined: resonant denominators for constants {case.constants!r}"
         )
     a1, a2 = seed
 
@@ -348,11 +360,11 @@ def build_series_seeded(constants: SteadyConstants, eps: float = 1e-5, margin: f
         num = (c4 - (x - 1.0) * c3) * y[0] - c4 * x**m
         return [num / ((x - 1.0) * (c1 * x - c2))]
 
-    x_seed = 1.0 - eps
-    g_seed = 1.0 - a1 * eps + a2 * eps * eps
+    x_seed = 1.0 - _SEED_EPS
+    g_seed = 1.0 - a1 * _SEED_EPS + a2 * _SEED_EPS * _SEED_EPS
     sol = solve_ivp(
         rhs,
-        (x_seed, -1.0 - margin),
+        (x_seed, _X_LOW),
         [g_seed],
         method="DOP853",
         rtol=1e-12,
@@ -373,14 +385,13 @@ def build_series_seeded(constants: SteadyConstants, eps: float = 1e-5, margin: f
             out[far] = dense(x[far])[0]
         return out
 
-    case = classify(constants)
     return SteadyState(
         case=case,
         value_at_one=1.0,
         slope_at_one=a1,
         value_at_ratio=None,
         certified=abs(a1) > _ZTOL,
-        note=f"series-seeded backward integration from x = 1 - {eps!r}",
+        note=f"series-seeded backward integration from x = 1 - {_SEED_EPS!r}",
         _eval=evaluate,
     )
 
@@ -439,8 +450,8 @@ def construct(constants: SteadyConstants, anchor: float | None = None) -> Steady
             _eval=evaluate,
         )
     if tag is SteadyCaseTag.TWO_SINGULARITY:
-        return build_two_singularity(constants, anchor=anchor)
-    return build_series_seeded(constants)
+        return _two_singularity(case, anchor)
+    return _series_seeded(case)
 
 
 def steady_from_rates(rates: ProcessRates, anchor: float | None = None) -> SteadyState:
@@ -462,16 +473,18 @@ def steady_from_rates(rates: ProcessRates, anchor: float | None = None) -> Stead
     return construct(constants, anchor=anchor)
 
 
-def residual(state: SteadyState, constants: SteadyConstants, x, h: float = 1e-4):
+def residual(state: SteadyState, constants: SteadyConstants, x):
     """Pointwise defect of the stationary ODE with a central-difference slope.
 
-    The evaluator must be defined on [x - h, x + h]; the constructions all
-    extend slightly past -1 so endpoint stencils stay valid.
+    x must lie in the profile domain.  The stencil x -/+ h, h = _RESIDUAL_H,
+    may reach past it: the constructions extend slightly past -1, and the
+    closed forms past 1, where a point without a singularity at 1 still
+    gets a central slope.  Keep x at least h away from singular points.
     """
     c1, c2, c3, c4, m = _unpack(constants)
     x = np.asarray(x, dtype=float)
     xs = np.atleast_1d(x)
-    slope = (state(xs + h) - state(xs - h)) / (2.0 * h)
     val = state(xs)
+    slope = (state._eval(xs + _RESIDUAL_H) - state._eval(xs - _RESIDUAL_H)) / (2.0 * _RESIDUAL_H)
     res = (xs - 1.0) * (c1 * xs - c2) * slope + ((xs - 1.0) * c3 - c4) * val + c4 * xs**m
     return float(res[0]) if x.ndim == 0 else res

@@ -5,6 +5,7 @@ import pytest
 
 from degreeflow.analysis import (
     ConvergenceSeries,
+    FitResult,
     decay_norms,
     detect_bend,
     diff_norms,
@@ -130,3 +131,16 @@ def test_decay_norms_agrees_with_subtraction_early():
     ser_s = diff_norms(field, steady)
     np.testing.assert_allclose(ser_d.sup_norm, ser_s.sup_norm, rtol=1e-4, atol=1e-9)
     np.testing.assert_allclose(ser_d.argmax_x, ser_s.argmax_x, atol=1e-12)
+
+
+def test_decay_norms_on_two_singularity_profile():
+    # alpha = 7: the difference transport tabulates G* and its derivative up
+    # to x = 1 and around the interior singular point xi = 7/8
+    rates = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=1, l_p=0,
+                         n_d=0, n_r=0, n_p=2, m=3)
+    steady = steady_from_rates(rates)
+    h = InitialCondition.geometric(3.0)
+    ser = decay_norms(np.linspace(-1, 1, 11), np.linspace(0, 2, 21), rates, h, steady)
+    assert np.all(np.isfinite(ser.sup_norm)) and np.all(ser.sup_norm > 0.0)
+    assert np.all(np.isfinite(ser.l2_norm)) and np.all(ser.l2_norm > 0.0)
+    assert isinstance(fit_rate(ser, window=(1.0, 2.0)), FitResult)

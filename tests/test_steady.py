@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from degreeflow.errors import NoSteadyStateError
-from degreeflow.model import ProcessRates
+from degreeflow.errors import NoSteadyStateError, ValidationError
+from degreeflow.model import ProcessRates, steady_constants
 from degreeflow.steady import (
     SteadyCaseTag,
     classify,
@@ -16,6 +16,16 @@ from degreeflow.steady import (
 
 # reference constants with singular points at 1/2 and 1
 REF = explicit_constants(2.0, 1.0, 1.0, 2.0, 3)
+# two-singularity rate sets with interior exponents alpha = 7 and alpha ~ 33.7
+ALPHA7 = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=1, l_p=0,
+                      n_d=0, n_r=0, n_p=2, m=3)
+ALPHA34 = ProcessRates(omega_r=0, omega_p=0, l_d=1.92, l_r=0, l_p=0.8,
+                       n_d=0, n_r=0.84, n_p=1.26, m=1)
+# a series-seeded rate set
+FIG7 = ProcessRates(omega_r=1, omega_p=0, l_d=1, l_r=1, l_p=0,
+                    n_d=1, n_r=1, n_p=0, m=3)
+# the table CharacteristicSolver.solve_difference_grid builds
+TABLE_X = np.linspace(-1.0 - 2e-3, 1.0, 4097)
 
 
 def _grid_away_from_singular(case, n=101, margin=1e-3):
@@ -42,10 +52,18 @@ def test_reference_profile_values():
     assert st.certified
 
 
-def test_reference_profile_residual():
-    st = construct(REF)
-    xs = _grid_away_from_singular(classify(REF))
-    assert np.max(np.abs(residual(st, REF, xs))) < 1e-6
+# alpha = 0.1 with c3 = 0 and m = 0, where G* = 1 exactly
+@pytest.mark.parametrize("constants", [REF, steady_constants(ALPHA7), steady_constants(ALPHA34),
+                                       explicit_constants(2.0, 0.5, 0.0, 0.15, 0)],
+                         ids=["REF", "alpha7", "alpha34", "alpha0.1"])
+def test_reference_profile_residual(constants):
+    st = construct(constants)
+    assert st.case.tag is SteadyCaseTag.TWO_SINGULARITY
+    xs = _grid_away_from_singular(st.case, n=201)
+    assert np.max(np.abs(residual(st, constants, xs))) <= 1e-6
+    # the quadrature mesh does not depend on the query points
+    batch = st(TABLE_X)
+    assert all(st(float(x)) == v for x, v in zip(TABLE_X[::8], batch[::8]))
 
 
 def test_residual_detects_wrong_profile():
@@ -63,9 +81,7 @@ def test_anchor_independence():
 
 
 def test_two_singularity_from_rates():
-    r = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=1, l_p=0,
-                     n_d=0, n_r=0, n_p=2, m=3)
-    st = steady_from_rates(r)
+    st = steady_from_rates(ALPHA7)
     assert st.case.tag is SteadyCaseTag.TWO_SINGULARITY
     # slope equals the stationary mean degree 14/3
     assert st.slope_at_one == pytest.approx(14.0 / 3.0, rel=1e-12)
@@ -86,9 +102,7 @@ def test_series_seeded_from_rates():
 
 
 def test_series_seeded_second_rate_set():
-    r = ProcessRates(omega_r=1, omega_p=0, l_d=1, l_r=1, l_p=0,
-                     n_d=1, n_r=1, n_p=0, m=3)
-    st = steady_from_rates(r)
+    st = steady_from_rates(FIG7)
     assert st.case.tag is SteadyCaseTag.SERIES_SEEDED
     assert st.slope_at_one == pytest.approx(2.0, rel=1e-12)
 
@@ -152,3 +166,15 @@ def test_derivative_near_interior_singularity():
     d = st.derivative(x)
     fd = (st(x) - st(x - 1e-7)) / 1e-7
     assert d == pytest.approx(fd, rel=5e-3)
+    # the stencils near xi and x = 1 stay on their side and inside [-1, 1]
+    assert np.all(np.isfinite(steady_from_rates(ALPHA7).derivative(TABLE_X)))
+
+
+def test_profile_rejects_points_outside_domain():
+    for st in (construct(REF), steady_from_rates(ALPHA7), steady_from_rates(FIG7)):
+        for x in (1.0 + 1e-6, -1.0 - 6e-3, np.nan):
+            with pytest.raises(ValidationError):
+                st(x)
+            with pytest.raises(ValidationError):
+                st.derivative(np.array([0.0, x]))
+        assert np.isfinite(st.derivative(-1.0 - 5e-3))
