@@ -27,7 +27,7 @@ from .characteristics import (
     solve_grid,
     trace_back,
 )
-from .config import ExperimentConfig, default_config, parse_config
+from .config import ExperimentConfig, parse_config
 from .degree_ode import (
     DistributionTrajectory,
     TruncatedDistribution,
@@ -112,7 +112,6 @@ __all__ = [
     "char_rhs",
     "construct",
     "decay_norms",
-    "default_config",
     "derive_riccati",
     "detect_bend",
     "diff_norms",

@@ -23,16 +23,7 @@ from .analysis import detect_bend, diff_norms, fit_rate
 from .characteristics import solve_grid
 from .config import ExperimentConfig, _parse_constants, parse_config
 from .degree_ode import first_moment, gf_eval, integrate
-from .errors import (
-    AccuracyError,
-    DegenerateSeedError,
-    DegreeFlowError,
-    DomainError,
-    IntegrationError,
-    NoSteadyStateError,
-    TruncationError,
-    ValidationError,
-)
+from .errors import DegreeFlowError, DomainError, NoSteadyStateError, ValidationError
 from .graphsim import SimConfig, run
 from .model import Degeneracy, derive_riccati, steady_constants
 from .riccati import solve_closed_form
@@ -170,10 +161,20 @@ def cmd_ode(cfg: ExperimentConfig) -> int:
 
 
 def cmd_mc(cfg: ExperimentConfig) -> int:
+    times = cfg.mc_sample_times
+    if not times:
+        raise ValidationError("[mc] sample_times must not be empty")
+    if cfg.mc_k_max > cfg.oracle_k_max:
+        raise ValidationError(
+            f"[mc] k_max = {cfg.mc_k_max} exceeds [oracle] k_max = {cfg.oracle_k_max}"
+        )
+    # The reference starts from the ensemble's own t = 0 histogram, whatever
+    # [initial] says; a t = 0 snapshot draws no random numbers.
+    lead = 0 if times[0] == 0.0 else 1
     sim = SimConfig(
         rates=cfg.rates,
         n_nodes=cfg.mc_nodes,
-        sample_times=cfg.mc_sample_times,
+        sample_times=(0.0,) * lead + times,
         seed=cfg.mc_seed,
         replicas=cfg.mc_replicas,
         graph=cfg.mc_graph,
@@ -181,17 +182,23 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
         k_max=cfg.mc_k_max,
     )
     result = run(sim)
-    h = cfg.initial()
-    t_end = max(cfg.mc_sample_times)
+    kk = cfg.mc_k_max + 1
+    p0 = np.zeros(cfg.oracle_k_max + 1)
+    p0[:kk] = result.mean[0]
+    lost = 1.0 - float(p0.sum())
+    if lost > 1e-9:
+        raise ValidationError(
+            f"the t = 0 histogram loses {lost:.3g} of its mass beyond [mc] k_max = {cfg.mc_k_max}; "
+            "raise k_max"
+        )
+    t_end = max(times)
     traj = None
     if t_end > 0.0:
-        traj = integrate(h.coefficients(cfg.oracle_k_max), cfg.rates, t_end, cfg.oracle_tol, cfg.oracle_mass_tol)
-    kk = cfg.mc_k_max + 1
+        traj = integrate(p0, cfg.rates, t_end, cfg.oracle_tol, cfg.oracle_mass_tol)
     rows = []
     tvs = []
-    for j, tj in enumerate(result.times):
-        ref_full = traj.at(float(tj)).p if traj is not None and tj > 0.0 else h.coefficients(cfg.oracle_k_max)
-        ref = ref_full[:kk]
+    for j, tj in enumerate(times, start=lead):
+        ref = (traj.at(float(tj)).p if tj > 0.0 else p0)[:kk]
         mean = result.mean[j]
         # total variation with the truncated tails lumped into one bin
         tv = 0.5 * float(np.sum(np.abs(mean - ref))) + 0.5 * abs(
@@ -206,7 +213,7 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
         f"simulated {cfg.mc_replicas} replicas of N = {cfg.mc_nodes} "
         f"({cfg.mc_graph} start, seed {cfg.mc_seed})"
     )
-    for tj, tv in zip(result.times, tvs):
+    for tj, tv in zip(times, tvs):
         print(f"t = {tj:g}: total variation vs reference = {tv:.4f}")
     if any(result.absorbed):
         print(f"absorbed replicas: {sum(result.absorbed)}/{cfg.mc_replicas}")
@@ -324,13 +331,14 @@ def main(argv: list[str] | None = None) -> int:
             steady_constants=_parse_constants(args.constants) if args.constants else None,
         )
         return _HANDLERS[args.command](cfg)
-    except (ValidationError, DomainError) as exc:
+    except (ValidationError, DomainError, OSError) as exc:
+        # OSError: an input that cannot be read or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NoSteadyStateError as exc:
         print(f"no steady state: {exc}", file=sys.stderr)
         return 3
-    except (IntegrationError, AccuracyError, TruncationError, DegenerateSeedError) as exc:
+    except DegreeFlowError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .initial import InitialCondition
 from .model import ProcessRates
 
-__all__ = ["ExperimentConfig", "parse_config", "default_config"]
+__all__ = ["ExperimentConfig", "parse_config"]
 
 _RATE_KEYS = ("omega_r", "omega_p", "l_d", "l_r", "l_p", "n_d", "n_r", "n_p")
 
@@ -109,9 +109,7 @@ class ExperimentConfig:
         return cfg
 
 
-def _get(parser, section, key, conv, default):
-    if not parser.has_option(section, key):
-        return default
+def _read(parser, section, key, conv):
     raw = parser.get(section, key)
     try:
         return conv(raw)
@@ -126,8 +124,47 @@ def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(s) for s in items if s)
 
 
-def default_config(rates: ProcessRates) -> ExperimentConfig:
-    return ExperimentConfig(rates=rates)
+def _parse_constants(raw: str) -> tuple[float, float, float, float, int]:
+    vals = _floats(raw)
+    if len(vals) != 5:
+        raise ValidationError(f"constants need 5 values c1,c2,c3,c4,m, got {len(vals)}")
+    c1, c2, c3, c4, m = vals
+    if m != int(m) or m < 0:
+        raise ValidationError(f"constants m must be a nonnegative integer, got {m!r}")
+    return (c1, c2, c3, c4, int(m))
+
+
+# (section, key) -> (ExperimentConfig field, converter).  A key missing from
+# the file keeps the field's default.
+_KEYS = {
+    ("initial", "kind"): ("initial_kind", str),
+    ("initial", "coeffs"): ("initial_coeffs", _floats),
+    ("initial", "rho"): ("initial_rho", float),
+    ("initial", "a"): ("initial_a", float),
+    ("grid", "x_min"): ("x_min", float),
+    ("grid", "x_max"): ("x_max", float),
+    ("grid", "x_points"): ("x_points", int),
+    ("grid", "t_max"): ("t_max", float),
+    ("grid", "t_points"): ("t_points", int),
+    ("solver", "tol"): ("solver_tol", float),
+    ("oracle", "k_max"): ("oracle_k_max", int),
+    ("oracle", "tol"): ("oracle_tol", float),
+    ("oracle", "mass_tol"): ("oracle_mass_tol", float),
+    ("steady", "constants"): ("steady_constants", _parse_constants),
+    ("steady", "anchor"): ("steady_anchor", float),
+    ("mc", "nodes"): ("mc_nodes", int),
+    ("mc", "replicas"): ("mc_replicas", int),
+    ("mc", "seed"): ("mc_seed", int),
+    ("mc", "graph"): ("mc_graph", str),
+    ("mc", "graph_degree"): ("mc_graph_degree", float),
+    ("mc", "k_max"): ("mc_k_max", int),
+    ("mc", "sample_times"): ("mc_sample_times", _floats),
+    ("analysis", "fit_t_min"): ("fit_t_min", float),
+    ("analysis", "fit_t_max"): ("fit_t_max", float),
+    ("analysis", "norm"): ("fit_norm", str),
+    ("analysis", "bend_jump"): ("bend_jump", float),
+    ("output", "dir"): ("out_dir", str),
+}
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -143,54 +180,19 @@ def parse_config(path: str) -> ExperimentConfig:
     if not parser.has_section("rates"):
         raise ValidationError("config needs a [rates] section")
 
-    kwargs = {}
-    for key in _RATE_KEYS:
-        kwargs[key] = _get(parser, "rates", key, float, 0.0)
-    kwargs["m"] = _get(parser, "rates", "m", int, 0)
-    rates = ProcessRates(**kwargs)
-
-    cfg = ExperimentConfig(
-        rates=rates,
-        initial_kind=_get(parser, "initial", "kind", str, "polynomial"),
-        initial_coeffs=_get(parser, "initial", "coeffs", _floats, ()),
-        initial_rho=_get(parser, "initial", "rho", float, 0.0),
-        initial_a=_get(parser, "initial", "a", float, None),
-        x_min=_get(parser, "grid", "x_min", float, -1.0),
-        x_max=_get(parser, "grid", "x_max", float, 1.0),
-        x_points=_get(parser, "grid", "x_points", int, 41),
-        t_max=_get(parser, "grid", "t_max", float, 1.0),
-        t_points=_get(parser, "grid", "t_points", int, 11),
-        solver_tol=_get(parser, "solver", "tol", float, 1e-8),
-        oracle_k_max=_get(parser, "oracle", "k_max", int, 200),
-        oracle_tol=_get(parser, "oracle", "tol", float, 1e-10),
-        oracle_mass_tol=_get(parser, "oracle", "mass_tol", float, 1e-6),
-        steady_constants=_get(parser, "steady", "constants", _parse_constants, None),
-        steady_anchor=_get(parser, "steady", "anchor", float, None),
-        mc_nodes=_get(parser, "mc", "nodes", int, 2000),
-        mc_replicas=_get(parser, "mc", "replicas", int, 20),
-        mc_seed=_get(parser, "mc", "seed", int, 12345),
-        mc_graph=_get(parser, "mc", "graph", str, "regular"),
-        mc_graph_degree=_get(parser, "mc", "graph_degree", float, 2.0),
-        mc_k_max=_get(parser, "mc", "k_max", int, 60),
-        mc_sample_times=_get(parser, "mc", "sample_times", _floats, (0.05, 0.1, 0.2)),
-        fit_t_min=_get(parser, "analysis", "fit_t_min", float, 1.0),
-        fit_t_max=_get(parser, "analysis", "fit_t_max", float, None),
-        fit_norm=_get(parser, "analysis", "norm", str, "sup"),
-        bend_jump=_get(parser, "analysis", "bend_jump", float, 0.1),
-        out_dir=_get(parser, "output", "dir", str, "out"),
-    )
+    rates = ProcessRates(**{
+        key: _read(parser, "rates", key, int if key == "m" else float)
+        for key in (*_RATE_KEYS, "m")
+        if parser.has_option("rates", key)
+    })
+    fields = {
+        name: _read(parser, section, key, conv)
+        for (section, key), (name, conv) in _KEYS.items()
+        if parser.has_option(section, key)
+    }
+    cfg = ExperimentConfig(rates=rates, **fields)
     _validate(cfg)
     return cfg
-
-
-def _parse_constants(raw: str) -> tuple[float, float, float, float, int]:
-    vals = _floats(raw)
-    if len(vals) != 5:
-        raise ValidationError(f"constants need 5 values c1,c2,c3,c4,m, got {len(vals)}")
-    c1, c2, c3, c4, m = vals
-    if m != int(m) or m < 0:
-        raise ValidationError(f"constants m must be a nonnegative integer, got {m!r}")
-    return (c1, c2, c3, c4, int(m))
 
 
 def _validate(cfg: ExperimentConfig) -> None:

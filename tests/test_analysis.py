@@ -134,8 +134,8 @@ def test_decay_norms_agrees_with_subtraction_early():
 
 
 def test_decay_norms_on_two_singularity_profile():
-    # alpha = 7: the difference transport tabulates G* and its derivative up
-    # to x = 1 and around the interior singular point xi = 7/8
+    # alpha = 7: the difference transport splines G* up to x = 1 and across
+    # the interior singular point xi = 7/8
     rates = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=1, l_p=0,
                          n_d=0, n_r=0, n_p=2, m=3)
     steady = steady_from_rates(rates)

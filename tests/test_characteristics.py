@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from degreeflow import characteristics
 from degreeflow.characteristics import (
     CharacteristicSolver,
     CharacteristicState,
@@ -190,6 +191,25 @@ def test_difference_rows_match_separate_solves():
     for j, t in enumerate(ts[1:], start=1):
         row = solver.solve_difference_grid(xs, [t], steady)[0]
         assert np.max(np.abs(D[j] - row)) <= 1e-6 * np.max(np.abs(row))
+
+
+def test_difference_grid_rhs_evaluation_budget(monkeypatch):
+    # a source with kinks in x (piecewise-linear lookups of G* and G*')
+    # forces tiny steps on every curve that crosses a kink; the smooth
+    # spline source needs about 1,100 rhs evaluations here, the kinked one
+    # about 13,000.  Counts the (L, psi) flow too.
+    nfev = []
+    real = characteristics.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(characteristics, "solve_ivp", counting)
+    solver = CharacteristicSolver(FIG2, h=InitialCondition.geometric(3.0), t_max=1.0)
+    solver.solve_difference_grid(np.linspace(-1, 1, 21), np.linspace(0, 1, 11), steady_from_rates(FIG2))
+    assert sum(nfev) <= 3000
 
 
 def test_difference_grid_matches_subtraction_early():

@@ -177,6 +177,38 @@ def test_mc_seed_changes_output(tmp_path):
     assert (a / "mc.csv").read_bytes() != (b / "mc.csv").read_bytes()
 
 
+def test_mc_scores_against_the_ensemble_start(tmp_path, capsys):
+    # an erdos start differs from [initial]; the reference must start from
+    # the sampled graphs, not from h (scored against h, TV is about 0.23)
+    body = BASE.replace("k_max = 30", "k_max = 30\ngraph = erdos\ngraph_degree = 2")
+    body = body.replace("nodes = 200", "nodes = 1000").replace("replicas = 2", "replicas = 4")
+    ini, out = _ini(tmp_path, body)
+    assert main(["mc", "--config", ini]) == 0
+    _, header, rows = _load_csv(out / "mc.csv")
+    assert header == ["t", "k", "mean", "stderr", "ode_p", "tv"]
+    np.testing.assert_array_equal(np.unique(rows[:, 0]), [0.05])  # configured times only
+    assert np.max(rows[:, 5]) <= 0.05
+    # a start whose degrees run past [mc] k_max cannot be a reference
+    ini, _ = _ini(tmp_path, body.replace("k_max = 30", "k_max = 2"), name="short.ini")
+    capsys.readouterr()
+    assert main(["mc", "--config", ini]) == 1
+    assert "raise k_max" in capsys.readouterr().err
+    # nor can a reference truncated below the histogram
+    ini, _ = _ini(tmp_path, body, name="kmax.ini")
+    assert main(["mc", "--config", ini, "--kmax", "20"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    ini, _ = _ini(tmp_path, body.replace("sample_times = 0.05", "sample_times ="), name="none.ini")
+    assert main(["mc", "--config", ini]) == 1
+
+
+def test_unwritable_out_exit_code(tmp_path, capsys):
+    ini, _ = _ini(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["solve", "--config", ini, "--out", str(blocker / "sub")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_compare_report(tmp_path):
     ini, out = _ini(tmp_path)
     assert main(["compare", "--config", ini]) == 0
