@@ -25,7 +25,7 @@ from .config import ExperimentConfig, _parse_constants, parse_config
 from .degree_ode import first_moment, gf_eval, integrate
 from .errors import DegreeFlowError, DomainError, NoSteadyStateError, ValidationError
 from .graphsim import SimConfig, run
-from .model import Degeneracy, derive_riccati, steady_constants
+from .model import _RATE_FIELDS, Degeneracy, derive_riccati, steady_constants
 from .riccati import solve_closed_form
 from .steady import (
     SteadyCaseTag,
@@ -218,7 +218,9 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     if any(result.absorbed):
         print(f"absorbed replicas: {sum(result.absorbed)}/{cfg.mc_replicas}")
     if result.skipped:
-        print(f"skipped placements: {result.skipped}")
+        # each process is named by its rate in [rates]
+        named = ", ".join(f"{name} {n}" for name, n in zip(_RATE_FIELDS, result.skips) if n)
+        print(f"skipped placements: {result.skipped} ({named})")
     print(f"wrote {out / 'mc.csv'}")
     return 0
 

@@ -9,7 +9,18 @@ endpoint IS a degree-biased node), and node addition at N n_r / N n_p.
 Degree-biased choices always sample a uniform endpoint of a uniform edge,
 which is exact and O(1).  Placements that turn out illegal (duplicate links,
 self-links, not enough distinct targets) are resampled up to a fixed number
-of attempts and then skipped, with a counter.
+of attempts and then skipped, with a counter per process.
+
+Every random choice of an event reads one uniform double u in [0, 1) from a
+``_Stream``, which draws them from the replica's Generator in blocks of
+``_BLOCK`` so that the event loop makes no numpy call of its own.  A uniform
+index below n is floor(u n), clamped to n - 1 against u n rounding up to n;
+since u is a multiple of 2**-53, each index has probability 1/n up to a
+relative bias of order n 2**-53.  The waiting time is -log1p(-u) / total,
+exponential with mean 1/total and finite because u < 1.  The event is the
+first process whose running sum of the eight clocks exceeds u total, found
+by a linear scan, or the last live process when rounding leaves the sum
+short.
 """
 
 from __future__ import annotations
@@ -23,9 +34,31 @@ from .degree_ode import TruncatedDistribution
 from .errors import AbsorbingStateReached, DomainError, ValidationError
 from .model import ProcessRates
 
-__all__ = ["Network", "SimConfig", "SimResult", "step", "run", "empirical_distribution"]
+__all__ = ["Network", "SimConfig", "SimResult", "run", "empirical_distribution"]
 
 _RETRIES = 100
+_BLOCK = 4096  # uniforms drawn from the Generator at a time
+
+
+class _Stream:
+    """Uniform doubles in [0, 1) from a Generator, drawn ``_BLOCK`` at a time."""
+
+    __slots__ = ("_rng", "_buf")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buf: list[float] = []
+
+    def uniform(self) -> float:
+        buf = self._buf
+        if not buf:
+            # served from the end of the block, so each block is read backwards
+            buf = self._buf = self._rng.random(_BLOCK).tolist()
+        return buf.pop()
+
+    def below(self, n: int) -> int:
+        """Uniform index in [0, n), n >= 1."""
+        return min(int(self.uniform() * n), n - 1)
 
 
 class Network:
@@ -146,16 +179,16 @@ class Network:
 
     # -- sampling -----------------------------------------------------------
 
-    def random_node(self, rng: np.random.Generator) -> int:
-        return self._nodes[int(rng.integers(len(self._nodes)))]
+    def random_node(self, stream: _Stream) -> int:
+        return self._nodes[stream.below(len(self._nodes))]
 
-    def random_edge(self, rng: np.random.Generator) -> tuple[int, int]:
-        return self._edges[int(rng.integers(len(self._edges)))]
+    def random_edge(self, stream: _Stream) -> tuple[int, int]:
+        return self._edges[stream.below(len(self._edges))]
 
-    def random_endpoint(self, rng: np.random.Generator) -> int:
+    def random_endpoint(self, stream: _Stream) -> int:
         """Degree-biased node: a uniform endpoint of a uniform edge."""
-        e = self.random_edge(rng)
-        return e[int(rng.integers(2))]
+        e = self.random_edge(stream)
+        return e[0] if stream.uniform() < 0.5 else e[1]
 
     def degree_counts(self, k_max: int) -> np.ndarray:
         degs = np.fromiter((len(s) for s in self.adj.values()), dtype=np.int64, count=len(self.adj))
@@ -193,19 +226,19 @@ def empirical_distribution(net: Network, k_max: int | None = None) -> TruncatedD
 # -- event execution --------------------------------------------------------
 
 
-def _pick_new_neighbor(net: Network, keeper: int, rng, preferential: bool) -> int | None:
+def _pick_new_neighbor(net: Network, keeper: int, stream: _Stream, preferential: bool) -> int | None:
     for _ in range(_RETRIES):
-        w = net.random_endpoint(rng) if preferential else net.random_node(rng)
+        w = net.random_endpoint(stream) if preferential else net.random_node(stream)
         if w != keeper and not net.has_edge(keeper, w):
             return w
     return None
 
 
-def _rewire(net: Network, rng, preferential: bool) -> bool:
-    u, v = net.random_edge(rng)
-    keeper, loser = (u, v) if rng.integers(2) == 0 else (v, u)
+def _rewire(net: Network, stream: _Stream, preferential: bool) -> bool:
+    u, v = net.random_edge(stream)
+    keeper, loser = (u, v) if stream.uniform() < 0.5 else (v, u)
     net.remove_edge(keeper, loser)
-    w = _pick_new_neighbor(net, keeper, rng, preferential)
+    w = _pick_new_neighbor(net, keeper, stream, preferential)
     if w is None:
         net.add_edge(keeper, loser)  # restore: rewiring must conserve E
         return False
@@ -213,23 +246,23 @@ def _rewire(net: Network, rng, preferential: bool) -> bool:
     return True
 
 
-def _add_link(net: Network, rng, preferential: bool) -> bool:
+def _add_link(net: Network, stream: _Stream, preferential: bool) -> bool:
     for _ in range(_RETRIES):
-        u = net.random_endpoint(rng) if preferential else net.random_node(rng)
-        v = net.random_endpoint(rng) if preferential else net.random_node(rng)
+        u = net.random_endpoint(stream) if preferential else net.random_node(stream)
+        v = net.random_endpoint(stream) if preferential else net.random_node(stream)
         if u != v and not net.has_edge(u, v):
             net.add_edge(u, v)
             return True
     return False
 
 
-def _add_node(net: Network, rng, m: int, preferential: bool) -> bool:
+def _add_node(net: Network, stream: _Stream, m: int, preferential: bool) -> bool:
     targets: set[int] = set()
     if m > 0:
         budget = _RETRIES * max(m, 1)
         while len(targets) < m and budget > 0:
             budget -= 1
-            w = net.random_endpoint(rng) if preferential else net.random_node(rng)
+            w = net.random_endpoint(stream) if preferential else net.random_node(stream)
             targets.add(w)
         if len(targets) < m:
             return False
@@ -239,68 +272,59 @@ def _add_node(net: Network, rng, m: int, preferential: bool) -> bool:
     return True
 
 
-def _clocks(net: Network, rates: ProcessRates) -> np.ndarray:
+def _clocks(net: Network, rates: ProcessRates) -> tuple[float, ...]:
+    """Total rates of the eight processes, in the order of ProcessRates' rate fields."""
     e, n = float(net.n_edges), float(net.n_nodes)
     m = rates.m
-    return np.array(
-        [
-            2.0 * e * rates.omega_r,
-            2.0 * e * rates.omega_p,
-            e * rates.l_d,
-            n * rates.l_r if n >= 2 else 0.0,
-            n * rates.l_p if e >= 1 and n >= 2 else 0.0,
-            2.0 * e * rates.n_d,
-            n * rates.n_r if n >= m else 0.0,
-            n * rates.n_p if n >= m and (e >= 1 or m == 0) else 0.0,
-        ]
+    return (
+        2.0 * e * rates.omega_r,
+        2.0 * e * rates.omega_p,
+        e * rates.l_d,
+        n * rates.l_r if n >= 2 else 0.0,
+        n * rates.l_p if e >= 1 and n >= 2 else 0.0,
+        2.0 * e * rates.n_d,
+        n * rates.n_r if n >= m else 0.0,
+        n * rates.n_p if n >= m and (e >= 1 or m == 0) else 0.0,
     )
 
 
-def _draw(net: Network, rates: ProcessRates, rng: np.random.Generator) -> tuple[float, int]:
+def _draw(net: Network, rates: ProcessRates, stream: _Stream) -> tuple[float, int]:
     """Waiting time and event index of the next event (state untouched)."""
     lam = _clocks(net, rates)
-    total = float(lam.sum())
+    total = sum(lam)
     if total <= 0.0:
         raise AbsorbingStateReached("all event rates vanished")
-    dt = float(rng.exponential(1.0 / total))
-    pick = float(rng.random()) * total
-    idx = int(np.searchsorted(np.cumsum(lam), pick, side="right"))
-    return dt, min(idx, 7)
+    dt = -math.log1p(-stream.uniform()) / total
+    pick = stream.uniform() * total
+    for idx, rate in enumerate(lam):
+        pick -= rate
+        if pick < 0.0:
+            return dt, idx
+    # rounding left the running sum short of the pick: take the last live process
+    return dt, max(idx for idx, rate in enumerate(lam) if rate > 0.0)
 
 
-def _execute(net: Network, idx: int, rates: ProcessRates, rng: np.random.Generator) -> bool:
+def _execute(net: Network, idx: int, rates: ProcessRates, stream: _Stream) -> bool:
     if idx == 0:
-        return _rewire(net, rng, preferential=False)
+        return _rewire(net, stream, preferential=False)
     if idx == 1:
-        return _rewire(net, rng, preferential=True)
+        return _rewire(net, stream, preferential=True)
     if idx == 2:
-        u, v = net.random_edge(rng)
+        u, v = net.random_edge(stream)
         net.remove_edge(u, v)
         return True
     if idx == 3:
-        return _add_link(net, rng, preferential=False)
+        return _add_link(net, stream, preferential=False)
     if idx == 4:
-        return _add_link(net, rng, preferential=True)
+        return _add_link(net, stream, preferential=True)
     if idx == 5:
         # clock 2E*n_d with a uniform victim: survivors then lose a
         # neighbor at rate n_d*mu*k while the removed sample is unbiased
-        net.remove_node(net.random_node(rng))
+        net.remove_node(net.random_node(stream))
         return True
     if idx == 6:
-        return _add_node(net, rng, rates.m, preferential=False)
-    return _add_node(net, rng, rates.m, preferential=True)
-
-
-def step(net: Network, rates: ProcessRates, rng: np.random.Generator) -> tuple[float, bool]:
-    """Execute one Gillespie event in place.
-
-    Returns (elapsed time, executed flag); the flag is False when the drawn
-    event had to be skipped after exhausting its placement attempts.  Raises
-    AbsorbingStateReached when no process is applicable.
-    """
-    dt, idx = _draw(net, rates, rng)
-    ok = _execute(net, idx, rates, rng)
-    return dt, ok
+        return _add_node(net, stream, rates.m, preferential=False)
+    return _add_node(net, stream, rates.m, preferential=True)
 
 
 # -- ensemble runs ----------------------------------------------------------
@@ -347,8 +371,11 @@ class SimResult:
     mean: np.ndarray  # (T, k_max+1) ensemble mean of p_k
     stderr: np.ndarray  # (T, k_max+1) standard error over replicas
     absorbed: list[bool]
-    skipped: int
+    skipped: int  # placements skipped, all processes together
     mean_nodes: np.ndarray  # (T,) average node count
+    # per process, in the order of ProcessRates' rate fields, over all replicas
+    events: tuple[int, ...]  # events drawn, skipped ones included
+    skips: tuple[int, ...]  # events skipped after their placement attempts
     replicas: int = field(default=1)
 
 
@@ -373,11 +400,13 @@ def run(config: SimConfig) -> SimResult:
     per_rep = np.empty((config.replicas, times.size, config.k_max + 1))
     n_counts = np.zeros((config.replicas, times.size))
     absorbed: list[bool] = []
-    skipped = 0
+    events = [0] * 8
+    skips = [0] * 8
 
     for r in range(config.replicas):
         rng = np.random.default_rng(seeds[r])
         net = _build_initial(config, rng)
+        stream = _Stream(rng)
         t = 0.0
         frozen = False
         j = 0
@@ -398,7 +427,7 @@ def run(config: SimConfig) -> SimResult:
                 j += 1
                 continue
             try:
-                dt, idx = _draw(net, config.rates, rng)
+                dt, idx = _draw(net, config.rates, stream)
             except AbsorbingStateReached:
                 frozen = True
                 continue
@@ -407,8 +436,9 @@ def run(config: SimConfig) -> SimResult:
             while j < times.size and times[j] <= t_next:
                 snap(j)
                 j += 1
-            if not _execute(net, idx, config.rates, rng):
-                skipped += 1
+            events[idx] += 1
+            if not _execute(net, idx, config.rates, stream):
+                skips[idx] += 1
             t = t_next
         absorbed.append(frozen)
 
@@ -422,7 +452,9 @@ def run(config: SimConfig) -> SimResult:
         mean=mean,
         stderr=stderr,
         absorbed=absorbed,
-        skipped=skipped,
+        skipped=sum(skips),
         mean_nodes=n_counts.mean(axis=0),
+        events=tuple(events),
+        skips=tuple(skips),
         replicas=config.replicas,
     )

@@ -268,3 +268,13 @@ def test_parse_config_requires_rates(tmp_path):
     p.write_text("[grid]\nx_points = 5\n")
     with pytest.raises(ValidationError):
         parse_config(str(p))
+
+
+def test_mc_names_skipped_processes(tmp_path, capsys):
+    # no link fits into the complete starting graph: l_r placements are skipped
+    body = BASE.replace("l_r = 1", "l_r = 5").replace("nodes = 200", "nodes = 5")
+    body = body.replace("k_max = 30", "k_max = 30\ngraph = erdos\ngraph_degree = 4")
+    ini, _ = _ini(tmp_path, body)
+    assert main(["mc", "--config", ini]) == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("skipped"))
+    assert line.startswith("skipped placements: ") and "(l_r " in line

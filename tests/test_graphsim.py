@@ -2,13 +2,25 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from degreeflow import graphsim
 from degreeflow.errors import AbsorbingStateReached
-from degreeflow.graphsim import Network, SimConfig, empirical_distribution, run, step
+from degreeflow.graphsim import Network, SimConfig, _Stream, empirical_distribution, run
 from degreeflow.model import ProcessRates
 
 FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
                     n_d=1, n_r=1, n_p=1, m=3)
+
+
+def step(net, rates, stream):
+    """One Gillespie event in place: (elapsed time, executed flag)."""
+    dt, idx = graphsim._draw(net, rates, stream)
+    return dt, graphsim._execute(net, idx, rates, stream)
+
+
+def stream(seed):
+    return _Stream(np.random.default_rng(seed))
 
 
 def test_ring_construction():
@@ -63,18 +75,18 @@ def test_empirical_distribution():
 
 def test_zero_rates_absorb():
     net = Network.regular_ring(8, 2)
-    rng = np.random.default_rng(0)
+    draws = stream(0)
     with pytest.raises(AbsorbingStateReached):
-        step(net, ProcessRates(0, 0, 0, 0, 0, 0, 0, 0, 0), rng)
+        step(net, ProcessRates(0, 0, 0, 0, 0, 0, 0, 0, 0), draws)
 
 
 def test_rewiring_conserves_counts():
-    rng = np.random.default_rng(2)
+    draws = stream(2)
     rates = ProcessRates(omega_r=2, omega_p=1, l_d=0, l_r=0, l_p=0,
                          n_d=0, n_r=0, n_p=0, m=0)
     net = Network.regular_ring(30, 4)
     for _ in range(300):
-        dt, _ = step(net, rates, rng)
+        dt, _ = step(net, rates, draws)
         assert dt > 0
     assert net.n_edges == 60
     assert net.n_nodes == 30
@@ -82,42 +94,42 @@ def test_rewiring_conserves_counts():
 
 
 def test_link_deletion_strictly_drains():
-    rng = np.random.default_rng(3)
+    draws = stream(3)
     rates = ProcessRates(0, 0, 1, 0, 0, 0, 0, 0, 0)
     net = Network.regular_ring(12, 2)
     seen = [net.n_edges]
     for _ in range(12):
-        step(net, rates, rng)
+        step(net, rates, draws)
         seen.append(net.n_edges)
     assert seen == list(range(12, -1, -1))
     net.check()
 
 
 def test_node_creation_adds_m_edges():
-    rng = np.random.default_rng(4)
+    draws = stream(4)
     rates = ProcessRates(0, 0, 0, 0, 0, 0, 1, 0, 3)
     net = Network.regular_ring(10, 2)
     for i in range(5):
-        step(net, rates, rng)
+        step(net, rates, draws)
         assert net.n_nodes == 11 + i
         assert net.n_edges == 10 + 3 * (i + 1)
     net.check()
 
 
 def test_node_deletion_shrinks():
-    rng = np.random.default_rng(5)
+    draws = stream(5)
     rates = ProcessRates(0, 0, 0, 0, 0, 1, 0, 0, 0)
     net = Network.regular_ring(10, 2)
-    step(net, rates, rng)
+    step(net, rates, draws)
     assert net.n_nodes == 9
     net.check()
 
 
 def test_mixed_dynamics_keeps_invariants():
-    rng = np.random.default_rng(6)
+    draws = stream(6)
     net = Network.regular_ring(50, 2)
     for _ in range(500):
-        step(net, FIG2, rng)
+        step(net, FIG2, draws)
     net.check()
     assert net.n_nodes > 0
 
@@ -152,3 +164,79 @@ def test_run_tracks_growth():
                     replicas=3, graph="regular", graph_degree=2.0, k_max=40)
     res = run(cfg)
     assert res.mean_nodes[0] > 100
+
+
+class _TopGenerator:
+    """Stand-in Generator whose every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def test_stream_index_stays_below_n_at_the_top_uniform():
+    top = _Stream(_TopGenerator())
+    for n in (1, 2, 3, 7, 10, 1000, 2**31 - 1, 2**52 + 1, 2**53):
+        assert 0 <= top.below(n) < n
+
+
+def test_draw_at_the_top_uniform_picks_a_live_process():
+    # clocks (0, 0, 0, 0, 115 - 1ulp, 140, 0, 0): subtracting them one by one
+    # from the top pick rounds short of zero, and the last two clocks are dead
+    rates = ProcessRates(l_p=2.3, n_d=1.4)
+    dt, idx = graphsim._draw(Network.regular_ring(50, 2), rates, _Stream(_TopGenerator()))
+    assert idx == 5
+    assert np.isfinite(dt) and dt > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_stream_index_is_uniform(n):
+    draws = stream(21)
+    counts = np.bincount([draws.below(n) for _ in range(20000)], minlength=n)
+    assert counts.size == n
+    assert stats.chisquare(counts).pvalue > 1e-3
+
+
+def test_draw_picks_processes_in_proportion_to_their_clocks():
+    rates = ProcessRates(omega_r=1, omega_p=2, l_d=0.5, l_r=1.5, l_p=3,
+                         n_d=0.25, n_r=2.5, n_p=0.75, m=2)
+    net = Network.regular_ring(50, 4)
+    lam = np.array(graphsim._clocks(net, rates))
+    assert np.all(lam > 0)
+    draws = stream(22)
+    picks = [graphsim._draw(net, rates, draws) for _ in range(40000)]
+    counts = np.bincount([idx for _, idx in picks], minlength=8)
+    assert stats.chisquare(counts, counts.sum() * lam / lam.sum()).pvalue > 1e-3
+    # waiting times are exponential with mean 1/total
+    waits = np.array([dt for dt, _ in picks])
+    assert abs(waits.mean() * lam.sum() - 1.0) < 5.0 / np.sqrt(waits.size)
+
+
+def test_run_draws_once_per_counted_event(monkeypatch):
+    calls = []
+    draw = graphsim._draw
+
+    def counting(*args):
+        out = draw(*args)
+        calls.append(out[1])
+        return out
+
+    monkeypatch.setattr(graphsim, "_draw", counting)
+    cfg = SimConfig(rates=FIG2, n_nodes=200, sample_times=(0.05, 0.1),
+                    seed=11, replicas=2, graph="regular", graph_degree=2.0,
+                    k_max=30)
+    res = run(cfg)
+    assert len(calls) == sum(res.events) > 0
+    assert res.events == tuple(np.bincount(calls, minlength=8))
+    assert res.skipped == sum(res.skips)
+
+
+def test_run_counts_skips_per_process():
+    # no link fits into a complete graph, and deleting a node leaves the
+    # graph complete: every link addition is skipped, no node deletion is
+    rates = ProcessRates(l_r=1, n_d=0.2)
+    cfg = SimConfig(rates=rates, n_nodes=6, sample_times=(0.5,), seed=4,
+                    replicas=2, graph="erdos", graph_degree=5.0, k_max=10)
+    res = run(cfg)
+    assert res.events[3] > 0 and res.events[5] > 0
+    assert res.skips == (0, 0, 0, res.events[3], 0, 0, 0, 0)
+    assert res.skipped == res.events[3]
