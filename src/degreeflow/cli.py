@@ -153,6 +153,11 @@ def cmd_ode(cfg: ExperimentConfig) -> int:
     _write_csv(out / "ode_moments.csv", ["t", "mass", "first_moment", "g_closed", "gap"], moments, cfg.hash)
     drift = max(abs(traj.mass(float(tj)) - 1.0) for tj in t)
     print(f"integrated master equation to t = {cfg.t_max} at k_max = {cfg.oracle_k_max}")
+    st = traj.stats
+    print(
+        f"oracle: {st['rhs_evals']} rhs evals, {st['jac_evals']} jacobians, {st['steps']} steps, "
+        f"mass drift {st['mass_drift']:.3e} (mass_tol {cfg.oracle_mass_tol:.1e})"
+    )
     print(f"max |mass - 1| on output grid = {drift:.3e}")
     if g is not None:
         print(f"max |first moment - closed form| = {max_gap:.3e}")

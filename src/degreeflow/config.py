@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -196,6 +197,12 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    # NaN passes every "<= 0" test below, so finiteness comes first
+    for (section, key), (name, _) in _KEYS.items():
+        value = getattr(cfg, name)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ValidationError(f"[{section}] {key} must be finite, got {value!r}")
     if not (-1.0 - 1e-12 <= cfg.x_min < cfg.x_max <= 1.0 + 1e-12):
         raise ValidationError(f"[grid] needs -1 <= x_min < x_max <= 1, got [{cfg.x_min}, {cfg.x_max}]")
     if cfg.x_points < 2 or cfg.t_points < 1:

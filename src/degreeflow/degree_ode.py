@@ -2,16 +2,29 @@
 
 Integrates the coupled ODE system for p_k(t), 0 <= k <= K_max, that the
 generating-function PDE encodes.  This is the package's independent oracle:
-it never touches the characteristics solver, so agreement between the two
-routes is a genuine two-sided check.  Truncation closes the system with
-p_{K_max + 1} = 0; the resulting mass leakage scales with the tail weight at
-K_max and is monitored against a tolerance.
+it never touches the characteristics solver, and it takes the first moment
+mu = sum_k k p_k from p itself, never from the closed-form g, so agreement
+between the two routes is a genuine two-sided check.  Truncation closes the
+system with p_{K_max + 1} = 0; the resulting mass leakage scales with the
+tail weight at K_max and is monitored against a tolerance.
+
+The right-hand side is f(p) = T(mu) p + s e_m.  T(mu) is tridiagonal, with
+diagonals B0 + mu B1 + B2 / mu, and s e_m injects new nodes at degree m;
+these are the only place the eight process rates enter.  The system is
+stiff: T has eigenvalues of order -K_max times the per-link rate, so an
+explicit method takes stability-limited steps.  LSODA switches to BDF where
+the problem is stiff and to Adams where it is not, and its Newton matrix is
+T(mu) in banded form.  Since mu = k . p, the full Jacobian is
+T(mu) + (B1 - B2 / mu^2) p k^T.  The rank-one term is left out: the
+stiffness is in T, so LSODA takes about as many rhs evaluations without it,
+and a banded matrix factorizes in O(K_max) where a dense one takes
+O(K_max^3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -65,55 +78,98 @@ def _coerce(dist) -> np.ndarray:
     return np.asarray(dist, dtype=float)
 
 
+class _Generator:
+    """f(p) = T(mu) p + s e_m for one rate set on degrees 0 .. n - 1.
+
+    B0, B1 and B2 are each stored as three rows in the banded layout of
+    LSODA and LAPACK, ``ab[1 + i - j, j] = T[i, j]``: column j of a row
+    triple says where the mass of degree class j goes, to j - 1 (row 0),
+    out of j (row 1) and to j + 1 (row 2).  The entry of row 2 in the last
+    column would leave the truncation and is zero.
+    """
+
+    def __init__(self, rates: ProcessRates, n: int):
+        r = rates
+        if (r.n_r > 0.0 or r.n_p > 0.0) and r.m >= n:
+            raise ValidationError(
+                f"truncation k_max = {n - 1} cannot hold the injection degree m = {r.m}"
+            )
+        self._needs_mu = r.l_p > 0.0 or r.n_p > 0.0
+        self._k = k = np.arange(n, dtype=float)
+        one, zero = np.ones(n), np.zeros(n)
+        dec = np.array([k, -k, zero])  # a degree-biased end loses one link
+        inc_u = np.array([zero, -one, one])  # a uniform node gains one link
+        inc_p = np.array([zero, -k, k])  # a degree-biased node gains one link
+        b0 = ((r.omega_r + r.omega_p + r.l_d) * dec + (2.0 * r.l_r + r.n_r * r.m) * inc_u
+              + r.omega_p * inc_p)
+        b0[1] -= r.n_r + r.n_p  # each new node dilutes every degree class
+        b1 = r.n_d * dec + r.omega_r * inc_u
+        b2 = (2.0 * r.l_p + r.n_p * r.m) * inc_p
+        b = np.stack([b0, b1, b2])
+        b[:, 2, -1] = 0.0
+        self._b = b.reshape(3, -1)
+        self._m, self._source = r.m, r.n_r + r.n_p
+
+    def _moment(self, p: np.ndarray) -> tuple[float, float]:
+        """mu and 1 / mu (0 when mu <= 0 and no term divides by it)."""
+        mu = float(self._k @ p)
+        if mu > 0.0:
+            return mu, 1.0 / mu
+        if self._needs_mu:
+            raise DomainError("preferential attachment requires a positive first moment")
+        return mu, 0.0
+
+    def _rows(self, weights) -> np.ndarray:
+        """w0 B0 + w1 B1 + w2 B2 in banded layout, shape (3, n)."""
+        return (np.array(weights) @ self._b).reshape(3, -1)
+
+    @staticmethod
+    def _apply(ab: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Product of the banded tridiagonal matrix ``ab`` with p."""
+        out = ab[1] * p
+        out[:-1] += ab[0, 1:] * p[1:]
+        out[1:] += ab[2, :-1] * p[:-1]
+        return out
+
+    def rhs(self, t, p):
+        mu, inv_mu = self._moment(p)
+        dp = self._apply(self._rows((1.0, mu, inv_mu)), p)
+        if self._source:
+            dp[self._m] += self._source
+        return dp
+
+    def jac(self, t, p):
+        """T(mu), banded: the Jacobian without its rank-one term."""
+        mu, inv_mu = self._moment(p)
+        return self._rows((1.0, mu, inv_mu))
+
+
 def master_rhs(p, rates: ProcessRates) -> np.ndarray:
     """Time derivative of the truncated degree distribution.
 
-    Builds the three shift operators (degree-biased decrease, uniform
-    increase, preferential increase) and combines them with the process
-    rates.  Preferential terms divide by the first moment mu; mu = 0 with a
-    preferential rate active is a domain error.
+    Combines three shift operators (degree-biased decrease, uniform
+    increase, preferential increase) weighted by the process rates, plus the
+    injection of new nodes at degree m.  Preferential terms divide by the
+    first moment mu; mu = 0 with a preferential rate active is a domain
+    error.
     """
     p = _coerce(dist=p)
-    k = np.arange(p.size, dtype=float)
-    mu = float(k @ p)
-    if mu <= 0.0 and (rates.l_p > 0.0 or rates.n_p > 0.0):
-        raise DomainError("preferential attachment requires a positive first moment")
-    up = np.roll(p, 1)
-    up[0] = 0.0  # p_{k-1}, with p_{-1} = 0
-    down = np.roll(p, -1)
-    down[-1] = 0.0  # p_{k+1}, with p_{K_max+1} = 0
-    dec = (k + 1.0) * down - k * p  # a degree-biased end loses one link
-    inc_u = up - p  # a uniform node gains one link
-    inc_p = (k - 1.0) * up - k * p  # a degree-biased node gains one link
-    inv_mu = 1.0 / mu if mu > 0.0 else 0.0
-    dp = (
-        rates.omega_r * (dec + mu * inc_u)
-        + rates.omega_p * (dec + inc_p)
-        + rates.l_d * dec
-        + 2.0 * rates.l_r * inc_u
-        + 2.0 * rates.l_p * inv_mu * inc_p
-        + rates.n_d * mu * dec
-    )
-    if rates.n_r > 0.0 or rates.n_p > 0.0:
-        if rates.m >= p.size:
-            raise ValidationError(
-                f"truncation k_max = {p.size - 1} cannot hold the injection degree m = {rates.m}"
-            )
-        delta = np.zeros_like(p)
-        delta[rates.m] = 1.0
-        dp = dp + rates.n_r * (rates.m * inc_u - p + delta)
-        dp = dp + rates.n_p * (rates.m * inv_mu * inc_p - p + delta)
-    return dp
+    return _Generator(rates, p.size).rhs(0.0, p)
 
 
 class DistributionTrajectory:
-    """Dense-in-time solution of the truncated master equation."""
+    """Dense-in-time solution of the truncated master equation.
 
-    def __init__(self, sol, k_max: int, t_end: float, p0: np.ndarray):
+    ``stats`` holds the solver's ``rhs_evals``, ``jac_evals`` and ``steps``,
+    and the ``mass_drift`` that ``integrate`` checked against ``mass_tol``.
+    """
+
+    def __init__(self, sol, k_max: int, t_end: float, p0: np.ndarray, stats: dict):
         self._sol = sol
         self.k_max = k_max
         self.t_end = t_end
         self.p0 = p0
+        self.stats = stats
 
     def at(self, t: float) -> TruncatedDistribution:
         if not (0.0 <= t <= self.t_end * (1.0 + 1e-12)):
@@ -144,32 +200,42 @@ def integrate(
     """Integrate the truncated master equation on [0, t_end].
 
     ``p0`` fixes the truncation index (k_max = len(p0) - 1, required to be at
-    least m + 2).  Mass drift is sampled on a uniform time grid after the
-    solve; drift beyond ``mass_tol`` raises TruncationError since it means
-    probability reached the truncation boundary.
+    least m + 2).  ``tol`` is the relative tolerance of LSODA, with an
+    absolute tolerance of ``tol * 1e-3``.  Mass drift is sampled on a
+    uniform time grid after the solve; drift beyond ``mass_tol`` raises
+    TruncationError since it means probability reached the truncation
+    boundary.
     """
     p0 = _coerce(p0)
+    if p0.ndim != 1 or not np.all(np.isfinite(p0)):
+        raise ValidationError("p0 must be a finite 1-d array")
     if np.any(p0 < _NEG_TOL) or abs(float(np.sum(p0)) - 1.0) > 1e-9:
         raise ValidationError("p0 must be a probability vector summing to 1")
     if p0.size < rates.m + 3:
         raise ValidationError(f"k_max must be at least m + 2 = {rates.m + 2}, got {p0.size - 1}")
-    if not math.isfinite(t_end) or t_end <= 0.0:
-        raise ValidationError(f"t_end must be positive and finite, got {t_end!r}")
+    for name, value in (("t_end", t_end), ("tol", tol), ("mass_tol", mass_tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    gen = _Generator(rates, p0.size)
     sol = solve_ivp(
-        lambda t, p: master_rhs(p, rates),
+        gen.rhs,
         (0.0, float(t_end)),
         np.clip(p0, 0.0, None),
-        method="DOP853",
+        method="LSODA",
+        jac=gen.jac,
+        lband=1,
+        uband=1,
         rtol=tol,
         atol=tol * 1e-3,
         dense_output=True,
     )
     if sol.status != 0:
         raise IntegrationError(f"master-equation integration failed: {sol.message}")
-    traj = DistributionTrajectory(sol.sol, p0.size - 1, float(t_end), p0.copy())
+    stats = {"rhs_evals": sol.nfev, "jac_evals": int(sol.njev), "steps": sol.t.size - 1}
+    traj = DistributionTrajectory(sol.sol, p0.size - 1, float(t_end), p0.copy(), stats)
     probe = np.linspace(0.0, float(t_end), 101)
     masses = np.array([traj.mass(t) for t in probe])
-    drift = float(np.max(np.abs(masses - masses[0])))
+    drift = stats["mass_drift"] = float(np.max(np.abs(masses - masses[0])))
     if drift > mass_tol:
         raise TruncationError(
             f"mass drift {drift:.3e} exceeds {mass_tol:.1e}; probability is reaching "

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, reproducible files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -148,9 +149,13 @@ def test_missing_config_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_ode_moment_columns(tmp_path):
+def test_ode_moment_columns(tmp_path, capsys):
     ini, out = _ini(tmp_path)
     assert main(["ode", "--config", ini]) == 0
+    # the solver counters and the mass drift next to its bound, on one line
+    line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("oracle:"))
+    assert " rhs evals, " in line and " jacobians, " in line and " steps, " in line
+    assert line.endswith("(mass_tol 1.0e-06)")
     _, header, rows = _load_csv(out / "ode_moments.csv")
     assert header == ["t", "mass", "first_moment", "g_closed", "gap"]
     np.testing.assert_allclose(rows[:, 1], 1.0, atol=1e-8)
@@ -249,6 +254,30 @@ def test_constants_flag_validation(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(["mc", "--config", ini, "--seed", "-5"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert main(["ode", "--config", ini, "--tol", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_finite_config_values(tmp_path, capsys):
+    # NaN passes a "<= 0" test: a NaN tolerance or t_max used to parse and
+    # then hang in the oracle
+    for key, body in (
+        ("[oracle] tol", BASE + "\n[oracle]\ntol = nan\n"),
+        ("[oracle] mass_tol", BASE + "\n[oracle]\nmass_tol = nan\n"),
+        ("[oracle] tol", BASE + "\n[oracle]\ntol = inf\n"),
+        ("[solver] tol", BASE + "\n[solver]\ntol = nan\n"),
+        ("[grid] t_max", BASE.replace("t_max = 0.5", "t_max = nan")),
+        ("[grid] t_max", BASE.replace("t_max = 0.5", "t_max = inf")),
+        ("[mc] sample_times", BASE.replace("sample_times = 0.05", "sample_times = 0.05, nan")),
+        ("[mc] graph_degree", BASE.replace("k_max = 30", "k_max = 30\ngraph_degree = nan")),
+        ("[analysis] bend_jump", BASE + "\n[analysis]\nbend_jump = nan\n"),
+    ):
+        ini, _ = _ini(tmp_path, body)
+        with pytest.raises(ValidationError, match=re.escape(key)):
+            parse_config(ini)
+        for cmd in ("ode", "mc", "compare"):
+            assert main([cmd, "--config", ini]) == 1
+            assert capsys.readouterr().err.startswith("error:")
 
 
 def test_parse_config_round_trip(tmp_path):

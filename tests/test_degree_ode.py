@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from degreeflow import degree_ode
 from degreeflow.degree_ode import (
+    _Generator,
     first_moment,
     gf_eval,
     integrate,
     master_rhs,
 )
-from degreeflow.errors import TruncationError, ValidationError
+from degreeflow.errors import DomainError, TruncationError, ValidationError
 from degreeflow.initial import InitialCondition
 from degreeflow.model import ProcessRates, derive_riccati
 from degreeflow.riccati import solve_closed_form
@@ -49,6 +51,52 @@ def test_rhs_conserves_mass_pointwise():
         assert abs(dp.sum()) < 1e-10
 
 
+def test_jacobian_matches_central_difference():
+    # LSODA's Newton matrix is the banded T(mu); with the rank-one term
+    # (B1 - B2 / mu^2) p k^T that mu = k . p adds, it must be the whole
+    # Jacobian.  Every process is on, so that term carries omega_r, n_d,
+    # l_p and n_p.
+    rng = np.random.default_rng(4)
+    r = ProcessRates(*rng.uniform(0.5, 2.0, 8), m=3)
+    n, h = 41, 1e-5
+    k = np.arange(n, dtype=float)
+    gen = _Generator(r, n)
+    for _ in range(3):
+        p = rng.uniform(0, 1, n)
+        p /= p.sum()
+        ab = gen.jac(0.0, p)
+        T = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+        mu = k @ p
+        J = T + np.outer(gen._apply(gen._rows((0.0, 1.0, -1.0 / mu**2)), p), k)
+        fd = np.empty((n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            fd[:, j] = (master_rhs(p + e, r) - master_rhs(p - e, r)) / (2.0 * h)
+        assert np.max(np.abs(J - fd)) <= 1e-9 * np.max(np.abs(J))
+        # the banded rows hold no entry outside the matrix
+        assert ab[0, 0] == 0.0 and ab[2, -1] == 0.0
+
+
+def test_oracle_rhs_evaluation_budget(monkeypatch):
+    # the truncated generator is stiff (eigenvalues of order -k_max times the
+    # per-link rate): an explicit method needs about 33,000 rhs evaluations
+    # here, LSODA with the banded generator as Newton matrix about 1,500
+    nfev = []
+    real = degree_ode.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(degree_ode, "solve_ivp", counting)
+    p0 = InitialCondition.polynomial((0.0, 0.0, 1.0)).coefficients(200)
+    traj = integrate(p0, FIG2, 5.0, tol=1e-12)
+    assert sum(nfev) <= 5000
+    assert traj.stats["rhs_evals"] == sum(nfev)
+
+
 def test_against_matrix_exponential():
     """Linear rate set: the flow must equal the exact affine solution."""
     # no terms that divide or multiply by the running mean
@@ -80,6 +128,10 @@ def test_mass_conserved_along_flow():
     traj = integrate(h.coefficients(150), FIG2, 1.0)
     for t in np.linspace(0, 1, 11):
         assert abs(traj.mass(float(t)) - 1.0) < 1e-8
+    stats = traj.stats
+    assert set(stats) == {"rhs_evals", "jac_evals", "steps", "mass_drift"}
+    assert stats["rhs_evals"] > stats["steps"] > 0 and stats["jac_evals"] >= 0
+    assert 0.0 <= stats["mass_drift"] <= 1e-6  # the default mass_tol
 
 
 def test_first_moment_matches_closed_form():
@@ -109,6 +161,29 @@ def test_input_validation():
         integrate(np.array([0.5, -0.1, 0.6]), FIG2, 0.5)
     with pytest.raises(ValidationError):
         integrate(np.array([0.3, 0.3]), FIG2, 0.5)  # mass != 1
+    p0 = np.zeros(20)
+    p0[4] = 1.0
+    # a zero or NaN tolerance would never finish, a NaN mass_tol would
+    # switch the truncation check off
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            integrate(p0, FIG2, 0.5, tol=bad)
+        with pytest.raises(ValidationError):
+            integrate(p0, FIG2, 0.5, mass_tol=bad)
+    for bad in (np.nan, np.inf):
+        q = p0.copy()
+        q[7] = bad
+        with pytest.raises(ValidationError):
+            integrate(q, FIG2, 0.5)
+    with pytest.raises(ValidationError):
+        integrate(p0.reshape(4, 5), FIG2, 0.5)
+
+
+def test_preferential_attachment_needs_positive_moment():
+    p0 = np.zeros(20)
+    p0[0] = 1.0
+    with pytest.raises(DomainError):
+        integrate(p0, ProcessRates(l_p=1.0), 0.5)
 
 
 def test_gf_eval_and_moment():
