@@ -30,9 +30,14 @@ Grids are transported in a single forward pass: the curves through the grid
 points of every output time start together from their traced origins,
 stacked in one state vector that is integrated segment by segment over
 [t_{j-1}, t_j] (the segmented bookkeeping of Hairer, Norsett and Wanner,
-Solving ODEs I, sec. II.6).  The curves of time t_j are retired at t_j and
-never integrated past it, because a forward path may leave [-1, 1] after
-its output time, where the denominator e^L v0 + psi can reach zero.
+Solving ODEs I, sec. II.6).  The state leads with (L, psi), shared by every
+curve and carried over from segment to segment, so each right-hand-side
+evaluation places the curves at x - 1 = w0 / (e^L + psi w0), w0 = x0 - 1,
+which is exactly 0 on the curve x = 1.  The dense (L, psi) integration
+serves only the backward trace and its roundtrip check.  The curves of time
+t_j are retired at t_j and never integrated past it, because a forward path
+may leave [-1, 1] after its output time, where the denominator e^L + psi w0
+can reach zero.
 """
 
 from __future__ import annotations
@@ -85,6 +90,9 @@ class SolutionField:
     G and Gx have shape (len(t), len(x)); origins holds the traced-back
     starting position of the characteristic through each grid point, and p2
     the transported G_t values (used by the self-consistency checks).
+    ``stats`` holds the transport's ``rhs_evals`` and accepted ``steps``,
+    summed over its ``segments`` (the flow behind the backward trace is not
+    counted).
     """
 
     x: np.ndarray
@@ -95,6 +103,7 @@ class SolutionField:
     p2: np.ndarray
     rates: ProcessRates
     g: MomentTrajectory
+    stats: dict
 
 
 def _check_grid(x_grid, t_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +150,7 @@ def char_rhs(state: CharacteristicState, rates: ProcessRates, g) -> np.ndarray:
 
 
 class _ProjectedFlow:
-    """Dense (L, psi) integration defining the projected characteristic flow."""
+    """Dense (L, psi) integration behind the backward trace and its roundtrip check."""
 
     def __init__(self, rates: ProcessRates, g, t_max: float):
         self.rates = rates
@@ -170,12 +179,10 @@ class _ProjectedFlow:
         L, psi = self._sol(t)
         return float(L), float(psi)
 
-    def positions(self, v0: np.ndarray, one_mask: np.ndarray, t: float) -> np.ndarray:
-        """Characteristic positions at time t for curves with initial 1/(x0-1) = v0."""
+    def positions(self, w0: np.ndarray, t: float) -> np.ndarray:
+        """Characteristic positions at time t for curves with origin offsets w0 = x0 - 1."""
         L, psi = self.log_phi_psi(t)
-        denom = np.exp(L) * v0 + psi
-        safe = np.where(one_mask, 1.0, denom)
-        return np.where(one_mask, 1.0, 1.0 + 1.0 / safe)
+        return 1.0 + w0 / (math.exp(L) + psi * w0)
 
 
 class CharacteristicSolver:
@@ -243,8 +250,7 @@ class CharacteristicSolver:
         # forward map amplifies that by dxbar/dx0 = e^L (xbar-1)^2/(x0-1)^2;
         # that unavoidable share is added to the tolerance so the check
         # measures integration accuracy, not representation error.
-        v0 = 1.0 / np.where(one_mask, -1.0, x0 - 1.0)
-        back = flow.positions(np.where(one_mask, 0.0, v0), one_mask, t_bar)
+        back = flow.positions(x0 - 1.0, t_bar)
         err = np.abs(back - x_bar)
         eps = np.finfo(float).eps
         gap0 = np.where(one_mask, 1.0, x0 - 1.0)
@@ -263,52 +269,73 @@ class CharacteristicSolver:
     def _march(self, x, t, tol, init, rhs, rtol, atol):
         """Data at every grid point, carried from t = 0 in one forward pass.
 
+        The marched state leads with (L, psi), shared by every curve: they
+        start at (0, 0), carry over from segment to segment and place each
+        curve at offset w = x - 1 = w0 / (e^L + psi w0) from its origin
+        offset w0 = x0 - 1, so no curve needs the dense flow.  (L, psi) keep
+        the flow's own ``ATOL``, since a data ``atol`` as small as 1e-280
+        must not control L, which starts at 0.
+
         ``init(x0)`` gives the data at the origins, shape (k, n), and
-        ``rhs(s, y, xs)`` its time derivative while the curves sit at xs.
-        Returns the data, shape (k, len(t), len(x)), and the origins.
+        ``rhs(s, y, w, c)`` its time derivative while the curves sit at
+        1 + w, with c = coefficients(rates, g(s)).  Returns the data, shape
+        (k, len(t), len(x)), the origins and the transport's solver counts.
         """
         if self.h is None:
             raise ValidationError("an initial condition h is required to evaluate G")
+        rates, g = self.rates, self.g
         n_x, times = x.size, t.tolist()
-        flow = self._ensure(times[-1])
+        self._ensure(times[-1])
         origins = np.empty((t.size, n_x))
         for j, tj in enumerate(times):
             try:
                 origins[j] = self._trace_back_many(x, tj, tol)
             except AccuracyError as exc:
                 raise AccuracyError(f"{exc} [at output time t = {tj!r}]") from exc
-        x0 = origins.ravel()
-        one = x0 == 1.0
-        v0 = np.where(one, 0.0, 1.0 / np.where(one, -1.0, x0 - 1.0))
-        y = np.array(init(x0), dtype=float)
+        w0 = origins.ravel() - 1.0
+        y = np.array(init(origins.ravel()), dtype=float)
         k = y.shape[0]
         out = np.empty((k, t.size, n_x))
+        lpsi = np.zeros(2)  # (L, psi) at t_prev
+        stats = {"rhs_evals": 0, "steps": 0, "segments": 0}
         t_prev = 0.0
         for j, tj in enumerate(times):
             lo = j * n_x  # the curves of earlier output times are retired
             if tj > t_prev:
-                v, on_one = v0[lo:], one[lo:]
+
+                def f(s, q, w0=w0[lo:]):
+                    c = coefficients(rates, float(g(s)))
+                    lam, psi = c.A - c.B, q[1]
+                    w = w0 / (math.exp(q[0]) + psi * w0)
+                    d = rhs(s, q[2:].reshape(k, -1), w, c)
+                    return np.concatenate(((lam, lam * psi + c.A), np.ravel(d)))
+
+                data = y[:, lo:].ravel()
                 sol = solve_ivp(
-                    lambda s, q: rhs(s, q.reshape(k, -1), flow.positions(v, on_one, s)).ravel(),
+                    f,
                     (t_prev, tj),
-                    y[:, lo:].ravel(),
+                    np.concatenate((lpsi, data)),
                     method="DOP853",
                     rtol=rtol,
-                    atol=atol,
-                    t_eval=[tj],
+                    atol=np.concatenate(((ATOL, ATOL), np.full(data.size, atol))),
                 )
                 if sol.status != 0:
                     raise IntegrationError(
                         f"characteristic transport failed on [{t_prev!r}, {tj!r}]: {sol.message} "
                         f"[at output time t = {tj!r}]"
                     )
-                y[:, lo:] = sol.y[:, -1].reshape(k, -1)
+                end = sol.y[:, -1]
+                lpsi = end[:2].copy()
+                y[:, lo:] = end[2:].reshape(k, -1)
+                stats["rhs_evals"] += sol.nfev
+                stats["steps"] += sol.t.size - 1
+                stats["segments"] += 1
                 t_prev = tj
                 # scipy leaves each finished solver in a reference cycle that
                 # holds a (16, n) stage array; collect it before they pile up.
                 gc.collect(0)
             out[:, j] = y[:, lo : lo + n_x]
-        return out, origins
+        return out, origins, stats
 
     def _initial_data(self, x0: np.ndarray) -> np.ndarray:
         """(p1, p2, z) = (h', H, h) at the origins x0."""
@@ -316,16 +343,16 @@ class CharacteristicSolver:
         z = np.asarray(self.h(x0), dtype=float)
         return np.array([p1, evaluate_H(p1, z, x0, 0.0, self.rates, self.g), z])
 
-    def _rhs(self, s: float, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """d(p1, p2, z)/dt along the curves that sit at x at time s."""
-        rates, g = self.rates, self.g
-        k = coefficients(rates, float(g(s)))
+    def _rhs(self, s: float, y: np.ndarray, w: np.ndarray, k) -> np.ndarray:
+        """d(p1, p2, z)/dt along the curves at x = 1 + w at time s; k = coefficients at g(s)."""
+        m = self.rates.m
         p1, p2, z = y
-        hb = (x - 1.0) * k.C - k.c4
-        src = rates.m * k.c4 * x ** (rates.m - 1) if rates.m > 0 else 0.0
+        x = 1.0 + w
+        hb = w * k.C - k.c4
+        src = m * k.c4 * x ** (m - 1) if m > 0 else 0.0
         dp1 = (2.0 * k.A * x - k.A - k.B + hb) * p1 + k.C * z + src
-        dp2 = (x - 1.0) * float(g.derivative(s)) * ((k.A_g * x - k.B_g) * p1 + k.C_g * z) + hb * p2
-        dz = (1.0 - x) * (k.A * x - k.B) * p1 + p2
+        dp2 = w * float(self.g.derivative(s)) * ((k.A_g * x - k.B_g) * p1 + k.C_g * z) + hb * p2
+        dz = -w * (k.A * x - k.B) * p1 + p2
         return np.concatenate([dp1, dp2, dz])
 
     def solve_at(self, x_bar: float, t_bar: float, tol: float = 1e-8) -> tuple[float, float]:
@@ -336,7 +363,7 @@ class CharacteristicSolver:
     def solve_state(self, x_bar: float, t_bar: float, tol: float = 1e-8) -> CharacteristicState:
         """Full transported state at (x_bar, t_bar), including p2 = G_t."""
         x, t = _check_grid([x_bar], [t_bar])
-        out, _ = self._march(x, t, tol, self._initial_data, self._rhs, RTOL, ATOL)
+        out, _, _ = self._march(x, t, tol, self._initial_data, self._rhs, RTOL, ATOL)
         p1, p2, z = out[:, 0, 0].tolist()
         return CharacteristicState(x=float(x[0]), p1=p1, p2=p2, z=z, t=float(t[0]))
 
@@ -348,8 +375,11 @@ class CharacteristicSolver:
         output times are transported in one stacked forward pass.
         """
         x, t = _check_grid(x_grid, t_grid)
-        (p1, p2, z), origins = self._march(x, t, tol, self._initial_data, self._rhs, RTOL, ATOL)
-        return SolutionField(x=x, t=t, G=z, Gx=p1, origins=origins, p2=p2, rates=self.rates, g=self.g)
+        out, origins, stats = self._march(x, t, tol, self._initial_data, self._rhs, RTOL, ATOL)
+        p1, p2, z = out
+        return SolutionField(
+            x=x, t=t, G=z, Gx=p1, origins=origins, p2=p2, rates=self.rates, g=self.g, stats=stats
+        )
 
     def solve_difference_grid(self, x_grid, t_grid, steady, tol: float = 1e-8) -> np.ndarray:
         """Deviation field D(x, t) = G(x, t) - G*(x) on the tensor grid.
@@ -369,9 +399,10 @@ class CharacteristicSolver:
         matching the rates, callable on arrays over [-1 - 2e-3, 1].
 
         The source reads G* and dG*/dx along the moving paths from one cubic
-        spline through G* on a fixed 4,097-point mesh and from the spline's
-        own derivative.  Both are smooth in x, so the step-size control sees
-        no kinks where a curve crosses a mesh node.
+        spline through G* on a fixed 4,097-point uniform mesh, value and
+        slope from one index computation and one Horner pass per evaluation.
+        Both are smooth in x, so the step-size control sees no kinks where a
+        curve crosses a mesh node.
 
         One residual rounding floor remains: the transported initial datum
         h(x0) - G*(x0) is an ordinary subtraction, and when h'(1) equals
@@ -388,32 +419,53 @@ class CharacteristicSolver:
         x, t = _check_grid(x_grid, t_grid)
         if not callable(steady):
             raise ValidationError("steady must be a callable stationary profile")
-        rates, g, h = self.rates, self.g, self.h
+        g, h = self.g, self.h
         g_inf = g.equilibrium
         if not math.isfinite(g_inf):
             raise DomainError("no finite moment equilibrium; the deviation field has no target")
 
         xs_tab = np.linspace(-1.0 - 2e-3, 1.0, 4097)
-        gs = CubicSpline(xs_tab, np.asarray(steady(xs_tab), dtype=float))
-        gsx = gs.derivative()
+        lookup = _value_and_slope(CubicSpline(xs_tab, np.asarray(steady(xs_tab), dtype=float)))
 
-        def rhs(s, d, xp):
-            gv = float(g(s))
+        def rhs(s, d, w, k):
             gap = float(g.gap(s))
-            k = coefficients(rates, gv)
-            # A is linear in 1/g, so A(g) - A(g_inf) = A_g(g) g gap / g_inf;
-            # A_g vanishes whenever g_inf does.
-            dA = k.A_g * gv * gap / g_inf if k.A_g else 0.0
-            src = (xp - 1.0) * ((dA * xp - k.B_g * gap) * gsx(xp) + k.C_g * gap * gs(xp))
-            return ((xp - 1.0) * k.C - k.c4) * d + src
+            # A is linear in 1/g, so A(g) - A(g_inf) = A_g(g) g gap / g_inf
+            # with g = g_inf + gap; A_g vanishes whenever g_inf does.
+            dA = k.A_g * (g_inf + gap) * gap / g_inf if k.A_g else 0.0
+            xp = 1.0 + w
+            gs, gsx = lookup(xp)
+            src = w * ((dA * xp - k.B_g * gap) * gsx + k.C_g * gap * gs)
+            return (w * k.C - k.c4) * d + src
 
         active = x != 1.0
         D = np.zeros((t.size, x.size))
-        out, _ = self._march(
+        out, _, _ = self._march(
             x[active], t, tol, lambda x0: [h(x0) - steady(x0)], rhs, max(tol * 1e-2, 1e-12), 1e-280
         )
         D[:, active] = out[0]
         return D
+
+
+def _value_and_slope(spline):
+    """(value, slope) lookup of a cubic spline whose breakpoints are uniform.
+
+    One index computation replaces the spline's interval search: i is
+    clipped onto the end intervals, which extend their polynomials outward
+    as the spline itself does, and Horner's rule on the coefficients
+    c[:, i] in powers of r = x - x_i gives the value and the slope (de Boor,
+    A Practical Guide to Splines).
+    """
+    knots, coef = spline.x, spline.c
+    n = knots.size - 1
+    lo, scale = knots[0], n / (knots[-1] - knots[0])
+
+    def lookup(x):
+        i = np.clip(np.floor((x - lo) * scale), 0, n - 1).astype(np.intp)
+        r = x - knots[i]
+        c0, c1, c2, c3 = coef[:, i]
+        return ((c0 * r + c1) * r + c2) * r + c3, (3.0 * c0 * r + 2.0 * c1) * r + c2
+
+    return lookup
 
 
 # -- functional wrappers ---------------------------------------------------

@@ -91,6 +91,8 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         cfg.hash,
     )
     print(f"solved field on {x.size} x {t.size} grid -> {out / 'field.csv'}")
+    st = field.stats
+    print(f"transport: {st['rhs_evals']} rhs evals, {st['steps']} steps, {st['segments']} segments")
     if np.any(x == 1.0):
         i1 = int(np.argmax(x == 1.0))
         closure = float(np.max(np.abs(field.Gx[:, i1] - g(t))))

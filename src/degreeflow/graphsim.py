@@ -335,8 +335,9 @@ class SimConfig:
     """Ensemble simulation setup.
 
     graph: "regular" (circulant of degree graph_degree), "erdos" (mean
-    degree graph_degree), or "empty".  Sample times must be increasing and
-    nonnegative.  k_max fixes the histogram length shared by all snapshots.
+    degree graph_degree), or "empty"; graph_degree must be finite.  Sample
+    times must be finite, nonnegative and increasing.  k_max fixes the
+    histogram length shared by all snapshots.
     """
 
     rates: ProcessRates
@@ -356,8 +357,11 @@ class SimConfig:
         if self.graph not in ("regular", "erdos", "empty"):
             raise ValidationError(f"unknown initial graph kind {self.graph!r}")
         ts = tuple(float(t) for t in self.sample_times)
-        if not ts or any(t < 0.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValidationError("sample times must be nonnegative and strictly increasing")
+        increasing = all(a < b for a, b in zip(ts, ts[1:]))
+        if not ts or not all(0.0 <= t < math.inf for t in ts) or not increasing:
+            raise ValidationError("sample times must be finite, nonnegative and strictly increasing")
+        if not math.isfinite(self.graph_degree):
+            raise ValidationError(f"graph_degree must be finite, got {self.graph_degree!r}")
         if self.k_max < 1:
             raise ValidationError(f"k_max must be >= 1, got {self.k_max}")
         object.__setattr__(self, "sample_times", ts)

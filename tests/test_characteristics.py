@@ -8,6 +8,7 @@ test must agree with it there.
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from degreeflow import characteristics
 from degreeflow.characteristics import (
@@ -18,6 +19,7 @@ from degreeflow.characteristics import (
     solve_grid,
     trace_back,
 )
+from degreeflow.degree_ode import gf_eval, integrate
 from degreeflow.errors import ValidationError
 from degreeflow.initial import InitialCondition
 from degreeflow.model import ProcessRates, derive_riccati, evaluate_H
@@ -225,3 +227,54 @@ def test_difference_grid_matches_subtraction_early():
     assert np.max(np.abs(D - plain)) < 1e-6
     # the difference vanishes identically at x = 1
     np.testing.assert_allclose(D[:, -1], 0.0, atol=1e-30)
+
+
+def test_solve_at_matches_oracle_at_seeded_points():
+    # the origins come from the dense (L, psi) flow while the march carries
+    # its own (L, psi); a mismatch between the two would move the curve off
+    # the traced point and show here
+    rng = np.random.default_rng(20)
+    xs = rng.uniform(-1.0, 1.0, 20)
+    ts = rng.uniform(0.0, 5.0, 20)
+    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
+    traj = integrate(H_SQUARE.coefficients(200), FIG2, 5.0, tol=1e-12)
+    for x, t in zip(xs.tolist(), ts.tolist()):
+        G, _ = solver.solve_at(x, t)
+        assert abs(G - gf_eval(traj.at(t), x)) <= 1e-8, (x, t)
+
+
+def test_grid_stats_count_the_transport(monkeypatch):
+    # stats sum the march's solve_ivp calls; the dense flow behind the
+    # backward trace is the one call with dense output and is not counted
+    calls = []
+    real = characteristics.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        if not kwargs.get("dense_output"):
+            calls.append(sol)
+        return sol
+
+    monkeypatch.setattr(characteristics, "solve_ivp", counting)
+    field = solve_grid(np.linspace(-1, 1, 11), np.linspace(0, 1, 6), FIG2, H_SQUARE)
+    assert field.stats == {
+        "rhs_evals": sum(sol.nfev for sol in calls),
+        "steps": sum(sol.t.size - 1 for sol in calls),
+        "segments": 5,
+    }
+    assert len(calls) == 5
+
+
+def test_spline_lookup_matches_cubic_spline():
+    # one clipped index replaces the spline's interval search: values and
+    # slopes agree with CubicSpline on random points, on every mesh node and
+    # at both ends of the mesh, where the clip picks the end intervals
+    xs = np.linspace(-1.0 - 2e-3, 1.0, 4097)
+    spline = CubicSpline(xs, steady_from_rates(FIG2)(xs))
+    lookup = characteristics._value_and_slope(spline)
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([rng.uniform(xs[0], xs[-1], 2000), xs, [-1.0 - 2e-3, 1.0]])
+    value, slope = lookup(pts)
+    np.testing.assert_allclose(value, spline(pts), rtol=0, atol=4 * np.finfo(float).eps)
+    np.testing.assert_allclose(slope, spline.derivative()(pts), rtol=8 * np.finfo(float).eps,
+                               atol=8 * np.finfo(float).eps)

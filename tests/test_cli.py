@@ -62,6 +62,9 @@ def _load_csv(path):
 def test_solve_writes_field_and_moment(tmp_path, capsys):
     ini, out = _ini(tmp_path)
     assert main(["solve", "--config", ini]) == 0
+    # the transport's counters on one line: one segment per output time after t = 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("transport:"))
+    assert re.fullmatch(r"transport: \d+ rhs evals, \d+ steps, 5 segments", line)
     _, header, rows = _load_csv(out / "field.csv")
     assert header == ["t", "x", "G", "Gx"]
     assert rows.shape == (6 * 21, 4)

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from degreeflow import graphsim
-from degreeflow.errors import AbsorbingStateReached
+from degreeflow.errors import AbsorbingStateReached, ValidationError
 from degreeflow.graphsim import Network, SimConfig, _Stream, empirical_distribution, run
 from degreeflow.model import ProcessRates
 
@@ -240,3 +240,19 @@ def test_run_counts_skips_per_process():
     assert res.events[3] > 0 and res.events[5] > 0
     assert res.skips == (0, 0, 0, res.events[3], 0, 0, 0, 0)
     assert res.skipped == res.events[3]
+
+
+def test_config_rejects_non_finite_sample_times():
+    # NaN fails every ordering test, so it must be refused by name; a NaN
+    # sample time would leave run() waiting for a time it never reaches
+    for times in ((0.05, float("nan")), (float("nan"),), (0.05, float("inf"))):
+        with pytest.raises(ValidationError):
+            SimConfig(rates=FIG2, n_nodes=50, sample_times=times, seed=1)
+
+
+@pytest.mark.parametrize("graph", ["regular", "erdos"])
+@pytest.mark.parametrize("degree", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_graph_degree(graph, degree):
+    with pytest.raises(ValidationError):
+        SimConfig(rates=FIG2, n_nodes=50, sample_times=(0.05,), seed=1,
+                  graph=graph, graph_degree=degree)
