@@ -20,9 +20,7 @@ from .analysis import (
 )
 from .characteristics import (
     CharacteristicSolver,
-    CharacteristicState,
     SolutionField,
-    char_rhs,
     solve_at,
     solve_grid,
     trace_back,
@@ -47,7 +45,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .graphsim import Network, SimConfig, SimResult, empirical_distribution, run
+from .graphsim import Network, SimConfig, SimResult, run
 from .initial import InitialCondition
 from .model import (
     Degeneracy,
@@ -61,11 +59,9 @@ from .model import (
 from .riccati import (
     ClosedFormMoment,
     MomentTrajectory,
-    NumericMoment,
     equilibrium,
     moment_rhs,
     solve_closed_form,
-    solve_numeric,
 )
 from .steady import (
     SteadyCase,
@@ -81,7 +77,6 @@ __all__ = [
     "AbsorbingStateReached",
     "AccuracyError",
     "CharacteristicSolver",
-    "CharacteristicState",
     "ClosedFormMoment",
     "ConvergenceSeries",
     "DegenerateSeedError",
@@ -96,7 +91,6 @@ __all__ = [
     "MomentTrajectory",
     "Network",
     "NoSteadyStateError",
-    "NumericMoment",
     "ProcessRates",
     "RiccatiCoefficients",
     "SimConfig",
@@ -109,13 +103,11 @@ __all__ = [
     "TruncatedDistribution",
     "TruncationError",
     "ValidationError",
-    "char_rhs",
     "construct",
     "decay_norms",
     "derive_riccati",
     "detect_bend",
     "diff_norms",
-    "empirical_distribution",
     "equilibrium",
     "evaluate_H",
     "explicit_constants",
@@ -131,7 +123,6 @@ __all__ = [
     "solve_at",
     "solve_closed_form",
     "solve_grid",
-    "solve_numeric",
     "steady_constants",
     "steady_from_rates",
     "trace_back",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .characteristics import SolutionField
+from .characteristics import CharacteristicSolver, SolutionField
 from .steady import SteadyState
 
 __all__ = [
@@ -82,8 +82,6 @@ def decay_norms(
     resolve.  This is the right input for decay-law fits over long time
     windows; ``diff_norms`` suffices when only the early transient matters.
     """
-    from .characteristics import CharacteristicSolver
-
     t = np.asarray(t_grid, dtype=float)
     solver = CharacteristicSolver(rates, h=h, t_max=float(t[-1]) if t.size else 1.0)
     D = solver.solve_difference_grid(x_grid, t_grid, steady, tol)

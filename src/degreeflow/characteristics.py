@@ -52,15 +52,13 @@ from scipy.integrate import solve_ivp
 from .errors import AccuracyError, DomainError, IntegrationError, ValidationError
 from .initial import InitialCondition
 from .model import ProcessRates, coefficients, derive_riccati, evaluate_H
-from .riccati import MomentTrajectory, solve_closed_form
+from .riccati import MomentTrajectory, moment_rhs, solve_closed_form
 
 __all__ = [
     "RTOL",
     "ATOL",
-    "CharacteristicState",
     "SolutionField",
     "CharacteristicSolver",
-    "char_rhs",
     "trace_back",
     "solve_at",
     "solve_grid",
@@ -70,17 +68,6 @@ __all__ = [
 RTOL = 1e-9
 ATOL = 1e-12
 _CLAMP = 1e-6  # largest tolerated excursion of a traced origin below x = -1
-
-
-@dataclass(frozen=True)
-class CharacteristicState:
-    """Point on a characteristic curve: position x, (p1, p2, z) = (G_x, G_t, G)."""
-
-    x: float
-    p1: float
-    p2: float
-    z: float
-    t: float = 0.0
 
 
 @dataclass
@@ -119,70 +106,15 @@ def _check_grid(x_grid, t_grid) -> tuple[np.ndarray, np.ndarray]:
     return x, t
 
 
-def _require_trajectory(g) -> MomentTrajectory:
-    if not callable(g) or not hasattr(g, "derivative"):
-        raise ValidationError(
-            "g must be a first-moment trajectory (callable with a .derivative method)"
-        )
-    return g
+def _flow_rate(k, psi: float) -> tuple[float, float]:
+    """(L', psi') = (A - B, (A - B) psi + A) at coefficients k."""
+    lam = k.A - k.B
+    return lam, lam * psi + k.A
 
 
-def char_rhs(state: CharacteristicState, rates: ProcessRates, g) -> np.ndarray:
-    """Time derivative of (x, p1, p2, z) along a characteristic curve.
-
-    g'(t) enters the p2 equation and is evaluated analytically through the
-    moment equation's right-hand side, never by finite differences.
-    """
-    _require_trajectory(g)
-    gv = float(g(state.t))
-    if not (gv > 0.0) or not math.isfinite(gv):
-        raise DomainError(f"first moment must be positive, got g({state.t}) = {gv!r}")
-    gdot = float(g.derivative(state.t))
-    x, p1, p2, z = state.x, state.p1, state.p2, state.z
-    k = coefficients(rates, gv)
-    hb = (x - 1.0) * k.C - k.c4
-    src = rates.m * k.c4 * x ** (rates.m - 1) if rates.m > 0 else 0.0
-    dx = -(x - 1.0) * (k.A * x - k.B)
-    dp1 = (2.0 * k.A * x - k.A - k.B + hb) * p1 + k.C * z + src
-    dp2 = (x - 1.0) * gdot * ((k.A_g * x - k.B_g) * p1 + k.C_g * z) + hb * p2
-    dz = (1.0 - x) * (k.A * x - k.B) * p1 + p2
-    return np.array([dx, dp1, dp2, dz])
-
-
-class _ProjectedFlow:
-    """Dense (L, psi) integration behind the backward trace and its roundtrip check."""
-
-    def __init__(self, rates: ProcessRates, g, t_max: float):
-        self.rates = rates
-        self.g = g
-        self.t_max = float(t_max)
-
-        def rhs(t, y):
-            k = coefficients(rates, float(g(t)))
-            lam = k.A - k.B
-            return (lam, lam * y[1] + k.A)
-
-        sol = solve_ivp(
-            rhs,
-            (0.0, self.t_max),
-            [0.0, 0.0],
-            method="DOP853",
-            rtol=RTOL,
-            atol=ATOL,
-            dense_output=True,
-        )
-        if sol.status != 0:
-            raise IntegrationError(f"projected flow integration failed: {sol.message}")
-        self._sol = sol.sol
-
-    def log_phi_psi(self, t: float) -> tuple[float, float]:
-        L, psi = self._sol(t)
-        return float(L), float(psi)
-
-    def positions(self, w0: np.ndarray, t: float) -> np.ndarray:
-        """Characteristic positions at time t for curves with origin offsets w0 = x0 - 1."""
-        L, psi = self.log_phi_psi(t)
-        return 1.0 + w0 / (math.exp(L) + psi * w0)
+def _place(w0, L: float, psi: float):
+    """Offsets x - 1 at a time where the flow is (L, psi), of the curves with origin offsets w0."""
+    return w0 / (math.exp(L) + psi * w0)
 
 
 class CharacteristicSolver:
@@ -206,14 +138,29 @@ class CharacteristicSolver:
             if h is None:
                 raise ValidationError("provide a moment trajectory g or an initial condition h")
             g = solve_closed_form(derive_riccati(rates), h.mean_degree)
-        self.g = _require_trajectory(g)
-        self._flow: _ProjectedFlow | None = None
+        if not isinstance(g, MomentTrajectory):
+            raise ValidationError(f"g must be a first-moment trajectory, got {type(g).__name__}")
+        self.g = g
+        self._flow = None  # dense (L, psi) on [0, self._horizon] once built
         self._horizon = max(float(t_max), 0.0)
 
-    def _ensure(self, t: float) -> _ProjectedFlow:
-        if self._flow is None or t > self._flow.t_max * (1.0 + 1e-12):
+    def _ensure(self, t: float):
+        """Dense (L, psi) up to at least t, for the backward trace and its roundtrip check."""
+        if self._flow is None or t > self._horizon * (1.0 + 1e-12):
             self._horizon = max(self._horizon, t, 1e-9)
-            self._flow = _ProjectedFlow(self.rates, self.g, self._horizon)
+            rates, g = self.rates, self.g
+            sol = solve_ivp(
+                lambda s, y: _flow_rate(coefficients(rates, float(g(s))), y[1]),
+                (0.0, self._horizon),
+                [0.0, 0.0],
+                method="DOP853",
+                rtol=RTOL,
+                atol=ATOL,
+                dense_output=True,
+            )
+            if sol.status != 0:
+                raise IntegrationError(f"projected flow integration failed: {sol.message}")
+            self._flow = sol.sol
         return self._flow
 
     # -- backward map ------------------------------------------------------
@@ -232,8 +179,7 @@ class CharacteristicSolver:
         x_bar = np.clip(x_bar, -1.0, 1.0)
         if t_bar == 0.0:
             return x_bar.copy()
-        flow = self._ensure(t_bar)
-        L, psi = flow.log_phi_psi(t_bar)
+        L, psi = self._ensure(t_bar)(t_bar).tolist()
         one_mask = x_bar == 1.0
         vbar = 1.0 / np.where(one_mask, -1.0, x_bar - 1.0)
         x0 = np.where(one_mask, 1.0, 1.0 + math.exp(L) / (vbar - psi))
@@ -250,7 +196,7 @@ class CharacteristicSolver:
         # forward map amplifies that by dxbar/dx0 = e^L (xbar-1)^2/(x0-1)^2;
         # that unavoidable share is added to the tolerance so the check
         # measures integration accuracy, not representation error.
-        back = flow.positions(x0 - 1.0, t_bar)
+        back = 1.0 + _place(x0 - 1.0, L, psi)
         err = np.abs(back - x_bar)
         eps = np.finfo(float).eps
         gap0 = np.where(one_mask, 1.0, x0 - 1.0)
@@ -277,9 +223,10 @@ class CharacteristicSolver:
         must not control L, which starts at 0.
 
         ``init(x0)`` gives the data at the origins, shape (k, n), and
-        ``rhs(s, y, w, c)`` its time derivative while the curves sit at
-        1 + w, with c = coefficients(rates, g(s)).  Returns the data, shape
-        (k, len(t), len(x)), the origins and the transport's solver counts.
+        ``rhs(s, gv, y, w, c)`` its time derivative at time s while the
+        curves sit at 1 + w, with gv = g(s) and c = coefficients(rates, gv).
+        Returns the data, shape (k, len(t), len(x)), the origins and the
+        transport's solver counts.
         """
         if self.h is None:
             raise ValidationError("an initial condition h is required to evaluate G")
@@ -304,11 +251,10 @@ class CharacteristicSolver:
             if tj > t_prev:
 
                 def f(s, q, w0=w0[lo:]):
-                    c = coefficients(rates, float(g(s)))
-                    lam, psi = c.A - c.B, q[1]
-                    w = w0 / (math.exp(q[0]) + psi * w0)
-                    d = rhs(s, q[2:].reshape(k, -1), w, c)
-                    return np.concatenate(((lam, lam * psi + c.A), np.ravel(d)))
+                    gv = float(g(s))
+                    c = coefficients(rates, gv)
+                    d = rhs(s, gv, q[2:].reshape(k, -1), _place(w0, q[0], q[1]), c)
+                    return np.concatenate((_flow_rate(c, q[1]), np.ravel(d)))
 
                 data = y[:, lo:].ravel()
                 sol = solve_ivp(
@@ -343,29 +289,28 @@ class CharacteristicSolver:
         z = np.asarray(self.h(x0), dtype=float)
         return np.array([p1, evaluate_H(p1, z, x0, 0.0, self.rates, self.g), z])
 
-    def _rhs(self, s: float, y: np.ndarray, w: np.ndarray, k) -> np.ndarray:
-        """d(p1, p2, z)/dt along the curves at x = 1 + w at time s; k = coefficients at g(s)."""
+    def _rhs(self, s: float, gv: float, y: np.ndarray, w: np.ndarray, k) -> np.ndarray:
+        """d(p1, p2, z)/dt along the curves at x = 1 + w at time s, gv = g(s), k = coefficients at gv.
+
+        g'(s) comes from the moment equation's right-hand side at gv, never
+        from finite differences.
+        """
         m = self.rates.m
         p1, p2, z = y
         x = 1.0 + w
         hb = w * k.C - k.c4
         src = m * k.c4 * x ** (m - 1) if m > 0 else 0.0
         dp1 = (2.0 * k.A * x - k.A - k.B + hb) * p1 + k.C * z + src
-        dp2 = w * float(self.g.derivative(s)) * ((k.A_g * x - k.B_g) * p1 + k.C_g * z) + hb * p2
+        dp2 = w * moment_rhs(self.g.coeffs, gv) * ((k.A_g * x - k.B_g) * p1 + k.C_g * z) + hb * p2
         dz = -w * (k.A * x - k.B) * p1 + p2
         return np.concatenate([dp1, dp2, dz])
 
     def solve_at(self, x_bar: float, t_bar: float, tol: float = 1e-8) -> tuple[float, float]:
         """(G, G_x) at a single point (x_bar, t_bar)."""
-        state = self.solve_state(x_bar, t_bar, tol)
-        return state.z, state.p1
-
-    def solve_state(self, x_bar: float, t_bar: float, tol: float = 1e-8) -> CharacteristicState:
-        """Full transported state at (x_bar, t_bar), including p2 = G_t."""
         x, t = _check_grid([x_bar], [t_bar])
         out, _, _ = self._march(x, t, tol, self._initial_data, self._rhs, RTOL, ATOL)
-        p1, p2, z = out[:, 0, 0].tolist()
-        return CharacteristicState(x=float(x[0]), p1=p1, p2=p2, z=z, t=float(t[0]))
+        p1, _, z = out[:, 0, 0].tolist()
+        return z, p1
 
     def solve_grid(self, x_grid, t_grid, tol: float = 1e-8) -> SolutionField:
         """Solution field on the tensor grid x_grid x t_grid.
@@ -427,7 +372,7 @@ class CharacteristicSolver:
         xs_tab = np.linspace(-1.0 - 2e-3, 1.0, 4097)
         lookup = _value_and_slope(CubicSpline(xs_tab, np.asarray(steady(xs_tab), dtype=float)))
 
-        def rhs(s, d, w, k):
+        def rhs(s, _gv, d, w, k):
             gap = float(g.gap(s))
             # A is linear in 1/g, so A(g) - A(g_inf) = A_g(g) g gap / g_inf
             # with g = g_inf + gap; A_g vanishes whenever g_inf does.

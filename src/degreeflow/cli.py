@@ -22,21 +22,12 @@ from . import __version__
 from .analysis import detect_bend, diff_norms, fit_rate
 from .characteristics import solve_grid
 from .config import ExperimentConfig, _parse_constants, parse_config
-from .degree_ode import first_moment, gf_eval, integrate
+from .degree_ode import gf_eval, integrate
 from .errors import DegreeFlowError, DomainError, NoSteadyStateError, ValidationError
 from .graphsim import SimConfig, run
 from .model import _RATE_FIELDS, Degeneracy, derive_riccati, steady_constants
 from .riccati import solve_closed_form
-from .steady import (
-    SteadyCaseTag,
-    SteadyState,
-    construct,
-    explicit_constants,
-    residual,
-    steady_from_rates,
-)
-
-_EXCLUDE = 1e-3  # residuals are not reported this close to a singular point
+from .steady import _away_from_singular, construct, explicit_constants, residual, steady_from_rates
 
 
 def _fmt(v) -> str:
@@ -108,9 +99,7 @@ def cmd_steady(cfg: ExperimentConfig) -> int:
     values = state(x)
     res = np.full_like(x, np.nan)
     if constants is not None:
-        ok = np.ones(x.size, dtype=bool)
-        for s in state.case.singular_points:
-            ok &= np.abs(x - s) > _EXCLUDE
+        ok = _away_from_singular(state.case, x)
         if np.any(ok):
             res[ok] = residual(state, constants, x[ok])
     out = _outdir(cfg)

@@ -18,11 +18,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .initial import InitialCondition
-from .model import ProcessRates
+from .model import _RATE_FIELDS, ProcessRates
 
 __all__ = ["ExperimentConfig", "parse_config"]
-
-_RATE_KEYS = ("omega_r", "omega_p", "l_d", "l_r", "l_p", "n_d", "n_r", "n_p")
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ class ExperimentConfig:
                 continue
             value = getattr(self, name)
             if isinstance(value, ProcessRates):
-                value = tuple(getattr(value, k) for k in (*_RATE_KEYS, "m"))
+                value = tuple(getattr(value, k) for k in (*_RATE_FIELDS, "m"))
             parts.append(f"{name}={value!r}")
         return ";".join(parts)
 
@@ -183,7 +181,7 @@ def parse_config(path: str) -> ExperimentConfig:
 
     rates = ProcessRates(**{
         key: _read(parser, "rates", key, int if key == "m" else float)
-        for key in (*_RATE_KEYS, "m")
+        for key in (*_RATE_FIELDS, "m")
         if parser.has_option("rates", key)
     })
     fields = {

@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degree_ode import TruncatedDistribution
-from .errors import AbsorbingStateReached, DomainError, ValidationError
+from .errors import AbsorbingStateReached, ValidationError
 from .model import ProcessRates
 
-__all__ = ["Network", "SimConfig", "SimResult", "run", "empirical_distribution"]
+__all__ = ["Network", "SimConfig", "SimResult", "run"]
 
 _RETRIES = 100
 _BLOCK = 4096  # uniforms drawn from the Generator at a time
@@ -194,33 +193,6 @@ class Network:
         degs = np.fromiter((len(s) for s in self.adj.values()), dtype=np.int64, count=len(self.adj))
         counts = np.bincount(np.minimum(degs, k_max + 1), minlength=k_max + 2)
         return counts[: k_max + 1]  # degrees beyond k_max fall off the histogram
-
-    def check(self) -> None:
-        """Validate the internal invariants (used by the test suite)."""
-        assert len(self._nodes) == len(self.adj) == len(self._node_pos)
-        for u, pos in self._node_pos.items():
-            assert self._nodes[pos] == u
-        deg_sum = 0
-        for u, nbrs in self.adj.items():
-            assert u not in nbrs, "self-link"
-            deg_sum += len(nbrs)
-            for v in nbrs:
-                assert u in self.adj[v], "asymmetric adjacency"
-        assert deg_sum == 2 * len(self._edges)
-        assert len(self._edges) == len(self._edge_pos)
-        for key, pos in self._edge_pos.items():
-            assert self._edges[pos] == key
-            assert key[0] < key[1]
-
-
-def empirical_distribution(net: Network, k_max: int | None = None) -> TruncatedDistribution:
-    """Observed degree distribution of the graph (degrees > k_max dropped)."""
-    if net.n_nodes == 0:
-        raise DomainError("the empty graph has no degree distribution")
-    if k_max is None:
-        k_max = max((len(s) for s in net.adj.values()), default=0)
-    counts = net.degree_counts(k_max)
-    return TruncatedDistribution(counts.astype(float) / net.n_nodes)
 
 
 # -- event execution --------------------------------------------------------

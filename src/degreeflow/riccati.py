@@ -13,19 +13,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import DomainError, IntegrationError, ValidationError
+from .errors import DomainError, ValidationError
 from .model import RiccatiCoefficients
 
 __all__ = [
     "MomentTrajectory",
     "ClosedFormMoment",
-    "NumericMoment",
     "equilibrium",
     "moment_rhs",
     "solve_closed_form",
-    "solve_numeric",
 ]
 
 
@@ -81,19 +78,6 @@ class MomentTrajectory:
     def derivative(self, t):
         """g'(t), evaluated analytically through the Riccati right-hand side."""
         return moment_rhs(self.coeffs, self(t))
-
-    def gap(self, t):
-        """g(t) minus its equilibrium.
-
-        Generic fallback subtracts the two values, which loses relative
-        accuracy once the gap is far below g itself; the closed-form
-        trajectory overrides this with exact expressions.
-        """
-        eq = self.equilibrium
-        if not math.isfinite(eq):
-            raise DomainError("first moment has no finite equilibrium")
-        out = np.asarray(self(t), dtype=float) - eq
-        return float(out) if out.ndim == 0 else out
 
     @property
     def equilibrium(self) -> float:
@@ -170,41 +154,8 @@ class ClosedFormMoment(MomentTrajectory):
         return float(out) if out.ndim == 0 else out
 
 
-class NumericMoment(MomentTrajectory):
-    """Dense numerical solution of the moment equation (validation aid)."""
-
-    def __init__(self, coeffs: RiccatiCoefficients, g0: float, t_end: float, tol: float):
-        self.coeffs = coeffs
-        self.g0 = g0
-        self.t_end = float(t_end)
-        sol = solve_ivp(
-            lambda t, y: [moment_rhs(coeffs, y[0])],
-            (0.0, self.t_end),
-            [g0],
-            method="DOP853",
-            rtol=max(tol * 1e-2, 1e-13),
-            atol=max(tol * 1e-3, 1e-14),
-            dense_output=True,
-        )
-        if sol.status != 0:
-            raise IntegrationError(f"moment integration failed: {sol.message}")
-        self._sol = sol.sol
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self._sol(t.ravel())[0].reshape(t.shape)
-        return float(out) if out.ndim == 0 else out
-
-
 def solve_closed_form(coeffs: RiccatiCoefficients, g0: float) -> ClosedFormMoment:
     """Exact trajectory of g' = -n_d g^2 - b g + c, g(0) = g0 > 0."""
     _check_coeffs(coeffs)
     return ClosedFormMoment(coeffs, _check_g0(g0))
 
-
-def solve_numeric(coeffs: RiccatiCoefficients, g0: float, t_end: float, tol: float = 1e-9) -> NumericMoment:
-    """Adaptive RK trajectory on [0, t_end]; deviates from closed form by <= tol."""
-    _check_coeffs(coeffs)
-    if not (t_end > 0.0) or not math.isfinite(t_end):
-        raise ValidationError(f"t_end must be positive and finite, got {t_end!r}")
-    return NumericMoment(coeffs, _check_g0(g0), t_end, tol)

@@ -48,7 +48,8 @@ _X_LOW = -1.0 - 5e-3  # every construction covers [_X_LOW, 1]
 _ONE_TIE = 1e-12  # points this close to 1 count as x = 1
 _XI_TIE = 1e-9  # points this close to xi take the continuity value G*(xi)
 _STEP = 1e-5  # finite-difference step of SteadyState.derivative
-_RESIDUAL_H = 1e-4  # central-difference step of residual
+_EXCLUDE = 1e-3  # residuals are neither certified nor reported this close to a singular point
+_CERT_TOL = 1e-6  # largest |residual| of a certified profile
 _SEED_EPS = 1e-5  # the series seed sits at x = 1 - _SEED_EPS
 _QUAD_TOL = 1e-10  # bound on the two-singularity error estimate, relative to max(1, |G*|)
 
@@ -73,15 +74,42 @@ class SteadyCase:
 
 @dataclass
 class SteadyState:
-    """Constructed stationary profile with its certification metadata."""
+    """Constructed stationary profile.
+
+    Holds what a construction decides: the case, the slope at 1 when the
+    construction pins it (None otherwise), a note and the evaluator.
+    ``value_at_one``, ``value_at_ratio`` and ``certified`` derive from them.
+    """
 
     case: SteadyCase
-    value_at_one: float
     slope_at_one: float | None
-    value_at_ratio: float | None
-    certified: bool
     note: str
     _eval: Callable[[np.ndarray], np.ndarray]
+
+    @property
+    def value_at_one(self) -> float:
+        return self(1.0)
+
+    @property
+    def value_at_ratio(self) -> float | None:
+        """G* at the interior singular point xi = c2/c1 of a two-singularity profile, else None."""
+        if self.case.tag is not SteadyCaseTag.TWO_SINGULARITY:
+            return None
+        return self(self.case.singular_points[0])
+
+    @property
+    def certified(self) -> bool:
+        """The slope at 1 is pinned and nonzero, and the profile meets its equation.
+
+        The equation is checked by ``residual`` on 201 evenly spaced points
+        of [-1, 1], leaving out those within ``_EXCLUDE`` of a singular
+        point; every |residual| must be at most ``_CERT_TOL``.
+        """
+        if self.slope_at_one is None or abs(self.slope_at_one) <= _ZTOL:
+            return False
+        xs = np.linspace(-1.0, 1.0, 201)
+        xs = xs[_away_from_singular(self.case, xs)]
+        return bool(np.max(np.abs(residual(self, self.case.constants, xs))) <= _CERT_TOL)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -194,13 +222,10 @@ def classify(constants: SteadyConstants) -> SteadyCase:
 # -- constructions ----------------------------------------------------------
 
 
-def _constant_state(case: SteadyCase, value: float, note: str, certified: bool = False) -> SteadyState:
+def _constant_state(case: SteadyCase, value: float, note: str) -> SteadyState:
     return SteadyState(
         case=case,
-        value_at_one=value,
         slope_at_one=0.0,
-        value_at_ratio=None,
-        certified=certified,
         note=note,
         _eval=lambda x, v=value: np.full_like(np.asarray(x, dtype=float), v),
     )
@@ -298,6 +323,15 @@ def _two_singularity(case: SteadyCase, anchor: float | None) -> SteadyState:
     right-segment variation-of-constants form, integrated from y by adaptive
     quadrature instead; any y in (xi, 1) yields the same profile, and
     passing it explicitly exercises that cancellation.
+
+    Precision limit near x = 1: the offsets 1 - s of the quadrature nodes
+    are formed from offsets |s - xi| of order one, so they carry rounding
+    of order eps |x - xi|, which the kernel amplifies by about
+    alpha / (1 - x).  On the constants (2, 1, 1, 2, m = 3), against a
+    40-digit mpmath quadrature, the error is 5e-12 at 1 - x = 1e-6, 5e-10
+    at 1e-8, 3e-9 at 1e-9, 1e-7 at 1e-10 and 5e-7 at 3e-12; below 1e-9 it
+    is rounding noise that varies from point to point (9e-9 at 1e-11).
+    Points within 1e-12 of 1 take the value 1 exactly.
     """
     c1, c2, c3, c4, m = _unpack(case.constants)
     xi = c2 / c1
@@ -332,10 +366,7 @@ def _two_singularity(case: SteadyCase, anchor: float | None) -> SteadyState:
     slope = a1 if a1 is not None and alpha > 1.0 + 1e-12 else None
     return SteadyState(
         case=case,
-        value_at_one=1.0,
         slope_at_one=slope,
-        value_at_ratio=g_xi,
-        certified=slope is not None and abs(slope) > _ZTOL,
         note=f"two-singularity integral construction, xi = {xi!r}, alpha = {alpha!r}, beta = {beta!r}",
         _eval=evaluate,
     )
@@ -387,10 +418,7 @@ def _series_seeded(case: SteadyCase) -> SteadyState:
 
     return SteadyState(
         case=case,
-        value_at_one=1.0,
         slope_at_one=a1,
-        value_at_ratio=None,
-        certified=abs(a1) > _ZTOL,
         note=f"series-seeded backward integration from x = 1 - {_SEED_EPS!r}",
         _eval=evaluate,
     )
@@ -428,10 +456,7 @@ def construct(constants: SteadyConstants, anchor: float | None = None) -> Steady
             slope = c3 / c2
         return SteadyState(
             case=case,
-            value_at_one=1.0,
             slope_at_one=slope,
-            value_at_ratio=None,
-            certified=abs(slope) > _ZTOL,
             note="one-parameter family; unit-normalized representative in closed form",
             _eval=evaluate,
         )
@@ -442,10 +467,7 @@ def construct(constants: SteadyConstants, anchor: float | None = None) -> Steady
 
         return SteadyState(
             case=case,
-            value_at_one=1.0,
             slope_at_one=m + c3 / c4,
-            value_at_ratio=None,
-            certified=(m + c3 / c4) > _ZTOL,
             note="no derivative term: pointwise algebraic solution",
             _eval=evaluate,
         )
@@ -467,24 +489,28 @@ def steady_from_rates(rates: ProcessRates, anchor: float | None = None) -> Stead
         )
     if constants.degeneracy is Degeneracy.UNIFORM:
         case = SteadyCase(SteadyCaseTag.UNIFORM_LIMIT, constants, ())
-        return _constant_state(
-            case, 1.0, "first moment decays to zero: all degrees die out, G* = 1", certified=False
-        )
+        return _constant_state(case, 1.0, "first moment decays to zero: all degrees die out, G* = 1")
     return construct(constants, anchor=anchor)
 
 
-def residual(state: SteadyState, constants: SteadyConstants, x):
-    """Pointwise defect of the stationary ODE with a central-difference slope.
+def _away_from_singular(case: SteadyCase, x: np.ndarray) -> np.ndarray:
+    """Mask of the points of x farther than ``_EXCLUDE`` from every singular point."""
+    ok = np.ones(x.shape, dtype=bool)
+    for s in case.singular_points:
+        ok &= np.abs(x - s) > _EXCLUDE
+    return ok
 
-    x must lie in the profile domain.  The stencil x -/+ h, h = _RESIDUAL_H,
-    may reach past it: the constructions extend slightly past -1, and the
-    closed forms past 1, where a point without a singularity at 1 still
-    gets a central slope.  Keep x at least h away from singular points.
+
+def residual(state: SteadyState, constants: SteadyConstants, x):
+    """Pointwise defect of the stationary ODE, with the slope from ``state.derivative``.
+
+    x must lie in the profile domain.  The derivative's stencil stays on the
+    point's own side of every singular point; the defect is meaningful only
+    at points some distance away from them (see ``_away_from_singular``).
     """
     c1, c2, c3, c4, m = _unpack(constants)
     x = np.asarray(x, dtype=float)
     xs = np.atleast_1d(x)
-    val = state(xs)
-    slope = (state._eval(xs + _RESIDUAL_H) - state._eval(xs - _RESIDUAL_H)) / (2.0 * _RESIDUAL_H)
+    val, slope = state(xs), state.derivative(xs)
     res = (xs - 1.0) * (c1 * xs - c2) * slope + ((xs - 1.0) * c3 - c4) * val + c4 * xs**m
     return float(res[0]) if x.ndim == 0 else res

@@ -5,6 +5,10 @@ system literally, which is only stable over short horizons; the solver under
 test must agree with it there.
 """
 
+import math
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -13,17 +17,16 @@ from scipy.interpolate import CubicSpline
 from degreeflow import characteristics
 from degreeflow.characteristics import (
     CharacteristicSolver,
-    CharacteristicState,
-    char_rhs,
     solve_at,
     solve_grid,
     trace_back,
 )
+from degreeflow.config import parse_config
 from degreeflow.degree_ode import gf_eval, integrate
 from degreeflow.errors import ValidationError
 from degreeflow.initial import InitialCondition
-from degreeflow.model import ProcessRates, derive_riccati, evaluate_H
-from degreeflow.riccati import solve_closed_form
+from degreeflow.model import ProcessRates, coefficients, derive_riccati, evaluate_H
+from degreeflow.riccati import ClosedFormMoment, solve_closed_form
 from degreeflow.steady import steady_from_rates
 
 FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
@@ -33,6 +36,38 @@ H_SQUARE = InitialCondition.polynomial([0, 0, 1])
 
 def _g(g0=2.0):
     return solve_closed_form(derive_riccati(FIG2), g0)
+
+
+@dataclass(frozen=True)
+class CharacteristicState:
+    """Point on a characteristic curve: position x, (p1, p2, z) = (G_x, G_t, G)."""
+
+    x: float
+    p1: float
+    p2: float
+    z: float
+    t: float = 0.0
+
+
+def char_rhs(state, rates, g):
+    """Time derivative of (x, p1, p2, z) along a characteristic curve.
+
+    The literal four-variable system, written out independently of the
+    solver: x is integrated, not placed through (L, psi), and g'(t) comes
+    from the trajectory's own derivative.
+    """
+    gv = float(g(state.t))
+    assert gv > 0.0 and math.isfinite(gv)
+    gdot = float(g.derivative(state.t))
+    x, p1, p2, z = state.x, state.p1, state.p2, state.z
+    k = coefficients(rates, gv)
+    hb = (x - 1.0) * k.C - k.c4
+    src = rates.m * k.c4 * x ** (rates.m - 1) if rates.m > 0 else 0.0
+    dx = -(x - 1.0) * (k.A * x - k.B)
+    dp1 = (2.0 * k.A * x - k.A - k.B + hb) * p1 + k.C * z + src
+    dp2 = (x - 1.0) * gdot * ((k.A_g * x - k.B_g) * p1 + k.C_g * z) + hb * p2
+    dz = (1.0 - x) * (k.A * x - k.B) * p1 + p2
+    return np.array([dx, dp1, dp2, dz])
 
 
 def test_char_rhs_reference_point():
@@ -278,3 +313,26 @@ def test_spline_lookup_matches_cubic_spline():
     np.testing.assert_allclose(value, spline(pts), rtol=0, atol=4 * np.finfo(float).eps)
     np.testing.assert_allclose(slope, spline.derivative()(pts), rtol=8 * np.finfo(float).eps,
                                atol=8 * np.finfo(float).eps)
+
+
+def test_one_moment_evaluation_per_rhs_call(monkeypatch):
+    # the march evaluates g(s) once per rhs call and derives g'(s) from that
+    # value; the example grid's transport and its dense flow are counted
+    # together, and the initial data add one call for H at t = 0
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "perfbench" / "example.ini")
+    nfev, calls = [], [0]
+    real_ivp, real_call = characteristics.solve_ivp, ClosedFormMoment.__call__
+
+    def counting_ivp(*args, **kwargs):
+        sol = real_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    def counting_call(self, t):
+        calls[0] += 1
+        return real_call(self, t)
+
+    monkeypatch.setattr(characteristics, "solve_ivp", counting_ivp)
+    monkeypatch.setattr(ClosedFormMoment, "__call__", counting_call)
+    solve_grid(cfg.x_grid(), cfg.t_grid(), cfg.rates, cfg.initial(), cfg.solver_tol)
+    assert 0 < calls[0] <= sum(nfev) + 1

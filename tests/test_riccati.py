@@ -1,4 +1,4 @@
-"""First-moment trajectories: closed forms, numeric fallback, and the gap."""
+"""First-moment trajectories: closed forms and the gap."""
 
 import math
 
@@ -13,7 +13,6 @@ from degreeflow.riccati import (
     equilibrium,
     moment_rhs,
     solve_closed_form,
-    solve_numeric,
 )
 
 FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
@@ -45,14 +44,6 @@ def test_logistic_against_literal_integration():
     ts = np.linspace(0.01, 3.0, 40)
     ref = _literal(co, 2.0, ts)
     assert np.max(np.abs(g(ts) - ref)) < 1e-9
-
-
-def test_numeric_matches_closed_form():
-    co = derive_riccati(FIG2)
-    g_cf = solve_closed_form(co, 2.0)
-    g_num = solve_numeric(co, 2.0, 3.0, tol=1e-11)
-    ts = np.linspace(0.0, 3.0, 31)
-    assert np.max(np.abs(g_cf(ts) - g_num(ts))) < 5e-9
 
 
 def test_double_root_branch():

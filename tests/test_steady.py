@@ -1,5 +1,7 @@
 """Stationary profiles: classification, construction, and certification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,7 @@ def test_reference_profile_values():
     # value at the interior singular point has the closed form
     # c4 xi^m / (c4 + (1 - xi) c3) = 0.25 / 2.5
     assert st(0.5) == pytest.approx(0.1, abs=1e-9)
+    assert st.value_at_ratio == st(0.5)
     assert st(1.0) == pytest.approx(1.0, abs=1e-12)
     assert st.slope_at_one == pytest.approx(7.0, abs=1e-9)
     assert st.certified
@@ -178,3 +181,27 @@ def test_profile_rejects_points_outside_domain():
             with pytest.raises(ValidationError):
                 st.derivative(np.array([0.0, x]))
         assert np.isfinite(st.derivative(-1.0 - 5e-3))
+
+
+def test_certificate_rejects_a_profile_that_misses_its_equation():
+    # the slope at 1 stays pinned and G*(1) stays 1, but the profile no
+    # longer solves its equation: a 1e-3 relative error must not certify
+    constants = explicit_constants(1.0, 2.0, 1.0, 0.0, 0)
+    st = construct(constants)
+    assert st.case.tag is SteadyCaseTag.FAMILY
+    assert st.certified
+    off = replace(st, _eval=lambda x, f=st._eval: f(x) * (1.0 + 1e-3 * (1.0 - x)))
+    assert off.value_at_one == 1.0 and off.slope_at_one == st.slope_at_one
+    assert not off.certified
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_residual_follows_small_interior_exponent(m):
+    # alpha ~ 0.29 < 1: near x = 1 the (1-x)^alpha term bends faster than a
+    # fixed 1e-4 central difference can follow, so a correct profile must
+    # not be reported as missing its equation
+    constants = explicit_constants(2.7597, 0.10922, 2.3323, 0.77834, m)
+    st = construct(constants)
+    assert st.case.tag is SteadyCaseTag.TWO_SINGULARITY
+    xs = _grid_away_from_singular(st.case, n=201)
+    assert np.max(np.abs(residual(st, constants, xs))) <= 1e-6
