@@ -20,24 +20,35 @@ captures the whole two-parameter flow in closed form:
 
 psi >= 0 and vbar <= -1/2 keep the denominator away from zero, which is the
 algebraic form of the trapping property: backward characteristics started in
-[-1, 1] never leave it.  The remaining characteristic unknowns
-(p1, p2, z) = (G_x, G_t, G) obey a linear system integrated along the exact
-x(t) path from the flow maps.  Substituting the path (instead of integrating
-x jointly) matters: the raw x equation is exponentially unstable forward in
-time near x = 1, and any x drift would contaminate G through G_x.
+[-1, 1] never leave it.
 
-Grids are transported in a single forward pass: the curves through the grid
-points of every output time start together from their traced origins,
-stacked in one state vector that is integrated segment by segment over
-[t_{j-1}, t_j] (the segmented bookkeeping of Hairer, Norsett and Wanner,
-Solving ODEs I, sec. II.6).  The state leads with (L, psi), shared by every
-curve and carried over from segment to segment, so each right-hand-side
-evaluation places the curves at x - 1 = w0 / (e^L + psi w0), w0 = x0 - 1,
-which is exactly 0 on the curve x = 1.  The dense (L, psi) integration
-serves only the backward trace and its roundtrip check.  The curves of time
-t_j are retired at t_j and never integrated past it, because a forward path
-may leave [-1, 1] after its output time, where the denominator e^L + psi w0
-can reach zero.
+The PDE is linear in G, so along a curve G = z obeys its own scalar linear
+equation
+
+    z' = ((x-1) C - c4) z + c4 x^m,
+
+and p1 = G_x obeys its x-derivative, a second linear equation fed by z.  The
+transport marches (L, psi, p1, z) and nothing else.  Both data equations are
+integrated along the exact x(t) path from the flow maps.  Substituting the
+path (instead of integrating x jointly) matters: the raw x equation is
+exponentially unstable forward in time near x = 1, and any x drift would
+contaminate G through G_x.  At x = 1 the z equation reads -c4 z + c4, which
+is exactly 0 at z = 1, so G(1, t) = 1 holds to the last bit.
+
+Values are asked for at pairs (x_i, t_i): a single point, scattered points
+or every pair (x_i, t_j) of a tensor grid.  They are transported in a single
+forward pass: the curves through every pair start together from their
+traced origins, stacked in one state vector that is integrated segment by
+segment between the distinct times (the segmented bookkeeping of Hairer,
+Norsett and Wanner, Solving ODEs I, sec. II.6).  The state leads with
+(L, psi), shared by every curve and carried over from segment to segment, so
+each right-hand-side evaluation places the curves at
+x - 1 = w0 / (e^L + psi w0), w0 = x0 - 1, which is exactly 0 on the curve
+x = 1.  The dense (L, psi)
+integration serves only the backward trace and its roundtrip check.  Each
+curve is retired at its own time t_i and never integrated past it, because a
+forward path may leave [-1, 1] after its time, where the denominator
+e^L + psi w0 can reach zero.
 """
 
 from __future__ import annotations
@@ -51,8 +62,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import AccuracyError, DomainError, IntegrationError, ValidationError
 from .initial import InitialCondition
-from .model import ProcessRates, coefficients, derive_riccati, evaluate_H
-from .riccati import MomentTrajectory, moment_rhs, solve_closed_form
+from .model import ProcessRates, coefficients, derive_riccati
+from .riccati import MomentTrajectory, solve_closed_form
 
 __all__ = [
     "RTOL",
@@ -75,11 +86,13 @@ class SolutionField:
     """PDE solution sampled on a tensor grid.
 
     G and Gx have shape (len(t), len(x)); origins holds the traced-back
-    starting position of the characteristic through each grid point, and p2
-    the transported G_t values (used by the self-consistency checks).
+    starting position of the characteristic through each grid point.  The
+    transport marched (L, psi, G_x, G) along every curve and nothing else.
     ``stats`` holds the transport's ``rhs_evals`` and accepted ``steps``,
-    summed over its ``segments`` (the flow behind the backward trace is not
-    counted).
+    summed over its ``segments``; ``flow_rhs_evals``, the rhs evaluations of
+    the dense (L, psi) solve behind the backward trace; and
+    ``roundtrip_margin``, the worst roundtrip error of a traced origin as a
+    fraction of its allowance (at most 1, or the trace raises).
     """
 
     x: np.ndarray
@@ -87,23 +100,40 @@ class SolutionField:
     G: np.ndarray
     Gx: np.ndarray
     origins: np.ndarray
-    p2: np.ndarray
     rates: ProcessRates
     g: MomentTrajectory
     stats: dict
 
 
+def _check_points(x_bar, t_bar) -> tuple[np.ndarray, np.ndarray]:
+    """Scalars or equal-length 1-d arrays, x in [-1, 1] and t finite and nonnegative."""
+    x = np.asarray(x_bar, dtype=float)
+    t = np.asarray(t_bar, dtype=float)
+    if x.shape != t.shape or x.ndim > 1 or x.size == 0:
+        raise ValidationError(
+            f"x and t must be scalars or nonempty 1-d arrays of equal length, got shapes {x.shape} and {t.shape}"
+        )
+    if not ((t >= 0.0) & (t < math.inf)).all():
+        raise ValidationError("t must be finite and nonnegative")
+    if not ((x >= -1.0 - 1e-12) & (x <= 1.0 + 1e-12)).all():
+        raise ValidationError(f"x must lie in [-1, 1], got [{np.min(x)!r}, {np.max(x)!r}]")
+    return x, t
+
+
 def _check_grid(x_grid, t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """x strictly increasing in [-1, 1], t finite, nonnegative and strictly increasing."""
+    """x and t strictly increasing, x in [-1, 1], t finite and nonnegative."""
     x = np.asarray(x_grid, dtype=float)
     t = np.asarray(t_grid, dtype=float)
-    if x.ndim != 1 or x.size == 0 or not np.all(np.diff(x) > 0.0):
-        raise ValidationError("x must be a strictly increasing 1-d sequence")
-    if t.ndim != 1 or t.size == 0 or not np.all(np.diff(t) > 0.0) or not 0.0 <= t[0] <= t[-1] < math.inf:
-        raise ValidationError("t must be finite, nonnegative and strictly increasing")
-    if not -1.0 - 1e-12 <= x[0] <= x[-1] <= 1.0 + 1e-12:
-        raise ValidationError(f"x must lie in [-1, 1], got [{x[0]!r}, {x[-1]!r}]")
+    for name, v in (("x", x), ("t", t)):
+        if v.ndim != 1 or v.size == 0 or not np.all(np.diff(v) > 0.0):
+            raise ValidationError(f"{name} must be a strictly increasing 1-d sequence")
+    _check_points(x[[0, -1]], t[[0, -1]])
     return x, t
+
+
+def _pairs(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (x_i, t_j) of the tensor grid x x t in row order."""
+    return np.tile(x, t.size), np.repeat(t, x.size)
 
 
 def _flow_rate(k, psi: float) -> tuple[float, float]:
@@ -142,6 +172,7 @@ class CharacteristicSolver:
             raise ValidationError(f"g must be a first-moment trajectory, got {type(g).__name__}")
         self.g = g
         self._flow = None  # dense (L, psi) on [0, self._horizon] once built
+        self._flow_evals = 0  # rhs evaluations of the solve that built it
         self._horizon = max(float(t_max), 0.0)
 
     def _ensure(self, t: float):
@@ -160,170 +191,185 @@ class CharacteristicSolver:
             )
             if sol.status != 0:
                 raise IntegrationError(f"projected flow integration failed: {sol.message}")
-            self._flow = sol.sol
+            self._flow, self._flow_evals = sol.sol, sol.nfev
         return self._flow
 
     # -- backward map ------------------------------------------------------
 
-    def trace_back(self, x_bar: float, t_bar: float, tol: float = 1e-8) -> float:
+    def trace_back(self, x_bar, t_bar, tol: float = 1e-8):
         """Starting position at t = 0 of the characteristic through (x_bar, t_bar).
 
-        The result is clamped onto [-1, 1] when floating-point excursions stay
-        below 1e-6; larger excursions, or a failed forward roundtrip check at
-        ``tol``, raise AccuracyError.
+        x_bar and t_bar are scalars, giving a float, or equal-length 1-d
+        arrays of pairs, giving an array.  Origins are clamped onto [-1, 1]
+        when floating-point excursions stay below 1e-6; larger excursions,
+        or a failed forward roundtrip check at ``tol``, raise AccuracyError.
         """
-        x, t = _check_grid([x_bar], [t_bar])
-        return float(self._trace_back_many(x, float(t[0]), tol)[0])
+        x, t = _check_points(x_bar, t_bar)
+        x0, _ = self._trace_back_many(np.atleast_1d(x), np.atleast_1d(t), tol)
+        return float(x0[0]) if x.ndim == 0 else x0
 
-    def _trace_back_many(self, x_bar: np.ndarray, t_bar: float, tol: float) -> np.ndarray:
-        x_bar = np.clip(x_bar, -1.0, 1.0)
-        if t_bar == 0.0:
-            return x_bar.copy()
-        L, psi = self._ensure(t_bar)(t_bar).tolist()
-        one_mask = x_bar == 1.0
-        vbar = 1.0 / np.where(one_mask, -1.0, x_bar - 1.0)
-        x0 = np.where(one_mask, 1.0, 1.0 + math.exp(L) / (vbar - psi))
-        low = x0 < -1.0
-        if np.any(x0[low] < -1.0 - _CLAMP):
-            worst = float(np.min(x0))
+    def _trace_back_many(self, x_bar: np.ndarray, t_bar: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+        """Origins of the curves through the pairs (x_bar, t_bar), and the worst roundtrip err / allow."""
+        x0 = x_bar.clip(-1.0, 1.0)
+        live = t_bar > 0.0
+        if not live.any():
+            return x0, 0.0
+        xb, tb = x0[live], t_bar[live]
+        flow = self._ensure(float(tb.max()))
+        # (e^L, psi) once per distinct time, with math.exp like _place:
+        # np.exp may differ from it in the last bit
+        at = {}
+        for v in set(tb.tolist()):
+            L, psi = flow(v).tolist()
+            at[v] = (math.exp(L), psi)
+        eL, psi = np.array([at[v] for v in tb.tolist()]).T
+        one_mask = xb == 1.0
+        vbar = 1.0 / np.where(one_mask, -1.0, xb - 1.0)
+        xo = np.where(one_mask, 1.0, 1.0 + eL / (vbar - psi))
+        if (xo < -1.0 - _CLAMP).any():
+            i = int(np.argmin(xo))
             raise AccuracyError(
-                f"traced origin {worst!r} escapes [-1, 1] beyond the {_CLAMP} clamp "
-                f"(t = {t_bar!r})"
+                f"traced origin {xo[i]!r} escapes [-1, 1] beyond the {_CLAMP} clamp "
+                f"at (x, t) = ({xb[i]!r}, {tb[i]!r})"
             )
-        x0 = np.clip(x0, -1.0, 1.0)
+        xo = xo.clip(-1.0, 1.0)
         # Forward roundtrip self-check on the rounded result.  Rounding x0
         # to double perturbs x0 - 1 by ~eps/|x0 - 1| relatively, and the
         # forward map amplifies that by dxbar/dx0 = e^L (xbar-1)^2/(x0-1)^2;
         # that unavoidable share is added to the tolerance so the check
         # measures integration accuracy, not representation error.
-        back = 1.0 + _place(x0 - 1.0, L, psi)
-        err = np.abs(back - x_bar)
+        back = 1.0 + (xo - 1.0) / (eL + psi * (xo - 1.0))
+        err = np.abs(back - xb)
         eps = np.finfo(float).eps
-        gap0 = np.where(one_mask, 1.0, x0 - 1.0)
-        amp = math.exp(L) * np.where(one_mask, 0.0, (back - 1.0) ** 2 / gap0**2)
-        allow = tol + eps * np.abs(x0) * amp
-        if np.any(err > allow):
-            i = int(np.argmax(err - allow))
+        gap0 = np.where(one_mask, 1.0, xo - 1.0)
+        amp = eL * np.where(one_mask, 0.0, (back - 1.0) ** 2 / gap0**2)
+        allow = tol + eps * np.abs(xo) * amp
+        ratio = err / allow
+        worst = float(ratio.max())
+        if worst > 1.0:
+            i = int(np.argmax(ratio))
             raise AccuracyError(
                 f"roundtrip error {err[i]:.3e} exceeds {allow[i]:.3e} at (x, t) = "
-                f"({x_bar[i]!r}, {t_bar!r})"
+                f"({xb[i]!r}, {tb[i]!r})"
             )
-        return x0
+        x0[live] = xo
+        return x0, worst
 
     # -- transported values ------------------------------------------------
 
     def _march(self, x, t, tol, init, rhs, rtol, atol):
-        """Data at every grid point, carried from t = 0 in one forward pass.
+        """Data at the pairs (x_i, t_i), sorted by t, carried from t = 0 in one forward pass.
 
         The marched state leads with (L, psi), shared by every curve: they
         start at (0, 0), carry over from segment to segment and place each
         curve at offset w = x - 1 = w0 / (e^L + psi w0) from its origin
         offset w0 = x0 - 1, so no curve needs the dense flow.  (L, psi) keep
         the flow's own ``ATOL``, since a data ``atol`` as small as 1e-280
-        must not control L, which starts at 0.
+        must not control L, which starts at 0.  One segment runs from each
+        distinct time to the next, and the curves of a time are retired at
+        its end.
 
         ``init(x0)`` gives the data at the origins, shape (k, n), and
-        ``rhs(s, gv, y, w, c)`` its time derivative at time s while the
-        curves sit at 1 + w, with gv = g(s) and c = coefficients(rates, gv).
-        Returns the data, shape (k, len(t), len(x)), the origins and the
-        transport's solver counts.
+        ``rhs(s, y, w, c, out)`` writes its time derivative into ``out`` at
+        time s while the curves sit at 1 + w, with c = coefficients(rates,
+        g(s)).  Returns the data at each pair's own time, shape (k, n), the
+        origins and the solver counts.
         """
         if self.h is None:
             raise ValidationError("an initial condition h is required to evaluate G")
         rates, g = self.rates, self.g
-        n_x, times = x.size, t.tolist()
-        self._ensure(times[-1])
-        origins = np.empty((t.size, n_x))
-        for j, tj in enumerate(times):
-            try:
-                origins[j] = self._trace_back_many(x, tj, tol)
-            except AccuracyError as exc:
-                raise AccuracyError(f"{exc} [at output time t = {tj!r}]") from exc
-        w0 = origins.ravel() - 1.0
-        y = np.array(init(origins.ravel()), dtype=float)
+        origins, margin = self._trace_back_many(x, t, tol)
+        w0 = origins - 1.0
+        y = np.array(init(origins), dtype=float)
         k = y.shape[0]
-        out = np.empty((k, t.size, n_x))
         lpsi = np.zeros(2)  # (L, psi) at t_prev
         stats = {"rhs_evals": 0, "steps": 0, "segments": 0}
         t_prev = 0.0
-        for j, tj in enumerate(times):
-            lo = j * n_x  # the curves of earlier output times are retired
-            if tj > t_prev:
+        lo = int(np.searchsorted(t, 0.0, side="right"))  # curves at t = 0 keep their data
+        for tj in np.unique(t[lo:]).tolist():
 
-                def f(s, q, w0=w0[lo:]):
-                    gv = float(g(s))
-                    c = coefficients(rates, gv)
-                    d = rhs(s, gv, q[2:].reshape(k, -1), _place(w0, q[0], q[1]), c)
-                    return np.concatenate((_flow_rate(c, q[1]), np.ravel(d)))
+            def f(s, q, w0=w0[lo:]):
+                c = coefficients(rates, float(g(s)))
+                # a fresh array per call: the solver keeps the returned one
+                dq = np.empty_like(q)
+                dq[0], dq[1] = _flow_rate(c, q[1])
+                rhs(s, q[2:].reshape(k, -1), _place(w0, q[0], q[1]), c, dq[2:].reshape(k, -1))
+                return dq
 
-                data = y[:, lo:].ravel()
-                sol = solve_ivp(
-                    f,
-                    (t_prev, tj),
-                    np.concatenate((lpsi, data)),
-                    method="DOP853",
-                    rtol=rtol,
-                    atol=np.concatenate(((ATOL, ATOL), np.full(data.size, atol))),
-                )
-                if sol.status != 0:
-                    raise IntegrationError(
-                        f"characteristic transport failed on [{t_prev!r}, {tj!r}]: {sol.message} "
-                        f"[at output time t = {tj!r}]"
-                    )
-                end = sol.y[:, -1]
-                lpsi = end[:2].copy()
-                y[:, lo:] = end[2:].reshape(k, -1)
-                stats["rhs_evals"] += sol.nfev
-                stats["steps"] += sol.t.size - 1
-                stats["segments"] += 1
-                t_prev = tj
-                # scipy leaves each finished solver in a reference cycle that
-                # holds a (16, n) stage array; collect it before they pile up.
-                gc.collect(0)
-            out[:, j] = y[:, lo : lo + n_x]
-        return out, origins, stats
+            data = y[:, lo:].ravel()
+            sol = solve_ivp(
+                f,
+                (t_prev, tj),
+                np.concatenate((lpsi, data)),
+                method="DOP853",
+                rtol=rtol,
+                atol=np.concatenate(((ATOL, ATOL), np.full(data.size, atol))),
+            )
+            if sol.status != 0:
+                raise IntegrationError(f"characteristic transport failed on [{t_prev!r}, {tj!r}]: {sol.message}")
+            end = sol.y[:, -1]
+            lpsi = end[:2].copy()
+            y[:, lo:] = end[2:].reshape(k, -1)
+            stats["rhs_evals"] += sol.nfev
+            stats["steps"] += sol.t.size - 1
+            stats["segments"] += 1
+            t_prev = tj
+            lo = int(np.searchsorted(t, tj, side="right"))  # the curves of tj are retired
+            # scipy leaves each finished solver in a reference cycle that
+            # holds a (16, n) stage array; collect it before they pile up.
+            gc.collect(0)
+        stats.update(flow_rhs_evals=self._flow_evals, roundtrip_margin=margin)
+        return y, origins, stats
 
     def _initial_data(self, x0: np.ndarray) -> np.ndarray:
-        """(p1, p2, z) = (h', H, h) at the origins x0."""
-        p1 = np.asarray(self.h.derivative(x0), dtype=float)
-        z = np.asarray(self.h(x0), dtype=float)
-        return np.array([p1, evaluate_H(p1, z, x0, 0.0, self.rates, self.g), z])
+        """(p1, z) = (h', h) at the origins x0."""
+        return np.array([self.h.derivative(x0), self.h(x0)], dtype=float)
 
-    def _rhs(self, s: float, gv: float, y: np.ndarray, w: np.ndarray, k) -> np.ndarray:
-        """d(p1, p2, z)/dt along the curves at x = 1 + w at time s, gv = g(s), k = coefficients at gv.
+    def _rhs(self, s: float, y: np.ndarray, w: np.ndarray, k, out: np.ndarray) -> None:
+        """d(p1, z)/dt along the curves at x = 1 + w into out; k holds the coefficients at g(s).
 
-        g'(s) comes from the moment equation's right-hand side at gv, never
-        from finite differences.
+        z' = hb z + c4 x^m is G's own equation along a curve, hb = w C - c4;
+        p1' is its x-derivative, fed by z.  At w = 0, hb z + c4 is exactly
+        -c4 + c4 = 0 for z = 1.
         """
         m = self.rates.m
-        p1, p2, z = y
+        p1, z = y
         x = 1.0 + w
         hb = w * k.C - k.c4
         src = m * k.c4 * x ** (m - 1) if m > 0 else 0.0
-        dp1 = (2.0 * k.A * x - k.A - k.B + hb) * p1 + k.C * z + src
-        dp2 = w * moment_rhs(self.g.coeffs, gv) * ((k.A_g * x - k.B_g) * p1 + k.C_g * z) + hb * p2
-        dz = -w * (k.A * x - k.B) * p1 + p2
-        return np.concatenate([dp1, dp2, dz])
+        out[0] = (2.0 * k.A * x - k.A - k.B + hb) * p1 + k.C * z + src
+        out[1] = hb * z + k.c4 * x**m
 
-    def solve_at(self, x_bar: float, t_bar: float, tol: float = 1e-8) -> tuple[float, float]:
-        """(G, G_x) at a single point (x_bar, t_bar)."""
-        x, t = _check_grid([x_bar], [t_bar])
-        out, _, _ = self._march(x, t, tol, self._initial_data, self._rhs, RTOL, ATOL)
-        p1, _, z = out[:, 0, 0].tolist()
-        return z, p1
+    def solve_at(self, x_bar, t_bar, tol: float = 1e-8):
+        """(G, G_x) at the point (x_bar, t_bar).
+
+        x_bar and t_bar are scalars, giving two floats, or equal-length 1-d
+        arrays of pairs, giving two arrays.  The curves of all pairs are
+        transported in one forward pass, each retired at its own time.
+        """
+        x, t = _check_points(x_bar, t_bar)
+        xs, ts = np.atleast_1d(x), np.atleast_1d(t)
+        order = np.argsort(ts, kind="stable")
+        data, _, _ = self._march(xs[order], ts[order], tol, self._initial_data, self._rhs, RTOL, ATOL)
+        Gx, G = np.empty_like(data)
+        Gx[order], G[order] = data
+        if x.ndim == 0:
+            return float(G[0]), float(Gx[0])
+        return G, Gx
 
     def solve_grid(self, x_grid, t_grid, tol: float = 1e-8) -> SolutionField:
         """Solution field on the tensor grid x_grid x t_grid.
 
         x values must be strictly increasing inside [-1, 1]; t values
-        nonnegative and strictly increasing.  The characteristics of all
-        output times are transported in one stacked forward pass.
+        nonnegative and strictly increasing.  The grid is transported as
+        its pairs (x_i, t_j) in row order, in one forward pass.
         """
         x, t = _check_grid(x_grid, t_grid)
-        out, origins, stats = self._march(x, t, tol, self._initial_data, self._rhs, RTOL, ATOL)
-        p1, p2, z = out
+        shape = (t.size, x.size)
+        data, origins, stats = self._march(*_pairs(x, t), tol, self._initial_data, self._rhs, RTOL, ATOL)
+        Gx, G = data.reshape(2, *shape)
         return SolutionField(
-            x=x, t=t, G=z, Gx=p1, origins=origins, p2=p2, rates=self.rates, g=self.g, stats=stats
+            x=x, t=t, G=G, Gx=Gx, origins=origins.reshape(shape), rates=self.rates, g=self.g, stats=stats
         )
 
     def solve_difference_grid(self, x_grid, t_grid, steady, tol: float = 1e-8) -> np.ndarray:
@@ -372,7 +418,7 @@ class CharacteristicSolver:
         xs_tab = np.linspace(-1.0 - 2e-3, 1.0, 4097)
         lookup = _value_and_slope(CubicSpline(xs_tab, np.asarray(steady(xs_tab), dtype=float)))
 
-        def rhs(s, _gv, d, w, k):
+        def rhs(s, d, w, k, out):
             gap = float(g.gap(s))
             # A is linear in 1/g, so A(g) - A(g_inf) = A_g(g) g gap / g_inf
             # with g = g_inf + gap; A_g vanishes whenever g_inf does.
@@ -380,14 +426,15 @@ class CharacteristicSolver:
             xp = 1.0 + w
             gs, gsx = lookup(xp)
             src = w * ((dA * xp - k.B_g * gap) * gsx + k.C_g * gap * gs)
-            return (w * k.C - k.c4) * d + src
+            out[:] = (w * k.C - k.c4) * d + src
 
         active = x != 1.0
+        xs = x[active]
         D = np.zeros((t.size, x.size))
-        out, _, _ = self._march(
-            x[active], t, tol, lambda x0: [h(x0) - steady(x0)], rhs, max(tol * 1e-2, 1e-12), 1e-280
+        data, _, _ = self._march(
+            *_pairs(xs, t), tol, lambda x0: [h(x0) - steady(x0)], rhs, max(tol * 1e-2, 1e-12), 1e-280
         )
-        D[:, active] = out[0]
+        D[:, active] = data.reshape(t.size, xs.size)
         return D
 
 
@@ -416,21 +463,15 @@ def _value_and_slope(spline):
 # -- functional wrappers ---------------------------------------------------
 
 
-def trace_back(x_bar: float, t_bar: float, rates: ProcessRates, g, tol: float = 1e-8) -> float:
-    """Origin at t = 0 of the characteristic through (x_bar, t_bar)."""
-    return CharacteristicSolver(rates, g=g, t_max=t_bar).trace_back(x_bar, t_bar, tol)
+def trace_back(x_bar, t_bar, rates: ProcessRates, g, tol: float = 1e-8):
+    """Origin at t = 0 of the characteristic through (x_bar, t_bar), or through each pair of two 1-d arrays."""
+    return CharacteristicSolver(rates, g=g, t_max=np.max(t_bar, initial=0.0)).trace_back(x_bar, t_bar, tol)
 
 
-def solve_at(
-    x_bar: float,
-    t_bar: float,
-    rates: ProcessRates,
-    g,
-    h: InitialCondition,
-    tol: float = 1e-8,
-) -> tuple[float, float]:
-    """(G, G_x) at one point, transporting data from the traced origin."""
-    return CharacteristicSolver(rates, g=g, h=h, t_max=t_bar).solve_at(x_bar, t_bar, tol)
+def solve_at(x_bar, t_bar, rates: ProcessRates, g, h: InitialCondition, tol: float = 1e-8):
+    """(G, G_x) at one point, or at each pair of two 1-d arrays, transporting data from the traced origins."""
+    solver = CharacteristicSolver(rates, g=g, h=h, t_max=np.max(t_bar, initial=0.0))
+    return solver.solve_at(x_bar, t_bar, tol)
 
 
 def solve_grid(x_grid, t_grid, rates: ProcessRates, h: InitialCondition, tol: float = 1e-8) -> SolutionField:

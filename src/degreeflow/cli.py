@@ -83,7 +83,10 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     )
     print(f"solved field on {x.size} x {t.size} grid -> {out / 'field.csv'}")
     st = field.stats
-    print(f"transport: {st['rhs_evals']} rhs evals, {st['steps']} steps, {st['segments']} segments")
+    print(
+        f"transport: {st['rhs_evals']} rhs evals, {st['steps']} steps, {st['segments']} segments, "
+        f"flow {st['flow_rhs_evals']} rhs evals, roundtrip margin {st['roundtrip_margin']:.3e} (bound 1)"
+    )
     if np.any(x == 1.0):
         i1 = int(np.argmax(x == 1.0))
         closure = float(np.max(np.abs(field.Gx[:, i1] - g(t))))
@@ -147,6 +150,7 @@ def cmd_ode(cfg: ExperimentConfig) -> int:
     st = traj.stats
     print(
         f"oracle: {st['rhs_evals']} rhs evals, {st['jac_evals']} jacobians, {st['steps']} steps, "
+        f"tail weight p_K_max {st['tail_weight']:.3e}, "
         f"mass drift {st['mass_drift']:.3e} (mass_tol {cfg.oracle_mass_tol:.1e})"
     )
     print(f"max |mass - 1| on output grid = {drift:.3e}")

@@ -161,7 +161,8 @@ class DistributionTrajectory:
     """Dense-in-time solution of the truncated master equation.
 
     ``stats`` holds the solver's ``rhs_evals``, ``jac_evals`` and ``steps``,
-    and the ``mass_drift`` that ``integrate`` checked against ``mass_tol``.
+    the ``mass_drift`` that ``integrate`` checked against ``mass_tol``, and
+    the ``tail_weight``, the largest p_{K_max} on the same probe times.
     """
 
     def __init__(self, sol, k_max: int, t_end: float, p0: np.ndarray, stats: dict):
@@ -233,9 +234,10 @@ def integrate(
         raise IntegrationError(f"master-equation integration failed: {sol.message}")
     stats = {"rhs_evals": sol.nfev, "jac_evals": int(sol.njev), "steps": sol.t.size - 1}
     traj = DistributionTrajectory(sol.sol, p0.size - 1, float(t_end), p0.copy(), stats)
-    probe = np.linspace(0.0, float(t_end), 101)
-    masses = np.array([traj.mass(t) for t in probe])
+    probe = [sol.sol(t) for t in np.linspace(0.0, float(t_end), 101)]
+    masses = np.array([float(np.sum(p)) for p in probe])
     drift = stats["mass_drift"] = float(np.max(np.abs(masses - masses[0])))
+    stats["tail_weight"] = float(max(p[-1] for p in probe))
     if drift > mass_tol:
         raise TruncationError(
             f"mass drift {drift:.3e} exceeds {mass_tol:.1e}; probability is reaching "

@@ -146,14 +146,25 @@ class Coefficients(NamedTuple):
 
 
 def coefficients(rates: ProcessRates, g: float) -> Coefficients:
-    """Coefficients of G_t = (x-1)(A x - B) G_x + ((x-1) C - c4) G + c4 x^m at g > 0."""
+    """Coefficients of G_t = (x-1)(A x - B) G_x + ((x-1) C - c4) G + c4 x^m at g > 0.
+
+    g enters A only as wsum / g, wsum = 2 l_p + m n_p.  Without that term A
+    stays finite down to g = 0, where the moment of a dying network
+    underflows; with it, a g whose square underflows raises DomainError.
+    """
     wsum = 2.0 * rates.l_p + rates.m * rates.n_p
+    if wsum == 0.0:
+        A, A_g = rates.omega_p, 0.0
+    elif g * g > 0.0:
+        A, A_g = rates.omega_p + wsum / g, -wsum / g**2
+    else:
+        raise DomainError(f"first moment g = {g!r} is too small for the wsum / g term of A")
     return Coefficients(
-        A=rates.omega_p + wsum / g,
+        A=A,
         B=rates.omega_r + rates.omega_p + rates.l_d + rates.n_d * g,
         C=rates.omega_r * g + 2.0 * rates.l_r + rates.m * rates.n_r,
         c4=rates.n_r + rates.n_p,
-        A_g=-wsum / g**2,
+        A_g=A_g,
         B_g=rates.n_d,
         C_g=rates.omega_r,
     )

@@ -86,6 +86,13 @@ class MomentTrajectory:
 
 @dataclass
 class ClosedFormMoment(MomentTrajectory):
+    """g(t) in closed form from g(0) = g0.
+
+    Construction checks its inputs, so every trajectory is valid: a g0
+    that is not finite and positive raises DomainError, and a negative or
+    non-finite coefficient raises ValidationError.
+    """
+
     coeffs: RiccatiCoefficients
     g0: float
     _branch: str = field(init=False)
@@ -95,6 +102,8 @@ class ClosedFormMoment(MomentTrajectory):
     _K: float = field(init=False, default=0.0)
 
     def __post_init__(self):
+        _check_coeffs(self.coeffs)
+        self.g0 = _check_g0(self.g0)
         n_d, b, c = self.coeffs.n_d, self.coeffs.b, self.coeffs.c
         if n_d > 0.0:
             disc = b * b + 4.0 * n_d * c
@@ -156,6 +165,5 @@ class ClosedFormMoment(MomentTrajectory):
 
 def solve_closed_form(coeffs: RiccatiCoefficients, g0: float) -> ClosedFormMoment:
     """Exact trajectory of g' = -n_d g^2 - b g + c, g(0) = g0 > 0."""
-    _check_coeffs(coeffs)
-    return ClosedFormMoment(coeffs, _check_g0(g0))
+    return ClosedFormMoment(coeffs, g0)
 

@@ -62,9 +62,14 @@ def _load_csv(path):
 def test_solve_writes_field_and_moment(tmp_path, capsys):
     ini, out = _ini(tmp_path)
     assert main(["solve", "--config", ini]) == 0
-    # the transport's counters on one line: one segment per output time after t = 0
+    # the transport's counters on one line: one segment per output time after
+    # t = 0, then the dense flow's count and the worst roundtrip err / allow
     line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("transport:"))
-    assert re.fullmatch(r"transport: \d+ rhs evals, \d+ steps, 5 segments", line)
+    assert re.fullmatch(
+        r"transport: \d+ rhs evals, \d+ steps, 5 segments, flow \d+ rhs evals, "
+        r"roundtrip margin \d\.\d{3}e[+-]\d\d \(bound 1\)",
+        line,
+    )
     _, header, rows = _load_csv(out / "field.csv")
     assert header == ["t", "x", "G", "Gx"]
     assert rows.shape == (6 * 21, 4)
@@ -158,6 +163,7 @@ def test_ode_moment_columns(tmp_path, capsys):
     # the solver counters and the mass drift next to its bound, on one line
     line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("oracle:"))
     assert " rhs evals, " in line and " jacobians, " in line and " steps, " in line
+    assert " tail weight p_K_max " in line
     assert line.endswith("(mass_tol 1.0e-06)")
     _, header, rows = _load_csv(out / "ode_moments.csv")
     assert header == ["t", "mass", "first_moment", "g_closed", "gap"]

@@ -129,9 +129,19 @@ def test_mass_conserved_along_flow():
     for t in np.linspace(0, 1, 11):
         assert abs(traj.mass(float(t)) - 1.0) < 1e-8
     stats = traj.stats
-    assert set(stats) == {"rhs_evals", "jac_evals", "steps", "mass_drift"}
+    assert set(stats) == {"rhs_evals", "jac_evals", "steps", "mass_drift", "tail_weight"}
     assert stats["rhs_evals"] > stats["steps"] > 0 and stats["jac_evals"] >= 0
     assert 0.0 <= stats["mass_drift"] <= 1e-6  # the default mass_tol
+    assert 0.0 <= stats["tail_weight"] <= 1e-12
+
+
+def test_tail_weight_is_the_largest_last_probability():
+    # a truncation far too short for t = 1: the weight reaching p_{K_max}
+    # is what the mass drift warns about
+    traj = integrate(InitialCondition.delta(3).coefficients(12), FIG2, 1.0, mass_tol=1.0)
+    probe = np.linspace(0.0, 1.0, 101)
+    assert traj.stats["tail_weight"] == max(traj.at(float(t)).p[-1] for t in probe)
+    assert traj.stats["tail_weight"] > 1e-4
 
 
 def test_first_moment_matches_closed_form():

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from degreeflow.errors import ValidationError
+from degreeflow.errors import DomainError, ValidationError
 from degreeflow.model import (
     Degeneracy,
     ProcessRates,
+    coefficients,
     derive_riccati,
     evaluate_H,
     steady_constants,
@@ -104,3 +105,14 @@ def test_degeneracy_tags():
     only_growth = ProcessRates(0, 0, 0, 1, 0, 0, 0, 0, 0)
     assert steady_constants(only_growth).degeneracy is Degeneracy.DIVERGENT
     assert steady_constants(FIG2).degeneracy is Degeneracy.REGULAR
+
+
+def test_coefficients_as_the_moment_vanishes():
+    # without preferential attachment A has no 1/g term and stays finite
+    # where a dying network's moment underflows to 0; with it, a moment
+    # whose square underflows is a DomainError, not a ZeroDivisionError
+    k = coefficients(ProcessRates(omega_p=0.5, l_d=1.0), 0.0)
+    assert (k.A, k.A_g, k.B) == (0.5, 0.0, 1.5)
+    for g in (5e-324, 1e-170, 0.0):
+        with pytest.raises(DomainError):
+            coefficients(ProcessRates(l_p=1.0), g)
