@@ -43,12 +43,13 @@ segment between the distinct times (the segmented bookkeeping of Hairer,
 Norsett and Wanner, Solving ODEs I, sec. II.6).  The state leads with
 (L, psi), shared by every curve and carried over from segment to segment, so
 each right-hand-side evaluation places the curves at
-x - 1 = w0 / (e^L + psi w0), w0 = x0 - 1, which is exactly 0 on the curve
-x = 1.  The dense (L, psi)
-integration serves only the backward trace and its roundtrip check.  Each
-curve is retired at its own time t_i and never integrated past it, because a
-forward path may leave [-1, 1] after its time, where the denominator
-e^L + psi w0 can reach zero.
+x - 1 = w0 / (e^L + psi w0), which is exactly 0 on the curve x = 1.  The
+origin offsets w0 = e^{L(t_i)} / (vbar - psi(t_i)) come from the backward
+map as computed, never as x0 - 1, which rounds to 0 once e^L is below
+machine epsilon.  The dense (L, psi) integration serves only the backward
+trace and its roundtrip check.  Each curve is retired at its own time t_i
+and never integrated past it, because a forward path may leave [-1, 1]
+after its time, where the denominator e^L + psi w0 can reach zero.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ __all__ = [
 RTOL = 1e-9
 ATOL = 1e-12
 _CLAMP = 1e-6  # largest tolerated excursion of a traced origin below x = -1
+_TINY = np.finfo(float).tiny  # smallest normal double: the least origin offset kept at full precision
 
 
 @dataclass
@@ -203,17 +205,27 @@ class CharacteristicSolver:
         arrays of pairs, giving an array.  Origins are clamped onto [-1, 1]
         when floating-point excursions stay below 1e-6; larger excursions,
         or a failed forward roundtrip check at ``tol``, raise AccuracyError.
+        An origin offset x0 - 1 below the normal double range (from t of
+        about 200 on the paper's FIG2 rates) raises DomainError.
         """
         x, t = _check_points(x_bar, t_bar)
-        x0, _ = self._trace_back_many(np.atleast_1d(x), np.atleast_1d(t), tol)
+        x0, _, _ = self._trace_back_many(np.atleast_1d(x), np.atleast_1d(t), tol)
         return float(x0[0]) if x.ndim == 0 else x0
 
-    def _trace_back_many(self, x_bar: np.ndarray, t_bar: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-        """Origins of the curves through the pairs (x_bar, t_bar), and the worst roundtrip err / allow."""
+    def _trace_back_many(
+        self, x_bar: np.ndarray, t_bar: np.ndarray, tol: float
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Origins x0 and offsets w0 of the curves through (x_bar, t_bar), and the worst roundtrip err / allow.
+
+        w0 = e^L / (vbar - psi) is kept as computed rather than as x0 - 1,
+        so it keeps its relative precision after x0 = 1 + w0 has rounded to
+        1.  An offset below the normal double range raises DomainError.
+        """
         x0 = x_bar.clip(-1.0, 1.0)
+        w0 = x0 - 1.0
         live = t_bar > 0.0
         if not live.any():
-            return x0, 0.0
+            return x0, w0, 0.0
         xb, tb = x0[live], t_bar[live]
         flow = self._ensure(float(tb.max()))
         # (e^L, psi) once per distinct time, with math.exp like _place:
@@ -224,26 +236,34 @@ class CharacteristicSolver:
             at[v] = (math.exp(L), psi)
         eL, psi = np.array([at[v] for v in tb.tolist()]).T
         one_mask = xb == 1.0
-        vbar = 1.0 / np.where(one_mask, -1.0, xb - 1.0)
-        xo = np.where(one_mask, 1.0, 1.0 + eL / (vbar - psi))
+        wb = xb - 1.0
+        vbar = 1.0 / np.where(one_mask, -1.0, wb)
+        wo = np.where(one_mask, 0.0, eL / (vbar - psi))
+        lost = ~one_mask & (wo > -_TINY)
+        if lost.any():
+            i = int(np.argmax(lost))
+            raise DomainError(
+                f"the origin offset x0 - 1 = {wo[i]:.3e} of the curve through (x, t) = "
+                f"({float(xb[i])!r}, {float(tb[i])!r}) is below the normal double range "
+                f"(e^L(t) = {eL[i]:.3e}): t is past the transport's time range"
+            )
+        xo = 1.0 + wo
         if (xo < -1.0 - _CLAMP).any():
             i = int(np.argmin(xo))
             raise AccuracyError(
                 f"traced origin {xo[i]!r} escapes [-1, 1] beyond the {_CLAMP} clamp "
                 f"at (x, t) = ({xb[i]!r}, {tb[i]!r})"
             )
-        xo = xo.clip(-1.0, 1.0)
-        # Forward roundtrip self-check on the rounded result.  Rounding x0
-        # to double perturbs x0 - 1 by ~eps/|x0 - 1| relatively, and the
-        # forward map amplifies that by dxbar/dx0 = e^L (xbar-1)^2/(x0-1)^2;
-        # that unavoidable share is added to the tolerance so the check
-        # measures integration accuracy, not representation error.
-        back = 1.0 + (xo - 1.0) / (eL + psi * (xo - 1.0))
+        xo, wo = xo.clip(-1.0, 1.0), wo.clip(-2.0, 0.0)
+        # Forward roundtrip self-check of the offsets through the same
+        # (e^L, psi), so it bounds the rounding of the inversion.  w0 carries
+        # a relative rounding of about eps, which the forward map
+        # w = w0 / (e^L + psi w0) passes on to w = xbar - 1 amplified by
+        # e^L / (e^L + psi w0) = 1 - psi w; that unavoidable share is added
+        # to the tolerance.
+        back = 1.0 + wo / (eL + psi * wo)
         err = np.abs(back - xb)
-        eps = np.finfo(float).eps
-        gap0 = np.where(one_mask, 1.0, xo - 1.0)
-        amp = eL * np.where(one_mask, 0.0, (back - 1.0) ** 2 / gap0**2)
-        allow = tol + eps * np.abs(xo) * amp
+        allow = tol + np.finfo(float).eps * np.abs(wb) * (1.0 - psi * wb)
         ratio = err / allow
         worst = float(ratio.max())
         if worst > 1.0:
@@ -252,8 +272,8 @@ class CharacteristicSolver:
                 f"roundtrip error {err[i]:.3e} exceeds {allow[i]:.3e} at (x, t) = "
                 f"({xb[i]!r}, {tb[i]!r})"
             )
-        x0[live] = xo
-        return x0, worst
+        x0[live], w0[live] = xo, wo
+        return x0, w0, worst
 
     # -- transported values ------------------------------------------------
 
@@ -262,12 +282,14 @@ class CharacteristicSolver:
 
         The marched state leads with (L, psi), shared by every curve: they
         start at (0, 0), carry over from segment to segment and place each
-        curve at offset w = x - 1 = w0 / (e^L + psi w0) from its origin
-        offset w0 = x0 - 1, so no curve needs the dense flow.  (L, psi) keep
-        the flow's own ``ATOL``, since a data ``atol`` as small as 1e-280
-        must not control L, which starts at 0.  One segment runs from each
-        distinct time to the next, and the curves of a time are retired at
-        its end.
+        curve at offset w = x - 1 = w0 / (e^L + psi w0) from the origin
+        offset w0 the backward trace computed, so no curve needs the dense
+        flow.  (L, psi) keep the flow's own ``ATOL``, since a data ``atol``
+        as small as 1e-280 must not control L, which starts at 0.  One
+        segment runs from each distinct time to the next, and the curves of
+        a time are retired at its end.  Each segment after the first starts
+        from the largest step the previous one accepted, cut to its own
+        length, instead of guessing a first step anew.
 
         ``init(x0)`` gives the data at the origins, shape (k, n), and
         ``rhs(s, y, w, c, out)`` writes its time derivative into ``out`` at
@@ -278,13 +300,12 @@ class CharacteristicSolver:
         if self.h is None:
             raise ValidationError("an initial condition h is required to evaluate G")
         rates, g = self.rates, self.g
-        origins, margin = self._trace_back_many(x, t, tol)
-        w0 = origins - 1.0
+        origins, w0, margin = self._trace_back_many(x, t, tol)
         y = np.array(init(origins), dtype=float)
         k = y.shape[0]
         lpsi = np.zeros(2)  # (L, psi) at t_prev
         stats = {"rhs_evals": 0, "steps": 0, "segments": 0}
-        t_prev = 0.0
+        t_prev, step = 0.0, None  # the next segment's first step, before the cut to its length
         lo = int(np.searchsorted(t, 0.0, side="right"))  # curves at t = 0 keep their data
         for tj in np.unique(t[lo:]).tolist():
 
@@ -304,6 +325,7 @@ class CharacteristicSolver:
                 method="DOP853",
                 rtol=rtol,
                 atol=np.concatenate(((ATOL, ATOL), np.full(data.size, atol))),
+                first_step=None if step is None else min(step, tj - t_prev),
             )
             if sol.status != 0:
                 raise IntegrationError(f"characteristic transport failed on [{t_prev!r}, {tj!r}]: {sol.message}")
@@ -313,7 +335,10 @@ class CharacteristicSolver:
             stats["rhs_evals"] += sol.nfev
             stats["steps"] += sol.t.size - 1
             stats["segments"] += 1
-            t_prev = tj
+            steps = np.diff(sol.t)
+            # a segment crossed in one step was cut short by its end, not by
+            # the error control: keep the larger step handed to it
+            t_prev, step = tj, float(steps.max() if steps.size > 1 else max(step or 0.0, steps[0]))
             lo = int(np.searchsorted(t, tj, side="right"))  # the curves of tj are retired
             # scipy leaves each finished solver in a reference cycle that
             # holds a (16, n) stage array; collect it before they pile up.

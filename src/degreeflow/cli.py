@@ -215,6 +215,9 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     )
     for tj, tv in zip(times, tvs):
         print(f"t = {tj:g}: total variation vs reference = {tv:.4f}")
+    # degree_counts drops the degrees beyond k_max from every snapshot
+    dropped = max(0.0, 1.0 - float(result.mean[lead:].sum(axis=1).min()))
+    print(f"histogram mass beyond [mc] k_max = {cfg.mc_k_max}: at most {dropped:.3g} over the sample times")
     if any(result.absorbed):
         print(f"absorbed replicas: {sum(result.absorbed)}/{cfg.mc_replicas}")
     if result.skipped:

@@ -9,7 +9,8 @@ endpoint IS a degree-biased node), and node addition at N n_r / N n_p.
 Degree-biased choices always sample a uniform endpoint of a uniform edge,
 which is exact and O(1).  Placements that turn out illegal (duplicate links,
 self-links, not enough distinct targets) are resampled up to a fixed number
-of attempts and then skipped, with a counter per process.
+of attempts and then skipped, with a counter per process; so is a
+degree-biased rewiring of the only link, which leaves no endpoint to pick.
 
 Every random choice of an event reads one uniform double u in [0, 1) from a
 ``_Stream``, which draws them from the replica's Generator in blocks of
@@ -48,16 +49,18 @@ class _Stream:
         self._rng = rng
         self._buf: list[float] = []
 
+    def _refill(self) -> list[float]:
+        # served from the end of the block, so each block is read backwards
+        self._buf = self._rng.random(_BLOCK).tolist()
+        return self._buf
+
     def uniform(self) -> float:
-        buf = self._buf
-        if not buf:
-            # served from the end of the block, so each block is read backwards
-            buf = self._buf = self._rng.random(_BLOCK).tolist()
-        return buf.pop()
+        return (self._buf or self._refill()).pop()
 
     def below(self, n: int) -> int:
         """Uniform index in [0, n), n >= 1."""
-        return min(int(self.uniform() * n), n - 1)
+        i = int((self._buf or self._refill()).pop() * n)
+        return i if i < n else n - 1
 
 
 class Network:
@@ -76,8 +79,11 @@ class Network:
     @classmethod
     def empty(cls, n: int) -> "Network":
         net = cls()
-        for _ in range(n):
-            net.add_node()
+        nodes = list(range(n))
+        net._nodes = nodes
+        net._node_pos = {u: u for u in nodes}
+        net.adj = {u: set() for u in nodes}
+        net._next_id = len(nodes)
         return net
 
     @classmethod
@@ -143,13 +149,15 @@ class Network:
         return u
 
     def remove_node(self, u: int) -> None:
+        remove_edge = self.remove_edge
         for v in list(self.adj[u]):
-            self.remove_edge(u, v)
-        pos = self._node_pos.pop(u)
-        last = self._nodes.pop()
+            remove_edge(u, v)
+        nodes, node_pos = self._nodes, self._node_pos
+        pos = node_pos.pop(u)
+        last = nodes.pop()
         if last != u:
-            self._nodes[pos] = last
-            self._node_pos[last] = pos
+            nodes[pos] = last
+            node_pos[last] = pos
         del self.adj[u]
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -158,35 +166,43 @@ class Network:
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValidationError("self-links are not allowed")
-        if v in self.adj[u]:
+        adj = self.adj
+        nbrs = adj[u]
+        if v in nbrs:
             raise ValidationError(f"link ({u}, {v}) already present")
         key = (u, v) if u < v else (v, u)
-        self._edge_pos[key] = len(self._edges)
-        self._edges.append(key)
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        edges = self._edges
+        self._edge_pos[key] = len(edges)
+        edges.append(key)
+        nbrs.add(v)
+        adj[v].add(u)
 
     def remove_edge(self, u: int, v: int) -> None:
         key = (u, v) if u < v else (v, u)
-        pos = self._edge_pos.pop(key)
-        last = self._edges.pop()
+        edges, edge_pos = self._edges, self._edge_pos
+        pos = edge_pos.pop(key)
+        last = edges.pop()
         if last != key:
-            self._edges[pos] = last
-            self._edge_pos[last] = pos
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
+            edges[pos] = last
+            edge_pos[last] = pos
+        adj = self.adj
+        adj[u].discard(v)
+        adj[v].discard(u)
 
     # -- sampling -----------------------------------------------------------
 
     def random_node(self, stream: _Stream) -> int:
-        return self._nodes[stream.below(len(self._nodes))]
+        nodes = self._nodes
+        return nodes[stream.below(len(nodes))]
 
     def random_edge(self, stream: _Stream) -> tuple[int, int]:
-        return self._edges[stream.below(len(self._edges))]
+        edges = self._edges
+        return edges[stream.below(len(edges))]
 
     def random_endpoint(self, stream: _Stream) -> int:
         """Degree-biased node: a uniform endpoint of a uniform edge."""
-        e = self.random_edge(stream)
+        edges = self._edges
+        e = edges[stream.below(len(edges))]
         return e[0] if stream.uniform() < 0.5 else e[1]
 
     def degree_counts(self, k_max: int) -> np.ndarray:
@@ -196,46 +212,61 @@ class Network:
 
 
 # -- event execution --------------------------------------------------------
+#
+# Each process is one handler(net, stream, rates, preferential) -> executed,
+# where preferential selects degree-biased picks (a uniform endpoint of a
+# uniform edge) over uniform node picks.
 
 
-def _pick_new_neighbor(net: Network, keeper: int, stream: _Stream, preferential: bool) -> int | None:
-    for _ in range(_RETRIES):
-        w = net.random_endpoint(stream) if preferential else net.random_node(stream)
-        if w != keeper and not net.has_edge(keeper, w):
-            return w
-    return None
-
-
-def _rewire(net: Network, stream: _Stream, preferential: bool) -> bool:
+def _rewire(net: Network, stream: _Stream, rates: ProcessRates, preferential: bool) -> bool:
     u, v = net.random_edge(stream)
     keeper, loser = (u, v) if stream.uniform() < 0.5 else (v, u)
     net.remove_edge(keeper, loser)
-    w = _pick_new_neighbor(net, keeper, stream, preferential)
-    if w is None:
-        net.add_edge(keeper, loser)  # restore: rewiring must conserve E
-        return False
-    net.add_edge(keeper, w)
+    # with the only link removed, no endpoint is left to pick
+    if net._edges or not preferential:
+        pick, nbrs = net.random_endpoint if preferential else net.random_node, net.adj[keeper]
+        for _ in range(_RETRIES):
+            w = pick(stream)
+            if w != keeper and w not in nbrs:
+                net.add_edge(keeper, w)
+                return True
+    net.add_edge(keeper, loser)  # restore: rewiring must conserve E
+    return False
+
+
+def _delete_link(net: Network, stream: _Stream, rates: ProcessRates, preferential: bool) -> bool:
+    u, v = net.random_edge(stream)
+    net.remove_edge(u, v)
     return True
 
 
-def _add_link(net: Network, stream: _Stream, preferential: bool) -> bool:
+def _add_link(net: Network, stream: _Stream, rates: ProcessRates, preferential: bool) -> bool:
+    pick, adj = net.random_endpoint if preferential else net.random_node, net.adj
     for _ in range(_RETRIES):
-        u = net.random_endpoint(stream) if preferential else net.random_node(stream)
-        v = net.random_endpoint(stream) if preferential else net.random_node(stream)
-        if u != v and not net.has_edge(u, v):
+        u = pick(stream)
+        v = pick(stream)
+        if u != v and v not in adj[u]:
             net.add_edge(u, v)
             return True
     return False
 
 
-def _add_node(net: Network, stream: _Stream, m: int, preferential: bool) -> bool:
+def _delete_node(net: Network, stream: _Stream, rates: ProcessRates, preferential: bool) -> bool:
+    # clock 2E*n_d with a uniform victim: survivors then lose a
+    # neighbor at rate n_d*mu*k while the removed sample is unbiased
+    net.remove_node(net.random_node(stream))
+    return True
+
+
+def _add_node(net: Network, stream: _Stream, rates: ProcessRates, preferential: bool) -> bool:
+    m = rates.m
     targets: set[int] = set()
     if m > 0:
+        pick = net.random_endpoint if preferential else net.random_node
         budget = _RETRIES * max(m, 1)
         while len(targets) < m and budget > 0:
             budget -= 1
-            w = net.random_endpoint(stream) if preferential else net.random_node(stream)
-            targets.add(w)
+            targets.add(pick(stream))
         if len(targets) < m:
             return False
     u = net.add_node()
@@ -244,19 +275,36 @@ def _add_node(net: Network, stream: _Stream, m: int, preferential: bool) -> bool
     return True
 
 
+# (handler, preferential) of each process, in the order of ProcessRates' rate fields
+_HANDLERS = (
+    (_rewire, False),
+    (_rewire, True),
+    (_delete_link, False),
+    (_add_link, False),
+    (_add_link, True),
+    (_delete_node, False),
+    (_add_node, False),
+    (_add_node, True),
+)
+
+
 def _clocks(net: Network, rates: ProcessRates) -> tuple[float, ...]:
-    """Total rates of the eight processes, in the order of ProcessRates' rate fields."""
-    e, n = float(net.n_edges), float(net.n_nodes)
-    m = rates.m
+    """Total rates of the eight processes, in the order of ProcessRates' rate fields.
+
+    The counts are compared with float literals: a float-to-float comparison
+    is the interpreter's fast path.
+    """
+    e, n = float(len(net._edges)), float(len(net._nodes))
+    e2, m = 2.0 * e, rates.m
     return (
-        2.0 * e * rates.omega_r,
-        2.0 * e * rates.omega_p,
+        e2 * rates.omega_r,
+        e2 * rates.omega_p,
         e * rates.l_d,
-        n * rates.l_r if n >= 2 else 0.0,
-        n * rates.l_p if e >= 1 and n >= 2 else 0.0,
-        2.0 * e * rates.n_d,
+        n * rates.l_r if n >= 2.0 else 0.0,
+        n * rates.l_p if e >= 1.0 and n >= 2.0 else 0.0,
+        e2 * rates.n_d,
         n * rates.n_r if n >= m else 0.0,
-        n * rates.n_p if n >= m and (e >= 1 or m == 0) else 0.0,
+        n * rates.n_p if n >= m and (e >= 1.0 or m == 0) else 0.0,
     )
 
 
@@ -268,35 +316,20 @@ def _draw(net: Network, rates: ProcessRates, stream: _Stream) -> tuple[float, in
         raise AbsorbingStateReached("all event rates vanished")
     dt = -math.log1p(-stream.uniform()) / total
     pick = stream.uniform() * total
-    for idx, rate in enumerate(lam):
+    idx = 0
+    for rate in lam:
         pick -= rate
         if pick < 0.0:
             return dt, idx
+        idx += 1
     # rounding left the running sum short of the pick: take the last live process
-    return dt, max(idx for idx, rate in enumerate(lam) if rate > 0.0)
+    return dt, max(i for i, rate in enumerate(lam) if rate > 0.0)
 
 
 def _execute(net: Network, idx: int, rates: ProcessRates, stream: _Stream) -> bool:
-    if idx == 0:
-        return _rewire(net, stream, preferential=False)
-    if idx == 1:
-        return _rewire(net, stream, preferential=True)
-    if idx == 2:
-        u, v = net.random_edge(stream)
-        net.remove_edge(u, v)
-        return True
-    if idx == 3:
-        return _add_link(net, stream, preferential=False)
-    if idx == 4:
-        return _add_link(net, stream, preferential=True)
-    if idx == 5:
-        # clock 2E*n_d with a uniform victim: survivors then lose a
-        # neighbor at rate n_d*mu*k while the removed sample is unbiased
-        net.remove_node(net.random_node(stream))
-        return True
-    if idx == 6:
-        return _add_node(net, stream, rates.m, preferential=False)
-    return _add_node(net, stream, rates.m, preferential=True)
+    """Carry out process idx on net; False when its placement was skipped."""
+    handler, preferential = _HANDLERS[idx]
+    return handler(net, stream, rates, preferential)
 
 
 # -- ensemble runs ----------------------------------------------------------
@@ -371,10 +404,11 @@ def run(config: SimConfig) -> SimResult:
     replica reaches an absorbing state (total rate zero) its remaining
     snapshots repeat the frozen graph, flagged in ``absorbed``.
     """
-    times = np.asarray(config.sample_times, dtype=float)
+    rates, ts = config.rates, list(config.sample_times)
+    n_t = len(ts)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
-    per_rep = np.empty((config.replicas, times.size, config.k_max + 1))
-    n_counts = np.zeros((config.replicas, times.size))
+    per_rep = np.empty((config.replicas, n_t, config.k_max + 1))
+    n_counts = np.zeros((config.replicas, n_t))
     absorbed: list[bool] = []
     events = [0] * 8
     skips = [0] * 8
@@ -394,28 +428,25 @@ def run(config: SimConfig) -> SimResult:
                 per_rep[r, j] = 0.0
             n_counts[r, j] = net.n_nodes
 
-        while j < times.size and times[j] <= t:
-            snap(j)
-            j += 1
-        while j < times.size:
-            if frozen:
-                snap(j)
-                j += 1
-                continue
+        # the event loop: plain Python floats and lists, no numpy call
+        while j < n_t:
             try:
-                dt, idx = _draw(net, config.rates, stream)
+                dt, idx = _draw(net, rates, stream)
             except AbsorbingStateReached:
                 frozen = True
-                continue
+                break
             # Samples inside the waiting interval see the pre-event state.
-            t_next = t + dt
-            while j < times.size and times[j] <= t_next:
+            t += dt
+            while j < n_t and ts[j] <= t:
                 snap(j)
                 j += 1
             events[idx] += 1
-            if not _execute(net, idx, config.rates, stream):
+            if not _execute(net, idx, rates, stream):
                 skips[idx] += 1
-            t = t_next
+        # a frozen replica repeats its graph at the remaining times
+        while j < n_t:
+            snap(j)
+            j += 1
         absorbed.append(frozen)
 
     mean = per_rep.mean(axis=0)
@@ -424,7 +455,7 @@ def run(config: SimConfig) -> SimResult:
     else:
         stderr = np.zeros_like(mean)
     return SimResult(
-        times=times,
+        times=np.array(ts),
         mean=mean,
         stderr=stderr,
         absorbed=absorbed,

@@ -6,6 +6,7 @@ test must agree with it there.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -288,6 +289,48 @@ def test_solve_at_matches_oracle_at_seeded_points():
     for x, t in zip(xs.tolist(), ts.tolist()):
         G, _ = solver.solve_at(x, t)
         assert abs(G - gf_eval(traj.at(t), x)) <= 1e-8, (x, t)
+
+
+def test_late_time_values_match_the_oracle():
+    # past t ~ 8 on FIG2 the origin offset e^L / (vbar - psi) is below eps:
+    # kept as x0 - 1 it rounded away and the curve stuck at x = 1 (G = 1)
+    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=12.0)
+    traj = integrate(H_SQUARE.coefficients(200), FIG2, 12.0, tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (8.0, 10.0, 12.0):
+            G, _ = solver.solve_at(0.5, t)
+            assert abs(G - gf_eval(traj.at(t), 0.5)) <= 1e-8, t
+
+
+def test_offsets_below_the_double_range_are_a_domain_error():
+    # on FIG2 e^L(t), and with it every origin offset, leaves the normal
+    # double range near t = 211; until then G(0.5, t) has settled on G*(0.5)
+    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=250.0)
+    G, _ = solver.solve_at(0.5, 200.0)
+    assert abs(G - steady_from_rates(FIG2)(0.5)) <= 1e-8
+    for query in (solver.solve_at, solver.trace_back):
+        with pytest.raises(DomainError, match="normal double range"):
+            query(0.5, 250.0)
+
+
+def test_segments_start_from_the_previous_step(monkeypatch):
+    # each segment of the march starts from the largest step the previous
+    # one accepted instead of guessing its first step anew, which took
+    # 3,316 evaluations here; the dense (L, psi) flow is not counted
+    nfev = []
+    real = characteristics.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        if not kwargs.get("dense_output"):
+            nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(characteristics, "solve_ivp", counting)
+    solver = CharacteristicSolver(FIG2, h=InitialCondition.geometric(3.0), t_max=5.0)
+    solver.solve_difference_grid(np.linspace(-1, 1, 41), np.linspace(0, 5, 51), steady_from_rates(FIG2))
+    assert len(nfev) == 50 and sum(nfev) <= 3000
 
 
 def test_grid_stats_count_the_transport(monkeypatch):

@@ -316,3 +316,17 @@ def test_mc_names_skipped_processes(tmp_path, capsys):
     assert main(["mc", "--config", ini]) == 0
     line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("skipped"))
     assert line.startswith("skipped placements: ") and "(l_r " in line
+
+
+def test_mc_reports_the_mass_beyond_k_max(tmp_path, capsys):
+    # snapshots drop the degrees beyond [mc] k_max; the largest dropped
+    # share over the sample times is printed, as read from mc.csv's means
+    body = BASE.replace("k_max = 30", "k_max = 4").replace("sample_times = 0.05", "sample_times = 0.05, 0.2")
+    ini, out = _ini(tmp_path, body)
+    assert main(["mc", "--config", ini]) == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("histogram mass"))
+    match = re.fullmatch(r"histogram mass beyond \[mc\] k_max = 4: at most (\S+) over the sample times", line)
+    _, _, rows = _load_csv(out / "mc.csv")
+    dropped = max(1.0 - rows[rows[:, 0] == t, 2].sum() for t in (0.05, 0.2))
+    assert match and dropped > 0.01
+    assert float(match.group(1)) == pytest.approx(dropped, rel=1e-2)
