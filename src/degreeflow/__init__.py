@@ -53,7 +53,6 @@ from .model import (
     RiccatiCoefficients,
     SteadyConstants,
     derive_riccati,
-    evaluate_H,
     steady_constants,
 )
 from .riccati import (
@@ -109,7 +108,6 @@ __all__ = [
     "detect_bend",
     "diff_norms",
     "equilibrium",
-    "evaluate_H",
     "explicit_constants",
     "first_moment",
     "fit_rate",

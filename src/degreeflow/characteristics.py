@@ -294,8 +294,13 @@ class CharacteristicSolver:
         ``init(x0)`` gives the data at the origins, shape (k, n), and
         ``rhs(s, y, w, c, out)`` writes its time derivative into ``out`` at
         time s while the curves sit at 1 + w, with c = coefficients(rates,
-        g(s)).  Returns the data at each pair's own time, shape (k, n), the
-        origins and the solver counts.
+        g(s)).  y and out have shape (k, n_live).  A segment with a single
+        live curve (every segment of a one-point query) passes y and out
+        with shape (k,) and w as a numpy scalar instead, so the rhs runs on
+        np.float64 values: each numpy call on a 1-element array costs about
+        a microsecond, several times its arithmetic, and the rhs makes some
+        twenty of them.  Returns the data at each pair's own time, shape
+        (k, n), the origins and the solver counts.
         """
         if self.h is None:
             raise ValidationError("an initial condition h is required to evaluate G")
@@ -308,13 +313,15 @@ class CharacteristicSolver:
         t_prev, step = 0.0, None  # the next segment's first step, before the cut to its length
         lo = int(np.searchsorted(t, 0.0, side="right"))  # curves at t = 0 keep their data
         for tj in np.unique(t[lo:]).tolist():
+            one = y.shape[1] - lo == 1  # a single live curve runs on numpy scalars
+            shape = (k,) if one else (k, -1)
 
-            def f(s, q, w0=w0[lo:]):
+            def f(s, q, w0=w0[lo] if one else w0[lo:], shape=shape):
                 c = coefficients(rates, float(g(s)))
                 # a fresh array per call: the solver keeps the returned one
                 dq = np.empty_like(q)
                 dq[0], dq[1] = _flow_rate(c, q[1])
-                rhs(s, q[2:].reshape(k, -1), _place(w0, q[0], q[1]), c, dq[2:].reshape(k, -1))
+                rhs(s, q[2:].reshape(shape), _place(w0, q[0], q[1]), c, dq[2:].reshape(shape))
                 return dq
 
             data = y[:, lo:].ravel()
@@ -466,20 +473,24 @@ class CharacteristicSolver:
 def _value_and_slope(spline):
     """(value, slope) lookup of a cubic spline whose breakpoints are uniform.
 
-    One index computation replaces the spline's interval search: i is
-    clipped onto the end intervals, which extend their polynomials outward
-    as the spline itself does, and Horner's rule on the coefficients
-    c[:, i] in powers of r = x - x_i gives the value and the slope (de Boor,
-    A Practical Guide to Splines).
+    One index computation replaces the spline's interval search.  Every x
+    asked for lies at or right of the first breakpoint, so truncating
+    (x - x_0) / h is its floor; i is capped onto the last interval, which
+    extends its polynomial outward as the spline itself does.  Horner's
+    rule on the coefficients of interval i in powers of r = x - x_i gives
+    the value and the slope (de Boor, A Practical Guide to Splines).  The
+    four coefficient rows are kept contiguous and gathered with ``take``;
+    x may be an array or a numpy scalar.
     """
-    knots, coef = spline.x, spline.c
+    knots = spline.x
+    row0, row1, row2, row3 = (np.ascontiguousarray(row) for row in spline.c)
     n = knots.size - 1
     lo, scale = knots[0], n / (knots[-1] - knots[0])
 
     def lookup(x):
-        i = np.clip(np.floor((x - lo) * scale), 0, n - 1).astype(np.intp)
-        r = x - knots[i]
-        c0, c1, c2, c3 = coef[:, i]
+        i = np.minimum(((x - lo) * scale).astype(np.intp), n - 1)
+        r = x - knots.take(i)
+        c0, c1, c2, c3 = row0.take(i), row1.take(i), row2.take(i), row3.take(i)
         return ((c0 * r + c1) * r + c2) * r + c3, (3.0 * c0 * r + 2.0 * c1) * r + c2
 
     return lookup

@@ -11,8 +11,7 @@ only through the first moment g(t) = G_x(1, t).
 
 This module holds the rate container, the reduction of the PDE's moment
 equation to Riccati form, the characteristic coefficients A, B, C and c4,
-the PDE right-hand side functional H, and the constants of the stationary
-equation.
+and the constants of the stationary equation.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "SteadyConstants",
     "coefficients",
     "derive_riccati",
-    "evaluate_H",
     "steady_constants",
 ]
 
@@ -168,32 +166,6 @@ def coefficients(rates: ProcessRates, g: float) -> Coefficients:
         B_g=rates.n_d,
         C_g=rates.omega_r,
     )
-
-
-def evaluate_H(a, b, c, d, rates: ProcessRates, g):
-    """Right-hand side functional of the generating-function PDE.
-
-    Evaluates H(a, b, c, d) where the four slots stand for G_x, G, x and t
-    respectively, so that the PDE reads G_t = H(G_x, G, x, t).  ``g`` is the
-    first-moment trajectory (a callable of time, positive wherever used).
-    Accepts numpy arrays in the first three slots; ``d`` is a scalar time.
-
-    Raises
-    ------
-    DomainError
-        If g(d) is not strictly positive.
-    """
-    gd = float(g(d))
-    if not (gd > 0.0) or not math.isfinite(gd):
-        raise DomainError(f"first moment must be positive, got g({d}) = {gd!r}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    k = coefficients(rates, gd)
-    out = (c - 1.0) * (c * k.A - k.B) * a + ((c - 1.0) * k.C - k.c4) * b + k.c4 * c**rates.m
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def steady_constants(rates: ProcessRates) -> SteadyConstants:

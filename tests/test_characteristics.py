@@ -26,9 +26,10 @@ from degreeflow.config import parse_config
 from degreeflow.degree_ode import gf_eval, integrate
 from degreeflow.errors import DomainError, ValidationError
 from degreeflow.initial import InitialCondition
-from degreeflow.model import ProcessRates, coefficients, derive_riccati, evaluate_H
+from degreeflow.model import ProcessRates, coefficients, derive_riccati
 from degreeflow.riccati import ClosedFormMoment, solve_closed_form
 from degreeflow.steady import steady_from_rates
+from pde_reference import evaluate_H
 
 FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
                     n_d=1, n_r=1, n_p=1, m=3)
@@ -415,9 +416,9 @@ def test_nonpositive_initial_moment_is_a_domain_error(g0):
 
 
 def test_spline_lookup_matches_cubic_spline():
-    # one clipped index replaces the spline's interval search: values and
+    # one truncated index replaces the spline's interval search: values and
     # slopes agree with CubicSpline on random points, on every mesh node and
-    # at both ends of the mesh, where the clip picks the end intervals
+    # at both ends of the mesh, where the cap picks the last interval
     xs = np.linspace(-1.0 - 2e-3, 1.0, 4097)
     spline = CubicSpline(xs, steady_from_rates(FIG2)(xs))
     lookup = characteristics._value_and_slope(spline)
@@ -427,6 +428,59 @@ def test_spline_lookup_matches_cubic_spline():
     np.testing.assert_allclose(value, spline(pts), rtol=0, atol=4 * np.finfo(float).eps)
     np.testing.assert_allclose(slope, spline.derivative()(pts), rtol=8 * np.finfo(float).eps,
                                atol=8 * np.finfo(float).eps)
+
+
+def test_one_curve_on_scalars_matches_the_array_march():
+    # a segment with one live curve hands the rhs numpy scalars; the same
+    # march with the curve as 1-element arrays takes the same steps, and
+    # only the last bit of x ** m may differ between the two
+    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
+    seen = []
+
+    def on_arrays(s, y, w, k, out):
+        seen.append(np.ndim(w))
+        solver._rhs(s, y.reshape(2, -1), np.atleast_1d(w), k, out.reshape(2, -1))
+
+    rng = np.random.default_rng(5)
+    for x, t in zip(rng.uniform(-1.0, 1.0, 10).tolist(), rng.uniform(0.05, 5.0, 10).tolist()):
+        G, Gx = solver.solve_at(x, t)
+        data, _, _ = solver._march(np.array([x]), np.array([t]), 1e-8, solver._initial_data, on_arrays,
+                                   characteristics.RTOL, characteristics.ATOL)
+        assert abs(G - data[1, 0]) <= 1e-12
+        assert abs(Gx - data[0, 0]) <= 1e-12
+    assert set(seen) == {0}
+
+
+def test_one_point_difference_grid_matches_the_wide_grid():
+    # a one-point x grid marches its curve on scalars, through the deviation
+    # rhs and the spline lookup; the wide grid marches the same curve among
+    # twenty others.  Measured: 1.6e-13.
+    steady = steady_from_rates(FIG2)
+    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=0.5)
+    xs, ts = np.linspace(-1, 1, 21), [0.0, 0.5]
+    D = solver.solve_difference_grid(xs, ts, steady)
+    for j in (0, 3, 10, 17, 20):
+        alone = solver.solve_difference_grid(xs[j : j + 1], ts, steady)
+        np.testing.assert_allclose(alone[:, 0], D[:, j], rtol=0, atol=1e-12)
+
+
+def test_single_point_march_keeps_its_rhs_evaluation_count(monkeypatch):
+    # the counts of the march on 1-element arrays, before it ran one curve
+    # on numpy scalars: the scalar rhs must not change the step control
+    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
+    solver.trace_back(0.0, 5.0)  # builds the dense flow first, so only the marches are counted
+    nfev = []
+    real = characteristics.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(characteristics, "solve_ivp", counting)
+    for x, t in [(-0.9, 0.3), (-0.4, 1.7), (0.2, 4.6), (0.7, 0.05), (0.95, 2.5), (1.0, 3.0)]:
+        solver.solve_at(x, t)
+    assert nfev == [218, 398, 494, 50, 230, 242]
 
 
 def test_one_moment_evaluation_per_rhs_call(monkeypatch):

@@ -11,9 +11,9 @@ from degreeflow.model import (
     ProcessRates,
     coefficients,
     derive_riccati,
-    evaluate_H,
     steady_constants,
 )
+from pde_reference import evaluate_H
 
 FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
                     n_d=1, n_r=1, n_p=1, m=3)

@@ -1,6 +1,6 @@
-"""Property tests of the characteristic transport over drawn rate sets.
+"""Property tests of the characteristic transport and the master-equation oracle over drawn rate sets.
 
-Every case either raises a DegreeFlowError or meets the transport's
+Every case either raises a DegreeFlowError or meets the solver's
 invariants.  The draws are derandomized, so the suite sees the same cases
 on every run.
 """
@@ -13,6 +13,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from degreeflow.characteristics import CharacteristicSolver  # noqa: E402
+from degreeflow.degree_ode import integrate  # noqa: E402
 from degreeflow.errors import DegreeFlowError  # noqa: E402
 from degreeflow.initial import InitialCondition  # noqa: E402
 from degreeflow.model import ProcessRates  # noqa: E402
@@ -58,3 +59,25 @@ def test_transport_invariants_or_a_degreeflow_error(case):
     assert np.all(np.abs(origins) <= 1.0)
     np.testing.assert_allclose(G, alone[:, 0], rtol=0, atol=1e-8)
     np.testing.assert_allclose(Gx, alone[:, 1], rtol=1e-7, atol=1e-7)
+
+
+@st.composite
+def _oracle_cases(draw):
+    rates = ProcessRates(**{name: draw(_RATE) for name in _PROCESSES}, m=draw(st.integers(0, 4)))
+    k_max = draw(st.integers(rates.m + 2, 80))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=min(k_max + 1, 8)).filter(lambda w: sum(w) > 0.0))
+    p0 = np.zeros(k_max + 1)
+    p0[: len(weights)] = weights
+    return rates, p0 / p0.sum(), draw(st.floats(0.01, 3.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_oracle_cases())
+def test_oracle_conserves_mass_or_a_degreeflow_error(case):
+    rates, p0, t_end = case
+    try:
+        traj = integrate(p0, rates, t_end)
+    except DegreeFlowError:
+        return
+    assert traj.stats["mass_drift"] <= 1e-6  # integrate's default mass_tol
+    assert np.isfinite(traj.stats["tail_weight"])
