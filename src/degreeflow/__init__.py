@@ -18,13 +18,7 @@ from .analysis import (
     diff_norms,
     fit_rate,
 )
-from .characteristics import (
-    CharacteristicSolver,
-    SolutionField,
-    solve_at,
-    solve_grid,
-    trace_back,
-)
+from .characteristics import CharacteristicSolver, SolutionField, solve_grid
 from .config import ExperimentConfig, parse_config
 from .degree_ode import (
     DistributionTrajectory,
@@ -57,7 +51,6 @@ from .model import (
 )
 from .riccati import (
     ClosedFormMoment,
-    MomentTrajectory,
     equilibrium,
     moment_rhs,
     solve_closed_form,
@@ -87,7 +80,6 @@ __all__ = [
     "FitResult",
     "InitialCondition",
     "IntegrationError",
-    "MomentTrajectory",
     "Network",
     "NoSteadyStateError",
     "ProcessRates",
@@ -118,10 +110,8 @@ __all__ = [
     "parse_config",
     "residual",
     "run",
-    "solve_at",
     "solve_closed_form",
     "solve_grid",
     "steady_constants",
     "steady_from_rates",
-    "trace_back",
 ]

@@ -66,14 +66,7 @@ def diff_norms(field: SolutionField, steady: SteadyState) -> ConvergenceSeries:
     return _reduce_norms(field.x, field.t, field.G - target[None, :])
 
 
-def decay_norms(
-    x_grid,
-    t_grid,
-    rates,
-    h,
-    steady: SteadyState,
-    tol: float = 1e-8,
-) -> ConvergenceSeries:
+def decay_norms(x_grid, t_grid, rates, h, steady: SteadyState) -> ConvergenceSeries:
     """Distance to the stationary profile via the transported deviation field.
 
     Solves for D = G - G* directly along characteristics, so sup and L2
@@ -81,10 +74,12 @@ def decay_norms(
     far below what subtracting two separately computed fields could
     resolve.  This is the right input for decay-law fits over long time
     windows; ``diff_norms`` suffices when only the early transient matters.
+    ``steady`` must be the stationary profile of ``rates``: the deviation
+    transport assumes that it solves their own stationary equation.
     """
     t = np.asarray(t_grid, dtype=float)
-    solver = CharacteristicSolver(rates, h=h, t_max=float(t[-1]) if t.size else 1.0)
-    D = solver.solve_difference_grid(x_grid, t_grid, steady, tol)
+    solver = CharacteristicSolver(rates, h, t_max=float(t[-1]) if t.size else 1.0)
+    D = solver.solve_difference_grid(x_grid, t_grid, steady)
     return _reduce_norms(np.asarray(x_grid, dtype=float), t, D)
 
 

@@ -1,10 +1,11 @@
 """INI experiment configuration: parsing, validation, canonical hashing.
 
 One config file drives every CLI subcommand.  All values have defaults
-except the process rates, so a minimal file is just a [rates] section.  The
-canonical hash covers the fully resolved configuration (after defaults and
-command-line overrides), and is echoed into every output file so that a
-result can always be traced to the exact inputs that produced it.
+except the process rates, so a minimal file is just a [rates] section; an
+unknown section or key is invalid input.  The canonical hash covers the
+fully resolved configuration (after defaults and command-line overrides),
+and is echoed into every output file so that a result can always be traced
+to the exact inputs that produced it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class ExperimentConfig:
     x_points: int = 41
     t_max: float = 1.0
     t_points: int = 11
-    solver_tol: float = 1e-8
     oracle_k_max: int = 200
     oracle_tol: float = 1e-10
     oracle_mass_tol: float = 1e-6
@@ -145,7 +145,6 @@ _KEYS = {
     ("grid", "x_points"): ("x_points", int),
     ("grid", "t_max"): ("t_max", float),
     ("grid", "t_points"): ("t_points", int),
-    ("solver", "tol"): ("solver_tol", float),
     ("oracle", "k_max"): ("oracle_k_max", int),
     ("oracle", "tol"): ("oracle_tol", float),
     ("oracle", "mass_tol"): ("oracle_mass_tol", float),
@@ -178,6 +177,14 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ValidationError(f"malformed config {path!r}: {exc}") from exc
     if not parser.has_section("rates"):
         raise ValidationError("config needs a [rates] section")
+    # a misspelled or removed entry would otherwise be ignored without a word
+    known = {("rates", key) for key in (*_RATE_FIELDS, "m")} | _KEYS.keys()
+    sections = {section for section, _ in known}
+    unknown = [f"[{section}]" for section in parser.sections() if section not in sections]
+    unknown += [f"[{section}] {key}" for section in parser.sections() if section in sections
+                for key in parser.options(section) if (section, key) not in known]
+    if unknown:
+        raise ValidationError(f"unknown config entries: {', '.join(unknown)}")
 
     rates = ProcessRates(**{
         key: _read(parser, "rates", key, int if key == "m" else float)
@@ -207,7 +214,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValidationError("[grid] x_points must be >= 2 and t_points >= 1")
     if cfg.t_max <= 0.0:
         raise ValidationError(f"[grid] t_max must be positive, got {cfg.t_max}")
-    if cfg.solver_tol <= 0.0 or cfg.oracle_tol <= 0.0 or cfg.oracle_mass_tol <= 0.0:
+    if cfg.oracle_tol <= 0.0 or cfg.oracle_mass_tol <= 0.0:
         raise ValidationError("tolerances must be positive")
     if cfg.oracle_k_max < cfg.rates.m + 2:
         raise ValidationError(f"[oracle] k_max must be >= m + 2 = {cfg.rates.m + 2}")

@@ -205,7 +205,9 @@ def integrate(
     absolute tolerance of ``tol * 1e-3``.  Mass drift is sampled on a
     uniform time grid after the solve; drift beyond ``mass_tol`` raises
     TruncationError since it means probability reached the truncation
-    boundary.
+    boundary.  A preferential rate with a nonpositive first moment of p0
+    raises DomainError; a solver trial step that reaches one raises
+    IntegrationError.
     """
     p0 = _coerce(p0)
     if p0.ndim != 1 or not np.all(np.isfinite(p0)):
@@ -218,18 +220,33 @@ def integrate(
         if not (math.isfinite(value) and value > 0.0):
             raise ValidationError(f"{name} must be positive and finite, got {value!r}")
     gen = _Generator(rates, p0.size)
-    sol = solve_ivp(
-        gen.rhs,
-        (0.0, float(t_end)),
-        np.clip(p0, 0.0, None),
-        method="LSODA",
-        jac=gen.jac,
-        lband=1,
-        uband=1,
-        rtol=tol,
-        atol=tol * 1e-3,
-        dense_output=True,
-    )
+    start = np.clip(p0, 0.0, None)
+    gen._moment(start)  # p0's own first moment: nonpositive is a DomainError
+    try:
+        sol = solve_ivp(
+            gen.rhs,
+            (0.0, float(t_end)),
+            start,
+            method="LSODA",
+            jac=gen.jac,
+            lband=1,
+            uband=1,
+            rtol=tol,
+            atol=tol * 1e-3,
+            # LSODA's own first-step estimate breaks down on a span this
+            # short (scipy 1.17 loops forever below about 1e-145); one step
+            # covers it to rounding
+            first_step=float(t_end) if t_end < 1e-100 else None,
+            dense_output=True,
+        )
+    except DomainError as exc:
+        # the exact first moment is the Riccati trajectory from mu(0) > 0 and
+        # stays positive, so a trial iterate got there, with mass piled up
+        # at the truncation
+        raise IntegrationError(
+            f"a trial step reached a nonpositive first moment ({exc}); "
+            f"probability may be reaching the truncation boundary k_max = {p0.size - 1}, raise k_max"
+        ) from exc
     if sol.status != 0:
         raise IntegrationError(f"master-equation integration failed: {sol.message}")
     stats = {"rhs_evals": sol.nfev, "jac_evals": int(sol.njev), "steps": sol.t.size - 1}

@@ -37,7 +37,7 @@ class IntegrationError(DegreeFlowError):
 
 
 class AccuracyError(DegreeFlowError):
-    """A self-check (roundtrip, closure, residual) exceeded its tolerance."""
+    """A traced origin fell below x = -1 by more than the trace's rounding clamp of 1e-6."""
 
 
 class TruncationError(DegreeFlowError):

@@ -18,7 +18,6 @@ from .errors import DomainError, ValidationError
 from .model import RiccatiCoefficients
 
 __all__ = [
-    "MomentTrajectory",
     "ClosedFormMoment",
     "equilibrium",
     "moment_rhs",
@@ -66,27 +65,9 @@ def equilibrium(coeffs: RiccatiCoefficients) -> float:
     return math.inf
 
 
-class MomentTrajectory:
-    """Callable first-moment trajectory with an exact derivative."""
-
-    coeffs: RiccatiCoefficients
-    g0: float
-
-    def __call__(self, t):
-        raise NotImplementedError
-
-    def derivative(self, t):
-        """g'(t), evaluated analytically through the Riccati right-hand side."""
-        return moment_rhs(self.coeffs, self(t))
-
-    @property
-    def equilibrium(self) -> float:
-        return equilibrium(self.coeffs)
-
-
 @dataclass
-class ClosedFormMoment(MomentTrajectory):
-    """g(t) in closed form from g(0) = g0.
+class ClosedFormMoment:
+    """g(t) in closed form from g(0) = g0, with its exact derivative and equilibrium.
 
     Construction checks its inputs, so every trajectory is valid: a g0
     that is not finite and positive raises DomainError, and a negative or
@@ -140,6 +121,14 @@ class ClosedFormMoment(MomentTrajectory):
         else:  # affine: n_d = b = 0
             out = self.g0 + c * t
         return float(out) if out.ndim == 0 else out
+
+    def derivative(self, t):
+        """g'(t), evaluated analytically through the Riccati right-hand side."""
+        return moment_rhs(self.coeffs, self(t))
+
+    @property
+    def equilibrium(self) -> float:
+        return equilibrium(self.coeffs)
 
     def gap(self, t):
         """g(t) - g_inf without subtractive cancellation.

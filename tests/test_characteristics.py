@@ -16,12 +16,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from degreeflow import characteristics
-from degreeflow.characteristics import (
-    CharacteristicSolver,
-    solve_at,
-    solve_grid,
-    trace_back,
-)
+from degreeflow.characteristics import CharacteristicSolver, solve_grid
 from degreeflow.config import parse_config
 from degreeflow.degree_ode import gf_eval, integrate
 from degreeflow.errors import DomainError, ValidationError
@@ -38,6 +33,11 @@ H_SQUARE = InitialCondition.polynomial([0, 0, 1])
 
 def _g(g0=2.0):
     return solve_closed_form(derive_riccati(FIG2), g0)
+
+
+def _solver(t):
+    """A solver for FIG2 and h = x^2 (so g(0) = 2) whose dense flow is first built to max(t)."""
+    return CharacteristicSolver(FIG2, H_SQUARE, t_max=np.max(t, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -85,49 +85,44 @@ def test_char_rhs_reference_point():
 
 
 def test_trace_back_identity_at_zero_time():
-    g = _g()
     for x in (-1.0, -0.3, 0.42, 1.0):
-        assert trace_back(x, 0.0, FIG2, g) == x
+        assert _solver(0.0).trace_back(x, 0.0) == x
 
 
 def test_trace_back_fixes_one():
-    g = _g()
     for t in (0.5, 2.0, 5.0):
-        assert trace_back(1.0, t, FIG2, g) == 1.0
+        assert _solver(t).trace_back(1.0, t) == 1.0
 
 
 def test_trace_back_trapping():
     # origins never escape [-1, 1] up to roundoff
-    g = _g()
     rng = np.random.default_rng(42)
     for _ in range(200):
         x = rng.uniform(-1, 1)
         t = rng.uniform(0.01, 5.0)
-        x0 = trace_back(float(x), float(t), FIG2, g)
+        x0 = _solver(t).trace_back(float(x), float(t))
         assert -1.0 - 1e-9 <= x0 <= 1.0 + 1e-9
 
 
 def test_trace_back_preserves_order():
     # characteristics cannot cross
-    g = _g()
     xs = np.linspace(-1, 1, 21)
     for t in (0.3, 1.7):
-        x0 = np.array([trace_back(float(x), t, FIG2, g) for x in xs])
+        x0 = np.array([_solver(t).trace_back(float(x), t) for x in xs])
         assert np.all(np.diff(x0) > 0)
 
 
 def test_solve_at_normalization_point():
     g = _g()
     for t in (0.2, 0.7, 2.0):
-        G, Gx = solve_at(1.0, t, FIG2, g, H_SQUARE)
+        G, Gx = _solver(t).solve_at(1.0, t)
         assert G == 1.0
         assert Gx == pytest.approx(g(t), abs=1e-9)
 
 
 def test_solve_at_zero_time_returns_initial_data():
-    g = _g()
     for x in (-0.8, 0.1, 0.9):
-        G, Gx = solve_at(x, 0.0, FIG2, g, H_SQUARE)
+        G, Gx = _solver(0.0).solve_at(x, 0.0)
         assert G == pytest.approx(x * x, abs=1e-10)
         assert Gx == pytest.approx(2 * x, abs=1e-10)
 
@@ -156,11 +151,11 @@ def test_against_literal_forward_integration():
 
     for x_target in (-0.8, -0.3, 0.4, 0.9):
         for t_end in (0.3, 1.0):
-            x0 = trace_back(x_target, t_end, FIG2, g, tol=1e-10)
+            x0 = _solver(t_end).trace_back(x_target, t_end)
             x_bar, p1_bar, _, z_bar = forward(x0, t_end)
             # raw-route roundtrip lands back on the target
             assert x_bar == pytest.approx(x_target, abs=1e-7)
-            G, Gx = solve_at(float(x_bar), t_end, FIG2, g, H_SQUARE, tol=1e-10)
+            G, Gx = _solver(t_end).solve_at(float(x_bar), t_end)
             assert G == pytest.approx(z_bar, abs=1e-7)
             assert Gx == pytest.approx(p1_bar, abs=1e-6)
 
@@ -217,7 +212,7 @@ def test_grid_validation():
             solver.solve_difference_grid(xs, bad_ts, steady)
     for x, t in ((1.5, 0.5), (0.0, -0.5)):
         with pytest.raises(ValidationError):
-            solve_at(x, t, FIG2, _g(), H_SQUARE)
+            _solver(t).solve_at(x, t)
 
 
 def test_single_pass_rows_match_separate_solves():
@@ -347,7 +342,6 @@ def test_grid_stats_count_the_transport(monkeypatch):
 
     monkeypatch.setattr(characteristics, "solve_ivp", counting)
     field = solve_grid(np.linspace(-1, 1, 11), np.linspace(0, 1, 6), FIG2, H_SQUARE)
-    margin = field.stats.pop("roundtrip_margin")
     assert field.stats == {
         "rhs_evals": sum(sol.nfev for sol in calls),
         "steps": sum(sol.t.size - 1 for sol in calls),
@@ -355,8 +349,6 @@ def test_grid_stats_count_the_transport(monkeypatch):
         "flow_rhs_evals": flows[0].nfev,
     }
     assert len(calls) == 5 and len(flows) == 1
-    # the worst traced point's roundtrip error against its allowance
-    assert 0.0 < margin <= 1.0
 
 
 def test_batched_points_match_per_point_queries(monkeypatch):
@@ -401,18 +393,29 @@ def test_point_validation():
             with pytest.raises(ValidationError):
                 query(x, t)
     with pytest.raises(ValidationError):
-        solve_at([0.1, 0.2], [0.5], FIG2, _g(), H_SQUARE)
+        _solver([0.5]).solve_at([0.1, 0.2], [0.5])
     with pytest.raises(ValidationError):
-        trace_back([0.1, 0.2], [0.5, -1.0], FIG2, _g())
+        _solver([0.5, -1.0]).trace_back([0.1, 0.2], [0.5, -1.0])
+
+
+def test_an_initial_condition_is_required():
+    # g is always built from h'(1); a caller's trajectory in h's place, as
+    # in the removed (rates, g) call, or no h at all is invalid input
+    for h in (_g(), None, 2.0):
+        with pytest.raises(ValidationError, match="InitialCondition"):
+            CharacteristicSolver(FIG2, h)
 
 
 @pytest.mark.parametrize("g0", [0.0, -1.0, math.nan])
 def test_nonpositive_initial_moment_is_a_domain_error(g0):
     # a trajectory built directly is checked as solve_closed_form checks
-    # it; unchecked, g0 = 0 divided by zero inside the dense flow
+    # it; unchecked, g0 = 0 divided by zero inside the dense flow.  The
+    # solver builds its g from h'(1), so h = 1 (everything at degree 0)
+    # reaches the same check.
     with pytest.raises(DomainError):
-        g = ClosedFormMoment(derive_riccati(FIG2), g0)
-        CharacteristicSolver(FIG2, g=g, h=H_SQUARE).solve_at(0.3, 0.5)
+        ClosedFormMoment(derive_riccati(FIG2), g0)
+    with pytest.raises(DomainError):
+        CharacteristicSolver(FIG2, InitialCondition.polynomial([1.0])).solve_at(0.3, 0.5)
 
 
 def test_spline_lookup_matches_cubic_spline():
@@ -444,7 +447,7 @@ def test_one_curve_on_scalars_matches_the_array_march():
     rng = np.random.default_rng(5)
     for x, t in zip(rng.uniform(-1.0, 1.0, 10).tolist(), rng.uniform(0.05, 5.0, 10).tolist()):
         G, Gx = solver.solve_at(x, t)
-        data, _, _ = solver._march(np.array([x]), np.array([t]), 1e-8, solver._initial_data, on_arrays,
+        data, _, _ = solver._march(np.array([x]), np.array([t]), solver._initial_data, on_arrays,
                                    characteristics.RTOL, characteristics.ATOL)
         assert abs(G - data[1, 0]) <= 1e-12
         assert abs(Gx - data[0, 0]) <= 1e-12
@@ -502,5 +505,5 @@ def test_one_moment_evaluation_per_rhs_call(monkeypatch):
 
     monkeypatch.setattr(characteristics, "solve_ivp", counting_ivp)
     monkeypatch.setattr(ClosedFormMoment, "__call__", counting_call)
-    solve_grid(cfg.x_grid(), cfg.t_grid(), cfg.rates, cfg.initial(), cfg.solver_tol)
+    solve_grid(cfg.x_grid(), cfg.t_grid(), cfg.rates, cfg.initial())
     assert 0 < calls[0] <= sum(nfev) + 1

@@ -12,7 +12,7 @@ from degreeflow.degree_ode import (
     integrate,
     master_rhs,
 )
-from degreeflow.errors import DomainError, TruncationError, ValidationError
+from degreeflow.errors import DomainError, IntegrationError, TruncationError, ValidationError
 from degreeflow.initial import InitialCondition
 from degreeflow.model import ProcessRates, derive_riccati
 from degreeflow.riccati import solve_closed_form
@@ -194,6 +194,14 @@ def test_preferential_attachment_needs_positive_moment():
     p0[0] = 1.0
     with pytest.raises(DomainError):
         integrate(p0, ProcessRates(l_p=1.0), 0.5)
+
+
+def test_a_trial_step_at_a_nonpositive_moment_is_an_integration_error():
+    # p0's first moment is positive and the exact one grows (mu' = 2 l_p);
+    # only an LSODA trial iterate reaches mu <= 0, once mass piles up at
+    # k_max, which is the truncation's fault, not the input's
+    with pytest.raises(IntegrationError, match="raise k_max"):
+        integrate(np.array([1.0, 1e-280, 0.0]), ProcessRates(l_p=1.0), 1.0)
 
 
 def test_gf_eval_and_moment():

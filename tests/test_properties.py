@@ -1,9 +1,11 @@
-"""Property tests of the characteristic transport and the master-equation oracle over drawn rate sets.
+"""Property tests of the characteristic transport, the master-equation oracle and the CLI over drawn inputs.
 
 Every case either raises a DegreeFlowError or meets the solver's
-invariants.  The draws are derandomized, so the suite sees the same cases
-on every run.
+invariants, and every CLI run ends in a documented exit code.  The draws
+are derandomized, so the suite sees the same cases on every run.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from degreeflow.characteristics import CharacteristicSolver  # noqa: E402
+from degreeflow.cli import main  # noqa: E402
 from degreeflow.degree_ode import integrate  # noqa: E402
 from degreeflow.errors import DegreeFlowError  # noqa: E402
 from degreeflow.initial import InitialCondition  # noqa: E402
@@ -81,3 +84,72 @@ def test_oracle_conserves_mass_or_a_degreeflow_error(case):
         return
     assert traj.stats["mass_drift"] <= 1e-6  # integrate's default mass_tol
     assert np.isfinite(traj.stats["tail_weight"])
+
+
+# for the invalid inputs, so that most runs get past parsing; hypothesis
+# favours the ends of a range, so the rare value sits inside it
+_RARELY = st.integers(0, 9).map(lambda i: i == 7)
+
+
+@st.composite
+def _cli_cases(draw):
+    """A small experiment file, without its [output] section, and command-line overrides."""
+    m = draw(st.integers(0, 4))
+    kind = "delta" if draw(_RARELY) else draw(st.sampled_from(("polynomial", "geometric", "explicit")))
+    lines = ["[rates]", *(f"{name} = {draw(_RATE)!r}" for name in _PROCESSES), f"m = {m}",
+             "[initial]", f"kind = {kind}"]
+    rho = draw(st.floats(1.2, 6.0))
+    if kind == "geometric":
+        lines.append(f"rho = {rho!r}")
+    else:
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(lambda w: sum(w) > 0.0)))
+        a = draw(st.floats(0.05, 1.0)) if kind == "explicit" else 0.0
+        tail = a * rho ** (1 - w.size) / (rho - 1.0)  # the mass of a rho^-k over k >= len(w)
+        if tail >= 1.0:
+            a = tail = 0.0
+        lines.append("coeffs = " + ", ".join(repr(float(v)) for v in (1.0 - tail) * w / w.sum()))
+        if a:
+            lines += [f"rho = {rho!r}", f"a = {a!r}"]
+    k_max = draw(st.integers(m + 2, 40))
+    times = sorted(set(draw(st.lists(st.floats(0.0, 0.2), min_size=1, max_size=3))))
+    graph = draw(st.sampled_from(("regular", "erdos")))
+    lines += ["[grid]", f"x_min = {draw(st.sampled_from((-1.0, -0.5, 0.0)))!r}",
+              f"x_max = {draw(st.sampled_from((0.5, 1.0)))!r}", f"x_points = {draw(st.integers(2, 7))}",
+              f"t_max = {draw(st.floats(0.1, 3.0))!r}", f"t_points = {draw(st.integers(1, 5))}",
+              "[oracle]", f"k_max = {k_max}",
+              "[mc]", f"nodes = {draw(st.integers(5, 40))}", f"replicas = {draw(st.integers(1, 2))}",
+              f"seed = {draw(st.integers(0, 1000))}", f"graph = {graph}",
+              f"graph_degree = {draw(st.sampled_from((2.0, 4.0)) if graph == 'regular' else st.floats(1.0, 4.0))!r}", f"k_max = {draw(st.integers(2, k_max))}",
+              "sample_times = " + ", ".join(repr(v) for v in times),
+              "[analysis]", f"fit_t_min = {draw(st.sampled_from((0.1, 1.0)))!r}"]
+    if draw(_RARELY):
+        lines += draw(st.sampled_from((["bend = 0.1"], ["[solver]", "tol = 1e-8"])))  # [analysis] bend, [solver]
+    args = []
+    if draw(st.booleans()):
+        args += ["--seed", str(draw(st.integers(-2, 50)))]
+    if draw(_RARELY):
+        args += ["--kmax", str(draw(st.integers(1, 40)))]
+    if draw(_RARELY):
+        args += ["--constants", draw(st.sampled_from(("2,1,1,2,3", "1,2,3", "2,1,1,nan,3", "0.5,0.2,1,1,2")))]
+    if draw(_RARELY):
+        args += ["--tol", "1e-8"]
+    return "\n".join(lines) + "\n", args
+
+
+# 12 draws take about 2 s.  The derandomized draws from 15 on include a
+# rate set with c1 = c2, whose series-seeded stationary profile alone takes
+# 12-15 s per run (DOP853 on a stiff irregular singular point at x = 1).
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(_cli_cases())
+# found by this test, unrandomized: the mc reference to a sample time of
+# 2.5e-165 never returned, since LSODA looped on so short a span
+@example(("[rates]\nl_r = 1\n[initial]\ncoeffs = 0, 0, 1\n[grid]\nx_points = 2\nt_points = 1\n"
+          "[mc]\nnodes = 10\nreplicas = 1\nsample_times = 2.5e-165\nk_max = 10\n", []))
+def test_cli_exits_with_a_documented_code(case):
+    body, args = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/exp.ini"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(body + f"[output]\ndir = {tmp}/out\n")
+        for command in ("solve", "steady", "ode", "mc", "compare"):
+            assert main([command, "--config", path, *args]) in (0, 1, 2, 3)
