@@ -180,7 +180,7 @@ class CharacteristicSolver:
             self._horizon = max(self._horizon, t, 1e-9)
             rates, g = self.rates, self.g
             sol = solve_ivp(
-                lambda s, y: _flow_rate(coefficients(rates, float(g(s))), y[1]),
+                lambda s, y: _flow_rate(coefficients(rates, g(s)), y[1]),
                 (0.0, self._horizon),
                 [0.0, 0.0],
                 method="DOP853",
@@ -268,15 +268,17 @@ class CharacteristicSolver:
         length, instead of guessing a first step anew.
 
         ``init(x0)`` gives the data at the origins, shape (k, n), and
-        ``rhs(s, y, w, c, out)`` writes its time derivative into ``out`` at
+        ``rhs(s, y, w, c)`` returns the k rows of their time derivative at
         time s while the curves sit at 1 + w, with c = coefficients(rates,
-        g(s)).  y and out have shape (k, n_live).  A segment with a single
-        live curve (every segment of a one-point query) passes y and out
-        with shape (k,) and w as a numpy scalar instead, so the rhs runs on
-        np.float64 values: each numpy call on a 1-element array costs about
-        a microsecond, several times its arithmetic, and the rhs makes some
-        twenty of them.  Returns the data at each pair's own time, shape
-        (k, n), the origins and the solver counts.
+        g(s)).  y has shape (k, n_live) and w shape (n_live,).  A segment
+        with a single live curve (every segment of a one-point query) runs
+        its whole right-hand side on Python floats instead: y is a list of
+        k floats, w a float and the rhs returns k floats, while g evaluates
+        the float s with ``math`` on both paths.  Each numpy call on a
+        1-element array or a numpy scalar costs about a microsecond, several
+        times its arithmetic, and one evaluation made some twenty of them.
+        The rhs is written once for both.  Returns the data at each pair's
+        own time, shape (k, n), the origins and the solver counts.
         """
         rates, g = self.rates, self.g
         origins, w0 = self._trace_back_many(x, t)
@@ -287,16 +289,21 @@ class CharacteristicSolver:
         t_prev, step = 0.0, None  # the next segment's first step, before the cut to its length
         lo = int(np.searchsorted(t, 0.0, side="right"))  # curves at t = 0 keep their data
         for tj in np.unique(t[lo:]).tolist():
-            one = y.shape[1] - lo == 1  # a single live curve runs on numpy scalars
-            shape = (k,) if one else (k, -1)
+            # the solver keeps each returned array, so both build a fresh one
+            if y.shape[1] - lo == 1:  # a single live curve runs on Python floats
 
-            def f(s, q, w0=w0[lo] if one else w0[lo:], shape=shape):
-                c = coefficients(rates, float(g(s)))
-                # a fresh array per call: the solver keeps the returned one
-                dq = np.empty_like(q)
-                dq[0], dq[1] = _flow_rate(c, q[1])
-                rhs(s, q[2:].reshape(shape), _place(w0, q[0], q[1]), c, dq[2:].reshape(shape))
-                return dq
+                def f(s, q, w0=float(w0[lo])):
+                    L, psi, *data = q.tolist()
+                    c = coefficients(rates, g(s))
+                    return np.array([*_flow_rate(c, psi), *rhs(s, data, _place(w0, L, psi), c)])
+
+            else:
+
+                def f(s, q, w0=w0[lo:]):
+                    L, psi = q[:2].tolist()
+                    c = coefficients(rates, g(s))
+                    rows = rhs(s, q[2:].reshape(k, -1), _place(w0, L, psi), c)
+                    return np.concatenate((_flow_rate(c, psi), *rows))
 
             data = y[:, lo:].ravel()
             sol = solve_ivp(
@@ -331,8 +338,10 @@ class CharacteristicSolver:
         """(p1, z) = (h', h) at the origins x0."""
         return np.array([self.h.derivative(x0), self.h(x0)], dtype=float)
 
-    def _rhs(self, s: float, y: np.ndarray, w: np.ndarray, k, out: np.ndarray) -> None:
-        """d(p1, z)/dt along the curves at x = 1 + w into out; k holds the coefficients at g(s).
+    def _rhs(self, s: float, y, w, k):
+        """d(p1, z)/dt along the curves at x = 1 + w; k holds the coefficients at g(s).
+
+        y holds the rows (p1, z), of floats or of arrays like w.
 
         z' = hb z + c4 x^m is G's own equation along a curve, hb = w C - c4;
         p1' is its x-derivative, fed by z.  At w = 0, hb z + c4 is exactly
@@ -343,8 +352,7 @@ class CharacteristicSolver:
         x = 1.0 + w
         hb = w * k.C - k.c4
         src = m * k.c4 * x ** (m - 1) if m > 0 else 0.0
-        out[0] = (2.0 * k.A * x - k.A - k.B + hb) * p1 + k.C * z + src
-        out[1] = hb * z + k.c4 * x**m
+        return (2.0 * k.A * x - k.A - k.B + hb) * p1 + k.C * z + src, hb * z + k.c4 * x**m
 
     def solve_at(self, x_bar, t_bar):
         """(G, G_x) at the point (x_bar, t_bar).
@@ -424,15 +432,16 @@ class CharacteristicSolver:
         xs_tab = np.linspace(-1.0 - 2e-3, 1.0, 4097)
         lookup = _value_and_slope(CubicSpline(xs_tab, np.asarray(steady(xs_tab), dtype=float)))
 
-        def rhs(s, d, w, k, out):
-            gap = float(g.gap(s))
+        def rhs(s, y, w, k):
+            (d,) = y
+            gap = g.gap(s)
             # A is linear in 1/g, so A(g) - A(g_inf) = A_g(g) g gap / g_inf
             # with g = g_inf + gap; A_g vanishes whenever g_inf does.
             dA = k.A_g * (g_inf + gap) * gap / g_inf if k.A_g else 0.0
             xp = 1.0 + w
             gs, gsx = lookup(xp)
             src = w * ((dA * xp - k.B_g * gap) * gsx + k.C_g * gap * gs)
-            out[:] = (w * k.C - k.c4) * d + src
+            return ((w * k.C - k.c4) * d + src,)
 
         active = x != 1.0
         xs = x[active]
@@ -452,7 +461,7 @@ def _value_and_slope(spline):
     rule on the coefficients of interval i in powers of r = x - x_i gives
     the value and the slope (de Boor, A Practical Guide to Splines).  The
     four coefficient rows are kept contiguous and gathered with ``take``;
-    x may be an array or a numpy scalar.
+    x may be an array or a float.
     """
     knots = spline.x
     row0, row1, row2, row3 = (np.ascontiguousarray(row) for row in spline.c)
@@ -460,7 +469,9 @@ def _value_and_slope(spline):
     lo, scale = knots[0], n / (knots[-1] - knots[0])
 
     def lookup(x):
-        i = np.minimum(((x - lo) * scale).astype(np.intp), n - 1)
+        # capping before truncating gives the same i, and np.minimum turns
+        # a float into a numpy scalar that has astype
+        i = np.minimum((x - lo) * scale, n - 1).astype(np.intp)
         r = x - knots.take(i)
         c0, c1, c2, c3 = row0.take(i), row1.take(i), row2.take(i), row3.take(i)
         return ((c0 * r + c1) * r + c2) * r + c3, (3.0 * c0 * r + 2.0 * c1) * r + c2

@@ -60,6 +60,18 @@ def _steady_state(cfg: ExperimentConfig):
     return state, constants
 
 
+def _oracle_start(cfg: ExperimentConfig, h) -> np.ndarray:
+    """[initial]'s degree probabilities up to [oracle] k_max, which must hold all its mass but 1e-9."""
+    p0 = h.coefficients(cfg.oracle_k_max)
+    lost = 1.0 - float(p0.sum())
+    if lost > 1e-9:
+        raise ValidationError(
+            f"[initial] loses {lost:.3g} of its mass beyond [oracle] k_max = {cfg.oracle_k_max}; "
+            "raise [oracle] k_max"
+        )
+    return p0
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -122,8 +134,7 @@ def cmd_steady(cfg: ExperimentConfig) -> int:
 
 def cmd_ode(cfg: ExperimentConfig) -> int:
     h = cfg.initial()
-    p0 = h.coefficients(cfg.oracle_k_max)
-    traj = integrate(p0, cfg.rates, cfg.t_max, cfg.oracle_tol, cfg.oracle_mass_tol)
+    traj = integrate(_oracle_start(cfg, h), cfg.rates, cfg.t_max, cfg.oracle_tol, cfg.oracle_mass_tol)
     t = cfg.t_grid()
     out = _outdir(cfg)
     rows = (
@@ -269,7 +280,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     report["bend_time"] = bend
     print(f"sup-norm maximizer bend: {bend}")
     try:
-        traj = integrate(h.coefficients(cfg.oracle_k_max), cfg.rates, cfg.t_max, cfg.oracle_tol, cfg.oracle_mass_tol)
+        traj = integrate(_oracle_start(cfg, h), cfg.rates, cfg.t_max, cfg.oracle_tol, cfg.oracle_mass_tol)
         dev = 0.0
         for j, tj in enumerate(t):
             ref = gf_eval(traj.at(float(tj)), x)

@@ -157,14 +157,16 @@ def coefficients(rates: ProcessRates, g: float) -> Coefficients:
         A, A_g = rates.omega_p + wsum / g, -wsum / g**2
     else:
         raise DomainError(f"first moment g = {g!r} is too small for the wsum / g term of A")
+    # positional: keywords double the cost, and the transport calls this
+    # once per right-hand-side evaluation
     return Coefficients(
-        A=A,
-        B=rates.omega_r + rates.omega_p + rates.l_d + rates.n_d * g,
-        C=rates.omega_r * g + 2.0 * rates.l_r + rates.m * rates.n_r,
-        c4=rates.n_r + rates.n_p,
-        A_g=A_g,
-        B_g=rates.n_d,
-        C_g=rates.omega_r,
+        A,
+        rates.omega_r + rates.omega_p + rates.l_d + rates.n_d * g,  # B
+        rates.omega_r * g + 2.0 * rates.l_r + rates.m * rates.n_r,  # C
+        rates.n_r + rates.n_p,  # c4
+        A_g,
+        rates.n_d,  # B_g
+        rates.omega_r,  # C_g
     )
 
 

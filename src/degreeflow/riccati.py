@@ -65,6 +65,18 @@ def equilibrium(coeffs: RiccatiCoefficients) -> float:
     return math.inf
 
 
+def _with_exp(t):
+    """(t, exp): a float t as a Python float with math.exp, anything else as a float array with np.exp."""
+    if isinstance(t, float):
+        return float(t), math.exp
+    return np.asarray(t, dtype=float), np.exp
+
+
+def _scalar_or_array(out):
+    """A float for a Python float or a 0-d array, else the array itself."""
+    return out if type(out) is float or out.ndim else float(out)
+
+
 @dataclass
 class ClosedFormMoment:
     """g(t) in closed form from g(0) = g0, with its exact derivative and equilibrium.
@@ -107,20 +119,27 @@ class ClosedFormMoment:
             self._branch = "affine"
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+        """g(t): a float for a float t, else an array (a float when t is 0-d).
+
+        A float t, np.float64 included, is evaluated on Python floats with
+        ``math.exp``: the transport calls g once per right-hand-side
+        evaluation, and numpy costs about a microsecond per call on a 0-d
+        array.  The last bit may differ from the array path.
+        """
+        t, exp = _with_exp(t)
         n_d, b, c = self.coeffs.n_d, self.coeffs.b, self.coeffs.c
         if self._branch == "constant":
             out = np.full_like(t, self.g0, dtype=float)
         elif self._branch == "double_root":
             out = self.g0 / (1.0 + n_d * self.g0 * t)
         elif self._branch == "logistic":
-            decay = self._K * np.exp(-self._sigma * t)
+            decay = self._K * exp(-self._sigma * t)
             out = (self._r_plus - self._r_minus * decay) / (1.0 - decay)
         elif self._branch == "linear_decay":
-            out = c / b + (self.g0 - c / b) * np.exp(-b * t)
+            out = c / b + (self.g0 - c / b) * exp(-b * t)
         else:  # affine: n_d = b = 0
             out = self.g0 + c * t
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def derivative(self, t):
         """g'(t), evaluated analytically through the Riccati right-hand side."""
@@ -136,20 +155,20 @@ class ClosedFormMoment:
         Each branch has an explicit expression for the gap, so the result
         keeps full relative accuracy even when it is exponentially small.
         """
-        t = np.asarray(t, dtype=float)
+        t, exp = _with_exp(t)
         n_d, b, c = self.coeffs.n_d, self.coeffs.b, self.coeffs.c
         if self._branch == "constant":
             out = np.full_like(t, self.g0 - self._r_plus, dtype=float)
         elif self._branch == "double_root":
             out = self.g0 / (1.0 + n_d * self.g0 * t)
         elif self._branch == "logistic":
-            decay = self._K * np.exp(-self._sigma * t)
+            decay = self._K * exp(-self._sigma * t)
             out = (self._r_plus - self._r_minus) * decay / (1.0 - decay)
         elif self._branch == "linear_decay":
-            out = (self.g0 - c / b) * np.exp(-b * t)
+            out = (self.g0 - c / b) * exp(-b * t)
         else:  # affine: diverges
             raise DomainError("first moment has no finite equilibrium")
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 def solve_closed_form(coeffs: RiccatiCoefficients, g0: float) -> ClosedFormMoment:

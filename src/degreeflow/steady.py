@@ -378,6 +378,9 @@ def _series_seeded(case: SteadyCase) -> SteadyState:
     Seeds the analytic branch at x = 1 - _SEED_EPS with its quadratic
     expansion and integrates the explicit ODE backward to _X_LOW.  Backward
     integration is stable here: the homogeneous modes decay away from 1.
+    When c1 = c2, c1 x - c2 = c1 (x - 1) makes x = 1 a double root, an
+    irregular singular point where the equation is stiff, so LSODA
+    integrates it; an explicit DOP853 needs about a million rhs evaluations.
     """
     c1, c2, c3, c4, m = _unpack(case.constants)
     seed = _regular_slope(c1, c2, c3, c4, m)
@@ -397,7 +400,7 @@ def _series_seeded(case: SteadyCase) -> SteadyState:
         rhs,
         (x_seed, _X_LOW),
         [g_seed],
-        method="DOP853",
+        method="LSODA" if _near_zero(c1 - c2, max(c1, c2)) else "DOP853",
         rtol=1e-12,
         atol=1e-14,
         dense_output=True,

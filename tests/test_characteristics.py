@@ -434,15 +434,15 @@ def test_spline_lookup_matches_cubic_spline():
 
 
 def test_one_curve_on_scalars_matches_the_array_march():
-    # a segment with one live curve hands the rhs numpy scalars; the same
+    # a segment with one live curve hands the rhs Python floats; the same
     # march with the curve as 1-element arrays takes the same steps, and
     # only the last bit of x ** m may differ between the two
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
     seen = []
 
-    def on_arrays(s, y, w, k, out):
+    def on_arrays(s, y, w, k):
         seen.append(np.ndim(w))
-        solver._rhs(s, y.reshape(2, -1), np.atleast_1d(w), k, out.reshape(2, -1))
+        return np.ravel(solver._rhs(s, np.reshape(y, (2, -1)), np.atleast_1d(w), k))
 
     rng = np.random.default_rng(5)
     for x, t in zip(rng.uniform(-1.0, 1.0, 10).tolist(), rng.uniform(0.05, 5.0, 10).tolist()):

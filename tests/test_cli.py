@@ -169,6 +169,20 @@ def test_ode_moment_columns(tmp_path, capsys):
     assert dist_rows.shape[1] == 3
 
 
+def test_initial_truncated_at_the_oracle_k_max_is_invalid_input(tmp_path, capsys):
+    # a geometric [initial] with rho = 1.2 keeps 2.2e-2 of its mass beyond
+    # [oracle] k_max = 20: the oracle cannot start from it, and the message
+    # names [initial], the lost mass and the key to raise
+    body = BASE.replace("kind = polynomial\ncoeffs = 0, 0, 1", "kind = geometric\nrho = 1.2")
+    ini, out = _ini(tmp_path, body + "\n[oracle]\nk_max = 20\n")
+    message = "[initial] loses 0.0217 of its mass beyond [oracle] k_max = 20; raise [oracle] k_max"
+    assert main(["ode", "--config", ini]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # compare reports its oracle as unavailable and still writes its norms
+    assert main(["compare", "--config", ini]) == 0
+    assert json.loads((out / "fit.json").read_text())["oracle_error"] == message
+
+
 def test_mc_is_byte_reproducible(tmp_path):
     ini, _ = _ini(tmp_path)
     a = tmp_path / "ra"

@@ -79,6 +79,36 @@ def test_constant_branch():
     assert g(10.0) == 1.25
 
 
+# one trajectory per branch of ClosedFormMoment
+BRANCHES = {
+    "constant": (derive_riccati(FIG2), (-3.0 + math.sqrt(65.0)) / 2.0),
+    "double_root": (RiccatiCoefficients(n_d=1.0, b=0.0, c=0.0), 1.5),
+    "logistic": (derive_riccati(FIG2), 2.0),
+    "linear_decay": (RiccatiCoefficients(n_d=0.0, b=1.0, c=2.0), 5.0),
+    "affine": (RiccatiCoefficients(n_d=0.0, b=0.0, c=2.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_float_argument_matches_the_array_path(branch):
+    # a float t (np.float64 included) is evaluated with math and gives a
+    # float; math.exp and np.exp may differ in the last bit, which the gap
+    # carries through a product and a quotient (3 ulp seen on a fine t grid)
+    g = solve_closed_form(*BRANCHES[branch])
+    assert g._branch == branch
+    for t in (0.0, 0.3, 5.0, 50.0):
+        on_array = float(g(np.array(t)))
+        on_gap_array = float(g.gap(np.array(t))) if branch != "affine" else None
+        for arg in (t, np.float64(t)):
+            value = g(arg)
+            assert type(value) is float
+            assert abs(value - on_array) <= 2 * math.ulp(on_array)
+            if on_gap_array is not None:
+                gap = g.gap(arg)
+                assert type(gap) is float
+                assert abs(gap - on_gap_array) <= 4 * math.ulp(on_gap_array)
+
+
 def test_rejects_nonpositive_start():
     co = derive_riccati(FIG2)
     for g0 in (0.0, -1.0):

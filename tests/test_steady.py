@@ -1,5 +1,6 @@
 """Stationary profiles: classification, construction, and certification."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -102,6 +103,23 @@ def test_series_seeded_from_rates():
     xs = np.linspace(-1, 1, 41)
     vals = st(xs)
     assert np.all(np.abs(vals) <= 1.0 + 1e-9)
+
+
+def test_double_root_at_one_is_built_in_under_a_second():
+    # c1 = c2 makes x = 1 a double root of c1 x - c2, an irregular singular
+    # point where the backward integration is stiff: DOP853 took 14 s on
+    # these rates, LSODA about 0.02 s
+    r = ProcessRates(omega_p=0.5055492059996985, n_r=1.9330585886194032, m=2)
+    c = steady_constants(r)
+    assert c.c1 == c.c2
+    start = time.perf_counter()
+    st = steady_from_rates(r)
+    assert time.perf_counter() - start < 1.0
+    assert st.case.tag is SteadyCaseTag.SERIES_SEEDED
+    assert st.certified
+    # the slope at 1 is the stationary mean degree
+    assert st.slope_at_one == pytest.approx(c.g_inf, rel=1e-12)
+    assert np.all(np.abs(st(np.linspace(-1, 1, 41))) <= 1.0 + 1e-9)
 
 
 def test_series_seeded_second_rate_set():
