@@ -25,7 +25,7 @@ from .config import ExperimentConfig, _parse_constants, parse_config
 from .degree_ode import gf_eval, integrate
 from .errors import DegreeFlowError, DomainError, NoSteadyStateError, ValidationError
 from .graphsim import SimConfig, run
-from .model import _RATE_FIELDS, Degeneracy, derive_riccati, steady_constants
+from .model import _RATE_FIELDS, Degeneracy, derive_riccati
 from .riccati import solve_closed_form
 from .steady import _away_from_singular, construct, explicit_constants, residual, steady_from_rates
 
@@ -34,42 +34,47 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows, cfg_hash: str) -> None:
+def _write_csv(cfg: ExperimentConfig, name: str, header: list[str], rows) -> Path:
+    """Write ``name`` into [output] dir, creating it, under the config hash; returns its path."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
+        fh.write(f"# config_hash={cfg.hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _outdir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return path
 
 
 def _steady_state(cfg: ExperimentConfig):
-    """(state, constants-or-None) honoring an explicit constants override."""
+    """The stationary profile of [steady] constants when given, else of the rates."""
     if cfg.steady_constants is not None:
-        constants = explicit_constants(*cfg.steady_constants)
-        return construct(constants, anchor=cfg.steady_anchor), constants
-    state = steady_from_rates(cfg.rates, anchor=cfg.steady_anchor)
-    constants = steady_constants(cfg.rates)
-    if constants.degeneracy is not Degeneracy.REGULAR:
-        constants = None
-    return state, constants
+        return construct(explicit_constants(*cfg.steady_constants))
+    return steady_from_rates(cfg.rates)
 
 
-def _oracle_start(cfg: ExperimentConfig, h) -> np.ndarray:
-    """[initial]'s degree probabilities up to [oracle] k_max, which must hold all its mass but 1e-9."""
-    p0 = h.coefficients(cfg.oracle_k_max)
+def _oracle(cfg: ExperimentConfig, t_end: float, histogram=None):
+    """The master-equation reference on [0, t_end], or None when t_end is 0.
+
+    It starts from [initial], or from ``histogram``, the ensemble's t = 0
+    degree histogram up to [mc] k_max.  Either start must hold all of its
+    mass but 1e-9 within its truncation: the mass beyond it has no place in
+    the reference.
+    """
+    if histogram is None:
+        p0 = cfg.initial().coefficients(cfg.oracle_k_max)
+        source, beyond = "[initial]", f"[oracle] k_max = {cfg.oracle_k_max}; raise [oracle] k_max"
+    else:
+        p0 = np.zeros(cfg.oracle_k_max + 1)
+        p0[: histogram.size] = histogram
+        source, beyond = "the t = 0 histogram", f"[mc] k_max = {cfg.mc_k_max}; raise k_max"
     lost = 1.0 - float(p0.sum())
     if lost > 1e-9:
-        raise ValidationError(
-            f"[initial] loses {lost:.3g} of its mass beyond [oracle] k_max = {cfg.oracle_k_max}; "
-            "raise [oracle] k_max"
-        )
-    return p0
+        raise ValidationError(f"{source} loses {lost:.3g} of its mass beyond {beyond}")
+    if t_end == 0.0:
+        return None
+    return integrate(p0, cfg.rates, t_end, cfg.oracle_tol, cfg.oracle_mass_tol)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -79,21 +84,15 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     h = cfg.initial()
     x, t = cfg.x_grid(), cfg.t_grid()
     field = solve_grid(x, t, cfg.rates, h)
-    out = _outdir(cfg)
     rows = (
         (tj, xi, field.G[j, i], field.Gx[j, i])
         for j, tj in enumerate(t)
         for i, xi in enumerate(x)
     )
-    _write_csv(out / "field.csv", ["t", "x", "G", "Gx"], rows, cfg.hash)
+    path = _write_csv(cfg, "field.csv", ["t", "x", "G", "Gx"], rows)
     g = field.g
-    _write_csv(
-        out / "gmoment.csv",
-        ["t", "g", "dg_dt"],
-        ((tj, g(tj), g.derivative(tj)) for tj in t),
-        cfg.hash,
-    )
-    print(f"solved field on {x.size} x {t.size} grid -> {out / 'field.csv'}")
+    _write_csv(cfg, "gmoment.csv", ["t", "g", "dg_dt"], ((tj, g(tj), g.derivative(tj)) for tj in t))
+    print(f"solved field on {x.size} x {t.size} grid -> {path}")
     st = field.stats
     print(
         f"transport: {st['rhs_evals']} rhs evals, {st['steps']} steps, {st['segments']} segments, "
@@ -109,16 +108,17 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 
 def cmd_steady(cfg: ExperimentConfig) -> int:
-    state, constants = _steady_state(cfg)
+    state = _steady_state(cfg)
+    constants = state.case.constants
     x = cfg.x_grid()
     values = state(x)
     res = np.full_like(x, np.nan)
-    if constants is not None:
+    # the rates' constants are defined only when the first moment settles
+    if constants.degeneracy is Degeneracy.REGULAR:
         ok = _away_from_singular(state.case, x)
         if np.any(ok):
             res[ok] = residual(state, constants, x[ok])
-    out = _outdir(cfg)
-    _write_csv(out / "steady.csv", ["x", "g_star", "residual"], zip(x, values, res), cfg.hash)
+    path = _write_csv(cfg, "steady.csv", ["x", "g_star", "residual"], zip(x, values, res))
     print(f"case: {state.case.tag.value}")
     print(f"singular points: {list(state.case.singular_points)}")
     print(f"G*(1) = {state.value_at_one}")
@@ -126,37 +126,32 @@ def cmd_steady(cfg: ExperimentConfig) -> int:
     if state.value_at_ratio is not None:
         print(f"G*(c2/c1) = {state.value_at_ratio}")
     print(f"certified: {state.certified} ({state.note})")
-    if constants is not None and np.any(np.isfinite(res)):
+    if np.any(np.isfinite(res)):
         print(f"max |residual| away from singular points = {np.nanmax(np.abs(res)):.3e}")
-    print(f"wrote {out / 'steady.csv'}")
+    print(f"wrote {path}")
     return 0
 
 
 def cmd_ode(cfg: ExperimentConfig) -> int:
     h = cfg.initial()
-    traj = integrate(_oracle_start(cfg, h), cfg.rates, cfg.t_max, cfg.oracle_tol, cfg.oracle_mass_tol)
+    traj = _oracle(cfg, cfg.t_max)
     t = cfg.t_grid()
-    out = _outdir(cfg)
     rows = (
         (tj, k, dist.p[k])
         for tj in t
         for dist in (traj.at(float(tj)),)
         for k in range(dist.p.size)
     )
-    _write_csv(out / "ode.csv", ["t", "k", "p"], rows, cfg.hash)
+    path = _write_csv(cfg, "ode.csv", ["t", "k", "p"], rows)
     g0 = h.mean_degree
     g = solve_closed_form(derive_riccati(cfg.rates), g0) if g0 > 0.0 else None
     moments = []
-    max_gap = 0.0
     for tj in t:
         mu = traj.first_moment(float(tj))
         gv = g(float(tj)) if g is not None else float("nan")
-        gap = abs(mu - gv) if g is not None else float("nan")
-        if g is not None:
-            max_gap = max(max_gap, gap)
-        moments.append((tj, traj.mass(float(tj)), mu, gv, gap))
-    _write_csv(out / "ode_moments.csv", ["t", "mass", "first_moment", "g_closed", "gap"], moments, cfg.hash)
-    drift = max(abs(traj.mass(float(tj)) - 1.0) for tj in t)
+        moments.append((tj, traj.mass(float(tj)), mu, gv, abs(mu - gv)))
+    _write_csv(cfg, "ode_moments.csv", ["t", "mass", "first_moment", "g_closed", "gap"], moments)
+    drift = max(abs(row[1] - 1.0) for row in moments)
     print(f"integrated master equation to t = {cfg.t_max} at k_max = {cfg.oracle_k_max}")
     st = traj.stats
     print(
@@ -166,8 +161,8 @@ def cmd_ode(cfg: ExperimentConfig) -> int:
     )
     print(f"max |mass - 1| on output grid = {drift:.3e}")
     if g is not None:
-        print(f"max |first moment - closed form| = {max_gap:.3e}")
-    print(f"wrote {out / 'ode.csv'}")
+        print(f"max |first moment - closed form| = {max(row[4] for row in moments):.3e}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -194,22 +189,11 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
     )
     result = run(sim)
     kk = cfg.mc_k_max + 1
-    p0 = np.zeros(cfg.oracle_k_max + 1)
-    p0[:kk] = result.mean[0]
-    lost = 1.0 - float(p0.sum())
-    if lost > 1e-9:
-        raise ValidationError(
-            f"the t = 0 histogram loses {lost:.3g} of its mass beyond [mc] k_max = {cfg.mc_k_max}; "
-            "raise k_max"
-        )
-    t_end = max(times)
-    traj = None
-    if t_end > 0.0:
-        traj = integrate(p0, cfg.rates, t_end, cfg.oracle_tol, cfg.oracle_mass_tol)
+    traj = _oracle(cfg, max(times), result.mean[0])
     rows = []
     tvs = []
     for j, tj in enumerate(times, start=lead):
-        ref = (traj.at(float(tj)).p if tj > 0.0 else p0)[:kk]
+        ref = traj.at(float(tj)).p[:kk] if tj > 0.0 else result.mean[0]
         mean = result.mean[j]
         # total variation with the truncated tails lumped into one bin
         tv = 0.5 * float(np.sum(np.abs(mean - ref))) + 0.5 * abs(
@@ -218,8 +202,7 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
         tvs.append(tv)
         for k in range(kk):
             rows.append((tj, k, mean[k], result.stderr[j, k], ref[k], tv))
-    out = _outdir(cfg)
-    _write_csv(out / "mc.csv", ["t", "k", "mean", "stderr", "ode_p", "tv"], rows, cfg.hash)
+    path = _write_csv(cfg, "mc.csv", ["t", "k", "mean", "stderr", "ode_p", "tv"], rows)
     print(
         f"simulated {cfg.mc_replicas} replicas of N = {cfg.mc_nodes} "
         f"({cfg.mc_graph} start, seed {cfg.mc_seed})"
@@ -235,7 +218,7 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
         # each process is named by its rate in [rates]
         named = ", ".join(f"{name} {n}" for name, n in zip(_RATE_FIELDS, result.skips) if n)
         print(f"skipped placements: {result.skipped} ({named})")
-    print(f"wrote {out / 'mc.csv'}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -243,17 +226,16 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     h = cfg.initial()
     x, t = cfg.x_grid(), cfg.t_grid()
     field = solve_grid(x, t, cfg.rates, h)
-    state, constants = _steady_state(cfg)
+    state = _steady_state(cfg)
     # the transported deviation keeps its accuracy where a subtraction of
     # two fields bottoms out; it needs G* to solve the rates' own equation,
     # which explicit constants need not
     series = decay_norms(x, t, cfg.rates, h, state) if cfg.steady_constants is None else diff_norms(field, state)
-    out = _outdir(cfg)
-    _write_csv(
-        out / "norms.csv",
+    norms = _write_csv(
+        cfg,
+        "norms.csv",
         ["t", "sup_norm", "l2_norm", "argmax_x"],
         zip(series.times, series.sup_norm, series.l2_norm, series.argmax_x),
-        cfg.hash,
     )
     report: dict = {
         "config_hash": cfg.hash,
@@ -280,7 +262,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     report["bend_time"] = bend
     print(f"sup-norm maximizer bend: {bend}")
     try:
-        traj = integrate(_oracle_start(cfg, h), cfg.rates, cfg.t_max, cfg.oracle_tol, cfg.oracle_mass_tol)
+        traj = _oracle(cfg, cfg.t_max)
         dev = 0.0
         for j, tj in enumerate(t):
             ref = gf_eval(traj.at(float(tj)), x)
@@ -291,10 +273,11 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         report["oracle_max_abs_dev"] = None
         report["oracle_error"] = str(exc)
         print(f"oracle comparison unavailable: {exc}")
-    with open(out / "fit.json", "w", encoding="utf-8", newline="\n") as fh:
+    fit_json = norms.with_name("fit.json")
+    with open(fit_json, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {out / 'norms.csv'} and {out / 'fit.json'}")
+    print(f"wrote {norms} and {fit_json}")
     return 0
 
 

@@ -40,7 +40,6 @@ class ExperimentConfig:
     oracle_tol: float = 1e-10
     oracle_mass_tol: float = 1e-6
     steady_constants: tuple[float, float, float, float, int] | None = None
-    steady_anchor: float | None = None
     mc_nodes: int = 2000
     mc_replicas: int = 20
     mc_seed: int = 12345
@@ -149,7 +148,6 @@ _KEYS = {
     ("oracle", "tol"): ("oracle_tol", float),
     ("oracle", "mass_tol"): ("oracle_mass_tol", float),
     ("steady", "constants"): ("steady_constants", _parse_constants),
-    ("steady", "anchor"): ("steady_anchor", float),
     ("mc", "nodes"): ("mc_nodes", int),
     ("mc", "replicas"): ("mc_replicas", int),
     ("mc", "seed"): ("mc_seed", int),

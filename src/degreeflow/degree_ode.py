@@ -160,6 +160,9 @@ def master_rhs(p, rates: ProcessRates) -> np.ndarray:
 class DistributionTrajectory:
     """Dense-in-time solution of the truncated master equation.
 
+    ``at``, ``mass`` and ``first_moment`` read p(t) for t in [0, t_end]
+    only; any other t, NaN included, raises ValidationError.
+
     ``stats`` holds the solver's ``rhs_evals``, ``jac_evals`` and ``steps``,
     the ``mass_drift`` that ``integrate`` checked against ``mass_tol``, and
     the ``tail_weight``, the largest p_{K_max} on the same probe times.
@@ -172,10 +175,14 @@ class DistributionTrajectory:
         self.p0 = p0
         self.stats = stats
 
-    def at(self, t: float) -> TruncatedDistribution:
+    def _p(self, t: float) -> np.ndarray:
+        """p(t) from the dense output, for t in the integrated range only."""
         if not (0.0 <= t <= self.t_end * (1.0 + 1e-12)):
             raise ValidationError(f"t = {t!r} outside the integrated range [0, {self.t_end!r}]")
-        p = self._sol(min(t, self.t_end))
+        return self._sol(min(t, self.t_end))
+
+    def at(self, t: float) -> TruncatedDistribution:
+        p = self._p(t)
         if np.min(p) < _NEG_TOL:
             raise TruncationError(
                 f"negative probability {float(np.min(p))!r} at t = {t!r}; "
@@ -184,10 +191,10 @@ class DistributionTrajectory:
         return TruncatedDistribution(np.clip(p, 0.0, None), float(t))
 
     def mass(self, t: float) -> float:
-        return float(np.sum(self._sol(min(t, self.t_end))))
+        return float(np.sum(self._p(t)))
 
     def first_moment(self, t: float) -> float:
-        p = self._sol(min(t, self.t_end))
+        p = self._p(t)
         return float(np.arange(p.size) @ p)
 
 

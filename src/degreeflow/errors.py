@@ -37,7 +37,11 @@ class IntegrationError(DegreeFlowError):
 
 
 class AccuracyError(DegreeFlowError):
-    """A traced origin fell below x = -1 by more than the trace's rounding clamp of 1e-6."""
+    """A self-check failed beyond its rounding allowance.
+
+    A traced origin fell below x = -1 by more than the trace's clamp of
+    1e-6, or the steady constants missed their consistency identity.
+    """
 
 
 class TruncationError(DegreeFlowError):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import AccuracyError, DomainError, ValidationError
 
 __all__ = [
     "ProcessRates",
@@ -176,6 +176,8 @@ def steady_constants(rates: ProcessRates) -> SteadyConstants:
     Uses the equilibrium first moment g_inf of the Riccati equation.  When
     g_inf = 0 every degree eventually vanishes (G* = 1, ``UNIFORM``); when
     g_inf diverges there is no stationary distribution (``DIVERGENT``).
+    Constants that miss their consistency identity beyond rounding raise
+    AccuracyError.
     """
     from .riccati import equilibrium  # local import: riccati depends on model
 
@@ -187,11 +189,12 @@ def steady_constants(rates: ProcessRates) -> SteadyConstants:
         return SteadyConstants(g_inf=0.0, degeneracy=Degeneracy.UNIFORM, m=rates.m)
     c1, c2, c3, c4 = coefficients(rates, g_inf)[:4]
     # Consistency identity: g_inf * (c4 + c2 - c1) == c3 + c4 * m exactly.
+    # Its rounding scales with the terms that cancel, not with the result.
     lhs = g_inf * (c4 + c2 - c1)
     rhs = c3 + c4 * rates.m
-    scale = max(1.0, abs(lhs), abs(rhs))
+    scale = max(1.0, g_inf * (c1 + c2 + c4), rhs)
     if abs(lhs - rhs) > 1e-10 * scale:
-        raise AssertionError(
+        raise AccuracyError(
             f"steady-constant identity violated: {lhs!r} != {rhs!r} for {rates!r}"
         )
     return SteadyConstants(

@@ -432,7 +432,9 @@ def construct(constants: SteadyConstants, anchor: float | None = None) -> Steady
 
     Cases without a unique normalized solution return flagged
     representatives: the unit constant for ALL_ZERO / CONSTANTS_ONLY, the
-    zero function for ZERO_ONLY.
+    zero function for ZERO_ONLY.  ``anchor`` moves the reference point of
+    the two-singularity construction into (xi, 1); a second anchor gives an
+    independent build of the same profile to check the default against.
     """
     case = classify(constants)
     c1, c2, c3, c4, m = _unpack(constants)
@@ -479,7 +481,7 @@ def construct(constants: SteadyConstants, anchor: float | None = None) -> Steady
     return _series_seeded(case)
 
 
-def steady_from_rates(rates: ProcessRates, anchor: float | None = None) -> SteadyState:
+def steady_from_rates(rates: ProcessRates) -> SteadyState:
     """Stationary profile implied by the process rates.
 
     Raises NoSteadyStateError when the first moment diverges; returns the
@@ -493,7 +495,7 @@ def steady_from_rates(rates: ProcessRates, anchor: float | None = None) -> Stead
     if constants.degeneracy is Degeneracy.UNIFORM:
         case = SteadyCase(SteadyCaseTag.UNIFORM_LIMIT, constants, ())
         return _constant_state(case, 1.0, "first moment decays to zero: all degrees die out, G* = 1")
-    return construct(constants, anchor=anchor)
+    return construct(constants)
 
 
 def _away_from_singular(case: SteadyCase, x: np.ndarray) -> np.ndarray:

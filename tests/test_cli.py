@@ -6,8 +6,10 @@ import re
 import numpy as np
 import pytest
 
+from degreeflow import cli
 from degreeflow.cli import main
 from degreeflow.config import parse_config
+from degreeflow.degree_ode import integrate
 from degreeflow.errors import ValidationError
 
 BASE = """\
@@ -225,6 +227,30 @@ def test_mc_scores_against_the_ensemble_start(tmp_path, capsys):
     assert main(["mc", "--config", ini]) == 1
 
 
+def test_mc_scores_t_0_against_the_ensemble_start_itself(tmp_path, monkeypatch):
+    # at t = 0 the reference is the ensemble's own histogram: ode_p equals
+    # mean and tv is 0; with no later time the oracle is not integrated
+    calls = []
+
+    def counted(p0, rates, t_end, *args):
+        calls.append(t_end)
+        return integrate(p0, rates, t_end, *args)
+
+    monkeypatch.setattr(cli, "integrate", counted)
+    for times, integrated in (("0, 0.05", [0.05]), ("0", [])):
+        calls.clear()
+        ini, out = _ini(tmp_path, BASE.replace("sample_times = 0.05", f"sample_times = {times}"))
+        assert main(["mc", "--config", ini]) == 0
+        assert calls == integrated
+        _, _, rows = _load_csv(out / "mc.csv")
+        start = rows[rows[:, 0] == 0.0]
+        assert start.shape[0] == 31  # [mc] k_max = 30
+        np.testing.assert_array_equal(start[:, 4], start[:, 2])
+        np.testing.assert_array_equal(start[:, 5], 0.0)
+        later = rows[rows[:, 0] > 0.0]
+        assert later.shape[0] == 31 * len(integrated) and np.all(later[:, 5] > 0.0)
+
+
 def test_unwritable_out_exit_code(tmp_path, capsys):
     ini, _ = _ini(tmp_path)
     blocker = tmp_path / "file"
@@ -310,7 +336,6 @@ def test_non_finite_config_values(tmp_path, capsys):
         ("[oracle] tol", BASE + "\n[oracle]\ntol = nan\n"),
         ("[oracle] mass_tol", BASE + "\n[oracle]\nmass_tol = nan\n"),
         ("[oracle] tol", BASE + "\n[oracle]\ntol = inf\n"),
-        ("[steady] anchor", BASE + "\n[steady]\nanchor = nan\n"),
         ("[grid] t_max", BASE.replace("t_max = 0.5", "t_max = nan")),
         ("[grid] t_max", BASE.replace("t_max = 0.5", "t_max = inf")),
         ("[mc] sample_times", BASE.replace("sample_times = 0.05", "sample_times = 0.05, nan")),
@@ -341,6 +366,7 @@ def test_unknown_sections_and_keys_are_invalid(tmp_path, capsys):
     # a misspelled key, a removed one and an unknown section are named, not ignored
     for body, named in ((BASE.replace("nodes = 200", "node = 200"), "[mc] node"),
                         (BASE + "\n[solver]\ntol = 1e-8\n", "[solver]"),
+                        (BASE + "\n[steady]\nanchor = 0.7\n", "[steady] anchor"),
                         (BASE.replace("m = 3", "m = 3\nl_x = 1"), "[rates] l_x")):
         ini, _ = _ini(tmp_path, body)
         with pytest.raises(ValidationError, match=re.escape(named)):

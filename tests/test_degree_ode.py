@@ -152,6 +152,22 @@ def test_first_moment_matches_closed_form():
         assert traj.first_moment(t) == pytest.approx(g(t), abs=1e-8)
 
 
+def test_every_read_checks_the_integrated_range():
+    # mass and first_moment once extrapolated below t = 0 (first_moment(-0.5)
+    # read 1.0e-8 against 2 at t = 0), clamped beyond t_end and passed NaN on
+    traj = integrate(InitialCondition.polynomial((0.0, 0.0, 1.0)).coefficients(60), FIG2, 1.0)
+    for read in (traj.at, traj.mass, traj.first_moment):
+        for t in (-0.5, 3.0, float("nan")):
+            with pytest.raises(ValidationError, match="outside the integrated range"):
+                read(t)
+    # inside the range the reads are the dense output's own values
+    for t in (0.0, 0.5, 1.0):
+        p = traj._sol(t)
+        assert traj.mass(t) == float(np.sum(p))
+        assert traj.first_moment(t) == float(np.arange(p.size) @ p)
+    assert traj.first_moment(0.0) == pytest.approx(2.0, abs=1e-12)
+
+
 def test_truncation_guard():
     # unbounded link creation: a short head cannot hold the mass
     r = ProcessRates(0, 0, 0, 5, 0, 0, 0, 0, 0)

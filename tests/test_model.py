@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from degreeflow.errors import DomainError, ValidationError
+from degreeflow import model
+from degreeflow.errors import AccuracyError, DomainError, ValidationError
 from degreeflow.model import (
     Degeneracy,
     ProcessRates,
@@ -97,6 +98,31 @@ def test_steady_constants_identity():
         rhs = sc.c3 + sc.c4 * m
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
         checked += 1
+
+
+# g_inf (c4 + c2 - c1) cancels two terms near 4.2e6 down to 4.522: scaled by
+# the result, the rounding of those terms once raised a raw AssertionError
+CANCELLING = ProcessRates(omega_p=2079.315, l_d=6.459, l_r=2.261, l_p=6457.002, m=1)
+
+
+def test_steady_constants_identity_scales_with_the_cancelled_terms():
+    sc = steady_constants(CANCELLING)
+    assert sc.degeneracy is Degeneracy.REGULAR
+    assert sc.c3 + sc.c4 * CANCELLING.m == 4.522
+
+
+def test_steady_constants_identity_still_catches_a_wrong_constant(monkeypatch):
+    # c1 off by a relative 1e-8 breaks the identity far beyond its rounding
+    exact = model.coefficients
+
+    def off(rates, g):
+        k = exact(rates, g)
+        return k._replace(A=k.A * (1 + 1e-8))
+
+    monkeypatch.setattr(model, "coefficients", off)
+    for rates in (CANCELLING, FIG2):
+        with pytest.raises(AccuracyError, match="steady-constant identity violated"):
+            steady_constants(rates)
 
 
 def test_degeneracy_tags():
