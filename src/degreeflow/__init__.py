@@ -38,6 +38,7 @@ from .errors import (
     NoSteadyStateError,
     TruncationError,
     ValidationError,
+    WorkerError,
 )
 from .graphsim import Network, SimConfig, SimResult, run
 from .initial import InitialCondition
@@ -94,6 +95,7 @@ __all__ = [
     "TruncatedDistribution",
     "TruncationError",
     "ValidationError",
+    "WorkerError",
     "construct",
     "decay_norms",
     "derive_riccati",

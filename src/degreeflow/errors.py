@@ -17,6 +17,7 @@ __all__ = [
     "NoSteadyStateError",
     "DegenerateSeedError",
     "AbsorbingStateReached",
+    "WorkerError",
 ]
 
 
@@ -58,3 +59,7 @@ class DegenerateSeedError(DegreeFlowError):
 
 class AbsorbingStateReached(DegreeFlowError):
     """All event rates vanished; the simulated graph can no longer change."""
+
+
+class WorkerError(DegreeFlowError):
+    """A worker process of an ensemble run died before it sent its results."""

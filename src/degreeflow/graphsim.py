@@ -22,16 +22,28 @@ exponential with mean 1/total and finite because u < 1.  The event is the
 first process whose running sum of the eight clocks exceeds u total, found
 by a linear scan, or the last live process when rounding leaves the sum
 short.
+
+The replicas of an ensemble are independent: replica r draws only from
+child r of ``SeedSequence(seed)``.  ``run`` splits them into contiguous
+shares, one per CPU, runs the first share in the calling process and each
+other share in a child started with the fork method, and puts the results
+together in replica order, so they are the same bit for bit whatever the
+number of processes.  It stays serial where the fork method is missing, on
+CPython 3.12 and newer, in a daemonic process (a ``multiprocessing.Pool``
+worker) and for one replica or one CPU.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AbsorbingStateReached, ValidationError
+from .errors import AbsorbingStateReached, ValidationError, WorkerError
 from .model import ProcessRates
 
 __all__ = ["Network", "SimConfig", "SimResult", "run"]
@@ -341,8 +353,10 @@ class SimConfig:
 
     graph: "regular" (circulant of degree graph_degree), "erdos" (mean
     degree graph_degree), or "empty"; graph_degree must be finite.  Sample
-    times must be finite, nonnegative and increasing.  k_max fixes the
-    histogram length shared by all snapshots.
+    times must be finite, nonnegative and increasing.  n_nodes, seed,
+    replicas and k_max must be integers, the seed nonnegative and the
+    others positive.  k_max fixes the histogram length shared by all
+    snapshots.
     """
 
     rates: ProcessRates
@@ -355,8 +369,16 @@ class SimConfig:
     k_max: int = 200
 
     def __post_init__(self):
+        for name in ("n_nodes", "seed", "replicas", "k_max"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
         if self.n_nodes < 1:
             raise ValidationError(f"need at least one node, got {self.n_nodes}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.replicas < 1:
             raise ValidationError(f"need at least one replica, got {self.replicas}")
         if self.graph not in ("regular", "erdos", "empty"):
@@ -397,71 +419,171 @@ def _build_initial(config: SimConfig, rng: np.random.Generator) -> Network:
     return Network.empty(config.n_nodes)
 
 
+def _replica(config: SimConfig, r: int, seed: np.random.SeedSequence) -> tuple:
+    """Replica r of the ensemble, drawing only from its child stream ``seed``.
+
+    Returns its (T, k_max+1) histograms, its (T,) node counts, whether it
+    froze in an absorbing state, and its per-process events and skips.
+    """
+    rates, ts = config.rates, config.sample_times
+    n_t = len(ts)
+    hist = np.empty((n_t, config.k_max + 1))
+    n_counts = np.zeros(n_t)
+    events = [0] * 8
+    skips = [0] * 8
+    rng = np.random.default_rng(seed)
+    net = _build_initial(config, rng)
+    stream = _Stream(rng)
+    t = 0.0
+    frozen = False
+    j = 0
+
+    def snap(j):
+        if net.n_nodes > 0:
+            hist[j] = net.degree_counts(config.k_max) / net.n_nodes
+        else:
+            hist[j] = 0.0
+        n_counts[j] = net.n_nodes
+
+    # the event loop: plain Python floats and lists, no numpy call
+    while j < n_t:
+        try:
+            dt, idx = _draw(net, rates, stream)
+        except AbsorbingStateReached:
+            frozen = True
+            break
+        # Samples inside the waiting interval see the pre-event state.
+        t += dt
+        while j < n_t and ts[j] <= t:
+            snap(j)
+            j += 1
+        events[idx] += 1
+        if not _execute(net, idx, rates, stream):
+            skips[idx] += 1
+    # a frozen replica repeats its graph at the remaining times
+    while j < n_t:
+        snap(j)
+        j += 1
+    return hist, n_counts, frozen, events, skips
+
+
+def _share(config: SimConfig, rs: range, seeds: list) -> list[tuple]:
+    return [_replica(config, r, seeds[r]) for r in rs]
+
+
+def _child(config: SimConfig, rs: range, seeds: list, conn) -> None:
+    """Body of a worker process: send its share's results, or the exception that stopped it."""
+    try:
+        out = _share(config, rs, seeds)
+    except Exception as exc:
+        out = exc
+    conn.send(out)
+    conn.close()
+
+
+def _workers(replicas: int) -> int:
+    """Processes that run the replicas: one per CPU, at most one per replica.
+
+    More than one only on CPython 3.10 and 3.11 with the fork start method
+    and the CPU affinity.  It is 1 on CPython 3.12 and newer, which warns
+    when it forks a process holding threads (numpy's OpenBLAS threads
+    count), and in a daemonic process such as a ``multiprocessing.Pool``
+    worker, which may not start children.  On 3.10 and 3.11 the same fork
+    happens without the warning: the hazard, a lock held by another thread
+    at the fork staying held in the child, is accepted there, not absent.
+    """
+    import multiprocessing
+
+    if (sys.version_info >= (3, 12) or not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return min(replicas, len(os.sched_getaffinity(0)))
+
+
+def _forked(config: SimConfig, shares: list[range], seeds: list) -> list[tuple]:
+    """Run the first share here and each other share in a forked child, in replica order.
+
+    Each child is a bare ``Process`` with a ``Pipe`` rather than a
+    ``ProcessPoolExecutor`` worker, so that when a share raises the
+    children still running can be terminated: an executor only cancels
+    work that has not started, and would wait out the rest of the ensemble.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for rs in shares[1:]:
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_child, args=(config, rs, seeds, send_end), daemon=True)
+            proc.start()
+            children.append((proc, recv_end, rs))
+            send_end.close()
+        results = _share(config, shares[0], seeds)
+        for proc, conn, rs in children:
+            # read before joining: a result larger than the pipe buffer
+            # blocks its child until it is read
+            try:
+                out = conn.recv()
+            except EOFError:
+                proc.join()
+                raise WorkerError(
+                    f"the worker for replicas {rs.start}-{rs.stop - 1} exited with code "
+                    f"{proc.exitcode} before sending its results") from None
+            if isinstance(out, Exception):
+                raise out
+            results += out
+            proc.join()
+    finally:
+        for proc, conn, _ in children:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            conn.close()
+    return results
+
+
 def run(config: SimConfig) -> SimResult:
     """Simulate the ensemble and return averaged degree histograms.
 
-    Each replica gets an independent child stream of the seed.  Once a
+    Replica r draws only from child r of ``SeedSequence(config.seed)``.
+    The replicas are split into contiguous shares, one per CPU and at most
+    one per replica: the calling process runs the first share, and each
+    other share runs in a forked child that sends its results back over a
+    pipe.  The run is serial where the fork start method is missing, on
+    CPython 3.12 and newer and in a daemonic process.  The results are put
+    together in replica order, so every field is the same bit for bit
+    whatever the process count.  When a share raises, the caller gets the
+    exception of the lowest failing replica, as in a serial run, and the
+    children still running are terminated; no process outlives the call.
+    A child that dies without sending raises ``WorkerError``.  Once a
     replica reaches an absorbing state (total rate zero) its remaining
     snapshots repeat the frozen graph, flagged in ``absorbed``.
     """
-    rates, ts = config.rates, list(config.sample_times)
-    n_t = len(ts)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
-    per_rep = np.empty((config.replicas, n_t, config.k_max + 1))
-    n_counts = np.zeros((config.replicas, n_t))
-    absorbed: list[bool] = []
-    events = [0] * 8
-    skips = [0] * 8
+    n_proc = _workers(config.replicas)
+    cuts = [config.replicas * i // n_proc for i in range(n_proc + 1)]
+    shares = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    results = _share(config, shares[0], seeds) if n_proc == 1 else _forked(config, shares, seeds)
+    hists, n_counts, absorbed, events, skips = zip(*results)
+    events = tuple(map(sum, zip(*events)))
+    skips = tuple(map(sum, zip(*skips)))
 
-    for r in range(config.replicas):
-        rng = np.random.default_rng(seeds[r])
-        net = _build_initial(config, rng)
-        stream = _Stream(rng)
-        t = 0.0
-        frozen = False
-        j = 0
-
-        def snap(j):
-            if net.n_nodes > 0:
-                per_rep[r, j] = net.degree_counts(config.k_max) / net.n_nodes
-            else:
-                per_rep[r, j] = 0.0
-            n_counts[r, j] = net.n_nodes
-
-        # the event loop: plain Python floats and lists, no numpy call
-        while j < n_t:
-            try:
-                dt, idx = _draw(net, rates, stream)
-            except AbsorbingStateReached:
-                frozen = True
-                break
-            # Samples inside the waiting interval see the pre-event state.
-            t += dt
-            while j < n_t and ts[j] <= t:
-                snap(j)
-                j += 1
-            events[idx] += 1
-            if not _execute(net, idx, rates, stream):
-                skips[idx] += 1
-        # a frozen replica repeats its graph at the remaining times
-        while j < n_t:
-            snap(j)
-            j += 1
-        absorbed.append(frozen)
-
+    per_rep = np.array(hists)
     mean = per_rep.mean(axis=0)
     if config.replicas > 1:
         stderr = per_rep.std(axis=0, ddof=1) / math.sqrt(config.replicas)
     else:
         stderr = np.zeros_like(mean)
     return SimResult(
-        times=np.array(ts),
+        times=np.array(config.sample_times),
         mean=mean,
         stderr=stderr,
-        absorbed=absorbed,
+        absorbed=list(absorbed),
         skipped=sum(skips),
-        mean_nodes=n_counts.mean(axis=0),
-        events=tuple(events),
-        skips=tuple(skips),
+        mean_nodes=np.array(n_counts).mean(axis=0),
+        events=events,
+        skips=skips,
         replicas=config.replicas,
     )

@@ -1,13 +1,17 @@
 """Event-driven network simulation: bookkeeping, invariants, determinism."""
 
+import dataclasses
 import hashlib
+import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from degreeflow import graphsim
-from degreeflow.errors import AbsorbingStateReached, ValidationError
+from degreeflow.errors import AbsorbingStateReached, ValidationError, WorkerError
 from degreeflow.graphsim import Network, SimConfig, _Stream, run
 from degreeflow.model import ProcessRates
 
@@ -166,22 +170,118 @@ def test_run_is_deterministic():
     assert a.mean.shape == (2, 31)
 
 
+# run forks where the fork start method exists and CPython is older than
+# 3.12, which warns when it forks a process holding threads; elsewhere it
+# stays serial, so a test that forces worker processes has nothing to test
+FORKS = sys.version_info < (3, 12) and "fork" in multiprocessing.get_all_start_methods()
+
+
+def with_workers(monkeypatch, n):
+    if n > 1 and not FORKS:
+        pytest.skip("run never forks here")
+    monkeypatch.setattr(graphsim, "_workers", lambda replicas: n)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("rates, graph, events, digest", [
     (FIG2, "regular", (233, 239, 134, 96, 0, 269, 95, 126),
      "43fd28fe2eab8c765f08b45d81bba1497dbf9cc28a8109718b522f244b4506f3"),
     (FIG6, "erdos", (0, 181, 106, 0, 115, 166, 0, 0),
      "be328a4bbab9a2a7b5cc23632f8522613d2623805c0f5c2946beeeb53bd4e693"),
 ])
-def test_seeded_run_is_pinned_bit_for_bit(rates, graph, events, digest):
+def test_seeded_run_is_pinned_bit_for_bit(monkeypatch, rates, graph, events, digest, workers):
     # the event counts and the sha256 of the mean histograms' bytes fix
     # which uniform feeds which choice: a rewrite of the event loop that
     # reorders, adds or drops a draw changes them
+    with_workers(monkeypatch, workers)
     cfg = SimConfig(rates=rates, n_nodes=200, sample_times=(0.0, 0.1, 0.2),
                     seed=7, replicas=3, graph=graph, graph_degree=2.0, k_max=30)
     res = run(cfg)
     assert res.events == events
     assert res.skips == (0,) * 8
     assert hashlib.sha256(res.mean.tobytes()).hexdigest() == digest
+
+
+def fields(res):
+    """Every SimResult field, arrays as (dtype, shape, bytes)."""
+    out = {}
+    for f in dataclasses.fields(res):
+        v = getattr(res, f.name)
+        out[f.name] = (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(rates=FIG2, n_nodes=200, sample_times=(0.0, 0.1, 0.2), seed=5,
+              replicas=4, graph="regular", graph_degree=2.0, k_max=30),
+    SimConfig(rates=FIG6, n_nodes=200, sample_times=(0.0, 0.1, 0.2), seed=5,
+              replicas=4, graph="erdos", graph_degree=2.0, k_max=30),
+    SimConfig(rates=ProcessRates(0, 0, 0, 0, 0, 0, 0, 0, 0), n_nodes=40,
+              sample_times=(0.1, 0.2), seed=3, replicas=2, graph="regular",
+              graph_degree=2.0, k_max=10),
+    SimConfig(rates=ProcessRates(l_r=1, n_d=0.2), n_nodes=6, sample_times=(0.5,),
+              seed=4, replicas=2, graph="erdos", graph_degree=5.0, k_max=10),
+    SimConfig(rates=FIG2, n_nodes=100, sample_times=(0.05, 0.1), seed=9,
+              replicas=3, graph="regular", graph_degree=4.0, k_max=20),
+], ids=["fig2-ring", "fig6-erdos", "absorbing", "complete-graph-skips", "uneven-shares"])
+def test_results_do_not_depend_on_the_process_count(monkeypatch, cfg):
+    results = []
+    for n in (1, 2, 3):
+        with_workers(monkeypatch, n)
+        results.append(fields(run(cfg)))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_failing_share_raises_as_in_a_serial_run(monkeypatch, failing):
+    # failing = 1 fails in the child's share, failing = 0 in the calling
+    # process's own share, while the child is still running
+    replica = graphsim._replica
+
+    def fail_at(config, r, seed):
+        if r == failing:
+            raise ValidationError(f"replica {r} failed")
+        return replica(config, r, seed)
+
+    monkeypatch.setattr(graphsim, "_replica", fail_at)
+    cfg = SimConfig(rates=FIG2, n_nodes=200, sample_times=(0.05, 0.1), seed=11,
+                    replicas=2, graph="regular", graph_degree=2.0, k_max=30)
+    raised = []
+    for n in (1, 2):
+        with_workers(monkeypatch, n)
+        with pytest.raises(ValidationError) as info:
+            run(cfg)
+        raised.append((info.type, str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert raised[1] == raised[0] == (ValidationError, f"replica {failing} failed")
+
+
+def test_a_worker_that_dies_without_sending_is_a_package_error(monkeypatch):
+    # a child killed before it sends (the OOM killer, or a result that
+    # cannot be pickled) must not surface as a bare EOFError
+    with_workers(monkeypatch, 2)
+    monkeypatch.setattr(graphsim, "_child", lambda *args: os._exit(1))
+    cfg = SimConfig(rates=FIG2, n_nodes=200, sample_times=(0.05, 0.1), seed=11,
+                    replicas=2, graph="regular", graph_degree=2.0, k_max=30)
+    with pytest.raises(WorkerError, match="replicas 1-1 exited with code 1"):
+        run(cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_inside_a_pool_worker_stays_serial(monkeypatch):
+    # a Pool worker is daemonic and may not start children: run must not
+    # try, and must give the serial result
+    if not FORKS:
+        pytest.skip("run never forks here")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = SimConfig(rates=FIG2, n_nodes=200, sample_times=(0.05, 0.1), seed=11,
+                    replicas=2, graph="regular", graph_degree=2.0, k_max=30)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pooled = pool.apply(run, (cfg,))
+    with_workers(monkeypatch, 1)
+    assert fields(pooled) == fields(run(cfg))
 
 
 def test_preferential_rewiring_of_the_only_link_is_skipped():
@@ -261,20 +361,27 @@ def test_draw_picks_processes_in_proportion_to_their_clocks():
     assert abs(waits.mean() * lam.sum() - 1.0) < 5.0 / np.sqrt(waits.size)
 
 
-def test_run_draws_once_per_counted_event(monkeypatch):
-    calls = []
+def test_run_draws_once_per_counted_event(monkeypatch, tmp_path):
+    # every process that draws appends the event's index as one byte to the
+    # same O_APPEND file, so draws made in forked workers are counted too
+    log = tmp_path / "draws"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     draw = graphsim._draw
 
     def counting(*args):
         out = draw(*args)
-        calls.append(out[1])
+        os.write(fd, bytes([out[1]]))
         return out
 
     monkeypatch.setattr(graphsim, "_draw", counting)
     cfg = SimConfig(rates=FIG2, n_nodes=200, sample_times=(0.05, 0.1),
                     seed=11, replicas=2, graph="regular", graph_degree=2.0,
                     k_max=30)
-    res = run(cfg)
+    try:
+        res = run(cfg)
+    finally:
+        os.close(fd)
+    calls = list(log.read_bytes())
     assert len(calls) == sum(res.events) > 0
     assert res.events == tuple(np.bincount(calls, minlength=8))
     assert res.skipped == sum(res.skips)
@@ -306,3 +413,15 @@ def test_config_rejects_non_finite_graph_degree(graph, degree):
     with pytest.raises(ValidationError):
         SimConfig(rates=FIG2, n_nodes=50, sample_times=(0.05,), seed=1,
                   graph=graph, graph_degree=degree)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", -1), ("seed", 1.5), ("n_nodes", 2.5), ("replicas", 2.5), ("k_max", 3.5),
+])
+def test_config_rejects_what_run_cannot_take(name, value):
+    # each of these used to pass the config and fail in run with a raw
+    # ValueError or TypeError, possibly inside a worker process
+    kwargs = dict(rates=FIG2, n_nodes=50, sample_times=(0.05,), seed=1)
+    kwargs[name] = value
+    with pytest.raises(ValidationError, match=name):
+        SimConfig(**kwargs)
