@@ -28,28 +28,37 @@ equation
     z' = ((x-1) C - c4) z + c4 x^m,
 
 and p1 = G_x obeys its x-derivative, a second linear equation fed by z.  The
-transport marches (L, psi, p1, z) and nothing else.  Both data equations are
+transport carries u = z - 1, whose source ((x-1) C - c4) + c4 x^m is exactly
+0 at x = 1, so G(1, t) = 1 holds to the last bit.  Both data equations are
 integrated along the exact x(t) path from the flow maps.  Substituting the
 path (instead of integrating x jointly) matters: the raw x equation is
 exponentially unstable forward in time near x = 1, and any x drift would
-contaminate G through G_x.  At x = 1 the z equation reads -c4 z + c4, which
-is exactly 0 at z = 1, so G(1, t) = 1 holds to the last bit.
+contaminate G through G_x.
 
 Values are asked for at pairs (x_i, t_i): a single point, scattered points
 or every pair (x_i, t_j) of a tensor grid.  They are transported in a single
 forward pass: the curves through every pair start together from their
-traced origins, stacked in one state vector that is integrated segment by
-segment between the distinct times (the segmented bookkeeping of Hairer,
-Norsett and Wanner, Solving ODEs I, sec. II.6).  The state leads with
-(L, psi), shared by every curve and carried over from segment to segment, so
-each right-hand-side evaluation places the curves at
-x - 1 = w0 / (e^L + psi w0), which is exactly 0 on the curve x = 1.  The
-origin offsets w0 = e^{L(t_i)} / (vbar - psi(t_i)) come from the backward
-map as computed, never as x0 - 1, which rounds to 0 once e^L is below
-machine epsilon.  The dense (L, psi) integration serves only the backward
-trace.  Each curve is retired at its own time t_i and never integrated past
-it, because a forward path may leave [-1, 1] after its time, where the
-denominator e^L + psi w0 can reach zero.
+traced origins and are stepped together, segment by segment between the
+distinct times.  Each curve is retired at its own time t_i and never
+integrated past it, because a forward path may leave [-1, 1] after its
+time, where the denominator e^L + psi w0 can reach zero.
+
+Every equation of the march is linear with coefficients known in closed
+form: (L, psi) above, and y' = a y + f for each data row.  A step [s, s+h]
+therefore needs the coefficients at fixed nodes only, and no stage solve:
+the exponential quadrature of Hochbruck and Ostermann (Exponential
+integrators, Acta Numerica 19, 2010) on Gauss-Legendre nodes (Hairer,
+Norsett and Wanner, Solving ODEs I, sec. II.7).  g, the coefficients and
+the curve positions x - 1 = w0 / (e^L + psi w0) are evaluated once per step
+on the nodes of an 8-node and a 6-node rule together.  With I = h Ahat a
+the integral of a up to each node (Ahat_kj = int_0^{c_k} l_j), a row's node
+values are y_k = e^{I_k} (y + h sum_j Ahat_kj e^{-I_j} f_j), and its end
+value takes the rule's weights in place of a row of Ahat.  The 8-node
+result is kept; its difference from the 6-node result controls the step.
+The origin offsets w0 = e^{L(t_i)} / (vbar - psi(t_i)) come from the
+backward map as computed, never as x0 - 1, which rounds to 0 once e^L is
+below machine epsilon.  The dense (L, psi) integration (DOP853) serves only
+the backward trace, and is independent of the march's own (L, psi).
 
 The solver's inputs are the rates, the initial condition h and the query
 points.  g is built from h'(1), so it is always the field's own G_x(1, t).
@@ -63,12 +72,13 @@ tests, against independent forward integrations.
 
 from __future__ import annotations
 
-import gc
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import block_diag
 
 from .errors import AccuracyError, DomainError, IntegrationError, ValidationError
 from .initial import InitialCondition
@@ -83,12 +93,61 @@ __all__ = [
     "solve_grid",
 ]
 
-# Pinned integrator settings: adaptive embedded RK (DOP853) with dense output.
+# Pinned tolerances of the march and of the dense DOP853 flow behind the trace
 RTOL = 1e-9
 ATOL = 1e-12
 _CLAMP = 1e-6  # largest tolerated excursion of a traced origin below x = -1
 _TINY = np.finfo(float).tiny  # smallest normal double: the least origin offset kept at full precision
 _DIFF_RTOL = 1e-10  # relative tolerance of the deviation transport
+
+
+def _gauss(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes c, weights b and integration matrix Ahat_kj = int_0^{c_k} l_j of the n-node Gauss rule on [0, 1].
+
+    l_j is the Lagrange polynomial of node j.  It is built in the Legendre
+    basis, whose coefficients the rule itself gives exactly, so no
+    Vandermonde matrix is inverted; int_{-1}^x P_p = (P_{p+1} - P_{p-1}) /
+    (2p + 1) for p >= 1.
+    """
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    P = np.polynomial.legendre.legvander(xg, n)
+    Q = np.column_stack((xg + 1.0, (P[:, 2:] - P[:, :-2]) / (2.0 * np.arange(1, n) + 1.0)))
+    return (xg + 1.0) / 2.0, wg / 2.0, 0.5 * (Q * (np.arange(n) + 0.5)) @ (P[:, :n] * wg[:, None]).T
+
+
+_ORDERS = (8, 6)  # the march's Gauss rules: the kept result's, then the error estimate's
+
+
+@functools.cache
+def _rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (14, 1), block-diagonal Ahat (14, 14) and end weights (2, 14) of the march's two rules side by side.
+
+    Built on the first march: it loads LAPACK and BLAS work space, about
+    1 MiB, that a process which never marches does not need.
+    """
+    rules = [_gauss(n) for n in _ORDERS]
+    return (np.concatenate([c for c, _, _ in rules])[:, None], block_diag(*(a for _, _, a in rules)),
+            block_diag(*(b for _, b, _ in rules)))
+
+
+def _linear(y, a, f, h: float):
+    """Node values (14, ...) and the two rules' end values (2, ...) of y' = a y + f on one step h from y.
+
+    a and f hold their values at the nodes.  With I = h Ahat a, node k gets
+    e^{I_k} (y + h sum_j Ahat_kj e^{-I_j} f_j); an end value takes the
+    rule's weights in place of a row of Ahat.  The (14, n) arrays are
+    updated in place, since their count sets the march's peak memory.
+    """
+    _, ahat, ends = _rules()
+    e = ahat @ a
+    e *= h
+    np.exp(e, out=e)
+    q = f / e
+    q *= h
+    nodes = ahat @ q
+    nodes += y
+    nodes *= e
+    return nodes, np.exp(h * (ends @ a)) * (y + ends @ q)
 
 
 @dataclass
@@ -98,10 +157,12 @@ class SolutionField:
     G and Gx have shape (len(t), len(x)); origins holds the traced-back
     starting position of the characteristic through each grid point, and g
     the mean-degree trajectory built from h'(1).  The transport marched
-    (L, psi, G_x, G) along every curve and nothing else.  ``stats`` holds
-    the transport's ``rhs_evals`` and accepted ``steps``, summed over its
-    ``segments``, and ``flow_rhs_evals``, the rhs evaluations of the dense
-    (L, psi) solve behind the backward trace.
+    (L, psi, G - 1, G_x) along every curve and nothing else.  ``stats``
+    holds the transport's ``node_evals`` (14 per step attempt, each one
+    evaluation of g, the coefficients and the data equations on all live
+    curves) and accepted ``steps``, summed over its ``segments``, and
+    ``flow_rhs_evals``, the rhs evaluations of the dense (L, psi) solve
+    behind the backward trace.
     """
 
     x: np.ndarray
@@ -145,17 +206,6 @@ def _pairs(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.tile(x, t.size), np.repeat(t, x.size)
 
 
-def _flow_rate(k, psi: float) -> tuple[float, float]:
-    """(L', psi') = (A - B, (A - B) psi + A) at coefficients k."""
-    lam = k.A - k.B
-    return lam, lam * psi + k.A
-
-
-def _place(w0, L: float, psi: float):
-    """Offsets x - 1 at a time where the flow is (L, psi), of the curves with origin offsets w0."""
-    return w0 / (math.exp(L) + psi * w0)
-
-
 class CharacteristicSolver:
     """Shared-state solver: one (L, psi) flow per (rates, h) pair.
 
@@ -179,8 +229,13 @@ class CharacteristicSolver:
         if self._flow is None or t > self._horizon * (1.0 + 1e-12):
             self._horizon = max(self._horizon, t, 1e-9)
             rates, g = self.rates, self.g
+
+            def rate(s, y):
+                k = coefficients(rates, g(s))
+                return k.A - k.B, (k.A - k.B) * y[1] + k.A
+
             sol = solve_ivp(
-                lambda s, y: _flow_rate(coefficients(rates, g(s)), y[1]),
+                rate,
                 (0.0, self._horizon),
                 [0.0, 0.0],
                 method="DOP853",
@@ -223,8 +278,7 @@ class CharacteristicSolver:
             return x0, w0
         xb, tb = x0[live], t_bar[live]
         flow = self._ensure(float(tb.max()))
-        # (e^L, psi) once per distinct time, with math.exp like _place:
-        # np.exp may differ from it in the last bit
+        # (e^L, psi) once per distinct time
         at = {}
         for v in set(tb.tolist()):
             L, psi = flow(v).tolist()
@@ -256,103 +310,121 @@ class CharacteristicSolver:
     def _march(self, x, t, init, rhs, rtol, atol):
         """Data at the pairs (x_i, t_i), sorted by t, carried from t = 0 in one forward pass.
 
-        The marched state leads with (L, psi), shared by every curve: they
-        start at (0, 0), carry over from segment to segment and place each
-        curve at offset w = x - 1 = w0 / (e^L + psi w0) from the origin
-        offset w0 the backward trace computed, so no curve needs the dense
-        flow.  (L, psi) keep the flow's own ``ATOL``, since a data ``atol``
-        as small as 1e-280 must not control L, which starts at 0.  One
-        segment runs from each distinct time to the next, and the curves of
-        a time are retired at its end.  Each segment after the first starts
-        from the largest step the previous one accepted, cut to its own
-        length, instead of guessing a first step anew.
+        Each step attempt [s, s + h] (``_step``) evaluates g and the
+        coefficients once, on the 14 nodes of the 8- and the 6-node Gauss
+        rule.  From them come the march's own (L, psi) at the nodes, shared
+        by every curve, and the curves' offsets w = x - 1 = w0 / (e^L +
+        psi w0) there, from the origin offsets w0 the backward trace
+        computed.  Every data row is a linear equation y' = a y + f along
+        the curves and is stepped by ``_linear``; the node values of a row
+        may enter the rows after it.
 
         ``init(x0)`` gives the data at the origins, shape (k, n), and
-        ``rhs(s, y, w, c)`` returns the k rows of their time derivative at
-        time s while the curves sit at 1 + w, with c = coefficients(rates,
-        g(s)).  y has shape (k, n_live) and w shape (n_live,).  A segment
-        with a single live curve (every segment of a one-point query) runs
-        its whole right-hand side on Python floats instead: y is a list of
-        k floats, w a float and the rhs returns k floats, while g evaluates
-        the float s with ``math`` on both paths.  Each numpy call on a
-        1-element array or a numpy scalar costs about a microsecond, several
-        times its arithmetic, and one evaluation made some twenty of them.
-        The rhs is written once for both.  Returns the data at each pair's
-        own time, shape (k, n), the origins and the solver counts.
+        ``rhs(s, w, c)`` is a generator over the k rows: it yields (a, f)
+        of a row at the node times s, shape (14, 1), while the curves sit
+        at 1 + w, shape (14, n_live), with c = coefficients(rates, g(s)),
+        and is sent back that row's node values before it yields the next.
+
+        The 8-node result is kept, and its difference from the 6-node
+        result is the error estimate, in scipy's RMS norm: ``rtol`` on
+        every component, ``atol`` on the data and the flow's own ``ATOL``
+        on (L, psi), since a data ``atol`` as small as 1e-280 must not
+        control L, which starts at 0.  A step is accepted at an error of
+        at most 1, and the next is h * min(10, max(0.2, 0.9 err^(-1/13))):
+        the estimate is the 6-node rule's local error, O(h^13).
+        A step that produces a non-finite value is rejected with the
+        factor 0.2, and a rejected step below 10 ulp of s raises
+        IntegrationError.  Steps are cut at each distinct time, where the
+        curves of that time are retired; the step size carries over, and a
+        step cut short keeps the larger step it was handed.  Returns the
+        data at each pair's own time, shape (k, n), the origins and the
+        march's counts.
         """
-        rates, g = self.rates, self.g
         origins, w0 = self._trace_back_many(x, t)
         y = np.array(init(origins), dtype=float)
-        k = y.shape[0]
-        lpsi = np.zeros(2)  # (L, psi) at t_prev
-        stats = {"rhs_evals": 0, "steps": 0, "segments": 0}
-        t_prev, step = 0.0, None  # the next segment's first step, before the cut to its length
+        L = psi = s = 0.0
+        h = None
+        stats = {"node_evals": 0, "steps": 0, "segments": 0}
         lo = int(np.searchsorted(t, 0.0, side="right"))  # curves at t = 0 keep their data
         for tj in np.unique(t[lo:]).tolist():
-            # the solver keeps each returned array, so both build a fresh one
-            if y.shape[1] - lo == 1:  # a single live curve runs on Python floats
-
-                def f(s, q, w0=float(w0[lo])):
-                    L, psi, *data = q.tolist()
-                    c = coefficients(rates, g(s))
-                    return np.array([*_flow_rate(c, psi), *rhs(s, data, _place(w0, L, psi), c)])
-
-            else:
-
-                def f(s, q, w0=w0[lo:]):
-                    L, psi = q[:2].tolist()
-                    c = coefficients(rates, g(s))
-                    rows = rhs(s, q[2:].reshape(k, -1), _place(w0, L, psi), c)
-                    return np.concatenate((_flow_rate(c, psi), *rows))
-
-            data = y[:, lo:].ravel()
-            sol = solve_ivp(
-                f,
-                (t_prev, tj),
-                np.concatenate((lpsi, data)),
-                method="DOP853",
-                rtol=rtol,
-                atol=np.concatenate(((ATOL, ATOL), np.full(data.size, atol))),
-                first_step=None if step is None else min(step, tj - t_prev),
-            )
-            if sol.status != 0:
-                raise IntegrationError(f"characteristic transport failed on [{t_prev!r}, {tj!r}]: {sol.message}")
-            end = sol.y[:, -1]
-            lpsi = end[:2].copy()
-            y[:, lo:] = end[2:].reshape(k, -1)
-            stats["rhs_evals"] += sol.nfev
-            stats["steps"] += sol.t.size - 1
+            h = tj if h is None else h  # the first step tries the whole first segment
+            w_live, y_live = w0[lo:], y[:, lo:]
+            while s < tj:
+                last = h >= tj - s
+                step = tj - s if last else h
+                L_new, psi_new, new, err = self._step(rhs, s, step, L, psi, w_live, y_live, rtol, atol)
+                stats["node_evals"] += sum(_ORDERS)
+                if err > 0.0:
+                    fac = min(10.0, max(0.2, 0.9 * err ** (-1.0 / 13.0)))
+                else:
+                    fac = 10.0 if err == 0.0 else 0.2
+                if err <= 1.0:
+                    L, psi = L_new, psi_new
+                    y_live[:] = new
+                    s = tj if last else min(s + step, tj)
+                    h = max(h, step * fac) if step < h else step * fac
+                    stats["steps"] += 1
+                else:
+                    h = step * fac
+                    if h < 10.0 * math.ulp(s):
+                        raise IntegrationError(
+                            f"characteristic transport failed at t = {s!r}: the step fell below 10 ulp of t"
+                        )
             stats["segments"] += 1
-            steps = np.diff(sol.t)
-            # a segment crossed in one step was cut short by its end, not by
-            # the error control: keep the larger step handed to it
-            t_prev, step = tj, float(steps.max() if steps.size > 1 else max(step or 0.0, steps[0]))
             lo = int(np.searchsorted(t, tj, side="right"))  # the curves of tj are retired
-            # scipy leaves each finished solver in a reference cycle that
-            # holds a (16, n) stage array; collect it before they pile up.
-            gc.collect(0)
         stats["flow_rhs_evals"] = self._flow_evals
         return y, origins, stats
 
+    def _step(self, rhs, s: float, h: float, L: float, psi: float, w0, y, rtol: float, atol: float):
+        """One step attempt of the march from s over h, on the live curves with origin offsets w0 and data y.
+
+        Returns L, psi and the data at s + h by the 8-node rule, and the
+        error estimate, which is nan when a value is not finite.  The
+        (14, n) arrays of the step die with it.
+        """
+        nodes, ahat, weights = _rules()
+        tau = s + h * nodes
+        c = coefficients(self.rates, self.g(tau))
+        with np.errstate(all="ignore"):  # a non-finite result rejects the step
+            lam = c.A - c.B
+            psi_k, psi_e = _linear(psi, lam, c.A, h)
+            L_e = L + h * (weights @ lam)
+            w = psi_k * w0
+            w += np.exp(L + h * (ahat @ lam))
+            np.divide(w0, w, out=w)
+            if not np.isfinite(w).all():
+                return L, psi, None, math.nan
+            ends = []
+            rows = rhs(tau, w, c)
+            a, f = next(rows)
+            for i in range(y.shape[0]):
+                y_k, end = _linear(y[i], a, f, h)
+                ends.append(end)
+                if i + 1 < y.shape[0]:
+                    a, f = rows.send(y_k)
+            new, low = np.stack(ends, axis=1)
+            sq = np.sum(((new - low) / (atol + rtol * np.maximum(np.abs(y), np.abs(new)))) ** 2)
+            for old, (hi, lw) in ((L, L_e[:, 0].tolist()), (psi, psi_e[:, 0].tolist())):
+                sq += ((hi - lw) / (ATOL + rtol * max(abs(old), abs(hi)))) ** 2
+        return float(L_e[0, 0]), float(psi_e[0, 0]), new, math.sqrt(sq / (2 + y.size))
+
     def _initial_data(self, x0: np.ndarray) -> np.ndarray:
-        """(p1, z) = (h', h) at the origins x0."""
-        return np.array([self.h.derivative(x0), self.h(x0)], dtype=float)
+        """(u, p1) = (h - 1, h') at the origins x0."""
+        return np.array([self.h(x0) - 1.0, self.h.derivative(x0)], dtype=float)
 
-    def _rhs(self, s: float, y, w, k):
-        """d(p1, z)/dt along the curves at x = 1 + w; k holds the coefficients at g(s).
+    def _rows(self, s, w, k):
+        """The rows (u, p1) = (G - 1, G_x) along the curves at x = 1 + w; k holds the coefficients at g(s).
 
-        y holds the rows (p1, z), of floats or of arrays like w.
-
-        z' = hb z + c4 x^m is G's own equation along a curve, hb = w C - c4;
-        p1' is its x-derivative, fed by z.  At w = 0, hb z + c4 is exactly
-        -c4 + c4 = 0 for z = 1.
+        z = G obeys z' = hb z + c4 x^m, hb = w C - c4, so u = z - 1 obeys
+        u' = hb u + (hb + c4 x^m), whose source is exactly -c4 + c4 = 0 at
+        w = 0.  p1' is the x-derivative of z', fed by the node values of u.
         """
         m = self.rates.m
-        p1, z = y
         x = 1.0 + w
         hb = w * k.C - k.c4
+        u = yield hb, hb + k.c4 * x**m
         src = m * k.c4 * x ** (m - 1) if m > 0 else 0.0
-        return (2.0 * k.A * x - k.A - k.B + hb) * p1 + k.C * z + src, hb * z + k.c4 * x**m
+        yield 2.0 * k.A * x - k.A - k.B + hb, k.C * (1.0 + u) + src
 
     def solve_at(self, x_bar, t_bar):
         """(G, G_x) at the point (x_bar, t_bar).
@@ -364,9 +436,9 @@ class CharacteristicSolver:
         x, t = _check_points(x_bar, t_bar)
         xs, ts = np.atleast_1d(x), np.atleast_1d(t)
         order = np.argsort(ts, kind="stable")
-        data, _, _ = self._march(xs[order], ts[order], self._initial_data, self._rhs, RTOL, ATOL)
-        Gx, G = np.empty_like(data)
-        Gx[order], G[order] = data
+        data, _, _ = self._march(xs[order], ts[order], self._initial_data, self._rows, RTOL, ATOL)
+        G, Gx = np.empty_like(data)
+        G[order], Gx[order] = 1.0 + data[0], data[1]
         if x.ndim == 0:
             return float(G[0]), float(Gx[0])
         return G, Gx
@@ -380,10 +452,10 @@ class CharacteristicSolver:
         """
         x, t = _check_grid(x_grid, t_grid)
         shape = (t.size, x.size)
-        data, origins, stats = self._march(*_pairs(x, t), self._initial_data, self._rhs, RTOL, ATOL)
-        Gx, G = data.reshape(2, *shape)
+        data, origins, stats = self._march(*_pairs(x, t), self._initial_data, self._rows, RTOL, ATOL)
+        u, Gx = data.reshape(2, *shape)
         return SolutionField(
-            x=x, t=t, G=G, Gx=Gx, origins=origins.reshape(shape), rates=self.rates, g=self.g, stats=stats
+            x=x, t=t, G=1.0 + u, Gx=Gx, origins=origins.reshape(shape), rates=self.rates, g=self.g, stats=stats
         )
 
     def solve_difference_grid(self, x_grid, t_grid, steady) -> np.ndarray:
@@ -403,11 +475,15 @@ class CharacteristicSolver:
         decay diagnostics need.  ``steady`` must be the stationary profile
         matching the rates, callable on arrays over [-1 - 2e-3, 1].
 
-        The source reads G* and dG*/dx along the moving paths from one cubic
-        spline through G* on a fixed 4,097-point uniform mesh, value and
-        slope from one index computation and one Horner pass per evaluation.
-        Both are smooth in x, so the step-size control sees no kinks where a
-        curve crosses a mesh node.
+        Along a curve D is one data row of the march, D' = (w C - c4) D + S,
+        stepped by the exponential Gauss quadrature with relative tolerance
+        1e-10 and absolute tolerance 1e-280, so the step control stays
+        relative however small D gets.  The source reads G* and dG*/dx at
+        the curves' node positions from one cubic spline through G* on a
+        fixed 4,097-point uniform mesh, value and slope from one index
+        computation and one Horner pass per evaluation.  Both are smooth in
+        x, so the step-size control sees no kinks where a curve crosses a
+        mesh node.
 
         One residual rounding floor remains: the transported initial datum
         h(x0) - G*(x0) is an ordinary subtraction, and when h'(1) equals
@@ -432,16 +508,18 @@ class CharacteristicSolver:
         xs_tab = np.linspace(-1.0 - 2e-3, 1.0, 4097)
         lookup = _value_and_slope(CubicSpline(xs_tab, np.asarray(steady(xs_tab), dtype=float)))
 
-        def rhs(s, y, w, k):
-            (d,) = y
+        def rhs(s, w, k):
             gap = g.gap(s)
             # A is linear in 1/g, so A(g) - A(g_inf) = A_g(g) g gap / g_inf
             # with g = g_inf + gap; A_g vanishes whenever g_inf does.
-            dA = k.A_g * (g_inf + gap) * gap / g_inf if k.A_g else 0.0
-            xp = 1.0 + w
-            gs, gsx = lookup(xp)
-            src = w * ((dA * xp - k.B_g * gap) * gsx + k.C_g * gap * gs)
-            return ((w * k.C - k.c4) * d + src,)
+            dA = k.A_g * (g_inf + gap) * gap / g_inf if g_inf else 0.0
+            gs, gsx = lookup(1.0 + w)
+            # the source w ((dA x - B_g gap) G*' + C_g gap G*), built in gsx
+            gsx *= dA * (1.0 + w) - k.B_g * gap
+            gsx += k.C_g * gap * gs
+            gsx *= w
+            del gs
+            yield w * k.C - k.c4, gsx
 
         active = x != 1.0
         xs = x[active]
@@ -454,27 +532,32 @@ class CharacteristicSolver:
 def _value_and_slope(spline):
     """(value, slope) lookup of a cubic spline whose breakpoints are uniform.
 
-    One index computation replaces the spline's interval search.  Every x
-    asked for lies at or right of the first breakpoint, so truncating
-    (x - x_0) / h is its floor; i is capped onto the last interval, which
-    extends its polynomial outward as the spline itself does.  Horner's
-    rule on the coefficients of interval i in powers of r = x - x_i gives
-    the value and the slope (de Boor, A Practical Guide to Splines).  The
-    four coefficient rows are kept contiguous and gathered with ``take``;
-    x may be an array or a float.
+    One index computation replaces the spline's interval search: i is
+    (x - x_0) / h clipped onto the first and the last interval and then
+    truncated, which is its floor inside the mesh.  Outside it the end
+    intervals extend their polynomials outward, as the spline itself does;
+    only a rejected step of the march places a curve there.  Horner's rule
+    on the coefficients of interval i in powers of r = x - x_i gives the
+    value and the slope (de Boor, A Practical Guide to Splines).  The four
+    coefficient rows are kept contiguous and gathered with ``take``, one at
+    a time into an in-place Horner pass, which bounds the (14, n)
+    temporaries of a march step.
     """
     knots = spline.x
     row0, row1, row2, row3 = (np.ascontiguousarray(row) for row in spline.c)
     n = knots.size - 1
     lo, scale = knots[0], n / (knots[-1] - knots[0])
+    row1x2 = 2.0 * row1
 
     def lookup(x):
-        # capping before truncating gives the same i, and np.minimum turns
-        # a float into a numpy scalar that has astype
-        i = np.minimum((x - lo) * scale, n - 1).astype(np.intp)
+        i = np.clip((x - lo) * scale, 0, n - 1).astype(np.intp)
         r = x - knots.take(i)
-        c0, c1, c2, c3 = row0.take(i), row1.take(i), row2.take(i), row3.take(i)
-        return ((c0 * r + c1) * r + c2) * r + c3, (3.0 * c0 * r + 2.0 * c1) * r + c2
+        value, slope = row0.take(i), row0.take(i)  # ((c0 r + c1) r + c2) r + c3
+        slope *= 3.0  # (3 c0 r + 2 c1) r + c2
+        for v, c in ((value, row1), (slope, row1x2), (value, row2), (slope, row2), (value, row3)):
+            v *= r
+            v += c.take(i)
+        return value, slope
 
     return lookup
 

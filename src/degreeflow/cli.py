@@ -95,7 +95,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     print(f"solved field on {x.size} x {t.size} grid -> {path}")
     st = field.stats
     print(
-        f"transport: {st['rhs_evals']} rhs evals, {st['steps']} steps, {st['segments']} segments, "
+        f"transport: {st['node_evals']} node evals, {st['steps']} steps, {st['segments']} segments, "
         f"flow {st['flow_rhs_evals']} rhs evals"
     )
     if np.any(x == 1.0):

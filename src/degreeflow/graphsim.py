@@ -36,6 +36,7 @@ worker) and for one replica or one CPU.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import sys
@@ -352,11 +353,12 @@ class SimConfig:
     """Ensemble simulation setup.
 
     graph: "regular" (circulant of degree graph_degree), "erdos" (mean
-    degree graph_degree), or "empty"; graph_degree must be finite.  Sample
-    times must be finite, nonnegative and increasing.  n_nodes, seed,
-    replicas and k_max must be integers, the seed nonnegative and the
-    others positive.  k_max fixes the histogram length shared by all
-    snapshots.
+    degree graph_degree), or "empty"; graph_degree must be a finite real
+    number and is kept as a float.  Sample times must be real numbers,
+    finite, nonnegative and increasing.  n_nodes, seed, replicas and k_max
+    must be integers, the seed nonnegative and the others positive.  k_max
+    fixes the histogram length shared by all snapshots.  Anything else
+    raises ValidationError.
     """
 
     rates: ProcessRates
@@ -381,17 +383,34 @@ class SimConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.replicas < 1:
             raise ValidationError(f"need at least one replica, got {self.replicas}")
+        if not isinstance(self.rates, ProcessRates):
+            raise ValidationError(f"rates must be ProcessRates, got {self.rates!r}")
         if self.graph not in ("regular", "erdos", "empty"):
             raise ValidationError(f"unknown initial graph kind {self.graph!r}")
-        ts = tuple(float(t) for t in self.sample_times)
+        try:
+            ts = tuple(_real("sample time", t) for t in self.sample_times)
+        except TypeError:
+            raise ValidationError(f"sample_times must be a sequence of times, got {self.sample_times!r}") from None
         increasing = all(a < b for a, b in zip(ts, ts[1:]))
         if not ts or not all(0.0 <= t < math.inf for t in ts) or not increasing:
             raise ValidationError("sample times must be finite, nonnegative and strictly increasing")
-        if not math.isfinite(self.graph_degree):
+        degree = _real("graph_degree", self.graph_degree)
+        if not math.isfinite(degree):
             raise ValidationError(f"graph_degree must be finite, got {self.graph_degree!r}")
         if self.k_max < 1:
             raise ValidationError(f"k_max must be >= 1, got {self.k_max}")
         object.__setattr__(self, "sample_times", ts)
+        object.__setattr__(self, "graph_degree", degree)
+
+
+def _real(name: str, value) -> float:
+    """value as a float; anything but a real number raises ValidationError, and an int past the float range is infinite."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass

@@ -143,21 +143,23 @@ class Coefficients(NamedTuple):
     C_g: float
 
 
-def coefficients(rates: ProcessRates, g: float) -> Coefficients:
+def coefficients(rates: ProcessRates, g) -> Coefficients:
     """Coefficients of G_t = (x-1)(A x - B) G_x + ((x-1) C - c4) G + c4 x^m at g > 0.
 
-    g enters A only as wsum / g, wsum = 2 l_p + m n_p.  Without that term A
-    stays finite down to g = 0, where the moment of a dying network
-    underflows; with it, a g whose square underflows raises DomainError.
+    g is a float or an array of moments; a coefficient that depends on g
+    then has its shape, and the others stay floats.  g enters A only as
+    wsum / g, wsum = 2 l_p + m n_p.  Without that term A stays finite down
+    to g = 0, where the moment of a dying network underflows; with it, a g
+    whose square underflows raises DomainError.
     """
     wsum = 2.0 * rates.l_p + rates.m * rates.n_p
     if wsum == 0.0:
         A, A_g = rates.omega_p, 0.0
-    elif g * g > 0.0:
+    elif np.all(g * g > 0.0):
         A, A_g = rates.omega_p + wsum / g, -wsum / g**2
     else:
-        raise DomainError(f"first moment g = {g!r} is too small for the wsum / g term of A")
-    # positional: keywords double the cost, and the transport calls this
+        raise DomainError(f"first moment g = {float(np.min(g))!r} is too small for the wsum / g term of A")
+    # positional: keywords double the cost, and the dense flow calls this
     # once per right-hand-side evaluation
     return Coefficients(
         A,

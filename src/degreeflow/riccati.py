@@ -122,9 +122,10 @@ class ClosedFormMoment:
         """g(t): a float for a float t, else an array (a float when t is 0-d).
 
         A float t, np.float64 included, is evaluated on Python floats with
-        ``math.exp``: the transport calls g once per right-hand-side
-        evaluation, and numpy costs about a microsecond per call on a 0-d
-        array.  The last bit may differ from the array path.
+        ``math.exp``: the dense flow behind the backward trace calls g once
+        per right-hand-side evaluation, and numpy costs about a microsecond
+        per call on a 0-d array.  The last bit may differ from the array
+        path, which the march takes on its node times.
         """
         t, exp = _with_exp(t)
         n_d, b, c = self.coeffs.n_d, self.coeffs.b, self.coeffs.c

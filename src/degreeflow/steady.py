@@ -298,7 +298,7 @@ def _kernel_profile(side: float, xi: float, alpha: float, beta: float, m: int, p
     value, error = (np.array(list(accumulate(zip(carry, a), lambda g, ca: ca[0] * g + ca[1], initial=0.0)))
                     for a in (part, est))
 
-    def profile(x: np.ndarray) -> np.ndarray:
+    def block(x: np.ndarray) -> np.ndarray:
         k = np.searchsorted(d, np.abs(x - xi))
         carry, part, est = step(np.abs(x - xi), 1.0 - x, k)
         val, err = carry * value[k - 1] + part, carry * error[k - 1] + est
@@ -308,6 +308,12 @@ def _kernel_profile(side: float, xi: float, alpha: float, beta: float, m: int, p
                 f"two-singularity quadrature error estimate {float(err[bad][0])!r} at x = {float(x[bad][0])!r}"
             )
         return val
+
+    def profile(x: np.ndarray) -> np.ndarray:
+        # blocks of 512 points bound the (n, 20) node arrays of step, the
+        # peak memory of a long table; each point is computed alone, so the
+        # blocks change no value
+        return np.concatenate([block(x[i : i + 512]) for i in range(0, max(x.size, 1), 512)])
 
     return profile
 

@@ -19,15 +19,17 @@ from degreeflow import characteristics
 from degreeflow.characteristics import CharacteristicSolver, solve_grid
 from degreeflow.config import parse_config
 from degreeflow.degree_ode import gf_eval, integrate
-from degreeflow.errors import DomainError, ValidationError
+from degreeflow.errors import DomainError, IntegrationError, ValidationError
 from degreeflow.initial import InitialCondition
 from degreeflow.model import ProcessRates, coefficients, derive_riccati
 from degreeflow.riccati import ClosedFormMoment, solve_closed_form
 from degreeflow.steady import steady_from_rates
-from pde_reference import evaluate_H
+from pde_reference import deviation_by_dop853, evaluate_H
 
 FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
                     n_d=1, n_r=1, n_p=1, m=3)
+FIG6 = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=0, l_p=1, n_d=1, n_r=0, n_p=0, m=3)
+FIG7 = ProcessRates(omega_r=1, omega_p=0, l_d=1, l_r=1, l_p=0, n_d=1, n_r=1, n_p=0, m=3)
 H_SQUARE = InitialCondition.polynomial([0, 0, 1])
 
 
@@ -38,6 +40,20 @@ def _g(g0=2.0):
 def _solver(t):
     """A solver for FIG2 and h = x^2 (so g(0) = 2) whose dense flow is first built to max(t)."""
     return CharacteristicSolver(FIG2, H_SQUARE, t_max=np.max(t, initial=0.0))
+
+
+def _march_stats(monkeypatch) -> list[dict]:
+    """The stats of every march from here on, in call order."""
+    seen = []
+    real = CharacteristicSolver._march
+
+    def counting(self, *args):
+        out = real(self, *args)
+        seen.append(out[2])
+        return out
+
+    monkeypatch.setattr(CharacteristicSolver, "_march", counting)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -242,20 +258,14 @@ def test_difference_rows_match_separate_solves():
 def test_difference_grid_rhs_evaluation_budget(monkeypatch):
     # a source with kinks in x (piecewise-linear lookups of G* and G*')
     # forces tiny steps on every curve that crosses a kink; the smooth
-    # spline source needs about 1,100 rhs evaluations here, the kinked one
-    # about 13,000.  Counts the (L, psi) flow too.
-    nfev = []
-    real = characteristics.solve_ivp
-
-    def counting(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(characteristics, "solve_ivp", counting)
+    # spline source needs 336 march node evaluations here and 332 rhs
+    # evaluations of the (L, psi) flow, the kinked one over 8 million node
+    # evaluations.  Counts the march and the flow.
+    seen = _march_stats(monkeypatch)
     solver = CharacteristicSolver(FIG2, h=InitialCondition.geometric(3.0), t_max=1.0)
     solver.solve_difference_grid(np.linspace(-1, 1, 21), np.linspace(0, 1, 11), steady_from_rates(FIG2))
-    assert sum(nfev) <= 3000
+    (stats,) = seen
+    assert stats["node_evals"] + stats["flow_rhs_evals"] <= 3000
 
 
 def test_difference_grid_matches_subtraction_early():
@@ -310,45 +320,40 @@ def test_offsets_below_the_double_range_are_a_domain_error():
             query(0.5, 250.0)
 
 
-def test_segments_start_from_the_previous_step(monkeypatch):
-    # each segment of the march starts from the largest step the previous
-    # one accepted instead of guessing its first step anew, which took
-    # 3,316 evaluations here; the dense (L, psi) flow is not counted
-    nfev = []
-    real = characteristics.solve_ivp
-
-    def counting(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        if not kwargs.get("dense_output"):
-            nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(characteristics, "solve_ivp", counting)
-    solver = CharacteristicSolver(FIG2, h=InitialCondition.geometric(3.0), t_max=5.0)
-    solver.solve_difference_grid(np.linspace(-1, 1, 41), np.linspace(0, 5, 51), steady_from_rates(FIG2))
-    assert len(nfev) == 50 and sum(nfev) <= 3000
+def test_segments_start_from_the_previous_step():
+    # each segment of the march starts from the step size the previous one
+    # handed on instead of guessing its first step anew: 1,414 node
+    # evaluations here, against 2,100 when each segment first tries its own
+    # length; the dense (L, psi) flow is not counted
+    field = solve_grid(np.linspace(-1, 1, 41), np.linspace(0, 5, 51), FIG2, H_SQUARE)
+    assert field.stats["segments"] == 50 and field.stats["node_evals"] <= 1700
 
 
 def test_grid_stats_count_the_transport(monkeypatch):
-    # stats sum the march's solve_ivp calls; the dense flow behind the
-    # backward trace is the one call with dense output and is counted apart
-    calls, flows = [], []
-    real = characteristics.solve_ivp
+    # stats count 14 node evaluations for each evaluation of the
+    # coefficients on an array of node times, one per step attempt, and
+    # the accepted steps; the dense flow behind the backward trace is the
+    # one solve_ivp call, with dense output, and is counted apart
+    flows, attempts = [], [0]
+    real_ivp, real_coefficients = characteristics.solve_ivp, characteristics.coefficients
 
-    def counting(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        (flows if kwargs.get("dense_output") else calls).append(sol)
+    def counting_ivp(*args, **kwargs):
+        sol = real_ivp(*args, **kwargs)
+        flows.append(sol)
         return sol
 
-    monkeypatch.setattr(characteristics, "solve_ivp", counting)
+    def counting_coefficients(rates, g):
+        attempts[0] += np.ndim(g) > 0
+        return real_coefficients(rates, g)
+
+    monkeypatch.setattr(characteristics, "solve_ivp", counting_ivp)
+    monkeypatch.setattr(characteristics, "coefficients", counting_coefficients)
     field = solve_grid(np.linspace(-1, 1, 11), np.linspace(0, 1, 6), FIG2, H_SQUARE)
-    assert field.stats == {
-        "rhs_evals": sum(sol.nfev for sol in calls),
-        "steps": sum(sol.t.size - 1 for sol in calls),
-        "segments": 5,
-        "flow_rhs_evals": flows[0].nfev,
-    }
-    assert len(calls) == 5 and len(flows) == 1
+    steps = field.stats["steps"]
+    assert field.stats == {"node_evals": 14 * attempts[0], "steps": steps, "segments": 5,
+                           "flow_rhs_evals": flows[0].nfev}
+    assert 5 <= steps <= attempts[0]
+    assert len(flows) == 1 and flows[0].sol is not None
 
 
 def test_batched_points_match_per_point_queries(monkeypatch):
@@ -357,18 +362,12 @@ def test_batched_points_match_per_point_queries(monkeypatch):
     rng = np.random.default_rng(11)
     xs, ts = rng.uniform(-1.0, 1.0, 100), rng.uniform(0.05, 5.0, 100)
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
-    nfev = []
-    real = characteristics.solve_ivp
-
-    def counting(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(characteristics, "solve_ivp", counting)
+    seen = _march_stats(monkeypatch)
     G, Gx = solver.solve_at(xs, ts)
-    assert sum(nfev) <= 5000
-    monkeypatch.setattr(characteristics, "solve_ivp", real)
+    # 1,848 node evaluations and 377 for the flow, against 21,574 node
+    # evaluations for the 100 queries one by one
+    (stats,) = seen
+    assert stats["node_evals"] + stats["flow_rhs_evals"] <= 5000
     assert G.shape == Gx.shape == (100,)
     alone = np.array([solver.solve_at(x, t) for x, t in zip(xs.tolist(), ts.tolist())])
     np.testing.assert_allclose(G, alone[:, 0], rtol=0, atol=1e-8)
@@ -433,31 +432,10 @@ def test_spline_lookup_matches_cubic_spline():
                                atol=8 * np.finfo(float).eps)
 
 
-def test_one_curve_on_scalars_matches_the_array_march():
-    # a segment with one live curve hands the rhs Python floats; the same
-    # march with the curve as 1-element arrays takes the same steps, and
-    # only the last bit of x ** m may differ between the two
-    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
-    seen = []
-
-    def on_arrays(s, y, w, k):
-        seen.append(np.ndim(w))
-        return np.ravel(solver._rhs(s, np.reshape(y, (2, -1)), np.atleast_1d(w), k))
-
-    rng = np.random.default_rng(5)
-    for x, t in zip(rng.uniform(-1.0, 1.0, 10).tolist(), rng.uniform(0.05, 5.0, 10).tolist()):
-        G, Gx = solver.solve_at(x, t)
-        data, _, _ = solver._march(np.array([x]), np.array([t]), solver._initial_data, on_arrays,
-                                   characteristics.RTOL, characteristics.ATOL)
-        assert abs(G - data[1, 0]) <= 1e-12
-        assert abs(Gx - data[0, 0]) <= 1e-12
-    assert set(seen) == {0}
-
-
 def test_one_point_difference_grid_matches_the_wide_grid():
-    # a one-point x grid marches its curve on scalars, through the deviation
-    # rhs and the spline lookup; the wide grid marches the same curve among
-    # twenty others.  Measured: 1.6e-13.
+    # a one-point x grid marches its curve alone, through the deviation rows
+    # and the spline lookup, and takes its own steps; the wide grid marches
+    # the same curve among twenty others.  Measured: 2.6e-13.
     steady = steady_from_rates(FIG2)
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=0.5)
     xs, ts = np.linspace(-1, 1, 21), [0.0, 0.5]
@@ -468,42 +446,116 @@ def test_one_point_difference_grid_matches_the_wide_grid():
 
 
 def test_single_point_march_keeps_its_rhs_evaluation_count(monkeypatch):
-    # the counts of the march on 1-element arrays, before it ran one curve
-    # on numpy scalars: the scalar rhs must not change the step control
+    # the node evaluations and steps of one-point marches, pinned: one
+    # curve takes the same path as many, and a change to the rules or the
+    # step control shows here
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
-    solver.trace_back(0.0, 5.0)  # builds the dense flow first, so only the marches are counted
-    nfev = []
-    real = characteristics.solve_ivp
-
-    def counting(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(characteristics, "solve_ivp", counting)
+    seen = _march_stats(monkeypatch)
     for x, t in [(-0.9, 0.3), (-0.4, 1.7), (0.2, 4.6), (0.7, 0.05), (0.95, 2.5), (1.0, 3.0)]:
         solver.solve_at(x, t)
-    assert nfev == [218, 398, 494, 50, 230, 242]
+    assert [st["node_evals"] for st in seen] == [98, 210, 294, 14, 154, 154]
+    assert [st["steps"] for st in seen] == [4, 8, 12, 1, 6, 7]
 
 
 def test_one_moment_evaluation_per_rhs_call(monkeypatch):
-    # the march evaluates g(s) once per rhs call and derives g'(s) from that
-    # value; the example grid's transport and its dense flow are counted
-    # together, and the initial data add one call for H at t = 0
+    # the march evaluates g once per step attempt, on the array of its 14
+    # node times, and the dense flow once per rhs call; the example grid's
+    # transport and its dense flow are counted together, and the initial
+    # data add one call for H at t = 0
     cfg = parse_config(Path(__file__).resolve().parents[1] / "perfbench" / "example.ini")
-    nfev, calls = [], [0]
-    real_ivp, real_call = characteristics.solve_ivp, ClosedFormMoment.__call__
-
-    def counting_ivp(*args, **kwargs):
-        sol = real_ivp(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
+    calls = [0]
+    real_call = ClosedFormMoment.__call__
 
     def counting_call(self, t):
         calls[0] += 1
         return real_call(self, t)
 
-    monkeypatch.setattr(characteristics, "solve_ivp", counting_ivp)
     monkeypatch.setattr(ClosedFormMoment, "__call__", counting_call)
-    solve_grid(cfg.x_grid(), cfg.t_grid(), cfg.rates, cfg.initial())
-    assert 0 < calls[0] <= sum(nfev) + 1
+    stats = solve_grid(cfg.x_grid(), cfg.t_grid(), cfg.rates, cfg.initial()).stats
+    assert 0 < calls[0] <= stats["node_evals"] // 14 + stats["flow_rhs_evals"] + 1
+
+
+def test_linear_rows_are_exact_on_constant_coefficients():
+    # y' = a y + f with constant a and f is y0 e^{at} + f (e^{at} - 1) / a,
+    # which the quadrature reproduces to rounding over steps and segments.
+    # Link deletion and uniform link addition alone give coefficients
+    # that do not depend on g, B = l_d and C = 2 l_r with A = c4 = 0, and
+    # the closed form G = h(x0) exp(C (x0 - 1)(e^{l_d t} - 1) / l_d) with
+    # x0 = 1 + (x - 1) e^{-l_d t}.  Measured: 3.3e-16, 4.2e-16 and 1.3e-15.
+    eps = np.finfo(float).eps
+    xs, ts = np.linspace(-1, 1, 9), np.array([0.0, 0.3, 1.0, 2.5, 4.0])
+    a, f = -1.3, 0.7
+
+    def rows(s, w, k):
+        yield np.full_like(w, a), np.full_like(w, f)
+
+    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=4.0)
+    x, t = np.tile(xs, ts.size), np.repeat(ts, xs.size)
+    data, origins, _ = solver._march(x, t, lambda x0: [1.0 + x0], rows, characteristics.RTOL, characteristics.ATOL)
+    exact = np.exp(a * t) * (1.0 + origins) + f * np.expm1(a * t) / a
+    assert np.max(np.abs(data[0] - exact)) <= 4 * eps
+
+    rates, h = ProcessRates(l_d=0.7, l_r=1.3), InitialCondition.polynomial([0.2, 0.3, 0.5])
+    field = solve_grid(xs, ts, rates, h)
+    e = np.exp(-rates.l_d * ts)[:, None]
+    x0 = 1.0 + (xs - 1.0) * e
+    kappa = 2.0 * rates.l_r * (1.0 / e - 1.0) / rates.l_d
+    G = h(x0) * np.exp(kappa * (x0 - 1.0))
+    Gx = e * (h.derivative(x0) + kappa * h(x0)) * np.exp(kappa * (x0 - 1.0))
+    assert np.max(np.abs(field.G - G)) <= 4 * eps
+    assert np.max(np.abs(field.Gx - Gx)) <= 8 * eps * np.max(np.abs(Gx))
+
+
+@pytest.mark.parametrize(("rates", "h", "bound"), [
+    (FIG2, InitialCondition.geometric(3.0), 4e-8),
+    (FIG7, InitialCondition.polynomial([0, 1]), 1.3e-10),
+    (FIG7, H_SQUARE, 1e-12),
+    (FIG6, InitialCondition.geometric(3.0), 0.0),
+], ids=["fig2", "fig7-x", "fig7-x2", "fig6"])
+def test_decay_grids_match_a_tight_dop853_reference(rates, h, bound):
+    # the four decay grids, 41 x 51 to t = 5, against DOP853 at rtol 1e-13
+    # from the same traced origins, row by row relative to the row's
+    # largest |D|.  Measured: 3.8e-9, 6.4e-11, 3.5e-14 and 0.  The DOP853
+    # march at rtol 1e-10 that the quadrature replaced was 9.7e-7, 1.3e-10,
+    # 1.8e-11 and 0 away.  On FIG6 a = f = 0 along every curve.
+    xs, ts = np.linspace(-1, 1, 41), np.linspace(0, 5, 51)
+    steady = steady_from_rates(rates)
+    solver = CharacteristicSolver(rates, h=h, t_max=5.0)
+    D = solver.solve_difference_grid(xs, ts, steady)
+    ref = deviation_by_dop853(solver, xs, ts, steady, rtol=1e-13)
+    # a row whose reference is 0 throughout, FIG7's last with h = x^2, is
+    # compared absolutely
+    scale = np.max(np.abs(ref), axis=1)
+    rel = np.max(np.abs(D - ref), axis=1) / np.where(scale > 0.0, scale, 1.0)
+    assert np.max(rel) <= bound
+
+
+def test_normalization_holds_to_the_last_bit():
+    # at x = 1 the G row's source hb + c4 x^m is exactly -c4 + c4 = 0 and
+    # u = G - 1 starts at h(1) - 1 = 0, so G(1, t) = 1 holds with no
+    # rounding at all, on every output time, for every rate set
+    xs, ts = np.linspace(-1, 1, 11), np.linspace(0, 5, 26)
+    for rates in (FIG2, FIG6, FIG7):
+        for h in (H_SQUARE, InitialCondition.geometric(3.0)):
+            field = solve_grid(xs, ts, rates, h)
+            assert np.all(field.G[:, -1] == 1.0)
+            np.testing.assert_allclose(field.Gx[:, -1], field.g(ts), rtol=1e-8)
+    solver = CharacteristicSolver(FIG7, h=H_SQUARE, t_max=5.0)
+    G, _ = solver.solve_at(np.array([1.0, 0.3, 1.0]), np.array([0.7, 2.0, 4.9]))
+    assert G[0] == G[2] == 1.0
+
+
+def test_a_step_below_ten_ulp_is_an_integration_error():
+    # a row whose source turns non-finite past s = 0.5 rejects every step
+    # with a node there; the march stops with IntegrationError once the
+    # step falls below 10 ulp of s instead of shrinking without end.  The
+    # nodes are interior, so the last accepted step may end just past 0.5.
+    def rows(s, w, k):
+        yield np.zeros_like(w), np.where(s > 0.5, np.nan, 0.0) + w
+
+    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=1.0)
+    with pytest.raises(IntegrationError, match="below 10 ulp") as info:
+        solver._march(np.array([0.3]), np.array([1.0]), lambda x0: [x0], rows,
+                      characteristics.RTOL, characteristics.ATOL)
+    s = float(str(info.value).split("t = ")[1].split(":")[0])
+    assert abs(s - 0.5) <= 1e-13

@@ -67,7 +67,7 @@ def test_solve_writes_field_and_moment(tmp_path, capsys):
     # the transport's counters on one line: one segment per output time after
     # t = 0, then the dense flow's count
     line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("transport:"))
-    assert re.fullmatch(r"transport: \d+ rhs evals, \d+ steps, 5 segments, flow \d+ rhs evals", line)
+    assert re.fullmatch(r"transport: \d+ node evals, \d+ steps, 5 segments, flow \d+ rhs evals", line)
     _, header, rows = _load_csv(out / "field.csv")
     assert header == ["t", "x", "G", "Gx"]
     assert rows.shape == (6 * 21, 4)

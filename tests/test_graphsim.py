@@ -425,3 +425,17 @@ def test_config_rejects_what_run_cannot_take(name, value):
     kwargs[name] = value
     with pytest.raises(ValidationError, match=name):
         SimConfig(**kwargs)
+
+
+def test_config_rejects_non_numeric_degree_and_times():
+    # these used to raise a raw TypeError from math.isfinite or a raw
+    # ValueError from float(); an int past the float range is infinite
+    base = dict(rates=FIG2, n_nodes=50, sample_times=(0.05,), seed=1)
+    for change in (dict(graph_degree="2"), dict(graph_degree=None), dict(graph_degree=10**400),
+                   dict(sample_times=("a",)), dict(sample_times=None), dict(sample_times=0.5),
+                   dict(sample_times=(0.05, "0.1")), dict(rates=None), dict(graph=["regular"])):
+        with pytest.raises(ValidationError):
+            SimConfig(**{**base, **change})
+    cfg = SimConfig(**base, graph_degree=np.int64(4), graph="erdos")
+    assert type(cfg.graph_degree) is float and cfg.graph_degree == 4.0
+

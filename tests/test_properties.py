@@ -1,7 +1,8 @@
-"""Property tests of the characteristic transport, the master-equation oracle and the CLI over drawn inputs.
+"""Property tests of the characteristic transport, the master-equation oracle, the simulator's config and the CLI over drawn inputs.
 
 Every case either raises a DegreeFlowError or meets the solver's
-invariants, and every CLI run ends in a documented exit code.  The draws
+invariants, every simulator config either constructs or raises
+ValidationError, and every CLI run ends in a documented exit code.  The draws
 are derandomized, so the suite sees the same cases on every run.
 """
 
@@ -17,7 +18,8 @@ from hypothesis import strategies as st  # noqa: E402
 from degreeflow.characteristics import CharacteristicSolver  # noqa: E402
 from degreeflow.cli import main  # noqa: E402
 from degreeflow.degree_ode import integrate  # noqa: E402
-from degreeflow.errors import DegreeFlowError  # noqa: E402
+from degreeflow.errors import DegreeFlowError, ValidationError  # noqa: E402
+from degreeflow.graphsim import SimConfig  # noqa: E402
 from degreeflow.initial import InitialCondition  # noqa: E402
 from degreeflow.model import ProcessRates  # noqa: E402
 
@@ -85,6 +87,51 @@ def test_oracle_conserves_mass_or_a_degreeflow_error(case):
     assert traj.stats["mass_drift"] <= 1e-6  # integrate's default mass_tol
     assert np.isfinite(traj.stats["tail_weight"])
 
+
+
+# SimConfig's fields, each drawn valid, and then at most one of them
+# replaced by None, a bool, an int of any size, a float with nan and inf, a
+# short string or a list, so that the checks before it pass; a sample time
+# may be any of those inside a tuple
+_SIM_VALID = {
+    "rates": st.just(ProcessRates(l_r=1.0, n_d=0.2)),
+    "n_nodes": st.integers(1, 300),
+    "sample_times": st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3).map(lambda v: tuple(sorted(set(v)))),
+    "seed": st.integers(0, 2**32),
+    "replicas": st.integers(1, 4),
+    "graph": st.sampled_from(["regular", "erdos", "empty"]),
+    "graph_degree": st.floats(0.0, 10.0),
+    "k_max": st.integers(1, 300),
+}
+_ANYTHING = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                      st.lists(st.floats(), max_size=2))
+
+
+@st.composite
+def _sim_configs(draw):
+    kwargs = {name: draw(valid) for name, valid in _SIM_VALID.items()}
+    name = draw(st.sampled_from([None, *_SIM_VALID]))
+    if name == "sample_times" and draw(st.booleans()):
+        kwargs[name] = tuple(draw(st.lists(st.one_of(st.floats(0.0, 5.0), _ANYTHING), min_size=1, max_size=3)))
+    elif name is not None:
+        kwargs[name] = draw(_ANYTHING)
+    return kwargs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sim_configs())
+# the inputs that raised a raw TypeError or ValueError before the check
+@example({"rates": ProcessRates(l_r=1.0), "n_nodes": 10, "sample_times": ("a",), "seed": 1})
+@example({"rates": ProcessRates(l_r=1.0), "n_nodes": 10, "sample_times": (0.1,), "seed": 1, "graph_degree": "2"})
+@example({"rates": ProcessRates(l_r=1.0), "n_nodes": 10, "sample_times": (0.1,), "seed": 1, "graph_degree": None})
+def test_sim_config_constructs_or_raises_a_validation_error(kwargs):
+    try:
+        cfg = SimConfig(**kwargs)
+    except ValidationError:
+        return
+    assert type(cfg.graph_degree) is float and np.isfinite(cfg.graph_degree)
+    assert cfg.sample_times and all(type(t) is float for t in cfg.sample_times)
+    assert min(cfg.n_nodes, cfg.replicas, cfg.k_max) >= 1 and cfg.seed >= 0
 
 # for the invalid inputs, so that most runs get past parsing; hypothesis
 # favours the ends of a range, so the rare value sits inside it
