@@ -20,14 +20,7 @@ from .analysis import (
 )
 from .characteristics import CharacteristicSolver, SolutionField, solve_grid
 from .config import ExperimentConfig, parse_config
-from .degree_ode import (
-    DistributionTrajectory,
-    TruncatedDistribution,
-    first_moment,
-    gf_eval,
-    integrate,
-    master_rhs,
-)
+from .degree_ode import DistributionTrajectory, gf_eval, integrate
 from .errors import (
     AbsorbingStateReached,
     AccuracyError,
@@ -50,12 +43,7 @@ from .model import (
     derive_riccati,
     steady_constants,
 )
-from .riccati import (
-    ClosedFormMoment,
-    equilibrium,
-    moment_rhs,
-    solve_closed_form,
-)
+from .riccati import ClosedFormMoment, equilibrium
 from .steady import (
     SteadyCase,
     SteadyCaseTag,
@@ -92,7 +80,6 @@ __all__ = [
     "SteadyCaseTag",
     "SteadyConstants",
     "SteadyState",
-    "TruncatedDistribution",
     "TruncationError",
     "ValidationError",
     "WorkerError",
@@ -103,16 +90,12 @@ __all__ = [
     "diff_norms",
     "equilibrium",
     "explicit_constants",
-    "first_moment",
     "fit_rate",
     "gf_eval",
     "integrate",
-    "master_rhs",
-    "moment_rhs",
     "parse_config",
     "residual",
     "run",
-    "solve_closed_form",
     "solve_grid",
     "steady_constants",
     "steady_from_rates",

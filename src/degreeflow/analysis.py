@@ -43,7 +43,6 @@ class FitResult:
     r_squared: float
     r2_exponential: float
     r2_algebraic: float
-    intercept: float
     n_points: int
 
 
@@ -77,19 +76,17 @@ def decay_norms(x_grid, t_grid, rates, h, steady: SteadyState) -> ConvergenceSer
     ``steady`` must be the stationary profile of ``rates``: the deviation
     transport assumes that it solves their own stationary equation.
     """
-    t = np.asarray(t_grid, dtype=float)
-    solver = CharacteristicSolver(rates, h, t_max=float(t[-1]) if t.size else 1.0)
-    D = solver.solve_difference_grid(x_grid, t_grid, steady)
-    return _reduce_norms(np.asarray(x_grid, dtype=float), t, D)
+    D = CharacteristicSolver(rates, h).solve_difference_grid(x_grid, t_grid, steady)
+    return _reduce_norms(np.asarray(x_grid, dtype=float), np.asarray(t_grid, dtype=float), D)
 
 
-def _log_fit(u: np.ndarray, lny: np.ndarray) -> tuple[float, float, float]:
+def _log_fit(u: np.ndarray, lny: np.ndarray) -> tuple[float, float]:
     slope, intercept = np.polyfit(u, lny, 1)
     pred = slope * u + intercept
     ss_res = float(np.sum((lny - pred) ** 2))
     ss_tot = float(np.sum((lny - lny.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else (1.0 if ss_res == 0.0 else 0.0)
-    return float(slope), float(intercept), r2
+    return float(slope), r2
 
 
 def fit_rate(
@@ -119,11 +116,11 @@ def fit_rate(
     if np.any(t <= 0.0):
         raise DomainError("fit window must start after t = 0 (log t is used)")
     lny = np.log(y)
-    s_exp, b_exp, r2_exp = _log_fit(t, lny)
-    s_alg, b_alg, r2_alg = _log_fit(np.log(t), lny)
+    s_exp, r2_exp = _log_fit(t, lny)
+    s_alg, r2_alg = _log_fit(np.log(t), lny)
     if r2_exp >= r2_alg + margin:
-        return FitResult("exponential", s_exp, r2_exp, r2_exp, r2_alg, b_exp, t.size)
-    return FitResult("algebraic", s_alg, r2_alg, r2_exp, r2_alg, b_alg, t.size)
+        return FitResult("exponential", s_exp, r2_exp, r2_exp, r2_alg, t.size)
+    return FitResult("algebraic", s_alg, r2_alg, r2_exp, r2_alg, t.size)
 
 
 def detect_bend(

@@ -63,8 +63,10 @@ the backward trace, and is independent of the march's own (L, psi).
 The solver's inputs are the rates, the initial condition h and the query
 points.  g is built from h'(1), so it is always the field's own G_x(1, t).
 The trace checks what can fail in floating point: an origin more than
-1e-6 below x = -1 raises AccuracyError, and an origin offset below the
-normal double range raises DomainError.  A forward roundtrip of an offset
+1e-6 below x = -1 raises AccuracyError, an origin offset below the
+normal double range raises DomainError, and a dense flow whose arithmetic
+overflows raises IntegrationError: A = wsum / g is about 1e150 when g(0)
+is about 1e-150.  A forward roundtrip of an offset
 through the same (e^L, psi) would give back xbar - 1 by algebra and measure
 only rounding, so there is none; the flow's accuracy is verified in the
 tests, against independent forward integrations.
@@ -83,7 +85,7 @@ from scipy.linalg import block_diag
 from .errors import AccuracyError, DomainError, IntegrationError, ValidationError
 from .initial import InitialCondition
 from .model import ProcessRates, coefficients, derive_riccati
-from .riccati import ClosedFormMoment, solve_closed_form
+from .riccati import ClosedFormMoment
 
 __all__ = [
     "RTOL",
@@ -170,7 +172,6 @@ class SolutionField:
     G: np.ndarray
     Gx: np.ndarray
     origins: np.ndarray
-    rates: ProcessRates
     g: ClosedFormMoment
     stats: dict
 
@@ -210,19 +211,27 @@ class CharacteristicSolver:
     """Shared-state solver: one (L, psi) flow per (rates, h) pair.
 
     The mean degree g is built from the derived moment-equation
-    coefficients with g(0) = h'(1), which must be positive.  ``t_max`` is
-    the horizon the dense flow is first built to; it grows on demand.
+    coefficients with g(0) = h'(1), which must be positive.  The dense
+    (L, psi) flow behind the backward trace is built by the first query
+    with t > 0, to the latest time that query asks for, and built again
+    from t = 0 when a later query asks past it.  ``t_max`` is a hint for
+    callers that query out of time order: the first build then reaches at
+    least ``t_max``, which must be finite, and later queries up to it
+    reuse the flow.
     """
 
-    def __init__(self, rates: ProcessRates, h: InitialCondition, t_max: float = 1.0):
+    def __init__(self, rates: ProcessRates, h: InitialCondition, t_max: float = 0.0):
         if not isinstance(h, InitialCondition):
             raise ValidationError(f"h must be an InitialCondition, got {type(h).__name__}")
         self.rates = rates
         self.h = h
-        self.g = solve_closed_form(derive_riccati(rates), h.mean_degree)
+        self.g = ClosedFormMoment(derive_riccati(rates), h.mean_degree)
         self._flow = None  # dense (L, psi) on [0, self._horizon] once built
         self._flow_evals = 0  # rhs evaluations of the solve that built it
-        self._horizon = max(float(t_max), 0.0)
+        t_max = float(t_max)
+        if not t_max < math.inf:  # NaN included: an infinite horizon never ends the flow
+            raise ValidationError(f"t_max must be finite, got {t_max!r}")
+        self._horizon = max(t_max, 0.0)
 
     def _ensure(self, t: float):
         """Dense (L, psi) up to at least t, for the backward trace."""
@@ -234,15 +243,24 @@ class CharacteristicSolver:
                 k = coefficients(rates, g(s))
                 return k.A - k.B, (k.A - k.B) * y[1] + k.A
 
-            sol = solve_ivp(
-                rate,
-                (0.0, self._horizon),
-                [0.0, 0.0],
-                method="DOP853",
-                rtol=RTOL,
-                atol=ATOL,
-                dense_output=True,
-            )
+            # A = wsum / g: a first moment near the bottom of the double range
+            # gives rates whose squares, in the solver's error norm, overflow
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    sol = solve_ivp(
+                        rate,
+                        (0.0, self._horizon),
+                        [0.0, 0.0],
+                        method="DOP853",
+                        rtol=RTOL,
+                        atol=ATOL,
+                        dense_output=True,
+                    )
+            except FloatingPointError as exc:
+                raise IntegrationError(
+                    f"projected flow integration failed: {exc}; a rate of the flow is too large "
+                    f"for double arithmetic (first moment g(0) = {g.g0!r})"
+                ) from exc
             if sol.status != 0:
                 raise IntegrationError(f"projected flow integration failed: {sol.message}")
             self._flow, self._flow_evals = sol.sol, sol.nfev
@@ -455,7 +473,7 @@ class CharacteristicSolver:
         data, origins, stats = self._march(*_pairs(x, t), self._initial_data, self._rows, RTOL, ATOL)
         u, Gx = data.reshape(2, *shape)
         return SolutionField(
-            x=x, t=t, G=1.0 + u, Gx=Gx, origins=origins.reshape(shape), rates=self.rates, g=self.g, stats=stats
+            x=x, t=t, G=1.0 + u, Gx=Gx, origins=origins.reshape(shape), g=self.g, stats=stats
         )
 
     def solve_difference_grid(self, x_grid, t_grid, steady) -> np.ndarray:
@@ -567,6 +585,4 @@ def _value_and_slope(spline):
 
 def solve_grid(x_grid, t_grid, rates: ProcessRates, h: InitialCondition) -> SolutionField:
     """Solution field on a tensor grid; g is built from h'(1) internally."""
-    t = np.asarray(t_grid, dtype=float)
-    t_max = float(t[-1]) if t.size else 1.0
-    return CharacteristicSolver(rates, h, t_max).solve_grid(x_grid, t_grid)
+    return CharacteristicSolver(rates, h).solve_grid(x_grid, t_grid)

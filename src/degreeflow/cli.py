@@ -26,7 +26,7 @@ from .degree_ode import gf_eval, integrate
 from .errors import DegreeFlowError, DomainError, NoSteadyStateError, ValidationError
 from .graphsim import SimConfig, run
 from .model import _RATE_FIELDS, Degeneracy, derive_riccati
-from .riccati import solve_closed_form
+from .riccati import ClosedFormMoment
 from .steady import _away_from_singular, construct, explicit_constants, residual, steady_from_rates
 
 
@@ -144,7 +144,7 @@ def cmd_ode(cfg: ExperimentConfig) -> int:
     )
     path = _write_csv(cfg, "ode.csv", ["t", "k", "p"], rows)
     g0 = h.mean_degree
-    g = solve_closed_form(derive_riccati(cfg.rates), g0) if g0 > 0.0 else None
+    g = ClosedFormMoment(derive_riccati(cfg.rates), g0) if g0 > 0.0 else None
     moments = []
     for tj in t:
         mu = traj.first_moment(float(tj))

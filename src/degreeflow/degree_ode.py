@@ -19,6 +19,11 @@ T(mu) + (B1 - B2 / mu^2) p k^T.  The rank-one term is left out: the
 stiffness is in T, so LSODA takes about as many rhs evaluations without it,
 and a banded matrix factorizes in O(K_max) where a dense one takes
 O(K_max^3).
+
+``integrate`` is the entry point.  It returns a ``DistributionTrajectory``,
+whose ``at(t)`` gives p(t) as a ``TruncatedDistribution`` and whose
+``mass`` and ``first_moment`` read its sums; ``gf_eval`` evaluates the
+generating function of p.  The right-hand side is ``_Generator.rhs``.
 """
 
 from __future__ import annotations
@@ -35,10 +40,8 @@ from .model import ProcessRates
 __all__ = [
     "TruncatedDistribution",
     "DistributionTrajectory",
-    "master_rhs",
     "integrate",
     "gf_eval",
-    "first_moment",
 ]
 
 _NEG_TOL = -1e-10
@@ -49,33 +52,6 @@ class TruncatedDistribution:
     """Degree probabilities p_0 .. p_{K_max} at one instant."""
 
     p: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        if self.p.ndim != 1 or self.p.size == 0:
-            raise ValidationError("p must be a nonempty 1-d array")
-        if np.any(~np.isfinite(self.p)):
-            raise ValidationError("p must be finite")
-        if np.any(self.p < _NEG_TOL):
-            raise DomainError(
-                f"distribution entry {float(np.min(self.p))!r} is negative beyond {_NEG_TOL}"
-            )
-        self.p = np.clip(self.p, 0.0, None)
-
-    @property
-    def k_max(self) -> int:
-        return self.p.size - 1
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.p))
-
-
-def _coerce(dist) -> np.ndarray:
-    if isinstance(dist, TruncatedDistribution):
-        return dist.p
-    return np.asarray(dist, dtype=float)
 
 
 class _Generator:
@@ -144,19 +120,6 @@ class _Generator:
         return self._rows((1.0, mu, inv_mu))
 
 
-def master_rhs(p, rates: ProcessRates) -> np.ndarray:
-    """Time derivative of the truncated degree distribution.
-
-    Combines three shift operators (degree-biased decrease, uniform
-    increase, preferential increase) weighted by the process rates, plus the
-    injection of new nodes at degree m.  Preferential terms divide by the
-    first moment mu; mu = 0 with a preferential rate active is a domain
-    error.
-    """
-    p = _coerce(dist=p)
-    return _Generator(rates, p.size).rhs(0.0, p)
-
-
 class DistributionTrajectory:
     """Dense-in-time solution of the truncated master equation.
 
@@ -168,11 +131,9 @@ class DistributionTrajectory:
     the ``tail_weight``, the largest p_{K_max} on the same probe times.
     """
 
-    def __init__(self, sol, k_max: int, t_end: float, p0: np.ndarray, stats: dict):
+    def __init__(self, sol, t_end: float, stats: dict):
         self._sol = sol
-        self.k_max = k_max
         self.t_end = t_end
-        self.p0 = p0
         self.stats = stats
 
     def _p(self, t: float) -> np.ndarray:
@@ -182,13 +143,14 @@ class DistributionTrajectory:
         return self._sol(min(t, self.t_end))
 
     def at(self, t: float) -> TruncatedDistribution:
+        """p(t) clipped at 0; an entry below -1e-10 or NaN means the solve failed and raises TruncationError."""
         p = self._p(t)
-        if np.min(p) < _NEG_TOL:
+        if not np.all(p >= _NEG_TOL):
             raise TruncationError(
-                f"negative probability {float(np.min(p))!r} at t = {t!r}; "
+                f"negative or undefined probability {float(np.min(p))!r} at t = {t!r}; "
                 "raise k_max or tighten the tolerance"
             )
-        return TruncatedDistribution(np.clip(p, 0.0, None), float(t))
+        return TruncatedDistribution(np.clip(p, 0.0, None))
 
     def mass(self, t: float) -> float:
         return float(np.sum(self._p(t)))
@@ -216,7 +178,7 @@ def integrate(
     raises DomainError; a solver trial step that reaches one raises
     IntegrationError.
     """
-    p0 = _coerce(p0)
+    p0 = np.asarray(p0, dtype=float)
     if p0.ndim != 1 or not np.all(np.isfinite(p0)):
         raise ValidationError("p0 must be a finite 1-d array")
     if np.any(p0 < _NEG_TOL) or abs(float(np.sum(p0)) - 1.0) > 1e-9:
@@ -257,7 +219,7 @@ def integrate(
     if sol.status != 0:
         raise IntegrationError(f"master-equation integration failed: {sol.message}")
     stats = {"rhs_evals": sol.nfev, "jac_evals": int(sol.njev), "steps": sol.t.size - 1}
-    traj = DistributionTrajectory(sol.sol, p0.size - 1, float(t_end), p0.copy(), stats)
+    traj = DistributionTrajectory(sol.sol, float(t_end), stats)
     probe = [sol.sol(t) for t in np.linspace(0.0, float(t_end), 101)]
     masses = np.array([float(np.sum(p)) for p in probe])
     drift = stats["mass_drift"] = float(np.max(np.abs(masses - masses[0])))
@@ -272,15 +234,9 @@ def integrate(
 
 def gf_eval(dist, x):
     """Generating function sum_k p_k x^k of a truncated distribution (Horner)."""
-    p = _coerce(dist)
+    p = dist.p if isinstance(dist, TruncatedDistribution) else np.asarray(dist, dtype=float)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for coeff in p[::-1]:
         out = out * x + coeff
     return float(out) if out.ndim == 0 else out
-
-
-def first_moment(dist) -> float:
-    """Mean degree sum_k k p_k."""
-    p = _coerce(dist)
-    return float(np.arange(p.size) @ p)

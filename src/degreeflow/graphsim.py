@@ -40,7 +40,7 @@ import numbers
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,9 +148,6 @@ class Network:
     def n_edges(self) -> int:
         return len(self._edges)
 
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
-
     # -- mutation -----------------------------------------------------------
 
     def add_node(self) -> int:
@@ -172,9 +169,6 @@ class Network:
             nodes[pos] = last
             node_pos[last] = pos
         del self.adj[u]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -339,12 +333,6 @@ def _draw(net: Network, rates: ProcessRates, stream: _Stream) -> tuple[float, in
     return dt, max(i for i, rate in enumerate(lam) if rate > 0.0)
 
 
-def _execute(net: Network, idx: int, rates: ProcessRates, stream: _Stream) -> bool:
-    """Carry out process idx on net; False when its placement was skipped."""
-    handler, preferential = _HANDLERS[idx]
-    return handler(net, stream, rates, preferential)
-
-
 # -- ensemble runs ----------------------------------------------------------
 
 
@@ -426,7 +414,6 @@ class SimResult:
     # per process, in the order of ProcessRates' rate fields, over all replicas
     events: tuple[int, ...]  # events drawn, skipped ones included
     skips: tuple[int, ...]  # events skipped after their placement attempts
-    replicas: int = field(default=1)
 
 
 def _build_initial(config: SimConfig, rng: np.random.Generator) -> Network:
@@ -477,7 +464,8 @@ def _replica(config: SimConfig, r: int, seed: np.random.SeedSequence) -> tuple:
             snap(j)
             j += 1
         events[idx] += 1
-        if not _execute(net, idx, rates, stream):
+        handler, preferential = _HANDLERS[idx]
+        if not handler(net, stream, rates, preferential):
             skips[idx] += 1
     # a frozen replica repeats its graph at the remaining times
     while j < n_t:
@@ -604,5 +592,4 @@ def run(config: SimConfig) -> SimResult:
         mean_nodes=np.array(n_counts).mean(axis=0),
         events=events,
         skips=skips,
-        replicas=config.replicas,
     )

@@ -25,8 +25,8 @@ class InitialCondition:
 
     Construct through :meth:`polynomial`, :meth:`geometric`,
     :meth:`explicit`, or :meth:`delta`.  Instances are callable (h itself)
-    and expose the derivative, the coefficient sequence, and the radius of
-    convergence.
+    and expose the derivative, the mean degree and the coefficient
+    sequence.
     """
 
     def __init__(self, kind: str, head: np.ndarray, tail: tuple[float, float] | None):
@@ -87,11 +87,6 @@ class InitialCondition:
         return cls.polynomial(coeffs)
 
     # -- evaluation --------------------------------------------------------
-
-    @property
-    def radius(self) -> float:
-        """Radius of convergence of the coefficient series."""
-        return self.tail[1] if self.tail is not None else math.inf
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

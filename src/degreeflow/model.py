@@ -75,10 +75,6 @@ class ProcessRates:
         if self.m < 0:
             raise ValidationError(f"m must be >= 0, got {self.m}")
 
-    @property
-    def total(self) -> float:
-        return sum(getattr(self, name) for name in _RATE_FIELDS)
-
 
 @dataclass(frozen=True)
 class RiccatiCoefficients:

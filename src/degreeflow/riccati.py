@@ -20,8 +20,6 @@ from .model import RiccatiCoefficients
 __all__ = [
     "ClosedFormMoment",
     "equilibrium",
-    "moment_rhs",
-    "solve_closed_form",
 ]
 
 
@@ -37,13 +35,6 @@ def _check_g0(g0: float) -> float:
     if not math.isfinite(g0) or g0 <= 0.0:
         raise DomainError(f"initial first moment must be strictly positive, got {g0!r}")
     return g0
-
-
-def moment_rhs(coeffs: RiccatiCoefficients, g):
-    """Right-hand side -n_d g^2 - b g + c, elementwise over g."""
-    g = np.asarray(g, dtype=float)
-    out = -coeffs.n_d * g * g - coeffs.b * g + coeffs.c
-    return float(out) if out.ndim == 0 else out
 
 
 def equilibrium(coeffs: RiccatiCoefficients) -> float:
@@ -143,8 +134,9 @@ class ClosedFormMoment:
         return _scalar_or_array(out)
 
     def derivative(self, t):
-        """g'(t), evaluated analytically through the Riccati right-hand side."""
-        return moment_rhs(self.coeffs, self(t))
+        """g'(t) = -n_d g^2 - b g + c at g = g(t), the Riccati right-hand side; a float or an array as for g(t)."""
+        g = self(t)
+        return -self.coeffs.n_d * g * g - self.coeffs.b * g + self.coeffs.c
 
     @property
     def equilibrium(self) -> float:
@@ -170,9 +162,3 @@ class ClosedFormMoment:
         else:  # affine: diverges
             raise DomainError("first moment has no finite equilibrium")
         return _scalar_or_array(out)
-
-
-def solve_closed_form(coeffs: RiccatiCoefficients, g0: float) -> ClosedFormMoment:
-    """Exact trajectory of g' = -n_d g^2 - b g + c, g(0) = g0 > 0."""
-    return ClosedFormMoment(coeffs, g0)
-

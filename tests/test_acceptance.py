@@ -19,7 +19,7 @@ from degreeflow.errors import DegenerateSeedError, NoSteadyStateError
 from degreeflow.graphsim import SimConfig, run
 from degreeflow.initial import InitialCondition
 from degreeflow.model import Degeneracy, ProcessRates, derive_riccati, steady_constants
-from degreeflow.riccati import equilibrium, solve_closed_form
+from degreeflow.riccati import ClosedFormMoment, equilibrium
 from degreeflow.steady import construct, explicit_constants, residual, steady_from_rates
 
 FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
@@ -50,7 +50,7 @@ def test_criterion_1_nonlocal_closure(capsys):
     ts = np.linspace(0.0, 0.2, 21)
     field = solve_grid(np.array([-1.0, 0.0, 1.0]), ts, FIG2,
                        InitialCondition.polynomial([0, 0, 1]))
-    g = solve_closed_form(derive_riccati(FIG2), 2.0)
+    g = ClosedFormMoment(derive_riccati(FIG2), 2.0)
     unit = float(np.max(np.abs(field.G[:, 2] - 1.0)))
     closure = float(np.max(np.abs(field.Gx[:, 2] - g(ts))))
     elapsed = time.perf_counter() - start
@@ -88,7 +88,7 @@ def test_criterion_3_moment_consistency(capsys):
     for label, rates in (("fig2", FIG2), ("fig6", FIG6), ("fig7", FIG7)):
         traj = integrate(h.coefficients(200), rates, 1.0)
         _track_mass(label, traj, 1.0)
-        g = solve_closed_form(derive_riccati(rates), 2.0)
+        g = ClosedFormMoment(derive_riccati(rates), 2.0)
         for t in np.linspace(0, 1, 11):
             worst = max(worst, abs(traj.first_moment(float(t)) - g(float(t))))
     ok = worst <= 1e-4

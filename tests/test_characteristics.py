@@ -22,7 +22,7 @@ from degreeflow.degree_ode import gf_eval, integrate
 from degreeflow.errors import DomainError, IntegrationError, ValidationError
 from degreeflow.initial import InitialCondition
 from degreeflow.model import ProcessRates, coefficients, derive_riccati
-from degreeflow.riccati import ClosedFormMoment, solve_closed_form
+from degreeflow.riccati import ClosedFormMoment
 from degreeflow.steady import steady_from_rates
 from pde_reference import deviation_by_dop853, evaluate_H
 
@@ -34,7 +34,7 @@ H_SQUARE = InitialCondition.polynomial([0, 0, 1])
 
 
 def _g(g0=2.0):
-    return solve_closed_form(derive_riccati(FIG2), g0)
+    return ClosedFormMoment(derive_riccati(FIG2), g0)
 
 
 def _solver(t):
@@ -405,16 +405,40 @@ def test_an_initial_condition_is_required():
             CharacteristicSolver(FIG2, h)
 
 
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_the_horizon_hint_must_be_finite(t_max):
+    # an infinite hint had the dense flow integrate without end, and NaN
+    # ended in a DomainError about the first moment
+    with pytest.raises(ValidationError, match="t_max"):
+        CharacteristicSolver(FIG2, InitialCondition.polynomial([0.0, 0.0, 1.0]), t_max=t_max)
+
+
 @pytest.mark.parametrize("g0", [0.0, -1.0, math.nan])
 def test_nonpositive_initial_moment_is_a_domain_error(g0):
-    # a trajectory built directly is checked as solve_closed_form checks
-    # it; unchecked, g0 = 0 divided by zero inside the dense flow.  The
-    # solver builds its g from h'(1), so h = 1 (everything at degree 0)
-    # reaches the same check.
+    # a trajectory built directly checks its g0; unchecked, g0 = 0 divided
+    # by zero inside the dense flow.  The solver builds its g from h'(1),
+    # so h = 1 (everything at degree 0) reaches the same check.
     with pytest.raises(DomainError):
         ClosedFormMoment(derive_riccati(FIG2), g0)
     with pytest.raises(DomainError):
         CharacteristicSolver(FIG2, InitialCondition.polynomial([1.0])).solve_at(0.3, 0.5)
+
+
+@pytest.mark.parametrize("l_p, g0, fails", [
+    (1.0, 1e-160, True),  # g^2 is subnormal, so wsum / g^2 overflows
+    (5.0, 1.5e-154, True),  # g^2 is normal, wsum / g^2 still overflows
+    (5.0, 1e-150, True),  # every coefficient is finite; DOP853's error norm overflows
+    (5.0, 1e-140, False),
+])
+def test_a_first_moment_too_small_for_the_flow_is_a_degreeflow_error(l_p, g0, fails):
+    # A = wsum / g: with a first moment this small, the dense flow behind
+    # the trace used to end in a raw overflow warning from numpy
+    solver = CharacteristicSolver(ProcessRates(l_p=l_p), InitialCondition.polynomial([1.0 - g0, g0]))
+    if fails:
+        with pytest.raises((DomainError, IntegrationError)):
+            solver.solve_at(0.5, 0.5)
+    else:
+        assert all(map(math.isfinite, solver.solve_at(0.5, 0.5)))
 
 
 def test_spline_lookup_matches_cubic_spline():

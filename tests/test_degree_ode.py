@@ -5,20 +5,19 @@ import pytest
 from scipy.linalg import expm
 
 from degreeflow import degree_ode
-from degreeflow.degree_ode import (
-    _Generator,
-    first_moment,
-    gf_eval,
-    integrate,
-    master_rhs,
-)
+from degreeflow.degree_ode import _Generator, gf_eval, integrate
 from degreeflow.errors import DomainError, IntegrationError, TruncationError, ValidationError
 from degreeflow.initial import InitialCondition
 from degreeflow.model import ProcessRates, derive_riccati
-from degreeflow.riccati import solve_closed_form
+from degreeflow.riccati import ClosedFormMoment
 
 FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
                     n_d=1, n_r=1, n_p=1, m=3)
+
+
+def master_rhs(p, rates):
+    """dp/dt of the truncated master equation at p."""
+    return _Generator(rates, p.size).rhs(0.0, p)
 
 
 def test_rhs_reference_point():
@@ -147,7 +146,7 @@ def test_tail_weight_is_the_largest_last_probability():
 def test_first_moment_matches_closed_form():
     h = InitialCondition.delta(2)
     traj = integrate(h.coefficients(150), FIG2, 1.0)
-    g = solve_closed_form(derive_riccati(FIG2), 2.0)
+    g = ClosedFormMoment(derive_riccati(FIG2), 2.0)
     for t in (0.1, 0.5, 1.0):
         assert traj.first_moment(t) == pytest.approx(g(t), abs=1e-8)
 
@@ -166,6 +165,15 @@ def test_every_read_checks_the_integrated_range():
         assert traj.mass(t) == float(np.sum(p))
         assert traj.first_moment(t) == float(np.arange(p.size) @ p)
     assert traj.first_moment(0.0) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_an_undefined_probability_is_a_truncation_error():
+    # a solve that left NaN behind is a numerical failure (exit 2), not
+    # invalid input (exit 1): at() checks p >= -1e-10, which NaN fails
+    traj = integrate(InitialCondition.polynomial((0.0, 0.0, 1.0)).coefficients(60), FIG2, 1.0)
+    traj._sol = lambda t: np.full(61, np.nan)
+    with pytest.raises(TruncationError, match="nan"):
+        traj.at(0.5)
 
 
 def test_truncation_guard():
@@ -228,7 +236,7 @@ def test_gf_eval_and_moment():
     dist = traj.at(0.0)
     assert gf_eval(dist, 1.0) == pytest.approx(1.0)
     assert gf_eval(dist, 0.5) == pytest.approx(0.25 + 0.25 + 0.0625)
-    assert first_moment(dist) == pytest.approx(1.0)
+    assert traj.first_moment(0.0) == pytest.approx(1.0)
 
 
 def test_frozen_distribution_under_zero_rates():

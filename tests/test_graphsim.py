@@ -24,7 +24,8 @@ FIG6 = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=0, l_p=1,
 def step(net, rates, stream):
     """One Gillespie event in place: (elapsed time, executed flag)."""
     dt, idx = graphsim._draw(net, rates, stream)
-    return dt, graphsim._execute(net, idx, rates, stream)
+    handler, preferential = graphsim._HANDLERS[idx]
+    return dt, handler(net, stream, rates, preferential)
 
 
 def stream(seed):
@@ -66,18 +67,18 @@ def test_manual_edge_bookkeeping():
     net.add_edge(a, b)
     net.add_edge(b, c)
     assert net.n_edges == 2
-    assert net.degree(b) == 2
-    assert net.has_edge(a, b) and not net.has_edge(a, c)
+    assert len(net.adj[b]) == 2
+    assert b in net.adj[a] and c not in net.adj[a]
     net.remove_edge(a, b)
     assert net.n_edges == 1
-    assert net.degree(a) == 0
+    assert len(net.adj[a]) == 0
     check(net)
 
 
 def test_remove_node_drops_incident_edges():
     net = Network.regular_ring(6, 2)
     victim = 0
-    k = net.degree(victim)
+    k = len(net.adj[victim])
     net.remove_node(victim)
     assert net.n_nodes == 5
     assert net.n_edges == 6 - k
@@ -291,7 +292,7 @@ def test_preferential_rewiring_of_the_only_link_is_skipped():
     net.add_edge(0, 1)
     dt, executed = step(net, ProcessRates(omega_p=1), stream(5))
     assert not executed and dt > 0
-    assert net.n_edges == 1 and net.has_edge(0, 1)
+    assert net.n_edges == 1 and 1 in net.adj[0]
     check(net)
 
 

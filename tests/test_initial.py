@@ -46,7 +46,7 @@ def test_geometric():
     assert h(0.5) == pytest.approx(0.8)
     assert h(1.0) == pytest.approx(1.0)
     assert h.mean_degree == pytest.approx(0.5)
-    assert h.radius == pytest.approx(3.0)
+    assert h.tail[1] == pytest.approx(3.0)
     np.testing.assert_allclose(
         h.coefficients(3), [2 / 3, 2 / 9, 2 / 27, 2 / 81], rtol=1e-13
     )

@@ -1,6 +1,7 @@
 """Package hygiene checked on the source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "degreeflow"
@@ -30,3 +31,14 @@ def test_no_unused_top_level_imports():
     assert modules
     unused = [entry for p in modules for entry in _unused_imports(p)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_every_exported_name_exists():
+    # nothing imports *, so a name left in __all__ after its definition was
+    # removed would otherwise go unnoticed
+    names = ["degreeflow"] + [f"degreeflow.{p.stem}" for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    missing = []
+    for name in names:
+        module = importlib.import_module(name)
+        missing += [f"{name}.{e}" for e in getattr(module, "__all__", ()) if not hasattr(module, e)]
+    assert not missing, "names in __all__ that do not exist:\n" + "\n".join(missing)

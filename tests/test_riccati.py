@@ -8,12 +8,7 @@ from scipy.integrate import solve_ivp
 
 from degreeflow.errors import DomainError
 from degreeflow.model import ProcessRates, derive_riccati
-from degreeflow.riccati import (
-    RiccatiCoefficients,
-    equilibrium,
-    moment_rhs,
-    solve_closed_form,
-)
+from degreeflow.riccati import ClosedFormMoment, RiccatiCoefficients, equilibrium
 
 FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
                     n_d=1, n_r=1, n_p=1, m=3)
@@ -31,7 +26,7 @@ def _literal(coeffs, g0, ts):
 
 
 def test_logistic_reference_values():
-    g = solve_closed_form(derive_riccati(FIG2), 2.0)
+    g = ClosedFormMoment(derive_riccati(FIG2), 2.0)
     assert g(0.0) == pytest.approx(2.0, abs=1e-15)
     # hand-computed from the logistic solution with roots of s^2 + 3 s - 14
     assert g(0.5) == pytest.approx(2.521046657155834, abs=1e-12)
@@ -40,7 +35,7 @@ def test_logistic_reference_values():
 
 def test_logistic_against_literal_integration():
     co = derive_riccati(FIG2)
-    g = solve_closed_form(co, 2.0)
+    g = ClosedFormMoment(co, 2.0)
     ts = np.linspace(0.01, 3.0, 40)
     ref = _literal(co, 2.0, ts)
     assert np.max(np.abs(g(ts) - ref)) < 1e-9
@@ -49,7 +44,7 @@ def test_logistic_against_literal_integration():
 def test_double_root_branch():
     # n_d > 0 with b = c = 0 decays as g0 / (1 + n_d g0 t)
     co = RiccatiCoefficients(n_d=1.0, b=0.0, c=0.0)
-    g = solve_closed_form(co, 1.5)
+    g = ClosedFormMoment(co, 1.5)
     ts = np.linspace(0.0, 4.0, 17)
     assert np.max(np.abs(g(ts) - 1.5 / (1.0 + 1.5 * ts))) < 1e-14
     assert g.equilibrium == 0.0
@@ -57,7 +52,7 @@ def test_double_root_branch():
 
 def test_linear_decay_branch():
     co = RiccatiCoefficients(n_d=0.0, b=1.0, c=2.0)
-    g = solve_closed_form(co, 5.0)
+    g = ClosedFormMoment(co, 5.0)
     ts = np.linspace(0.0, 6.0, 25)
     exact = 2.0 + 3.0 * np.exp(-ts)
     assert np.max(np.abs(g(ts) - exact)) < 1e-13
@@ -66,7 +61,7 @@ def test_linear_decay_branch():
 
 def test_affine_branch_diverges():
     co = RiccatiCoefficients(n_d=0.0, b=0.0, c=2.0)
-    g = solve_closed_form(co, 0.5)
+    g = ClosedFormMoment(co, 0.5)
     assert g(3.0) == pytest.approx(6.5, abs=1e-14)
     assert math.isinf(g.equilibrium)
     with pytest.raises(DomainError):
@@ -75,7 +70,7 @@ def test_affine_branch_diverges():
 
 def test_constant_branch():
     co = RiccatiCoefficients(n_d=0.0, b=0.0, c=0.0)
-    g = solve_closed_form(co, 1.25)
+    g = ClosedFormMoment(co, 1.25)
     assert g(10.0) == 1.25
 
 
@@ -94,7 +89,7 @@ def test_float_argument_matches_the_array_path(branch):
     # a float t (np.float64 included) is evaluated with math and gives a
     # float; math.exp and np.exp may differ in the last bit, which the gap
     # carries through a product and a quotient (3 ulp seen on a fine t grid)
-    g = solve_closed_form(*BRANCHES[branch])
+    g = ClosedFormMoment(*BRANCHES[branch])
     assert g._branch == branch
     for t in (0.0, 0.3, 5.0, 50.0):
         on_array = float(g(np.array(t)))
@@ -113,20 +108,21 @@ def test_rejects_nonpositive_start():
     co = derive_riccati(FIG2)
     for g0 in (0.0, -1.0):
         with pytest.raises(DomainError):
-            solve_closed_form(co, g0)
+            ClosedFormMoment(co, g0)
 
 
 def test_derivative_satisfies_equation():
     co = derive_riccati(FIG2)
-    g = solve_closed_form(co, 2.0)
+    g = ClosedFormMoment(co, 2.0)
     ts = np.linspace(0.0, 3.0, 13)
     lhs = g.derivative(ts)
-    rhs = moment_rhs(co, g(ts))
+    gs = g(ts)
+    rhs = -co.n_d * gs**2 - co.b * gs + co.c
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_gap_matches_subtraction_when_accurate():
-    g = solve_closed_form(derive_riccati(FIG2), 2.0)
+    g = ClosedFormMoment(derive_riccati(FIG2), 2.0)
     for t in (0.0, 0.25, 0.5, 1.0):
         direct = g(t) - g.equilibrium
         assert g.gap(t) == pytest.approx(direct, abs=1e-12)
@@ -135,7 +131,7 @@ def test_gap_matches_subtraction_when_accurate():
 def test_gap_keeps_relative_accuracy_late():
     # subtraction dies at machine epsilon; the gap keeps the exponential law
     co = derive_riccati(FIG2)
-    g = solve_closed_form(co, 2.0)
+    g = ClosedFormMoment(co, 2.0)
     sigma = math.sqrt(co.b**2 + 4.0 * co.n_d * co.c)
     for t in (2.0, 3.0):
         ratio = g.gap(t) / g.gap(t + 1.0)
