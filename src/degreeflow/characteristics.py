@@ -74,6 +74,7 @@ tests, against independent forward integrations.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -132,13 +133,14 @@ def _rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             block_diag(*(b for _, b, _ in rules)))
 
 
-def _linear(y, a, f, h: float):
-    """Node values (14, ...) and the two rules' end values (2, ...) of y' = a y + f on one step h from y.
+def _linear(y, a, f, h: float, out=None):
+    """Node values (14, ...), the two rules' end values (2, ...) and e^{I} of y' = a y + f on one step h from y.
 
     a and f hold their values at the nodes.  With I = h Ahat a, node k gets
     e^{I_k} (y + h sum_j Ahat_kj e^{-I_j} f_j); an end value takes the
-    rule's weights in place of a row of Ahat.  The (14, n) arrays are
-    updated in place, since their count sets the march's peak memory.
+    rule's weights in place of a row of Ahat, and is written to ``out``
+    when given.  The (14, n) arrays are updated in place, since their count
+    sets the march's peak memory.
     """
     _, ahat, ends = _rules()
     e = ahat @ a
@@ -149,7 +151,22 @@ def _linear(y, a, f, h: float):
     nodes = ahat @ q
     nodes += y
     nodes *= e
-    return nodes, np.exp(h * (ends @ a)) * (y + ends @ q)
+    return nodes, np.multiply(np.exp(h * (ends @ a)), y + ends @ q, out=out), e
+
+
+def _shrunk(h: float, fac: float, s: float) -> float:
+    """The step after a rejected step h at s; one below 10 ulp of s raises IntegrationError."""
+    h *= fac
+    if h < 10.0 * math.ulp(s):
+        raise IntegrationError(f"characteristic transport failed at t = {s!r}: the step fell below 10 ulp of t")
+    return h
+
+
+def _factor(err: float) -> float:
+    """Step-size factor 0.9 err^(-1/13) within [0.2, 10]: the error estimate is O(h^13); a non-finite one gives 0.2."""
+    if err > 0.0:
+        return min(10.0, max(0.2, 0.9 * err ** (-1.0 / 13.0)))
+    return 10.0 if err == 0.0 else 0.2
 
 
 @dataclass
@@ -184,11 +201,37 @@ def _check_points(x_bar, t_bar) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             f"x and t must be scalars or nonempty 1-d arrays of equal length, got shapes {x.shape} and {t.shape}"
         )
-    if not ((t >= 0.0) & (t < math.inf)).all():
+    if not 0.0 <= t.min() <= t.max() < math.inf:  # NaN fails every comparison
         raise ValidationError("t must be finite and nonnegative")
-    if not ((x >= -1.0 - 1e-12) & (x <= 1.0 + 1e-12)).all():
+    if not -1.0 - 1e-12 <= x.min() <= x.max() <= 1.0 + 1e-12:
         raise ValidationError(f"x must lie in [-1, 1], got [{np.min(x)!r}, {np.max(x)!r}]")
     return x, t
+
+
+def _dense(sol):
+    """(e^L, psi) at a time t from the dense DOP853 solution ``sol``, as scipy evaluates it.
+
+    scipy's own call spends most of its time on setting up arrays for one
+    time; this takes the same segment (the first whose end is not before
+    t, clipped to the range) and sums the same interpolating polynomial in
+    the same order on floats, so L and psi are the same to the last bit.
+    It reads the fields t_old, h, y_old and F of scipy's DOP853 dense
+    output, and the tests compare it with scipy's own call.
+    """
+    ts = sol.ts.tolist()
+    segments = [(p.t_old, p.h, *p.y_old.tolist(), p.F[::-1].tolist()) for p in sol.interpolants]
+
+    def at(t: float) -> tuple[float, float]:
+        t_old, h, L, psi, rows = segments[min(max(bisect.bisect_left(ts, t) - 1, 0), len(segments) - 1)]
+        x = (t - t_old) / h
+        y0 = y1 = 0.0
+        for k, (f0, f1) in enumerate(rows):
+            c = x if k % 2 == 0 else 1.0 - x
+            y0 = (y0 + f0) * c
+            y1 = (y1 + f1) * c
+        return math.exp(y0 + L), y1 + psi
+
+    return at
 
 
 def _check_grid(x_grid, t_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +251,7 @@ def _pairs(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class CharacteristicSolver:
-    """Shared-state solver: one (L, psi) flow per (rates, h) pair.
+    """Shared-state solver: one (L, psi) flow and one first step of the march per (rates, h) pair.
 
     The mean degree g is built from the derived moment-equation
     coefficients with g(0) = h'(1), which must be positive.  The dense
@@ -228,13 +271,14 @@ class CharacteristicSolver:
         self.g = ClosedFormMoment(derive_riccati(rates), h.mean_degree)
         self._flow = None  # dense (L, psi) on [0, self._horizon] once built
         self._flow_evals = 0  # rhs evaluations of the solve that built it
+        self._first_steps = {}  # the march's first step by rtol
         t_max = float(t_max)
         if not t_max < math.inf:  # NaN included: an infinite horizon never ends the flow
             raise ValidationError(f"t_max must be finite, got {t_max!r}")
         self._horizon = max(t_max, 0.0)
 
     def _ensure(self, t: float):
-        """Dense (L, psi) up to at least t, for the backward trace."""
+        """(e^L, psi) at a time up to at least t, from the dense flow, for the backward trace."""
         if self._flow is None or t > self._horizon * (1.0 + 1e-12):
             self._horizon = max(self._horizon, t, 1e-9)
             rates, g = self.rates, self.g
@@ -263,7 +307,7 @@ class CharacteristicSolver:
                 ) from exc
             if sol.status != 0:
                 raise IntegrationError(f"projected flow integration failed: {sol.message}")
-            self._flow, self._flow_evals = sol.sol, sol.nfev
+            self._flow, self._flow_evals = _dense(sol.sol), sol.nfev
         return self._flow
 
     # -- backward map ------------------------------------------------------
@@ -289,38 +333,34 @@ class CharacteristicSolver:
         so it keeps its relative precision after x0 = 1 + w0 has rounded to
         1.  An offset below the normal double range raises DomainError.
         """
-        x0 = x_bar.clip(-1.0, 1.0)
+        x0 = np.minimum(np.maximum(x_bar, -1.0), 1.0)
         w0 = x0 - 1.0
         live = t_bar > 0.0
         if not live.any():
             return x0, w0
-        xb, tb = x0[live], t_bar[live]
-        flow = self._ensure(float(tb.max()))
-        # (e^L, psi) once per distinct time
-        at = {}
-        for v in set(tb.tolist()):
-            L, psi = flow(v).tolist()
-            at[v] = (math.exp(L), psi)
-        eL, psi = np.array([at[v] for v in tb.tolist()]).T
-        one_mask = xb == 1.0
-        vbar = 1.0 / np.where(one_mask, -1.0, xb - 1.0)
-        wo = np.where(one_mask, 0.0, eL / (vbar - psi))
-        lost = ~one_mask & (wo > -_TINY)
+        xb, tb = x0[live], t_bar[live].tolist()
+        flow = self._ensure(max(tb))
+        at = {v: flow(v) for v in set(tb)}  # once per distinct time
+        eL, psi = np.array([at[v] for v in tb]).T
+        d = xb - 1.0
+        with np.errstate(divide="ignore"):  # a curve on x = 1 has vbar = inf and the offset 0
+            wo = eL / (1.0 / d - psi)
+        lost = (wo > -_TINY) & (d < 0.0)
         if lost.any():
             i = int(np.argmax(lost))
             raise DomainError(
                 f"the origin offset x0 - 1 = {wo[i]:.3e} of the curve through (x, t) = "
-                f"({float(xb[i])!r}, {float(tb[i])!r}) is below the normal double range "
+                f"({float(xb[i])!r}, {tb[i]!r}) is below the normal double range "
                 f"(e^L(t) = {eL[i]:.3e}): t is past the transport's time range"
             )
         xo = 1.0 + wo
-        if (xo < -1.0 - _CLAMP).any():
+        if xo.min() < -1.0 - _CLAMP:
             i = int(np.argmin(xo))
             raise AccuracyError(
                 f"traced origin {xo[i]!r} escapes [-1, 1] beyond the {_CLAMP} clamp "
                 f"at (x, t) = ({xb[i]!r}, {tb[i]!r})"
             )
-        x0[live], w0[live] = xo.clip(-1.0, 1.0), wo.clip(-2.0, 0.0)
+        x0[live], w0[live] = np.maximum(xo, -1.0), np.maximum(wo, -2.0)  # wo <= 0: vbar <= -1/2 and psi >= 0
         return x0, w0
 
     # -- transported values ------------------------------------------------
@@ -347,12 +387,18 @@ class CharacteristicSolver:
         result is the error estimate, in scipy's RMS norm: ``rtol`` on
         every component, ``atol`` on the data and the flow's own ``ATOL``
         on (L, psi), since a data ``atol`` as small as 1e-280 must not
-        control L, which starts at 0.  A step is accepted at an error of
-        at most 1, and the next is h * min(10, max(0.2, 0.9 err^(-1/13))):
-        the estimate is the 6-node rule's local error, O(h^13).
-        A step that produces a non-finite value is rejected with the
-        factor 0.2, and a rejected step below 10 ulp of s raises
-        IntegrationError.  Steps are cut at each distinct time, where the
+        control L, which starts at 0.  The estimate is the 6-node rule's
+        local error, O(h^13).  A step is accepted at an error of at most 1,
+        and the next is h * min(10, max(0.2, 0.9 err^(-1/13))).  After an
+        accepted step that factor also looks ahead (Gustafsson, ACM TOMS 20,
+        1994): when the error constant err / h^13 grew since the last
+        accepted step, it is expected to grow as much again, and the factor
+        shrinks by the 13th root of that growth, down to 0.2.  A lone
+        curve's constant grows 100- to 1,000-fold a step as it leaves x = 1
+        near its own time.  A step that produces a non-finite value is
+        rejected with the factor 0.2, and a rejected step below 10 ulp of s
+        raises IntegrationError.  The first step is ``_first_step``, cut to
+        the first segment.  Steps are cut at each distinct time, where the
         curves of that time are retired; the step size carries over, and a
         step cut short keeps the larger step it was handed.  Returns the
         data at each pair's own time, shape (k, n), the origins and the
@@ -362,36 +408,70 @@ class CharacteristicSolver:
         y = np.array(init(origins), dtype=float)
         L = psi = s = 0.0
         h = None
+        last_step, last_err = 1.0, 0.0  # the last accepted step and its error
         stats = {"node_evals": 0, "steps": 0, "segments": 0}
         lo = int(np.searchsorted(t, 0.0, side="right"))  # curves at t = 0 keep their data
         for tj in np.unique(t[lo:]).tolist():
-            h = tj if h is None else h  # the first step tries the whole first segment
+            h = self._first_step(tj, rtol, stats) if h is None else h
             w_live, y_live = w0[lo:], y[:, lo:]
             while s < tj:
                 last = h >= tj - s
                 step = tj - s if last else h
                 L_new, psi_new, new, err = self._step(rhs, s, step, L, psi, w_live, y_live, rtol, atol)
                 stats["node_evals"] += sum(_ORDERS)
-                if err > 0.0:
-                    fac = min(10.0, max(0.2, 0.9 * err ** (-1.0 / 13.0)))
-                else:
-                    fac = 10.0 if err == 0.0 else 0.2
+                fac = _factor(err)
                 if err <= 1.0:
+                    if err > 0.0 and last_err > 0.0:
+                        # the growth of err / h^13, from ratios: h^13 underflows for h below 1e-25
+                        fac = max(0.2, fac * min(1.0, step / last_step * (last_err / err) ** (1.0 / 13.0)))
+                    last_step, last_err = step, err
                     L, psi = L_new, psi_new
                     y_live[:] = new
                     s = tj if last else min(s + step, tj)
                     h = max(h, step * fac) if step < h else step * fac
                     stats["steps"] += 1
                 else:
-                    h = step * fac
-                    if h < 10.0 * math.ulp(s):
-                        raise IntegrationError(
-                            f"characteristic transport failed at t = {s!r}: the step fell below 10 ulp of t"
-                        )
+                    h = _shrunk(step, fac, s)
             stats["segments"] += 1
             lo = int(np.searchsorted(t, tj, side="right"))  # the curves of tj are retired
         stats["flow_rhs_evals"] = self._flow_evals
         return y, origins, stats
+
+    def _first_step(self, tj: float, rtol: float, stats: dict) -> float:
+        """The march's first step from t = 0, whose first distinct time is tj.
+
+        The time scale of the coefficients at t = 0 is 1 / max(|A - B|, A).
+        A first segment within it is tried whole: the step is the time
+        scale, and the march cuts it to the segment.  Without A and B, (L,
+        psi) stay 0, there is no time scale, and the step is infinite.  A
+        longer first segment starts from the step that (L, psi) alone
+        accept, found once per ``rtol``.  (L, psi) set the error of a first
+        step and do not depend on the curves, so that step is a function of
+        the rates and h only, and a query's answer never depends on earlier
+        queries.  The probe steps (L, psi) with no curve from the time
+        scale, shrinks by the march's factor until the step is accepted, and
+        grows once when the time scale itself is accepted with room to
+        spare.  Its node evaluations count in ``stats``.
+        """
+        c = coefficients(self.rates, self.g.g0)
+        rate = max(abs(c.A - c.B), c.A)
+        if tj * rate <= 1.0:
+            return 1.0 / rate if rate > 0.0 else math.inf
+        if rtol not in self._first_steps:
+
+            def probe(h):
+                stats["node_evals"] += sum(_ORDERS)
+                return self._step(self._rows, 0.0, h, 0.0, 0.0, np.empty(0), np.empty((0, 0)), rtol, ATOL)[3]
+
+            h = start = 1.0 / rate
+            err = probe(h)
+            while not err <= 1.0:
+                h = _shrunk(h, _factor(err), 0.0)
+                err = probe(h)
+            if h == start and _factor(err) > 1.0 and probe(h * _factor(err)) <= 1.0:
+                h *= _factor(err)
+            self._first_steps[rtol] = h
+        return self._first_steps[rtol]
 
     def _step(self, rhs, s: float, h: float, L: float, psi: float, w0, y, rtol: float, atol: float):
         """One step attempt of the march from s over h, on the live curves with origin offsets w0 and data y.
@@ -400,27 +480,25 @@ class CharacteristicSolver:
         error estimate, which is nan when a value is not finite.  The
         (14, n) arrays of the step die with it.
         """
-        nodes, ahat, weights = _rules()
+        nodes, _, weights = _rules()
         tau = s + h * nodes
         c = coefficients(self.rates, self.g(tau))
         with np.errstate(all="ignore"):  # a non-finite result rejects the step
             lam = c.A - c.B
-            psi_k, psi_e = _linear(psi, lam, c.A, h)
+            psi_k, psi_e, e = _linear(psi, lam, c.A, h)
             L_e = L + h * (weights @ lam)
             w = psi_k * w0
-            w += np.exp(L + h * (ahat @ lam))
+            w += np.exp(L) * e  # e^L at the nodes
             np.divide(w0, w, out=w)
             if not np.isfinite(w).all():
                 return L, psi, None, math.nan
-            ends = []
+            ends = np.empty((2, *y.shape))
             rows = rhs(tau, w, c)
-            a, f = next(rows)
+            y_k = None
             for i in range(y.shape[0]):
-                y_k, end = _linear(y[i], a, f, h)
-                ends.append(end)
-                if i + 1 < y.shape[0]:
-                    a, f = rows.send(y_k)
-            new, low = np.stack(ends, axis=1)
+                a, f = rows.send(y_k)  # the first send starts the generator
+                y_k, _, _ = _linear(y[i], a, f, h, out=ends[:, i])
+            new, low = ends
             sq = np.sum(((new - low) / (atol + rtol * np.maximum(np.abs(y), np.abs(new)))) ** 2)
             for old, (hi, lw) in ((L, L_e[:, 0].tolist()), (psi, psi_e[:, 0].tolist())):
                 sq += ((hi - lw) / (ATOL + rtol * max(abs(old), abs(hi)))) ** 2

@@ -331,9 +331,11 @@ def test_segments_start_from_the_previous_step():
 
 def test_grid_stats_count_the_transport(monkeypatch):
     # stats count 14 node evaluations for each evaluation of the
-    # coefficients on an array of node times, one per step attempt, and
-    # the accepted steps; the dense flow behind the backward trace is the
-    # one solve_ivp call, with dense output, and is counted apart
+    # coefficients on an array of node times, one per step attempt and one
+    # per probe of the first step, and the accepted steps; the dense flow
+    # behind the backward trace is the one solve_ivp call, with dense
+    # output, and is counted apart.  A first segment of 0.2 is within
+    # FIG2's time scale of 0.4 and is tried whole; one of 1 is probed first.
     flows, attempts = [], [0]
     real_ivp, real_coefficients = characteristics.solve_ivp, characteristics.coefficients
 
@@ -348,12 +350,15 @@ def test_grid_stats_count_the_transport(monkeypatch):
 
     monkeypatch.setattr(characteristics, "solve_ivp", counting_ivp)
     monkeypatch.setattr(characteristics, "coefficients", counting_coefficients)
-    field = solve_grid(np.linspace(-1, 1, 11), np.linspace(0, 1, 6), FIG2, H_SQUARE)
-    steps = field.stats["steps"]
-    assert field.stats == {"node_evals": 14 * attempts[0], "steps": steps, "segments": 5,
-                           "flow_rhs_evals": flows[0].nfev}
-    assert 5 <= steps <= attempts[0]
-    assert len(flows) == 1 and flows[0].sol is not None
+    for ts in (np.linspace(0, 1, 6), np.array([0.0, 1.0])):
+        flows.clear()
+        attempts[0] = 0
+        field = solve_grid(np.linspace(-1, 1, 11), ts, FIG2, H_SQUARE)
+        steps = field.stats["steps"]
+        assert field.stats == {"node_evals": 14 * attempts[0], "steps": steps, "segments": ts.size - 1,
+                               "flow_rhs_evals": flows[0].nfev}
+        assert ts.size - 1 <= steps <= attempts[0]
+        assert len(flows) == 1 and flows[0].sol is not None
 
 
 def test_batched_points_match_per_point_queries(monkeypatch):
@@ -364,7 +369,7 @@ def test_batched_points_match_per_point_queries(monkeypatch):
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
     seen = _march_stats(monkeypatch)
     G, Gx = solver.solve_at(xs, ts)
-    # 1,848 node evaluations and 377 for the flow, against 21,574 node
+    # 1,848 node evaluations and 377 for the flow, against 14,168 node
     # evaluations for the 100 queries one by one
     (stats,) = seen
     assert stats["node_evals"] + stats["flow_rhs_evals"] <= 5000
@@ -441,6 +446,26 @@ def test_a_first_moment_too_small_for_the_flow_is_a_degreeflow_error(l_p, g0, fa
         assert all(map(math.isfinite, solver.solve_at(0.5, 0.5)))
 
 
+def test_trace_reads_the_dense_flow_as_scipy_does(monkeypatch):
+    # the trace sums DOP853's interpolating polynomial itself; scipy's own
+    # call is the reference, to the last bit, on random times, on every
+    # breakpoint and just past the end, inside the horizon's 1e-12 slack
+    sols = []
+    real_ivp = characteristics.solve_ivp
+
+    def keeping(*args, **kwargs):
+        sols.append(real_ivp(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(characteristics, "solve_ivp", keeping)
+    flow = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)._ensure(5.0)
+    (sol,) = sols
+    ts = np.concatenate([np.random.default_rng(5).uniform(0.0, 5.0, 500), sol.sol.ts, [5.0 * (1.0 + 1e-13)]])
+    for t in ts.tolist():
+        L, psi = sol.sol(t).tolist()
+        assert flow(t) == (math.exp(L), psi)
+
+
 def test_spline_lookup_matches_cubic_spline():
     # one truncated index replaces the spline's interval search: values and
     # slopes agree with CubicSpline on random points, on every mesh node and
@@ -477,8 +502,41 @@ def test_single_point_march_keeps_its_rhs_evaluation_count(monkeypatch):
     seen = _march_stats(monkeypatch)
     for x, t in [(-0.9, 0.3), (-0.4, 1.7), (0.2, 4.6), (0.7, 0.05), (0.95, 2.5), (1.0, 3.0)]:
         solver.solve_at(x, t)
-    assert [st["node_evals"] for st in seen] == [98, 210, 294, 14, 154, 154]
+    # the probe's 3 attempts count in the second query, the first past
+    # FIG2's time scale of 0.4
+    assert [st["node_evals"] for st in seen] == [84, 168, 196, 14, 98, 98]
     assert [st["steps"] for st in seen] == [4, 8, 12, 1, 6, 7]
+
+
+_RATE_NAMES = ("omega_r", "omega_p", "l_d", "l_r", "l_p", "n_d", "n_r", "n_p")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e3])
+def test_a_query_does_not_depend_on_earlier_queries(monkeypatch, scale):
+    # the first step comes from the rates and h alone, so a point gives the
+    # same bits on a fresh solver as after queries earlier and later in t.
+    # All rates times 1e-4 or 1e3, with the times scaled the other way, is
+    # FIG2 on another clock: the probe starts from the flow's own time scale
+    # and takes the same steps there, where one started from a fixed step
+    # would add some.  The bound is the 132 attempts of a march whose first
+    # step tries the whole first segment; 91 measured.
+    rates = ProcessRates(**{name: scale * getattr(FIG2, name) for name in _RATE_NAMES}, m=FIG2.m)
+    points = [(x, t / scale) for x, t in [(-0.9, 0.3), (-0.4, 1.7), (0.2, 4.6), (0.7, 0.05), (0.95, 2.5), (1.0, 3.0)]]
+    fresh = {p: CharacteristicSolver(rates, h=H_SQUARE, t_max=5.0 / scale).solve_at(*p) for p in points}
+    solver = CharacteristicSolver(rates, h=H_SQUARE, t_max=5.0 / scale)
+    seen = _march_stats(monkeypatch)
+    for order in (points, points[::-1]):
+        assert [solver.solve_at(*p) for p in order] == [fresh[p] for p in order]
+    assert sum(st["node_evals"] for st in seen) <= 14 * 132
+
+
+def test_without_rates_the_first_step_is_the_first_segment(monkeypatch):
+    # no rate, no time scale and no probe: one step to t = 2, as before,
+    # and G = h, G_x = h' stay put
+    solver = CharacteristicSolver(ProcessRates(), h=H_SQUARE)
+    seen = _march_stats(monkeypatch)
+    np.testing.assert_allclose(solver.solve_at(0.3, 2.0), (0.09, 0.6), rtol=1e-15)
+    assert seen[0]["node_evals"] == 14 and seen[0]["steps"] == 1
 
 
 def test_one_moment_evaluation_per_rhs_call(monkeypatch):

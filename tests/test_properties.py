@@ -49,6 +49,12 @@ def _cases(draw):
 # -wsum / g**2, with wsum = 0 and with wsum > 0
 @example((ProcessRates(), InitialCondition.polynomial([1.0, 5e-324]), np.array([0.0, 1.0]), np.array([0.0, 1.0])))
 @example((ProcessRates(l_p=1.0), InitialCondition.polynomial([1.0, 5e-324]), np.array([1.0]), np.array([1.0])))
+# found by this test: a first segment of 1.5e-183, or of 2^-149 (printed
+# as 1.40129846e-45), makes h^13 underflow to 0, and a step control that
+# forms the error constant err / h^13 raised a raw ZeroDivisionError
+@example((ProcessRates(l_p=1.0), InitialCondition.geometric(2.0), np.array([0.0, 1.0]), np.array([1.0, 1.5e-183])))
+@example((ProcessRates(n_p=1.0, m=1), InitialCondition.geometric(rho=1.21875, a=0.1794871794871795),
+          np.array([0.0, 1.0]), np.array([1.0, 2.0**-149])))
 def test_transport_invariants_or_a_degreeflow_error(case):
     rates, h, xs, ts = case
     try:
