@@ -93,13 +93,12 @@ def fit_rate(
     series: ConvergenceSeries,
     window: tuple[float, float] | None = None,
     norm: str = "sup",
-    margin: float = 0.01,
 ) -> FitResult:
     """Fit the decay law of the norm series on a time window.
 
     Regresses log-norm against t (exponential model) and against log t
     (algebraic model); the exponential model is selected only when its
-    coefficient of determination beats the algebraic one by ``margin``.
+    coefficient of determination beats the algebraic one by 0.01.
     Needs at least 5 window points with strictly positive norms and times.
     """
     if norm not in ("sup", "l2"):
@@ -118,7 +117,7 @@ def fit_rate(
     lny = np.log(y)
     s_exp, r2_exp = _log_fit(t, lny)
     s_alg, r2_alg = _log_fit(np.log(t), lny)
-    if r2_exp >= r2_alg + margin:
+    if r2_exp >= r2_alg + 0.01:
         return FitResult("exponential", s_exp, r2_exp, r2_exp, r2_alg, t.size)
     return FitResult("algebraic", s_alg, r2_alg, r2_exp, r2_alg, t.size)
 
@@ -127,16 +126,15 @@ def detect_bend(
     series: ConvergenceSeries,
     boundary: float = -1.0,
     jump: float = 0.1,
-    boundary_tol: float = 1e-9,
 ) -> float | None:
     """First time the sup-norm maximizer leaves the boundary.
 
     Returns the earliest output time whose maximizer sits at least ``jump``
-    inside the domain while the previous one was at ``boundary``; None when
-    no such transition occurs.
+    inside the domain while the previous one was within 1e-9 of
+    ``boundary``; None when no such transition occurs.
     """
     arg = series.argmax_x
     for i in range(1, arg.size):
-        if arg[i - 1] <= boundary + boundary_tol and arg[i] >= boundary + jump:
+        if arg[i - 1] <= boundary + 1e-9 and arg[i] >= boundary + jump:
             return float(series.times[i])
     return None

@@ -173,13 +173,12 @@ def _factor(err: float) -> float:
 class SolutionField:
     """PDE solution sampled on a tensor grid.
 
-    G and Gx have shape (len(t), len(x)); origins holds the traced-back
-    starting position of the characteristic through each grid point, and g
-    the mean-degree trajectory built from h'(1).  The transport marched
-    (L, psi, G - 1, G_x) along every curve and nothing else.  ``stats``
-    holds the transport's ``node_evals`` (14 per step attempt, each one
-    evaluation of g, the coefficients and the data equations on all live
-    curves) and accepted ``steps``, summed over its ``segments``, and
+    G and Gx have shape (len(t), len(x)), and g is the mean-degree
+    trajectory built from h'(1).  The transport marched (L, psi, G - 1,
+    G_x) along every curve and nothing else.  ``stats`` holds the
+    transport's ``node_evals`` (14 per step attempt, each one evaluation
+    of g, the coefficients and the data equations on all live curves) and
+    accepted ``steps``, summed over its ``segments``, and
     ``flow_rhs_evals``, the rhs evaluations of the dense (L, psi) solve
     behind the backward trace.
     """
@@ -188,7 +187,6 @@ class SolutionField:
     t: np.ndarray
     G: np.ndarray
     Gx: np.ndarray
-    origins: np.ndarray
     g: ClosedFormMoment
     stats: dict
 
@@ -401,8 +399,7 @@ class CharacteristicSolver:
         the first segment.  Steps are cut at each distinct time, where the
         curves of that time are retired; the step size carries over, and a
         step cut short keeps the larger step it was handed.  Returns the
-        data at each pair's own time, shape (k, n), the origins and the
-        march's counts.
+        data at each pair's own time, shape (k, n), and the march's counts.
         """
         origins, w0 = self._trace_back_many(x, t)
         y = np.array(init(origins), dtype=float)
@@ -435,7 +432,7 @@ class CharacteristicSolver:
             stats["segments"] += 1
             lo = int(np.searchsorted(t, tj, side="right"))  # the curves of tj are retired
         stats["flow_rhs_evals"] = self._flow_evals
-        return y, origins, stats
+        return y, stats
 
     def _first_step(self, tj: float, rtol: float, stats: dict) -> float:
         """The march's first step from t = 0, whose first distinct time is tj.
@@ -532,7 +529,7 @@ class CharacteristicSolver:
         x, t = _check_points(x_bar, t_bar)
         xs, ts = np.atleast_1d(x), np.atleast_1d(t)
         order = np.argsort(ts, kind="stable")
-        data, _, _ = self._march(xs[order], ts[order], self._initial_data, self._rows, RTOL, ATOL)
+        data, _ = self._march(xs[order], ts[order], self._initial_data, self._rows, RTOL, ATOL)
         G, Gx = np.empty_like(data)
         G[order], Gx[order] = 1.0 + data[0], data[1]
         if x.ndim == 0:
@@ -547,12 +544,9 @@ class CharacteristicSolver:
         its pairs (x_i, t_j) in row order, in one forward pass.
         """
         x, t = _check_grid(x_grid, t_grid)
-        shape = (t.size, x.size)
-        data, origins, stats = self._march(*_pairs(x, t), self._initial_data, self._rows, RTOL, ATOL)
-        u, Gx = data.reshape(2, *shape)
-        return SolutionField(
-            x=x, t=t, G=1.0 + u, Gx=Gx, origins=origins.reshape(shape), g=self.g, stats=stats
-        )
+        data, stats = self._march(*_pairs(x, t), self._initial_data, self._rows, RTOL, ATOL)
+        u, Gx = data.reshape(2, t.size, x.size)
+        return SolutionField(x=x, t=t, G=1.0 + u, Gx=Gx, g=self.g, stats=stats)
 
     def solve_difference_grid(self, x_grid, t_grid, steady) -> np.ndarray:
         """Deviation field D(x, t) = G(x, t) - G*(x) on the tensor grid.
@@ -620,7 +614,7 @@ class CharacteristicSolver:
         active = x != 1.0
         xs = x[active]
         D = np.zeros((t.size, x.size))
-        data, _, _ = self._march(*_pairs(xs, t), lambda x0: [h(x0) - steady(x0)], rhs, _DIFF_RTOL, 1e-280)
+        data, _ = self._march(*_pairs(xs, t), lambda x0: [h(x0) - steady(x0)], rhs, _DIFF_RTOL, 1e-280)
         D[:, active] = data.reshape(t.size, xs.size)
         return D
 

@@ -50,7 +50,11 @@ class TruncationError(DegreeFlowError):
 
 
 class NoSteadyStateError(DegreeFlowError):
-    """The first moment diverges; no stationary distribution exists."""
+    """The rates fix no stationary distribution.
+
+    The first moment diverges, or the rates conserve it, so that it keeps
+    its initial value.
+    """
 
 
 class DegenerateSeedError(DegreeFlowError):

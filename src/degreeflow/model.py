@@ -174,8 +174,9 @@ def steady_constants(rates: ProcessRates) -> SteadyConstants:
     Uses the equilibrium first moment g_inf of the Riccati equation.  When
     g_inf = 0 every degree eventually vanishes (G* = 1, ``UNIFORM``); when
     g_inf diverges there is no stationary distribution (``DIVERGENT``).
-    Constants that miss their consistency identity beyond rounding raise
-    AccuracyError.
+    Rates that conserve g (n_d = b = c = 0) fix no g_inf and raise
+    NoSteadyStateError.  Constants that miss their consistency identity
+    beyond rounding raise AccuracyError.
     """
     from .riccati import equilibrium  # local import: riccati depends on model
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NoSteadyStateError, ValidationError
 from .model import RiccatiCoefficients
 
 __all__ = [
@@ -30,30 +30,29 @@ def _check_coeffs(coeffs: RiccatiCoefficients) -> None:
             raise ValidationError(f"Riccati coefficient {name} must be finite and >= 0, got {value!r}")
 
 
-def _check_g0(g0: float) -> float:
-    g0 = float(g0)
-    if not math.isfinite(g0) or g0 <= 0.0:
-        raise DomainError(f"initial first moment must be strictly positive, got {g0!r}")
-    return g0
-
-
 def equilibrium(coeffs: RiccatiCoefficients) -> float:
-    """Long-time limit of g(t) for positive initial data.
+    """Long-time limit of g(t), the same for every positive g(0).
 
     Returns the attracting root of the Riccati right-hand side:
     ``(-b + sqrt(b^2 + 4 n_d c)) / (2 n_d)`` when n_d > 0, ``c / b`` when
-    n_d = 0 < b, ``math.inf`` when n_d = b = 0 < c, and 0 when c = 0 (the
-    all-zero case is constant in time; 0 is reported by convention).
+    n_d = 0 < b, 0 when c = 0 < n_d + b, and ``math.inf`` when
+    n_d = b = 0 < c.  When n_d = b = c = 0 the rates conserve g, whose
+    limit is then g(0) itself: no limit follows from the coefficients
+    alone, and NoSteadyStateError is raised.
     """
     _check_coeffs(coeffs)
-    if coeffs.c == 0.0:
-        return 0.0
-    if coeffs.n_d > 0.0:
+    n_d, b, c = coeffs.n_d, coeffs.b, coeffs.c
+    if n_d > 0.0 and c > 0.0:
         # 2c/(b + sqrt(disc)) is the cancellation-free form of the + root.
-        return 2.0 * coeffs.c / (coeffs.b + math.sqrt(coeffs.b**2 + 4.0 * coeffs.n_d * coeffs.c))
-    if coeffs.b > 0.0:
-        return coeffs.c / coeffs.b
-    return math.inf
+        return 2.0 * c / (b + math.sqrt(b * b + 4.0 * n_d * c))
+    if b > 0.0:
+        return c / b
+    if n_d > 0.0:
+        return 0.0
+    if c > 0.0:
+        return math.inf
+    raise NoSteadyStateError("the rates conserve the first moment, which keeps its initial value, so they fix "
+                             "no stationary distribution; give its constants with [steady] constants")
 
 
 def _with_exp(t):
@@ -72,6 +71,15 @@ def _scalar_or_array(out):
 class ClosedFormMoment:
     """g(t) in closed form from g(0) = g0, with its exact derivative and equilibrium.
 
+    Three forms cover every coefficient set.  Logistic, for n_d > 0 and
+    sigma = sqrt(b^2 + 4 n_d c) > 0: g = (r+ - r- K e^(-sigma t)) /
+    (1 - K e^(-sigma t)) between the roots r+ > 0 > r-, with K = (g0 - r+)
+    / (g0 - r-).  Bernoulli, for n_d = 0 or b = c = 0: the gap y = g -
+    g_inf obeys y' = -b y - n_d y^2, and as one of the two terms vanishes
+    y = y0 e^(-b t) / (1 + n_d y0 t).  Growth, for n_d = b = 0 < c: g = g0
+    + c t, with no finite equilibrium.  When n_d = b = c = 0 the rates
+    conserve g, so ``equilibrium`` is g0 and the gap is 0.
+
     Construction checks its inputs, so every trajectory is valid: a g0
     that is not finite and positive raises DomainError, and a negative or
     non-finite coefficient raises ValidationError.
@@ -79,35 +87,25 @@ class ClosedFormMoment:
 
     coeffs: RiccatiCoefficients
     g0: float
-    _branch: str = field(init=False)
-    _r_plus: float = field(init=False, default=0.0)
+    equilibrium: float = field(init=False)
     _r_minus: float = field(init=False, default=0.0)
-    _sigma: float = field(init=False, default=0.0)
+    _sigma: float = field(init=False, default=0.0)  # > 0 exactly in the logistic form
     _K: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        _check_coeffs(self.coeffs)
-        self.g0 = _check_g0(self.g0)
+        self.g0 = float(self.g0)
+        if not math.isfinite(self.g0) or self.g0 <= 0.0:
+            raise DomainError(f"initial first moment must be strictly positive, got {self.g0!r}")
+        try:
+            self.equilibrium = equilibrium(self.coeffs)  # checks the coefficients too
+        except NoSteadyStateError:  # the rates conserve g
+            self.equilibrium = self.g0
         n_d, b, c = self.coeffs.n_d, self.coeffs.b, self.coeffs.c
-        if n_d > 0.0:
-            disc = b * b + 4.0 * n_d * c
-            if disc == 0.0:
-                # b = c = 0: pure pairwise annihilation, algebraic decay.
-                self._branch = "double_root"
-                return
-            sq = math.sqrt(disc)
-            self._r_plus = 2.0 * c / (b + sq)
-            self._r_minus = -(b + sq) / (2.0 * n_d)
-            self._sigma = sq
-            if abs(self.g0 - self._r_plus) <= 1e-12 * max(1.0, abs(self._r_plus)):
-                self._branch = "constant"
-            else:
-                self._branch = "logistic"
-                self._K = (self.g0 - self._r_plus) / (self.g0 - self._r_minus)
-        elif b > 0.0:
-            self._branch = "linear_decay"
-        else:
-            self._branch = "affine"
+        sigma = math.sqrt(b * b + 4.0 * n_d * c)
+        if n_d > 0.0 and sigma > 0.0:
+            self._sigma = sigma
+            self._r_minus = -(b + sigma) / (2.0 * n_d)
+            self._K = (self.g0 - self.equilibrium) / (self.g0 - self._r_minus)
 
     def __call__(self, t):
         """g(t): a float for a float t, else an array (a float when t is 0-d).
@@ -119,18 +117,13 @@ class ClosedFormMoment:
         path, which the march takes on its node times.
         """
         t, exp = _with_exp(t)
-        n_d, b, c = self.coeffs.n_d, self.coeffs.b, self.coeffs.c
-        if self._branch == "constant":
-            out = np.full_like(t, self.g0, dtype=float)
-        elif self._branch == "double_root":
-            out = self.g0 / (1.0 + n_d * self.g0 * t)
-        elif self._branch == "logistic":
+        if self._sigma:
             decay = self._K * exp(-self._sigma * t)
-            out = (self._r_plus - self._r_minus * decay) / (1.0 - decay)
-        elif self._branch == "linear_decay":
-            out = c / b + (self.g0 - c / b) * exp(-b * t)
-        else:  # affine: n_d = b = 0
-            out = self.g0 + c * t
+            out = (self.equilibrium - self._r_minus * decay) / (1.0 - decay)
+        elif self.equilibrium == math.inf:
+            out = self.g0 + self.coeffs.c * t
+        else:
+            out = self.equilibrium + self.gap(t)
         return _scalar_or_array(out)
 
     def derivative(self, t):
@@ -138,27 +131,20 @@ class ClosedFormMoment:
         g = self(t)
         return -self.coeffs.n_d * g * g - self.coeffs.b * g + self.coeffs.c
 
-    @property
-    def equilibrium(self) -> float:
-        return equilibrium(self.coeffs)
-
     def gap(self, t):
         """g(t) - g_inf without subtractive cancellation.
 
-        Each branch has an explicit expression for the gap, so the result
+        Each form has an explicit expression for the gap, so the result
         keeps full relative accuracy even when it is exponentially small.
+        Growth has no finite equilibrium and raises DomainError.
         """
         t, exp = _with_exp(t)
-        n_d, b, c = self.coeffs.n_d, self.coeffs.b, self.coeffs.c
-        if self._branch == "constant":
-            out = np.full_like(t, self.g0 - self._r_plus, dtype=float)
-        elif self._branch == "double_root":
-            out = self.g0 / (1.0 + n_d * self.g0 * t)
-        elif self._branch == "logistic":
+        if self._sigma:
             decay = self._K * exp(-self._sigma * t)
-            out = (self._r_plus - self._r_minus) * decay / (1.0 - decay)
-        elif self._branch == "linear_decay":
-            out = (self.g0 - c / b) * exp(-b * t)
-        else:  # affine: diverges
+            out = (self.equilibrium - self._r_minus) * decay / (1.0 - decay)
+        elif self.equilibrium == math.inf:
             raise DomainError("first moment has no finite equilibrium")
+        else:
+            y0 = self.g0 - self.equilibrium
+            out = y0 * exp(-self.coeffs.b * t) / (1.0 + self.coeffs.n_d * y0 * t)
         return _scalar_or_array(out)

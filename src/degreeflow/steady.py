@@ -490,7 +490,8 @@ def construct(constants: SteadyConstants, anchor: float | None = None) -> Steady
 def steady_from_rates(rates: ProcessRates) -> SteadyState:
     """Stationary profile implied by the process rates.
 
-    Raises NoSteadyStateError when the first moment diverges; returns the
+    Raises NoSteadyStateError when the first moment diverges or when the
+    rates conserve it, since it then keeps its initial value; returns the
     unit profile when the first moment decays to zero.
     """
     constants = steady_constants(rates)

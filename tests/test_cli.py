@@ -130,17 +130,20 @@ def test_steady_from_rates_exit_codes(tmp_path, capsys):
         assert float(line.split("=")[1]) <= 1e-6
 
 
-def test_divergent_rates_exit_code(tmp_path):
-    body = BASE.replace("omega_r = 1", "omega_r = 0")
-    body = body.replace("omega_p = 1", "omega_p = 0")
-    body = body.replace("l_d = 1", "l_d = 0")
-    body = body.replace("n_d = 1", "n_d = 0")
-    body = body.replace("n_r = 1", "n_r = 0")
-    body = body.replace("n_p = 1", "n_p = 0")
-    body = body.replace("m = 3", "m = 0")
-    body = body.replace("coeffs = 0, 0, 1", "coeffs = 0, 1")
-    ini, _ = _ini(tmp_path, body)
-    assert main(["steady", "--config", ini]) == 3
+@pytest.mark.parametrize("command", ["steady", "compare"])
+@pytest.mark.parametrize("rates, initial, reason", [
+    # link creation alone: the first moment grows without bound
+    ("omega_r = 0\nomega_p = 0\nl_d = 0\nl_r = 1\nl_p = 0\nn_d = 0\nn_r = 0\nn_p = 0\nm = 0\n",
+     "kind = polynomial\ncoeffs = 0, 1", "grows without bound"),
+    # rewiring alone conserves the first moment, 0.5 for geometric(3)
+    ("omega_r = 1\nomega_p = 0.5\nl_d = 0\nl_r = 0\nl_p = 0\nn_d = 0\nn_r = 0\nn_p = 0\nm = 3\n",
+     "kind = geometric\nrho = 3", "keeps its initial value"),
+], ids=["growth", "rewiring"])
+def test_divergent_rates_exit_code(tmp_path, capsys, command, rates, initial, reason):
+    body = BASE[:BASE.index("omega_r")] + rates + BASE[BASE.index("\n[initial]"):]
+    ini, _ = _ini(tmp_path, body.replace("kind = polynomial\ncoeffs = 0, 0, 1", initial))
+    assert main([command, "--config", ini]) == 3
+    assert reason in capsys.readouterr().err
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from degreeflow.errors import DomainError
+from degreeflow.errors import DomainError, NoSteadyStateError
 from degreeflow.model import ProcessRates, derive_riccati
 from degreeflow.riccati import ClosedFormMoment, RiccatiCoefficients, equilibrium
 
@@ -69,12 +69,15 @@ def test_affine_branch_diverges():
 
 
 def test_constant_branch():
+    # the rates conserve g: it stays at g0, which is its limit
     co = RiccatiCoefficients(n_d=0.0, b=0.0, c=0.0)
     g = ClosedFormMoment(co, 1.25)
     assert g(10.0) == 1.25
+    assert g.equilibrium == 1.25
+    assert g.gap(10.0) == 0.0
 
 
-# one trajectory per branch of ClosedFormMoment
+# trajectories covering every form of ClosedFormMoment, and g0 on the equilibrium ("constant")
 BRANCHES = {
     "constant": (derive_riccati(FIG2), (-3.0 + math.sqrt(65.0)) / 2.0),
     "double_root": (RiccatiCoefficients(n_d=1.0, b=0.0, c=0.0), 1.5),
@@ -90,7 +93,6 @@ def test_float_argument_matches_the_array_path(branch):
     # float; math.exp and np.exp may differ in the last bit, which the gap
     # carries through a product and a quotient (3 ulp seen on a fine t grid)
     g = ClosedFormMoment(*BRANCHES[branch])
-    assert g._branch == branch
     for t in (0.0, 0.3, 5.0, 50.0):
         on_array = float(g(np.array(t)))
         on_gap_array = float(g.gap(np.array(t))) if branch != "affine" else None
@@ -128,15 +130,22 @@ def test_gap_matches_subtraction_when_accurate():
         assert g.gap(t) == pytest.approx(direct, abs=1e-12)
 
 
-def test_gap_keeps_relative_accuracy_late():
+NEAR_TIE = derive_riccati(ProcessRates(omega_r=1, l_d=1, l_r=1.3, n_d=1, n_r=1, m=3))
+
+
+@pytest.mark.parametrize("co, g0", [
+    (derive_riccati(FIG2), 2.0),
+    # g0 within 1e-12 of g_inf: the gap still decays at sigma
+    (NEAR_TIE, equilibrium(NEAR_TIE) * (1.0 + 3e-13)),
+], ids=["fig2", "near_tie"])
+def test_gap_keeps_relative_accuracy_late(co, g0):
     # subtraction dies at machine epsilon; the gap keeps the exponential law
-    co = derive_riccati(FIG2)
-    g = ClosedFormMoment(co, 2.0)
+    g = ClosedFormMoment(co, g0)
     sigma = math.sqrt(co.b**2 + 4.0 * co.n_d * co.c)
     for t in (2.0, 3.0):
         ratio = g.gap(t) / g.gap(t + 1.0)
         assert math.log(abs(ratio)) == pytest.approx(sigma, abs=1e-5)
-    late = g.gap(30.0)
+    late = g.gap(50.0)
     assert late != 0.0
     assert abs(late) < 1e-100
 
@@ -145,6 +154,9 @@ def test_equilibrium_function_branches():
     assert equilibrium(RiccatiCoefficients(0.0, 2.0, 8.0)) == pytest.approx(4.0)
     assert equilibrium(RiccatiCoefficients(1.0, 0.0, 0.0)) == 0.0
     assert math.isinf(equilibrium(RiccatiCoefficients(0.0, 0.0, 3.0)))
+    # conserved g: its limit is g(0), which the coefficients do not fix
+    with pytest.raises(NoSteadyStateError):
+        equilibrium(RiccatiCoefficients(0.0, 0.0, 0.0))
     # cancellation-free root: b dominant, tiny n_d*c
     val = equilibrium(RiccatiCoefficients(1e-12, 1.0, 1.0))
     assert val == pytest.approx(1.0, rel=1e-10)
