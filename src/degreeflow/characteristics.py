@@ -100,7 +100,7 @@ __all__ = [
 RTOL = 1e-9
 ATOL = 1e-12
 _CLAMP = 1e-6  # largest tolerated excursion of a traced origin below x = -1
-_TINY = np.finfo(float).tiny  # smallest normal double: the least origin offset kept at full precision
+_TINY = float(np.finfo(float).tiny)  # smallest normal double: the least origin offset kept at full precision
 _DIFF_RTOL = 1e-10  # relative tolerance of the deviation transport
 
 
@@ -191,18 +191,46 @@ class SolutionField:
     stats: dict
 
 
+def _check_ranges(x_lo: float, x_hi: float, t_lo: float, t_hi: float) -> None:
+    """x in [-1, 1] and t finite and nonnegative, from the least and the largest of each."""
+    if not 0.0 <= t_lo <= t_hi < math.inf:  # NaN fails every comparison
+        raise ValidationError("t must be finite and nonnegative")
+    if not -1.0 - 1e-12 <= x_lo <= x_hi <= 1.0 + 1e-12:
+        raise ValidationError(f"x must lie in [-1, 1], got [{x_lo!r}, {x_hi!r}]")
+
+
 def _check_points(x_bar, t_bar) -> tuple[np.ndarray, np.ndarray]:
-    """Scalars or equal-length 1-d arrays, x in [-1, 1] and t finite and nonnegative."""
+    """Equal-length nonempty 1-d arrays, x in [-1, 1] and t finite and nonnegative."""
     x = np.asarray(x_bar, dtype=float)
     t = np.asarray(t_bar, dtype=float)
-    if x.shape != t.shape or x.ndim > 1 or x.size == 0:
+    if x.shape != t.shape or x.ndim != 1 or x.size == 0:
         raise ValidationError(
             f"x and t must be scalars or nonempty 1-d arrays of equal length, got shapes {x.shape} and {t.shape}"
         )
-    if not 0.0 <= t.min() <= t.max() < math.inf:  # NaN fails every comparison
-        raise ValidationError("t must be finite and nonnegative")
-    if not -1.0 - 1e-12 <= x.min() <= x.max() <= 1.0 + 1e-12:
-        raise ValidationError(f"x must lie in [-1, 1], got [{np.min(x)!r}, {np.max(x)!r}]")
+    _check_ranges(float(x.min()), float(x.max()), float(t.min()), float(t.max()))
+    return x, t
+
+
+def _scalar(v) -> bool:
+    """Whether v is a real scalar: a float, an int, a numpy number or a 0-d array.
+
+    Anything else, None and strings included, takes the array path and its
+    checks.  np.ndim would take about 2 us on a float.
+    """
+    return isinstance(v, (float, int, np.number)) or (isinstance(v, np.ndarray) and v.ndim == 0)
+
+
+def _check_point(x_bar, t_bar) -> tuple[float, float] | None:
+    """A pair of scalars as floats, checked as ``_check_points`` checks arrays; None when either is not a scalar.
+
+    A one-point query takes its float path from here: numpy spends some
+    microseconds on each operation on a 0-d or 1-element array, which is
+    most of the cost of one backward trace.
+    """
+    if not (_scalar(x_bar) and _scalar(t_bar)):
+        return None
+    x, t = float(x_bar), float(t_bar)
+    _check_ranges(x, x, t, t)
     return x, t
 
 
@@ -217,7 +245,7 @@ def _dense(sol):
     output, and the tests compare it with scipy's own call.
     """
     ts = sol.ts.tolist()
-    segments = [(p.t_old, p.h, *p.y_old.tolist(), p.F[::-1].tolist()) for p in sol.interpolants]
+    segments = [(float(p.t_old), float(p.h), *p.y_old.tolist(), p.F[::-1].tolist()) for p in sol.interpolants]
 
     def at(t: float) -> tuple[float, float]:
         t_old, h, L, psi, rows = segments[min(max(bisect.bisect_left(ts, t) - 1, 0), len(segments) - 1)]
@@ -241,6 +269,19 @@ def _check_grid(x_grid, t_grid) -> tuple[np.ndarray, np.ndarray]:
             raise ValidationError(f"{name} must be a strictly increasing 1-d sequence")
     _check_points(x[[0, -1]], t[[0, -1]])
     return x, t
+
+
+def _lost(wo: float, x: float, t: float, eL: float) -> DomainError:
+    """The error of an origin offset wo below the normal double range, on the curve through (x, t)."""
+    return DomainError(
+        f"the origin offset x0 - 1 = {wo:.3e} of the curve through (x, t) = ({x!r}, {t!r}) is below "
+        f"the normal double range (e^L(t) = {eL:.3e}): t is past the transport's time range"
+    )
+
+
+def _escaped(xo: float, x: float, t: float) -> AccuracyError:
+    """The error of a traced origin xo beyond the clamp below x = -1, on the curve through (x, t)."""
+    return AccuracyError(f"traced origin {xo!r} escapes [-1, 1] beyond the {_CLAMP} clamp at (x, t) = ({x!r}, {t!r})")
 
 
 def _pairs(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,15 +355,34 @@ class CharacteristicSolver:
         """Starting position at t = 0 of the characteristic through (x_bar, t_bar).
 
         x_bar and t_bar are scalars, giving a float, or equal-length 1-d
-        arrays of pairs, giving an array.  Origins are clamped onto [-1, 1]
-        when floating-point excursions stay below 1e-6; larger excursions
-        raise AccuracyError.  An origin offset x0 - 1 below the normal double
-        range (from t of about 200 on the paper's FIG2 rates) raises
-        DomainError.
+        arrays of pairs, giving an array.  A scalar pair is traced on Python
+        floats by the same operations, in the same order, as a pair in an
+        array, so both give the same bits and raise the same errors.
+        Origins are clamped onto [-1, 1] when floating-point excursions stay
+        below 1e-6; larger excursions raise AccuracyError.  An origin offset
+        x0 - 1 below the normal double range (from t of about 200 on the
+        paper's FIG2 rates) raises DomainError; the curve x = 1 has offset 0
+        and traces to 1 at every t.
         """
-        x, t = _check_points(x_bar, t_bar)
-        x0, _ = self._trace_back_many(np.atleast_1d(x), np.atleast_1d(t))
-        return float(x0[0]) if x.ndim == 0 else x0
+        point = _check_point(x_bar, t_bar)
+        if point is not None:
+            return self._trace_back_one(*point)[0]
+        return self._trace_back_many(*_check_points(x_bar, t_bar))[0]
+
+    def _trace_back_one(self, x_bar: float, t_bar: float) -> tuple[float, float]:
+        """Origin x0 and offset w0 of the one curve through (x_bar, t_bar): ``_trace_back_many`` on floats."""
+        x0 = min(max(x_bar, -1.0), 1.0)
+        if not t_bar > 0.0:
+            return x0, x0 - 1.0
+        eL, psi = self._ensure(t_bar)(t_bar)
+        d = x0 - 1.0
+        wo = eL / ((1.0 / d if d else math.inf) - psi)  # a curve on x = 1 has vbar = inf and the offset 0
+        if wo > -_TINY and d < 0.0:
+            raise _lost(wo, x0, t_bar, eL)
+        xo = 1.0 + wo
+        if xo < -1.0 - _CLAMP:
+            raise _escaped(xo, x0, t_bar)
+        return max(xo, -1.0), max(wo, -2.0)
 
     def _trace_back_many(self, x_bar: np.ndarray, t_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Origins x0 and offsets w0 of the curves through (x_bar, t_bar).
@@ -346,18 +406,11 @@ class CharacteristicSolver:
         lost = (wo > -_TINY) & (d < 0.0)
         if lost.any():
             i = int(np.argmax(lost))
-            raise DomainError(
-                f"the origin offset x0 - 1 = {wo[i]:.3e} of the curve through (x, t) = "
-                f"({float(xb[i])!r}, {tb[i]!r}) is below the normal double range "
-                f"(e^L(t) = {eL[i]:.3e}): t is past the transport's time range"
-            )
+            raise _lost(float(wo[i]), float(xb[i]), tb[i], float(eL[i]))
         xo = 1.0 + wo
         if xo.min() < -1.0 - _CLAMP:
             i = int(np.argmin(xo))
-            raise AccuracyError(
-                f"traced origin {xo[i]!r} escapes [-1, 1] beyond the {_CLAMP} clamp "
-                f"at (x, t) = ({xb[i]!r}, {tb[i]!r})"
-            )
+            raise _escaped(float(xo[i]), float(xb[i]), tb[i])
         x0[live], w0[live] = np.maximum(xo, -1.0), np.maximum(wo, -2.0)  # wo <= 0: vbar <= -1/2 and psi >= 0
         return x0, w0
 
@@ -401,7 +454,10 @@ class CharacteristicSolver:
         step cut short keeps the larger step it was handed.  Returns the
         data at each pair's own time, shape (k, n), and the march's counts.
         """
-        origins, w0 = self._trace_back_many(x, t)
+        if x.size == 1:  # the float trace of a one-point query, with the same bits
+            origins, w0 = (np.array([v]) for v in self._trace_back_one(float(x[0]), float(t[0])))
+        else:
+            origins, w0 = self._trace_back_many(x, t)
         y = np.array(init(origins), dtype=float)
         L = psi = s = 0.0
         h = None
@@ -488,7 +544,10 @@ class CharacteristicSolver:
             w += np.exp(L) * e  # e^L at the nodes
             np.divide(w0, w, out=w)
             if not np.isfinite(w).all():
-                return L, psi, None, math.nan
+                # once e^L underflows to 0 the curve x = 1 sits at 0 / 0; it stays at w = 0
+                w[:, w0 == 0.0] = 0.0
+                if not np.isfinite(w).all():
+                    return L, psi, None, math.nan
             ends = np.empty((2, *y.shape))
             rows = rhs(tau, w, c)
             y_k = None
@@ -524,16 +583,21 @@ class CharacteristicSolver:
 
         x_bar and t_bar are scalars, giving two floats, or equal-length 1-d
         arrays of pairs, giving two arrays.  The curves of all pairs are
-        transported in one forward pass, each retired at its own time.
+        transported in one forward pass, each retired at its own time.  A
+        scalar pair is checked and traced on floats and marched as the one
+        curve it is, with no sorting of times; it gives the same bits, and
+        raises the same errors, as the same pair in an array.  G(1, t) = 1
+        at every t.
         """
+        point = _check_point(x_bar, t_bar)
+        if point is not None:
+            (u,), (gx,) = self._march(*(np.array([v]) for v in point), self._initial_data, self._rows, RTOL, ATOL)[0]
+            return 1.0 + float(u), float(gx)
         x, t = _check_points(x_bar, t_bar)
-        xs, ts = np.atleast_1d(x), np.atleast_1d(t)
-        order = np.argsort(ts, kind="stable")
-        data, _ = self._march(xs[order], ts[order], self._initial_data, self._rows, RTOL, ATOL)
+        order = np.argsort(t, kind="stable")
+        data, _ = self._march(x[order], t[order], self._initial_data, self._rows, RTOL, ATOL)
         G, Gx = np.empty_like(data)
         G[order], Gx[order] = 1.0 + data[0], data[1]
-        if x.ndim == 0:
-            return float(G[0]), float(Gx[0])
         return G, Gx
 
     def solve_grid(self, x_grid, t_grid) -> SolutionField:

@@ -43,6 +43,7 @@ class InitialCondition:
         if np.any(self.head < -_NORM_TOL) or np.any(self.head > 1.0 + _NORM_TOL):
             raise ValidationError("coefficients must lie in [0, 1]")
         self.head = np.clip(self.head, 0.0, 1.0)
+        self._slope = P.polyder(self.head)  # the coefficients of the head's derivative
         if tail is not None:
             a, rho = tail
             if not math.isfinite(rho) or not (rho > 1.0):
@@ -102,7 +103,7 @@ class InitialCondition:
         """h'(x); h'(1) is the initial mean degree."""
         x = np.asarray(x, dtype=float)
         if self.head.size > 1:
-            out = P.polyval(x, P.polyder(self.head))
+            out = P.polyval(x, self._slope)
         else:
             out = np.zeros_like(x)
         if self.tail is not None:

@@ -151,7 +151,7 @@ def coefficients(rates: ProcessRates, g) -> Coefficients:
     wsum = 2.0 * rates.l_p + rates.m * rates.n_p
     if wsum == 0.0:
         A, A_g = rates.omega_p, 0.0
-    elif np.all(g * g > 0.0):
+    elif np.all(g * g > 0.0) if isinstance(g, np.ndarray) else g * g > 0.0:  # np.all takes 3.5 us on a float
         A, A_g = rates.omega_p + wsum / g, -wsum / g**2
     else:
         raise DomainError(f"first moment g = {float(np.min(g))!r} is too small for the wsum / g term of A")

@@ -76,9 +76,11 @@ class ClosedFormMoment:
     (1 - K e^(-sigma t)) between the roots r+ > 0 > r-, with K = (g0 - r+)
     / (g0 - r-).  Bernoulli, for n_d = 0 or b = c = 0: the gap y = g -
     g_inf obeys y' = -b y - n_d y^2, and as one of the two terms vanishes
-    y = y0 e^(-b t) / (1 + n_d y0 t).  Growth, for n_d = b = 0 < c: g = g0
-    + c t, with no finite equilibrium.  When n_d = b = c = 0 the rates
-    conserve g, so ``equilibrium`` is g0 and the gap is 0.
+    y = y0 e^(-b t) or y = y0 / (1 + n_d y0 t); each is evaluated without
+    the vanishing term, so at t = inf the gap is 0 and g is g_inf.  Growth,
+    for n_d = b = 0 < c: g = g0 + c t, with no finite equilibrium.  When
+    n_d = b = c = 0 the rates conserve g, so ``equilibrium`` is g0 and the
+    gap is 0 at every t.
 
     Construction checks its inputs, so every trajectory is valid: a g0
     that is not finite and positive raises DomainError, and a negative or
@@ -144,7 +146,11 @@ class ClosedFormMoment:
             out = (self.equilibrium - self._r_minus) * decay / (1.0 - decay)
         elif self.equilibrium == math.inf:
             raise DomainError("first moment has no finite equilibrium")
-        else:
+        elif self.coeffs.n_d:  # b = c = 0: y' = -n_d y^2
             y0 = self.g0 - self.equilibrium
-            out = y0 * exp(-self.coeffs.b * t) / (1.0 + self.coeffs.n_d * y0 * t)
+            out = y0 / (1.0 + self.coeffs.n_d * y0 * t)
+        elif self.coeffs.b:  # n_d = 0: y' = -b y
+            out = (self.g0 - self.equilibrium) * exp(-self.coeffs.b * t)
+        else:  # the rates conserve g
+            out = np.zeros_like(t)
         return _scalar_or_array(out)

@@ -19,7 +19,7 @@ from degreeflow import characteristics
 from degreeflow.characteristics import CharacteristicSolver, solve_grid
 from degreeflow.config import parse_config
 from degreeflow.degree_ode import gf_eval, integrate
-from degreeflow.errors import DomainError, IntegrationError, ValidationError
+from degreeflow.errors import AccuracyError, DomainError, IntegrationError, ValidationError
 from degreeflow.initial import InitialCondition
 from degreeflow.model import ProcessRates, coefficients, derive_riccati
 from degreeflow.riccati import ClosedFormMoment
@@ -129,11 +129,18 @@ def test_trace_back_preserves_order():
 
 
 def test_solve_at_normalization_point():
+    # x = 1 answers at every time.  From t of about 223 on FIG2 e^L
+    # underflows to 0, where w0 / (e^L + psi w0) is 0 / 0 on the curve
+    # x = 1 and the march must keep its offset 0.  Measured: G_x within
+    # 5.1e-15 of g(t), relative, on these times.
     g = _g()
-    for t in (0.2, 0.7, 2.0):
+    for t in (0.2, 0.7, 2.0, 223.0, 300.0, 1000.0):
         G, Gx = _solver(t).solve_at(1.0, t)
         assert G == 1.0
-        assert Gx == pytest.approx(g(t), abs=1e-9)
+        assert Gx == pytest.approx(g(t), rel=1e-13)
+    field = solve_grid([1.0], [0.0, 230.0], FIG2, H_SQUARE)
+    assert np.all(field.G == 1.0)
+    np.testing.assert_allclose(field.Gx[:, 0], g(field.t), rtol=1e-13)
 
 
 def test_solve_at_zero_time_returns_initial_data():
@@ -401,6 +408,54 @@ def test_point_validation():
         _solver([0.5]).solve_at([0.1, 0.2], [0.5])
     with pytest.raises(ValidationError):
         _solver([0.5, -1.0]).trace_back([0.1, 0.2], [0.5, -1.0])
+
+
+# seeded pairs with the edges of the domain: x = -1, 1 and 1 -/+ 1e-12 (clamped
+# onto 1), t = 0 and t = 1e-300
+PARITY_PAIRS = [(x, t) for x in (-1.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.3) for t in (0.0, 1e-300, 2.5)]
+PARITY_PAIRS += list(zip(np.random.default_rng(21).uniform(-1.0, 1.0, 10).tolist(),
+                         np.random.default_rng(22).uniform(0.0, 5.0, 10).tolist()))
+
+
+@pytest.mark.parametrize("query", ["trace_back", "solve_at"])
+def test_a_scalar_pair_gives_the_bits_of_a_one_element_array(query):
+    # a scalar pair is checked, traced and marched on floats; it must give
+    # the bits of the same pair as 1-element arrays, which take numpy's path
+    solver = _solver(5.0)
+    for x, t in PARITY_PAIRS:
+        for pair in ((x, t), (np.float64(x), np.float64(t)), (np.array(x), np.array(t))):
+            scalar = getattr(solver, query)(*pair)
+            values = scalar if isinstance(scalar, tuple) else (scalar,)
+            assert all(type(v) is float for v in values)
+            array = getattr(solver, query)(np.array([x]), np.array([t]))
+            assert np.array(values).tobytes() == np.ravel(array).tobytes(), (x, t)
+
+
+def _escaping_flow(t):
+    """A flow (e^L, psi) = (10, 0) whose traced origins fall far below x = -1."""
+    return lambda s: (10.0, 0.0)
+
+
+@pytest.mark.parametrize(("x", "t", "error", "flow"), [
+    (0.5, math.nan, ValidationError, None),
+    (0.5, -0.1, ValidationError, None),
+    (0.5, math.inf, ValidationError, None),
+    (1.0 + 2e-12, 0.5, ValidationError, None),
+    (-1.0 - 2e-12, 0.5, ValidationError, None),
+    (math.nan, 0.5, ValidationError, None),
+    (0.5, 300.0, DomainError, None),
+    (0.0, 1.0, AccuracyError, _escaping_flow),
+])
+def test_a_scalar_pair_raises_as_a_one_element_array(monkeypatch, x, t, error, flow):
+    solver = CharacteristicSolver(FIG2, H_SQUARE)
+    if flow is not None:
+        monkeypatch.setattr(solver, "_ensure", flow)
+    for query in (solver.trace_back, solver.solve_at):
+        with pytest.raises(error) as scalar:
+            query(x, t)
+        with pytest.raises(error) as array:
+            query(np.array([x]), np.array([t]))
+        assert str(scalar.value) == str(array.value)
 
 
 def test_an_initial_condition_is_required():

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from degreeflow import degree_ode
-from degreeflow.degree_ode import _Generator, gf_eval, integrate
+from degreeflow.degree_ode import TruncatedDistribution, _Generator, gf_eval, integrate
 from degreeflow.errors import DomainError, IntegrationError, TruncationError, ValidationError
 from degreeflow.initial import InitialCondition
 from degreeflow.model import ProcessRates, derive_riccati
@@ -237,6 +237,21 @@ def test_gf_eval_and_moment():
     assert gf_eval(dist, 1.0) == pytest.approx(1.0)
     assert gf_eval(dist, 0.5) == pytest.approx(0.25 + 0.25 + 0.0625)
     assert traj.first_moment(0.0) == pytest.approx(1.0)
+
+
+def test_gf_eval_on_a_scalar_gives_the_bits_of_a_one_element_array():
+    # a scalar x runs Horner's rule on Python floats, in the array path's
+    # order, so it must give the same bits as the 1-element array
+    rng = np.random.default_rng(23)
+    p = rng.dirichlet(np.ones(201))
+    xs = [-1.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.0, -0.0, *rng.uniform(-1.0, 1.0, 20).tolist()]
+    for dist in (p, TruncatedDistribution(p), p.tolist()):
+        for x in xs:
+            array = gf_eval(dist, np.array([x]))
+            for arg in (x, np.float64(x), np.array(x)):
+                value = gf_eval(dist, arg)
+                assert type(value) is float
+                assert np.array([value]).tobytes() == array.tobytes(), x
 
 
 def test_frozen_distribution_under_zero_rates():

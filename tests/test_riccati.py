@@ -77,13 +77,15 @@ def test_constant_branch():
     assert g.gap(10.0) == 0.0
 
 
-# trajectories covering every form of ClosedFormMoment, and g0 on the equilibrium ("constant")
+# trajectories covering every form of ClosedFormMoment, g0 on the equilibrium ("constant") and
+# rates that conserve g
 BRANCHES = {
     "constant": (derive_riccati(FIG2), (-3.0 + math.sqrt(65.0)) / 2.0),
     "double_root": (RiccatiCoefficients(n_d=1.0, b=0.0, c=0.0), 1.5),
     "logistic": (derive_riccati(FIG2), 2.0),
     "linear_decay": (RiccatiCoefficients(n_d=0.0, b=1.0, c=2.0), 5.0),
     "affine": (RiccatiCoefficients(n_d=0.0, b=0.0, c=2.0), 0.5),
+    "conserved": (RiccatiCoefficients(n_d=0.0, b=0.0, c=0.0), 1.25),
 }
 
 
@@ -104,6 +106,17 @@ def test_float_argument_matches_the_array_path(branch):
                 gap = g.gap(arg)
                 assert type(gap) is float
                 assert abs(gap - on_gap_array) <= 4 * math.ulp(on_gap_array)
+
+
+@pytest.mark.parametrize("branch", sorted(set(BRANCHES) - {"affine"}))
+def test_at_infinite_time_g_is_the_equilibrium(branch):
+    # in the Bernoulli form, 0 x inf (n_d = 0) and exp(-0 x inf) (b = 0)
+    # would read nan at t = inf; each of its cases keeps only its own term
+    g = ClosedFormMoment(*BRANCHES[branch])
+    assert g(math.inf) == g.equilibrium and g.gap(math.inf) == 0.0
+    ts = np.array([0.0, 1.0, math.inf])
+    assert g(ts)[-1] == g.equilibrium and g.gap(ts)[-1] == 0.0
+    assert np.all(np.isfinite(g(ts))) and g(ts)[0] == g.g0
 
 
 def test_rejects_nonpositive_start():
