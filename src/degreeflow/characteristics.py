@@ -85,7 +85,7 @@ from scipy.linalg import block_diag
 
 from .errors import AccuracyError, DomainError, IntegrationError, ValidationError
 from .initial import InitialCondition
-from .model import ProcessRates, coefficients, derive_riccati
+from .model import ProcessRates, coefficients, derive_riccati, real_or_array
 from .riccati import ClosedFormMoment
 
 __all__ = [
@@ -199,38 +199,24 @@ def _check_ranges(x_lo: float, x_hi: float, t_lo: float, t_hi: float) -> None:
         raise ValidationError(f"x must lie in [-1, 1], got [{x_lo!r}, {x_hi!r}]")
 
 
-def _check_points(x_bar, t_bar) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-length nonempty 1-d arrays, x in [-1, 1] and t finite and nonnegative."""
-    x = np.asarray(x_bar, dtype=float)
-    t = np.asarray(t_bar, dtype=float)
+def _check_points(x_bar, t_bar):
+    """Two floats for two numbers, else two equal-length nonempty 1-d arrays; x in [-1, 1] and t finite and nonnegative.
+
+    What is a number is decided by ``real_or_array``.  A one-point query
+    takes its float path from the two floats: numpy spends some
+    microseconds on each operation on a 0-d or 1-element array, which is
+    most of the cost of one backward trace.
+    """
+    x, t = real_or_array(x_bar), real_or_array(t_bar)
+    if isinstance(x, float) and isinstance(t, float):
+        _check_ranges(x, x, t, t)
+        return x, t
+    x, t = np.asarray(x), np.asarray(t)
     if x.shape != t.shape or x.ndim != 1 or x.size == 0:
         raise ValidationError(
             f"x and t must be scalars or nonempty 1-d arrays of equal length, got shapes {x.shape} and {t.shape}"
         )
     _check_ranges(float(x.min()), float(x.max()), float(t.min()), float(t.max()))
-    return x, t
-
-
-def _scalar(v) -> bool:
-    """Whether v is a real scalar: a float, an int, a numpy number or a 0-d array.
-
-    Anything else, None and strings included, takes the array path and its
-    checks.  np.ndim would take about 2 us on a float.
-    """
-    return isinstance(v, (float, int, np.number)) or (isinstance(v, np.ndarray) and v.ndim == 0)
-
-
-def _check_point(x_bar, t_bar) -> tuple[float, float] | None:
-    """A pair of scalars as floats, checked as ``_check_points`` checks arrays; None when either is not a scalar.
-
-    A one-point query takes its float path from here: numpy spends some
-    microseconds on each operation on a 0-d or 1-element array, which is
-    most of the cost of one backward trace.
-    """
-    if not (_scalar(x_bar) and _scalar(t_bar)):
-        return None
-    x, t = float(x_bar), float(t_bar)
-    _check_ranges(x, x, t, t)
     return x, t
 
 
@@ -354,26 +340,28 @@ class CharacteristicSolver:
     def trace_back(self, x_bar, t_bar):
         """Starting position at t = 0 of the characteristic through (x_bar, t_bar).
 
-        x_bar and t_bar are scalars, giving a float, or equal-length 1-d
-        arrays of pairs, giving an array.  A scalar pair is traced on Python
-        floats by the same operations, in the same order, as a pair in an
-        array, so both give the same bits and raise the same errors.
+        x_bar and t_bar are numbers, giving a float, or equal-length 1-d
+        arrays of pairs, giving an array; anything numpy reads as a 0-d
+        array is a number (``real_or_array``).  A pair of numbers is traced
+        on Python floats by the same operations, in the same order, as a
+        pair in an array, so both give the same bits and raise the same
+        errors.
         Origins are clamped onto [-1, 1] when floating-point excursions stay
         below 1e-6; larger excursions raise AccuracyError.  An origin offset
         x0 - 1 below the normal double range (from t of about 200 on the
         paper's FIG2 rates) raises DomainError; the curve x = 1 has offset 0
         and traces to 1 at every t.
         """
-        point = _check_point(x_bar, t_bar)
-        if point is not None:
-            return self._trace_back_one(*point)[0]
-        return self._trace_back_many(*_check_points(x_bar, t_bar))[0]
+        x, t = _check_points(x_bar, t_bar)
+        if isinstance(x, float):
+            return self._trace_back_one(x, t)
+        return self._trace_back_many(x, t)[0]
 
-    def _trace_back_one(self, x_bar: float, t_bar: float) -> tuple[float, float]:
-        """Origin x0 and offset w0 of the one curve through (x_bar, t_bar): ``_trace_back_many`` on floats."""
+    def _trace_back_one(self, x_bar: float, t_bar: float) -> float:
+        """Origin x0 of the one curve through (x_bar, t_bar): ``_trace_back_many`` on floats."""
         x0 = min(max(x_bar, -1.0), 1.0)
         if not t_bar > 0.0:
-            return x0, x0 - 1.0
+            return x0
         eL, psi = self._ensure(t_bar)(t_bar)
         d = x0 - 1.0
         wo = eL / ((1.0 / d if d else math.inf) - psi)  # a curve on x = 1 has vbar = inf and the offset 0
@@ -382,7 +370,7 @@ class CharacteristicSolver:
         xo = 1.0 + wo
         if xo < -1.0 - _CLAMP:
             raise _escaped(xo, x0, t_bar)
-        return max(xo, -1.0), max(wo, -2.0)
+        return max(xo, -1.0)
 
     def _trace_back_many(self, x_bar: np.ndarray, t_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Origins x0 and offsets w0 of the curves through (x_bar, t_bar).
@@ -454,10 +442,7 @@ class CharacteristicSolver:
         step cut short keeps the larger step it was handed.  Returns the
         data at each pair's own time, shape (k, n), and the march's counts.
         """
-        if x.size == 1:  # the float trace of a one-point query, with the same bits
-            origins, w0 = (np.array([v]) for v in self._trace_back_one(float(x[0]), float(t[0])))
-        else:
-            origins, w0 = self._trace_back_many(x, t)
+        origins, w0 = self._trace_back_many(x, t)
         y = np.array(init(origins), dtype=float)
         L = psi = s = 0.0
         h = None
@@ -581,19 +566,18 @@ class CharacteristicSolver:
     def solve_at(self, x_bar, t_bar):
         """(G, G_x) at the point (x_bar, t_bar).
 
-        x_bar and t_bar are scalars, giving two floats, or equal-length 1-d
-        arrays of pairs, giving two arrays.  The curves of all pairs are
-        transported in one forward pass, each retired at its own time.  A
-        scalar pair is checked and traced on floats and marched as the one
-        curve it is, with no sorting of times; it gives the same bits, and
-        raises the same errors, as the same pair in an array.  G(1, t) = 1
-        at every t.
+        x_bar and t_bar are numbers, giving two floats, or equal-length 1-d
+        arrays of pairs, giving two arrays, as for ``trace_back``.  The
+        curves of all pairs are transported in one forward pass, each
+        retired at its own time.  A pair of numbers is checked on floats
+        and marched as the one curve it is, with no sorting of times; it
+        gives the same bits, and raises the same errors, as the same pair
+        in an array.  G(1, t) = 1 at every t.
         """
-        point = _check_point(x_bar, t_bar)
-        if point is not None:
-            (u,), (gx,) = self._march(*(np.array([v]) for v in point), self._initial_data, self._rows, RTOL, ATOL)[0]
-            return 1.0 + float(u), float(gx)
         x, t = _check_points(x_bar, t_bar)
+        if isinstance(x, float):
+            (u,), (gx,) = self._march(np.array([x]), np.array([t]), self._initial_data, self._rows, RTOL, ATOL)[0]
+            return 1.0 + float(u), float(gx)
         order = np.argsort(t, kind="stable")
         data, _ = self._march(x[order], t[order], self._initial_data, self._rows, RTOL, ATOL)
         G, Gx = np.empty_like(data)

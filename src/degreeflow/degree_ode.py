@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError, TruncationError, ValidationError
-from .model import ProcessRates
+from .model import ProcessRates, real_or_array
 
 __all__ = [
     "TruncatedDistribution",
@@ -235,18 +235,18 @@ def integrate(
 def gf_eval(dist, x):
     """Generating function sum_k p_k x^k of a truncated distribution (Horner).
 
-    An array x gives an array.  A scalar x gives a float, from Horner's rule
-    on Python floats: the same operations in the same order as on an array,
-    so the same bits, without numpy's cost of some microseconds for each
-    operation on a 0-d array.
+    An array x gives an array.  A number x (``model.real_or_array``) gives
+    a float, from Horner's rule on Python floats: the same operations in
+    the same order as on an array, so the same bits, without numpy's cost
+    of some microseconds for each operation on a 0-d array.
     """
     p = dist.p if isinstance(dist, TruncatedDistribution) else np.asarray(dist, dtype=float)
-    if isinstance(x, float) or np.ndim(x) == 0:  # np.ndim takes about 2 us on a float
-        x, total = float(x), 0.0
+    x = real_or_array(x)
+    if isinstance(x, float):
+        total = 0.0
         for coeff in reversed(p.tolist()):
             total = total * x + coeff
         return total
-    x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for coeff in p[::-1]:
         out = out * x + coeff

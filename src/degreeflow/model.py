@@ -127,6 +127,21 @@ def derive_riccati(rates: ProcessRates) -> RiccatiCoefficients:
     return RiccatiCoefficients(n_d=rates.n_d, b=b, c=c)
 
 
+def real_or_array(v):
+    """v as a Python float when numpy reads it as one number, else as a float array.
+
+    Every float path in the package is chosen by this one rule: the scalar
+    queries of ``CharacteristicSolver``, ``degree_ode.gf_eval`` and
+    ``coefficients``.  Whatever ``np.asarray(v, dtype=float)`` makes 0-d
+    is one number (a Fraction, a 0-d array, None as nan), and a float or
+    an int skips np.asarray, which costs about a microsecond.
+    """
+    if isinstance(v, (float, int)):
+        return float(v)
+    a = np.asarray(v, dtype=float)
+    return float(a) if a.ndim == 0 else a
+
+
 class Coefficients(NamedTuple):
     """PDE coefficients at one first moment g; A_g, B_g, C_g are d/dg."""
 
@@ -142,16 +157,18 @@ class Coefficients(NamedTuple):
 def coefficients(rates: ProcessRates, g) -> Coefficients:
     """Coefficients of G_t = (x-1)(A x - B) G_x + ((x-1) C - c4) G + c4 x^m at g > 0.
 
-    g is a float or an array of moments; a coefficient that depends on g
-    then has its shape, and the others stay floats.  g enters A only as
-    wsum / g, wsum = 2 l_p + m n_p.  Without that term A stays finite down
-    to g = 0, where the moment of a dying network underflows; with it, a g
-    whose square underflows raises DomainError.
+    g is one moment or an array of moments, read by ``real_or_array``; a
+    coefficient that depends on g then has its shape, and the others stay
+    floats.  g enters A only as wsum / g, wsum = 2 l_p + m n_p.  Without
+    that term A stays finite down to g = 0, where the moment of a dying
+    network underflows; with it, a g whose square underflows raises
+    DomainError.
     """
+    g = real_or_array(g)
     wsum = 2.0 * rates.l_p + rates.m * rates.n_p
     if wsum == 0.0:
         A, A_g = rates.omega_p, 0.0
-    elif np.all(g * g > 0.0) if isinstance(g, np.ndarray) else g * g > 0.0:  # np.all takes 3.5 us on a float
+    elif g * g > 0.0 if isinstance(g, float) else np.all(g * g > 0.0):  # np.all takes 3.5 us on a float
         A, A_g = rates.omega_p + wsum / g, -wsum / g**2
     else:
         raise DomainError(f"first moment g = {float(np.min(g))!r} is too small for the wsum / g term of A")

@@ -8,6 +8,8 @@ test must agree with it there.
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -419,11 +421,12 @@ PARITY_PAIRS += list(zip(np.random.default_rng(21).uniform(-1.0, 1.0, 10).tolist
 
 @pytest.mark.parametrize("query", ["trace_back", "solve_at"])
 def test_a_scalar_pair_gives_the_bits_of_a_one_element_array(query):
-    # a scalar pair is checked, traced and marched on floats; it must give
-    # the bits of the same pair as 1-element arrays, which take numpy's path
+    # a pair of numbers, of any type numpy reads as 0-d, is checked and
+    # traced on floats; it must give the bits of the same pair as 1-element
+    # arrays, which take numpy's path
     solver = _solver(5.0)
     for x, t in PARITY_PAIRS:
-        for pair in ((x, t), (np.float64(x), np.float64(t)), (np.array(x), np.array(t))):
+        for pair in ((x, t), (np.float64(x), np.float64(t)), (np.array(x), np.array(t)), (Fraction(x), Decimal(t))):
             scalar = getattr(solver, query)(*pair)
             values = scalar if isinstance(scalar, tuple) else (scalar,)
             assert all(type(v) is float for v in values)
@@ -443,6 +446,7 @@ def _escaping_flow(t):
     (1.0 + 2e-12, 0.5, ValidationError, None),
     (-1.0 - 2e-12, 0.5, ValidationError, None),
     (math.nan, 0.5, ValidationError, None),
+    (None, 0.5, ValidationError, None),  # read as nan
     (0.5, 300.0, DomainError, None),
     (0.0, 1.0, AccuracyError, _escaping_flow),
 ])

@@ -1,5 +1,7 @@
 """Truncated degree-distribution system and its generating-function views."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -248,7 +250,7 @@ def test_gf_eval_on_a_scalar_gives_the_bits_of_a_one_element_array():
     for dist in (p, TruncatedDistribution(p), p.tolist()):
         for x in xs:
             array = gf_eval(dist, np.array([x]))
-            for arg in (x, np.float64(x), np.array(x)):
+            for arg in (x, np.float64(x), np.array(x), Fraction(x)):
                 value = gf_eval(dist, arg)
                 assert type(value) is float
                 assert np.array([value]).tobytes() == array.tobytes(), x
