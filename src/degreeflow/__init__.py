@@ -24,7 +24,6 @@ from .degree_ode import DistributionTrajectory, gf_eval, integrate
 from .errors import (
     AbsorbingStateReached,
     AccuracyError,
-    DegenerateSeedError,
     DegreeFlowError,
     DomainError,
     IntegrationError,
@@ -60,7 +59,6 @@ __all__ = [
     "CharacteristicSolver",
     "ClosedFormMoment",
     "ConvergenceSeries",
-    "DegenerateSeedError",
     "Degeneracy",
     "DegreeFlowError",
     "DistributionTrajectory",

@@ -15,7 +15,6 @@ __all__ = [
     "AccuracyError",
     "TruncationError",
     "NoSteadyStateError",
-    "DegenerateSeedError",
     "AbsorbingStateReached",
     "WorkerError",
 ]
@@ -55,10 +54,6 @@ class NoSteadyStateError(DegreeFlowError):
     The first moment diverges, or the rates conserve it, so that it keeps
     its initial value.
     """
-
-
-class DegenerateSeedError(DegreeFlowError):
-    """The series seed at x = 1 is undefined for the given constants."""
 
 
 class AbsorbingStateReached(DegreeFlowError):

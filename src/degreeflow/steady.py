@@ -8,28 +8,28 @@ whose coefficient constants derive from the rates and the equilibrium first
 moment.  The equation is singular at x = 1 and (when c1 > 0) at xi = c2/c1,
 and the structure of its solution set depends on which constants vanish:
 constants-only cases, a one-parameter family with closed form, a purely
-algebraic solution, a two-singularity integral construction on the segments
-[-1, xi) and (xi, 1], and a series-seeded backward integration when x = 1 is
-the only singular point in [-1, 1].
+algebraic solution, and, for c4 > 0 with a singular point, one construction:
+Duhamel's integral along the equation's closed-form backward
+characteristics, the PDE's own long-time limit.  It serves both the
+two-singularity case, xi in [0, 1), and the case where x = 1 is the only
+singular point in [-1, 1].
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad, solve_ivp  # perfbench's tracer wraps both by module attribute
 
-from .errors import (
-    DegenerateSeedError,
-    IntegrationError,
-    NoSteadyStateError,
-    ValidationError,
-)
+from .characteristics import _gauss
+from .errors import IntegrationError, NoSteadyStateError, ValidationError
 from .model import Degeneracy, ProcessRates, SteadyConstants, steady_constants
 
 __all__ = [
@@ -50,8 +50,11 @@ _XI_TIE = 1e-9  # points this close to xi take the continuity value G*(xi)
 _STEP = 1e-5  # finite-difference step of SteadyState.derivative
 _EXCLUDE = 1e-3  # residuals are neither certified nor reported this close to a singular point
 _CERT_TOL = 1e-6  # largest |residual| of a certified profile
-_SEED_EPS = 1e-5  # the series seed sits at x = 1 - _SEED_EPS
-_QUAD_TOL = 1e-10  # bound on the two-singularity error estimate, relative to max(1, |G*|)
+_QUAD_TOL = 1e-10  # bound on the profile's error estimate, relative to max(1, |G*|)
+_THETA = 1.0  # a panel's width times each rate it resolves is at most this
+_PANELS = 50_000  # most panels one characteristic may take
+# No construction calls solve_ivp; the name stays because a traced run looks it up here.
+_TRACED = (quad, solve_ivp)
 
 
 class SteadyCaseTag(enum.Enum):
@@ -61,7 +64,7 @@ class SteadyCaseTag(enum.Enum):
     FAMILY = "family"  # one-parameter family, closed form
     ALGEBRAIC = "algebraic"  # no derivative term: pointwise formula
     TWO_SINGULARITY = "two_singularity"  # xi = c2/c1 in [0, 1)
-    SERIES_SEEDED = "series_seeded"  # x = 1 is the only singular point
+    SERIES_SEEDED = "series_seeded"  # x = 1 is the only singular point; reports and the CLI print this name
     UNIFORM_LIMIT = "uniform_limit"  # g -> 0: all degrees die out, G* = 1
 
 
@@ -156,9 +159,9 @@ def explicit_constants(c1: float, c2: float, c3: float, c4: float, m: int) -> St
     NaN (the constants are still usable for classification/construction).
     """
     for name, v in (("c1", c1), ("c2", c2), ("c3", c3), ("c4", c4)):
-        if not math.isfinite(v) or v < 0.0:
-            raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
-    if not isinstance(m, (int, np.integer)) or m < 0:
+        if not isinstance(v, numbers.Real) or not math.isfinite(v) or v < 0.0:
+            raise ValidationError(f"{name} must be a finite real number >= 0, got {v!r}")
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
         raise ValidationError(f"m must be a nonnegative integer, got {m!r}")
     denom = c4 + c2 - c1
     g_inf = (c3 + c4 * m) / denom if denom > _ZTOL else math.nan
@@ -175,10 +178,6 @@ def _unpack(constants: SteadyConstants) -> tuple[float, float, float, float, int
     return constants.c1, constants.c2, constants.c3, constants.c4, constants.m
 
 
-def _near_zero(v: float, scale: float = 1.0) -> bool:
-    return abs(v) <= _ZTOL * max(1.0, scale)
-
-
 def classify(constants: SteadyConstants) -> SteadyCase:
     """Assign the stationary equation to its structural case.
 
@@ -190,7 +189,7 @@ def classify(constants: SteadyConstants) -> SteadyCase:
     scale = max(c1, c2, c3, c4)
 
     def z(v):
-        return _near_zero(v, scale)
+        return abs(v) <= _ZTOL * max(1.0, scale)
 
     sing: tuple[float, ...]
     if z(c1) and z(c2):
@@ -239,198 +238,201 @@ def _analytic_a1(c1, c2, c3, c4, m) -> float | None:
     return (c3 + c4 * m) / d1
 
 
-def _regular_slope(c1, c2, c3, c4, m):
-    """First two derivatives of the analytic solution branch at x = 1.
+def _blocked(f, x: np.ndarray) -> np.ndarray:
+    """f over the points x in blocks of 512, along f's last axis.
 
-    Returns (a1, a2) of G* = 1 + a1 (x-1) + a2 (x-1)^2 + ..., or None when
-    the defining denominators vanish (resonant indicial roots).
+    The blocks bound the (n, nodes) arrays of f, the peak memory of a long
+    table; f computes each point alone, so the blocks change no value.
     """
-    a1 = _analytic_a1(c1, c2, c3, c4, m)
-    d2 = c4 + 2.0 * (c2 - c1)
-    if a1 is None or abs(d2) <= _ZTOL * max(1.0, c1, c2, c4):
-        return None
-    a2 = ((c1 + c3) * a1 + c4 * m * (m - 1) / 2.0) / d2
-    return a1, a2
+    return np.concatenate([f(x[i : i + 512]) for i in range(0, max(x.size, 1), 512)], axis=-1)
 
 
-def _kernel_profile(side: float, xi: float, alpha: float, beta: float, m: int, pref: float):
-    """Two-singularity profile on one side of xi, integrated outward from xi.
+@functools.cache
+def _rules():
+    """Nodes (31,) on [0, 1] of the 20-node and the 10-node Gauss rule and of the panel end, both rules'
+    weights, and the 20-node rule's tail matrix int_{t_j}^1 l_i and barycentric weights.
 
-    In u = |s - xi|^(-beta) the kernel s^m (1-s)^(-alpha-1) |s - xi|^(-beta-1) ds
-    becomes the bounded nu s^m (1-s)^(-alpha-1) du, nu = -1/beta, and
-    G*(x) = pref (1-x)^alpha I(x) / u(x) with I the integral from u = 0.
-    A fixed mesh in u, graded geometrically toward u = 0 and (right of xi)
-    toward s = 1, carries a 20-node Gauss-Legendre rule per panel; the
-    10-node rule on the same panels estimates its error.  One prefix scan
-    over the full panels gives G* at every mesh node, and each query adds
-    one partial panel to the node below it.  The scan carries G* itself
-    rather than I, whose range overflows doubles once alpha or -beta pass
-    about 30.  The mesh does not depend on the queries, so a point gets the
-    same value alone as in a batch.
+    Built on first use, like ``characteristics._rules``.
     """
-    nb, nu = -beta, -1.0 / beta
-    # Toward u = 0 each level halves u, and also |s - xi| where u is the
-    # flatter of the two.  Toward s = 1 each panel at least halves 1 - s, and
-    # (1-s)^(-alpha-1) grows at most 16-fold across it.
-    d_end = xi - _X_LOW if side < 0.0 else (1.0 - xi) - _ONE_TIE
-    nodes = [[0.0], np.geomspace(d_end, _XI_TIE, math.ceil(math.log2(d_end / _XI_TIE) / min(1.0, nu)) + 1)]
-    if side > 0.0:
-        panels = math.ceil(math.log2((1.0 - xi) / _ONE_TIE) * max(1.0, (alpha + 1.0) / 4.0))
-        nodes.append((1.0 - xi) - np.geomspace(1.0 - xi, _ONE_TIE, panels + 1)[1:])
-    d = np.unique(np.concatenate(nodes))  # offsets |s - xi| of the mesh nodes
-    e = (1.0 - xi) - side * d  # 1 - s there
-    rules = [np.polynomial.legendre.leggauss(n) for n in (20, 10)]  # value rule, estimate rule
+    t, b, ahat = _gauss(20)
+    x10, w10 = np.polynomial.legendre.leggauss(10)
+    lam = (-1.0) ** np.arange(20) * np.sqrt(t * (1.0 - t) * b)
+    return np.concatenate([t, (x10 + 1.0) / 2.0, [1.0]]), b, w10 / 2.0, b - ahat, lam
 
-    def step(dq, eq, k):
-        """Carry factor from node k-1 to offset dq, where 1 - s = eq, and the
-        partial panel's share of G* with its error estimate.  log1p/expm1
-        place the nodes so that 1 - s stays exact near s = 1."""
-        r = (d[k - 1] / dq) ** nb  # u at node k-1 over u at dq
-        parts = []
-        for t, w in rules:
-            log_rho = np.log1p(np.multiply.outer(r - 1.0, 0.5 * (1.0 - t)))
-            en = eq[:, None] - side * dq[:, None] * np.expm1(nu * log_rho)
-            f = nu * (xi + side * dq[:, None] * np.exp(nu * log_rho)) ** m * (eq[:, None] / en) ** alpha / en
-            parts.append(pref * (1.0 - r) * 0.5 * (f * w).sum(axis=1))
-        return (eq / e[k - 1]) ** alpha * r, parts[0], np.abs(parts[0] - parts[1])
 
-    carry, part, est = (a.tolist() for a in step(d[1:], e[1:], np.arange(1, d.size)))
-    value, error = (np.array(list(accumulate(zip(carry, a), lambda g, ca: ca[0] * g + ca[1], initial=0.0)))
-                    for a in (part, est))
+def _characteristic(c1, kappa, c3, c4, m, w0, w_att, f_att, w_q):
+    """G*(1 + w) on one backward characteristic, from w = w0 past w_q toward its attractor w_att.
 
-    def block(x: np.ndarray) -> np.ndarray:
-        k = np.searchsorted(d, np.abs(x - xi))
-        carry, part, est = step(np.abs(x - xi), 1.0 - x, k)
-        val, err = carry * value[k - 1] + part, carry * error[k - 1] + est
-        bad = ~(err <= _QUAD_TOL * np.maximum(1.0, np.abs(val)))
+    Offsets w = X - 1 follow the backward flow in closed form, so G* is one
+    smooth function of the backward time r along it; f_att is G* at the
+    attractor, and the panels carry G* - f_att.  The panels tile r up to
+    r_end, 20 / (c4 + |kappa|) past w_q.  Every panel keeps the offset's rates
+    2 |kappa| + 2 c1 |X - 1| below ``_THETA`` per panel, which bounds G*'s own
+    change.  A narrow panel also keeps the weight's rates c4 and c3 |X - 1|
+    and X^m's m per unit of X below it, and its node values come from its
+    integration matrix and the value at the panel after it, scanned from the
+    attractor end.  Where the weight decays 400 times faster than the offset
+    changes, a wide panel takes each node value from its own window: the
+    integral over 5 sub-panels of 8 / (c4 + c3 |X - 1|), whose remainder is
+    below e^-36.  The 10-node rule on the same panels estimates the error.
+    A query reads its panel's barycentric interpolant at its closed-form r
+    from the panel's start; the panels never depend on the queries, so a
+    point gets the same value alone as in a batch.
+    """
+    nodes, b, b10, tail, lam = _rules()
+
+    def phi(r):  # (e^{kappa r} - 1) / kappa
+        return r if kappa == 0.0 else np.expm1(kappa * r) / kappa
+
+    def phi_inv(p):
+        return p if kappa == 0.0 else np.log1p(kappa * p) / kappa
+
+    def flow(w, s):
+        """Offset after backward time s from offset w, and the log of the weight exp int (c3 (X - 1) - c4)."""
+        p = -c1 * w * phi(s)
+        return w * np.exp(kappa * s) / (1.0 + p), c3 * (w * phi(s) if c1 == 0.0 else -np.log1p(p) / c1) - c4 * s
+
+    def time(wa, wb):  # backward time from offset wa to offset wb
+        return phi_inv((wb - wa) / (wa * (c1 * wb + kappa)))
+
+    def ell(r):  # -int (X - 1) over backward time r from w0
+        return -w0 * phi(r) if c1 == 0.0 else np.log1p(-c1 * w0 * phi(r)) / c1
+
+    def mesh(ra, rb, rates):
+        """Edges of [ra, rb], at most _THETA / rate apart in r, in ell and in X for the three rates."""
+        wa, wb = flow(w0, np.array([ra, rb]))[0]
+        spans = ((ra, rb), (ell(ra), ell(rb)), (min(wa, wb), max(wa, wb)))
+        if sum((hi - lo) * rate for (lo, hi), rate in zip(spans, rates)) > _PANELS * _THETA:
+            raise IntegrationError(f"stationary profile needs more than {_PANELS} panels")
+        inverse = (lambda r: r, lambda l: phi_inv(-l / w0 if c1 == 0.0 else np.expm1(c1 * l) / (-c1 * w0)),
+                   lambda w: time(w0, w))
+        e = np.unique(np.concatenate([[ra, rb]] + [f(np.arange(lo, hi, _THETA / rate)[1:])
+                                                   for (lo, hi), rate, f in zip(spans, rates, inverse) if rate > 0.0]))
+        return e[(e >= ra) & (e <= rb)]
+
+    def source(w):  # c4 X^m - f_att (c4 - c3 (X - 1)): integrated against the weight, it gives G* - f_att
+        return c4 * ((1.0 + w) ** m - f_att) + c3 * f_att * w
+
+    def check(est, d):
+        bad = ~(est <= _QUAD_TOL * np.maximum(1.0, np.abs(f_att + d)))
         if np.any(bad):
-            raise IntegrationError(
-                f"two-singularity quadrature error estimate {float(err[bad][0])!r} at x = {float(x[bad][0])!r}"
-            )
-        return val
+            raise IntegrationError(f"stationary profile error estimate {float(est[bad][0])!r} "
+                                   f"at G* = {float(f_att + d[bad][0])!r}")
 
-    def profile(x: np.ndarray) -> np.ndarray:
-        # blocks of 512 points bound the (n, 20) node arrays of step, the
-        # peak memory of a long table; each point is computed alone, so the
-        # blocks change no value
-        return np.concatenate([block(x[i : i + 512]) for i in range(0, max(x.size, 1), 512)])
+    sw = (np.arange(5.0)[:, None] + nodes[:30]).ravel()  # a window's nodes, in sub-panels
+    bw = [np.tile(np.concatenate(r), 5) for r in ((b, 0.0 * b10), (0.0 * b, b10))]
 
-    return profile
+    def window(w):
+        """G* - f_att at offsets w and its estimate, each the integral over 5 sub-panels of 8 / (c4 + c3 |X - 1|)."""
+        hw = 8.0 / (c4 - c3 * w[:, None])
+        wn, g = flow(w[:, None], hw * sw)
+        q = source(wn) * np.exp(g) * hw
+        out = np.array([q @ bw[0], np.abs(q @ (bw[0] - bw[1]))])
+        check(out[1], out[0])
+        return out
+
+    def wide(ra, rb):  # node values from their windows
+        e = mesh(ra, rb, (2.0 * abs(kappa), 2.0 * c1, 0.0))
+        wk, h = flow(w0, e[:-1])[0], np.diff(e)
+        return wk, h, _blocked(window, flow(wk[:, None], h[:, None] * nodes[:20])[0].ravel())[0].reshape(-1, 20)
+
+    def narrow(ra, rb):  # node values scanned from the value at rb: 0 at r_end, else its window
+        e = mesh(ra, rb, (2.0 * abs(kappa) + c4, 2.0 * c1 + c3, m))
+        wk, h = flow(w0, e[:-1])[0], np.diff(e)
+        w, g = flow(wk[:, None], h[:, None] * nodes)
+        q, ex = source(w) * np.exp(g), np.exp(g[:, 30])
+        i20, i10 = h * (q[:, :20] @ b), h * (q[:, 20:30] @ b10)
+
+        def scan(a, end):  # a_k + ex_k (a_{k+1} + ex_{k+1} (... + end)) at every panel start k
+            return np.array(list(accumulate(zip(ex[::-1].tolist(), a[::-1].tolist()),
+                                            lambda f, ea: ea[0] * f + ea[1], initial=end)))[::-1]
+
+        end, end_est = window(flow(w0, np.array([rb]))[0])[:, 0].tolist() if rb < r_end else (0.0, 0.0)
+        start, err = scan(i20, end), scan(np.abs(i20 - i10), end_est)
+        check(err, start)
+        tails = np.einsum("pi,ji->pj", q[:, :20], tail)  # not a BLAS gemm: threaded, it is slow at this size
+        return wk, h, np.exp(-g[:, :20]) * (h[:, None] * tails + (ex * start[1:])[:, None])
+
+    # Wide panels serve where 400 (|kappa| + c1 |X - 1|) <= c4 + c3 |X - 1|.
+    # That is linear in |X - 1|, which moves monotonically, so it holds on a
+    # prefix or a suffix of the characteristic.
+    r_end = time(w0, w_q) + 20.0 / (c4 + abs(kappa))  # the terminal value's error is damped by e^-20 at w_q
+    first = 400.0 * (abs(kappa) - c1 * w0) <= c4 - c3 * w0
+    r_s = (r_end if first == (400.0 * (abs(kappa) - c1 * w_att) <= c4 - c3 * w_att)
+           else min(time(w0, (400.0 * abs(kappa) - c4) / (400.0 * c1 - c3)), r_end))
+    parts = [(wide if is_wide else narrow)(ra, rb) for ra, rb, is_wide in ((0.0, r_s, first), (r_s, r_end, not first))
+             if rb > ra]
+    wk, h, vals = (np.concatenate(a) for a in zip(*parts))
+    sign = 1.0 if w_att > w0 else -1.0
+
+    def block(w: np.ndarray) -> np.ndarray:
+        k = np.clip(np.searchsorted(sign * wk, sign * w, side="right") - 1, 0, wk.size - 1)
+        d = (time(wk[k], w) / h[k])[:, None] - nodes[:20]
+        c = lam / np.where(d == 0.0, 1e-300, d)
+        return f_att + (c * vals[k]).sum(1) / c.sum(1)
+
+    return lambda w: _blocked(block, w)
 
 
-def _two_singularity(case: SteadyCase, anchor: float | None) -> SteadyState:
-    """Stationary profile when both x = 1 and xi = c2/c1 lie in [-1, 1].
+def _stationary(case: SteadyCase, anchor: float | None) -> SteadyState:
+    """Stationary profile for c4 > 0 with a singular point: Duhamel's integral along the backward characteristics.
 
-    The solution is an integral against the homogeneous weight
-    (1-x)^alpha (x-xi)^beta with alpha = c4/(c1-c2) > 0 and
-    beta = -c3/c1 - alpha < 0; its value at xi is fixed by continuity to
-    c4 xi^m / (c4 + (1-xi) c3).  Both segments integrate outward from xi
-    (``_kernel_profile``).  ``anchor`` picks the reference point y of the
-    right-segment variation-of-constants form, integrated from y by adaptive
-    quadrature instead; any y in (xi, 1) yields the same profile, and
-    passing it explicitly exercises that cancellation.
+    G*(x) = int_0^inf c4 X(r)^m exp(int_0^r (c3 (X - 1) - c4)) dr along
+    X' = (X - 1)(c1 X - c2), X(0) = x.  With kappa = c1 - c2 and v = 1/(X - 1)
+    the flow is linear, v' = -c1 - kappa v, so X and int (X - 1) are closed
+    form; the flow is trapped in [-1, 1] and tends to xi = c2/c1 when xi < 1
+    (the two-singularity case), else to 1.  G* there is c4 xi^m / (c4 + (1 -
+    xi) c3), and 1 at x = 1.  Every x below the attractor lies on the one
+    characteristic from the domain end, and every x between xi and 1 on the
+    one from 1 - 1e-12 (``_characteristic``).  Points from 1 - 1e-12 to the
+    domain's end take the value 1 exactly, and points within 1e-9 of xi the
+    value at xi.
 
-    Precision limit near x = 1: the offsets 1 - s of the quadrature nodes
-    are formed from offsets |s - xi| of order one, so they carry rounding
-    of order eps |x - xi|, which the kernel amplifies by about
-    alpha / (1 - x).  On the constants (2, 1, 1, 2, m = 3), against a
-    40-digit mpmath quadrature, the error is 5e-12 at 1 - x = 1e-6, 5e-10
-    at 1e-8, 3e-9 at 1e-9, 1e-7 at 1e-10 and 5e-7 at 3e-12; below 1e-9 it
-    is rounding noise that varies from point to point (9e-9 at 1e-11).
-    Points within 1e-12 of 1 take the value 1 exactly.
+    ``anchor`` picks the reference point y of the right-segment
+    variation-of-constants form, integrated from y by adaptive quadrature
+    instead; any y in (xi, 1) yields the same profile, and passing it
+    explicitly exercises that cancellation.
     """
     c1, c2, c3, c4, m = _unpack(case.constants)
-    xi = c2 / c1
-    alpha = c4 / (c1 - c2)
-    beta = -c3 / c1 - alpha
+    two = case.tag is SteadyCaseTag.TWO_SINGULARITY
+    # x = 1 attracts when c2 >= c1 up to the tie tolerance: the flow takes c2 = c1 there
+    xi, kappa = (c2 / c1, c1 - c2) if two else (1.0, min(c1 - c2, 0.0))
     g_xi = c4 * xi**m / (c4 + (1.0 - xi) * c3)
-    if anchor is not None and not (xi < anchor < 1.0):
-        raise ValidationError(f"anchor must lie in (xi, 1) = ({xi!r}, 1), got {anchor!r}")
-
-    pref = c4 / c1
-    left = _kernel_profile(-1.0, xi, alpha, beta, m, pref)
-    right = _kernel_profile(1.0, xi, alpha, beta, m, pref)
+    tie = _XI_TIE if two else _ONE_TIE
+    left = _characteristic(c1, kappa, c3, c4, m, _X_LOW - 1.0, xi - 1.0, g_xi, xi - 1.0 - tie)
+    # x between xi and 1 lies on the characteristic from 1 - 1e-12; no point does in
+    # the series-seeded case, or when the ties around xi and 1 overlap
+    right = (_characteristic(c1, kappa, c3, c4, m, -_ONE_TIE, xi - 1.0, g_xi, xi - 1.0 + tie)
+             if xi + tie < 1.0 - _ONE_TIE else left)
+    alpha = c4 / kappa if two else math.inf
+    beta = -c3 / c1 - alpha if two else None
     if anchor is not None:
+        if not xi < anchor < 1.0:
+            raise ValidationError(f"anchor must lie in (xi, 1) = ({xi!r}, 1), got {anchor!r}")
         w_y = (1.0 - anchor) ** alpha * (anchor - xi) ** beta
-        g_y = float(right(np.array([anchor]))[0])
+        g_y = float(right(np.array([anchor - 1.0]))[0])
         kern = lambda s: s**m * (1.0 - s) ** (-alpha - 1.0) * (s - xi) ** (-beta - 1.0)  # noqa: E731
+        pref = c4 / c1
 
-        def right(x: np.ndarray) -> np.ndarray:
+        def right(w: np.ndarray) -> np.ndarray:
             # variation of constants anchored at y = anchor; no reference back to xi
+            x = 1.0 + w
             j = np.array([quad(kern, anchor, xv, epsabs=1e-14, epsrel=1e-12, limit=300)[0] for xv in x])
             return (1.0 - x) ** alpha * (x - xi) ** beta / w_y * (g_y + pref * w_y * j)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        at_one = np.abs(x - 1.0) <= _ONE_TIE
+        at_one = x - 1.0 >= -_ONE_TIE  # up to the domain's end, whose 1 + 1e-12 rounds to 1 + 1.00009e-12
         out = np.where(at_one, 1.0, g_xi)
-        lo, hi = x - xi < -_XI_TIE, (x - xi > _XI_TIE) & ~at_one
-        out[lo], out[hi] = left(x[lo]), right(x[hi])
+        lo, hi = x - xi < -tie, (x - xi > tie) & ~at_one
+        out[lo], out[hi] = left(x[lo] - 1.0), right(x[hi] - 1.0)
         return out
 
     a1 = _analytic_a1(c1, c2, c3, c4, m)
     # The singular branch (1-x)^alpha dominates the slope unless alpha > 1.
     slope = a1 if a1 is not None and alpha > 1.0 + 1e-12 else None
-    return SteadyState(
-        case=case,
-        slope_at_one=slope,
-        note=f"two-singularity integral construction, xi = {xi!r}, alpha = {alpha!r}, beta = {beta!r}",
-        _eval=evaluate,
-    )
-
-
-def _series_seeded(case: SteadyCase) -> SteadyState:
-    """Stationary profile when x = 1 is the only singular point in [-1, 1].
-
-    Seeds the analytic branch at x = 1 - _SEED_EPS with its quadratic
-    expansion and integrates the explicit ODE backward to _X_LOW.  Backward
-    integration is stable here: the homogeneous modes decay away from 1.
-    When c1 = c2, c1 x - c2 = c1 (x - 1) makes x = 1 a double root, an
-    irregular singular point where the equation is stiff, so LSODA
-    integrates it; an explicit DOP853 needs about a million rhs evaluations.
-    """
-    c1, c2, c3, c4, m = _unpack(case.constants)
-    seed = _regular_slope(c1, c2, c3, c4, m)
-    if seed is None:
-        raise DegenerateSeedError(
-            f"series seed undefined: resonant denominators for constants {case.constants!r}"
-        )
-    a1, a2 = seed
-
-    def rhs(x, y):
-        num = (c4 - (x - 1.0) * c3) * y[0] - c4 * x**m
-        return [num / ((x - 1.0) * (c1 * x - c2))]
-
-    x_seed = 1.0 - _SEED_EPS
-    g_seed = 1.0 - a1 * _SEED_EPS + a2 * _SEED_EPS * _SEED_EPS
-    sol = solve_ivp(
-        rhs,
-        (x_seed, _X_LOW),
-        [g_seed],
-        method="LSODA" if _near_zero(c1 - c2, max(c1, c2)) else "DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-    )
-    if sol.status != 0:
-        raise IntegrationError(f"series-seeded integration failed: {sol.message}")
-    dense = sol.sol
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        near = x >= x_seed
-        u = x[near] - 1.0
-        out[near] = 1.0 + a1 * u + a2 * u * u
-        far = ~near
-        if np.any(far):
-            out[far] = dense(x[far])[0]
-        return out
-
-    return SteadyState(
-        case=case,
-        slope_at_one=a1,
-        note=f"series-seeded backward integration from x = 1 - {_SEED_EPS!r}",
-        _eval=evaluate,
-    )
+    note = (f"Duhamel integral along the backward characteristics toward xi = {xi!r}, alpha = {alpha!r}, beta = {beta!r}"
+            if two else "Duhamel integral along the backward characteristic toward x = 1")
+    return SteadyState(case=case, slope_at_one=slope, note=note, _eval=evaluate)
 
 
 def construct(constants: SteadyConstants, anchor: float | None = None) -> SteadyState:
@@ -445,6 +447,8 @@ def construct(constants: SteadyConstants, anchor: float | None = None) -> Steady
     case = classify(constants)
     c1, c2, c3, c4, m = _unpack(constants)
     tag = case.tag
+    if anchor is not None and tag is not SteadyCaseTag.TWO_SINGULARITY:
+        raise ValidationError(f"anchor applies only to the two_singularity case; these constants are {tag.value}")
     if tag is SteadyCaseTag.ALL_ZERO:
         return _constant_state(case, 1.0, "all constants vanish: every profile is stationary; unit representative")
     if tag is SteadyCaseTag.CONSTANTS_ONLY:
@@ -482,9 +486,7 @@ def construct(constants: SteadyConstants, anchor: float | None = None) -> Steady
             note="no derivative term: pointwise algebraic solution",
             _eval=evaluate,
         )
-    if tag is SteadyCaseTag.TWO_SINGULARITY:
-        return _two_singularity(case, anchor)
-    return _series_seeded(case)
+    return _stationary(case, anchor)
 
 
 def steady_from_rates(rates: ProcessRates) -> SteadyState:

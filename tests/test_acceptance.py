@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 from degreeflow.analysis import decay_norms, detect_bend, fit_rate
 from degreeflow.characteristics import CharacteristicSolver, solve_grid
 from degreeflow.degree_ode import gf_eval, integrate
-from degreeflow.errors import DegenerateSeedError, NoSteadyStateError
+from degreeflow.errors import NoSteadyStateError
 from degreeflow.graphsim import SimConfig, run
 from degreeflow.initial import InitialCondition
 from degreeflow.model import Degeneracy, ProcessRates, derive_riccati, steady_constants

@@ -190,9 +190,9 @@ def _cli_cases(draw):
 
 
 # 20 draws take about 3 s.  The derandomized draws from 15 on include a
-# rate set with c1 = c2, whose series-seeded stationary profile integrates a
-# stiff irregular singular point at x = 1; with DOP853 rather than LSODA
-# there, the 20 draws took 115 s.
+# rate set with c1 = c2, whose stationary profile has an irregular singular
+# point at x = 1; an ODE solve toward it is stiff, and with DOP853 the 20
+# draws took 115 s.
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(_cli_cases())
 # found by this test, unrandomized: the mc reference to a sample time of

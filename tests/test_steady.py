@@ -1,11 +1,14 @@
 """Stationary profiles: classification, construction, and certification."""
 
+import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from degreeflow import steady
 from degreeflow.errors import NoSteadyStateError, ValidationError
 from degreeflow.model import ProcessRates, steady_constants
 from degreeflow.steady import (
@@ -24,9 +27,15 @@ ALPHA7 = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=1, l_p=0,
                       n_d=0, n_r=0, n_p=2, m=3)
 ALPHA34 = ProcessRates(omega_r=0, omega_p=0, l_d=1.92, l_r=0, l_p=0.8,
                        n_d=0, n_r=0.84, n_p=1.26, m=1)
-# a series-seeded rate set
+# series-seeded rate sets: c1 = 0, c2 > c1, and c1 = c2, where x = 1 is a
+# double root of the derivative prefactor
 FIG7 = ProcessRates(omega_r=1, omega_p=0, l_d=1, l_r=1, l_p=0,
                     n_d=1, n_r=1, n_p=0, m=3)
+FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
+                    n_d=1, n_r=1, n_p=1, m=3)
+DOUBLE_ROOT = ProcessRates(omega_p=0.5055492059996985, n_r=1.9330585886194032, m=2)
+# G* at 30 digits on 11 points of six constant sets (tests/stationary_reference.py)
+REFERENCE = json.loads((Path(__file__).parent / "stationary_reference.json").read_text(encoding="utf-8"))
 # the table CharacteristicSolver.solve_difference_grid builds
 TABLE_X = np.linspace(-1.0 - 2e-3, 1.0, 4097)
 
@@ -57,12 +66,20 @@ def test_reference_profile_values():
 
 
 # alpha = 0.1 with c3 = 0 and m = 0, where G* = 1 exactly
-@pytest.mark.parametrize("constants", [REF, steady_constants(ALPHA7), steady_constants(ALPHA34),
-                                       explicit_constants(2.0, 0.5, 0.0, 0.15, 0)],
-                         ids=["REF", "alpha7", "alpha34", "alpha0.1"])
-def test_reference_profile_residual(constants):
+@pytest.mark.parametrize("constants, tag", [
+    (REF, SteadyCaseTag.TWO_SINGULARITY),
+    (steady_constants(ALPHA7), SteadyCaseTag.TWO_SINGULARITY),
+    (steady_constants(ALPHA34), SteadyCaseTag.TWO_SINGULARITY),
+    (explicit_constants(2.0, 0.5, 0.0, 0.15, 0), SteadyCaseTag.TWO_SINGULARITY),
+    (steady_constants(FIG2), SteadyCaseTag.SERIES_SEEDED),
+    (steady_constants(FIG7), SteadyCaseTag.SERIES_SEEDED),
+    (steady_constants(DOUBLE_ROOT), SteadyCaseTag.SERIES_SEEDED),
+    # xi = 1 - 5e-10: the ties around xi and 1 overlap, so no point lies between them
+    (explicit_constants(1.0, 1.0 - 5e-10, 0.5, 0.3, 2), SteadyCaseTag.TWO_SINGULARITY),
+], ids=["REF", "alpha7", "alpha34", "alpha0.1", "FIG2", "FIG7", "double_root", "xi_in_the_tie_of_one"])
+def test_reference_profile_residual(constants, tag):
     st = construct(constants)
-    assert st.case.tag is SteadyCaseTag.TWO_SINGULARITY
+    assert st.case.tag is tag
     xs = _grid_away_from_singular(st.case, n=201)
     assert np.max(np.abs(residual(st, constants, xs))) <= 1e-6
     # the quadrature mesh does not depend on the query points
@@ -82,6 +99,58 @@ def test_anchor_independence():
     st_b = construct(REF, anchor=0.7)
     xs = np.linspace(-1, 1, 201)
     assert np.max(np.abs(st_a(xs) - st_b(xs))) < 1e-8
+
+
+def test_anchor_applies_only_to_the_two_singularity_case():
+    # an anchor the construction ignored would make the independent
+    # reference a second build of the same profile
+    for constants, case in ((steady_constants(FIG2), "series_seeded"),
+                            (explicit_constants(1.0, 2.0, 1.0, 0.0, 0), "family"),
+                            (explicit_constants(0.0, 0.0, 1.0, 1.0, 0), "algebraic")):
+        with pytest.raises(ValidationError, match=case):
+            construct(constants, anchor=0.7)
+    with pytest.raises(ValidationError, match="anchor must lie in"):
+        construct(REF, anchor=0.4)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_profile_matches_the_mpmath_integral(name):
+    # 30-digit values of Duhamel's integral, from x = -1 to 1 - 3e-12.  The
+    # former two-singularity kernel was off by 1.1e-7 at 1 - x = 1e-10 and
+    # 4.5e-7 at 3e-12 on criterion 5's constants, the former series-seeded
+    # ODE solve by up to 8e-13.  The largest error measured for the bound
+    # was 1.03e-15, on the c1 = c2 set at x = 0.3.
+    ref = REFERENCE[name]
+    st = construct(explicit_constants(*ref["constants"]))
+    got = st(np.array(ref["x"]))
+    assert np.max(np.abs(got - np.array([float(g) for g in ref["G"]]))) <= 2e-15
+    # the domain ends at 1 + 1e-12, which rounds to 1 + 1.00009e-12
+    assert st(1.0) == 1.0 and st(1.0 + 1e-12) == 1.0
+
+
+def test_profiles_need_no_ode_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a c4 > 0 profile called an ODE solver")
+
+    monkeypatch.setattr(steady, "solve_ivp", refuse)
+    for st in (construct(REF), steady_from_rates(ALPHA7), steady_from_rates(FIG2), steady_from_rates(FIG7),
+               steady_from_rates(DOUBLE_ROOT)):
+        assert np.all(np.isfinite(st(TABLE_X)))
+        assert np.all(np.isfinite(st.derivative(TABLE_X)))
+        assert st.certified
+
+
+@pytest.mark.parametrize("args, bad", [
+    ((1.0, 2.0, 1.0, 1.0, True), "m"),
+    ((1.0, 2.0, 1.0, 1.0, 1.5), "m"),
+    (("a", 2.0, 1.0, 1.0, 1), "c1"),
+    ((1.0, None, 1.0, 1.0, 1), "c2"),
+    ((1.0, 2.0, float("nan"), 1.0, 1), "c3"),
+    ((1.0, 2.0, 1.0, -1.0, 1), "c4"),
+])
+def test_explicit_constants_reject_what_is_not_a_constant(args, bad):
+    with pytest.raises(ValidationError, match=f"^{bad} must be"):
+        explicit_constants(*args)
 
 
 def test_two_singularity_from_rates():
@@ -107,8 +176,8 @@ def test_series_seeded_from_rates():
 
 def test_double_root_at_one_is_built_in_under_a_second():
     # c1 = c2 makes x = 1 a double root of c1 x - c2, an irregular singular
-    # point where the backward integration is stiff: DOP853 took 14 s on
-    # these rates, LSODA about 0.02 s
+    # point: the backward characteristics approach it only algebraically,
+    # and an ODE solve toward it is stiff (DOP853 took 14 s on these rates)
     r = ProcessRates(omega_p=0.5055492059996985, n_r=1.9330585886194032, m=2)
     c = steady_constants(r)
     assert c.c1 == c.c2
