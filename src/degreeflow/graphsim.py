@@ -12,16 +12,19 @@ self-links, not enough distinct targets) are resampled up to a fixed number
 of attempts and then skipped, with a counter per process; so is a
 degree-biased rewiring of the only link, which leaves no endpoint to pick.
 
-Every random choice of an event reads one uniform double u in [0, 1) from a
-``_Stream``, which draws them from the replica's Generator in blocks of
-``_BLOCK`` so that the event loop makes no numpy call of its own.  A uniform
-index below n is floor(u n), clamped to n - 1 against u n rounding up to n;
-since u is a multiple of 2**-53, each index has probability 1/n up to a
-relative bias of order n 2**-53.  The waiting time is -log1p(-u) / total,
-exponential with mean 1/total and finite because u < 1.  The event is the
-first process whose running sum of the eight clocks exceeds u total, found
-by a linear scan, or the last live process when rounding leaves the sum
-short.
+The event loop, ``_chain``, runs each process as one branch of the loop,
+with the graph's lists and methods bound once per run.  Every random choice
+of an event pops one uniform double u from a buffer that ``_Stream`` fills
+from the replica's Generator in blocks of ``_BLOCK``, so the loop makes no
+numpy call of its own.  The stream clamps u to at most 1 - 2**-53, the one
+place that guards an index: for such u, floor(u n) < n for every n up to
+2**53, so it indexes a list of n as it stands.  Since u is a multiple of
+2**-53, each index has probability 1/n up to a relative bias of order
+n 2**-53.  ``_draw``, called once per event, turns two uniforms u and v into
+the waiting time -log1p(-u) / total, exponential with mean 1/total and
+finite because u < 1, and the event: the first process whose running sum of
+the eight clocks exceeds v total, found by an unrolled scan, or the last
+live process when rounding leaves the sum short.
 
 The replicas of an ensemble are independent: replica r draws only from
 child r of ``SeedSequence(seed)``.  ``run`` splits them into contiguous
@@ -40,7 +43,7 @@ import numbers
 import operator
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,33 +54,36 @@ __all__ = ["Network", "SimConfig", "SimResult", "run"]
 
 _RETRIES = 100
 _BLOCK = 4096  # uniforms drawn from the Generator at a time
+_TOP = 1.0 - 2.0**-53  # the largest double below 1
 
 
 class _Stream:
-    """Uniform doubles in [0, 1) from a Generator, drawn ``_BLOCK`` at a time."""
+    """Uniform doubles in [0, 1 - 2**-53] from a Generator, drawn ``_BLOCK`` at a time.
 
-    __slots__ = ("_rng", "_buf")
+    The loop pops them from the end of ``buf``, so each block is read
+    backwards, and calls ``refill`` when ``buf`` is empty.
+    """
+
+    __slots__ = ("_rng", "buf")
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._buf: list[float] = []
+        self.buf: list[float] = []
 
-    def _refill(self) -> list[float]:
-        # served from the end of the block, so each block is read backwards
-        self._buf = self._rng.random(_BLOCK).tolist()
-        return self._buf
+    def refill(self) -> float:
+        """Fill the empty buffer in place with the next block and return the first uniform it serves.
 
-    def uniform(self) -> float:
-        return (self._buf or self._refill()).pop()
-
-    def below(self, n: int) -> int:
-        """Uniform index in [0, n), n >= 1."""
-        i = int((self._buf or self._refill()).pop() * n)
-        return i if i < n else n - 1
+        Each uniform is clamped to the largest double below 1: for such a u
+        and any n up to 2**53, u n rounds below n, so floor(u n) is a valid
+        index into a list of n without a check of its own.
+        """
+        block = self._rng.random(_BLOCK)
+        self.buf += np.minimum(block, _TOP, out=block).tolist()
+        return self.buf.pop()
 
 
 class Network:
-    """Undirected simple graph with O(1) uniform edge and node sampling."""
+    """Undirected simple graph whose node and link lists give the event loop O(1) uniform picks."""
 
     def __init__(self):
         self.adj: dict[int, set[int]] = {}
@@ -196,141 +202,158 @@ class Network:
         adj[u].discard(v)
         adj[v].discard(u)
 
-    # -- sampling -----------------------------------------------------------
-
-    def random_node(self, stream: _Stream) -> int:
-        nodes = self._nodes
-        return nodes[stream.below(len(nodes))]
-
-    def random_edge(self, stream: _Stream) -> tuple[int, int]:
-        edges = self._edges
-        return edges[stream.below(len(edges))]
-
-    def random_endpoint(self, stream: _Stream) -> int:
-        """Degree-biased node: a uniform endpoint of a uniform edge."""
-        edges = self._edges
-        e = edges[stream.below(len(edges))]
-        return e[0] if stream.uniform() < 0.5 else e[1]
-
     def degree_counts(self, k_max: int) -> np.ndarray:
         degs = np.fromiter((len(s) for s in self.adj.values()), dtype=np.int64, count=len(self.adj))
         counts = np.bincount(np.minimum(degs, k_max + 1), minlength=k_max + 2)
         return counts[: k_max + 1]  # degrees beyond k_max fall off the histogram
 
 
-# -- event execution --------------------------------------------------------
-#
-# Each process is one handler(net, stream, rates, preferential) -> executed,
-# where preferential selects degree-biased picks (a uniform endpoint of a
-# uniform edge) over uniform node picks.
+# -- the event loop ---------------------------------------------------------
 
 
-def _rewire(net: Network, stream: _Stream, rates: ProcessRates, preferential: bool) -> bool:
-    u, v = net.random_edge(stream)
-    keeper, loser = (u, v) if stream.uniform() < 0.5 else (v, u)
-    net.remove_edge(keeper, loser)
-    # with the only link removed, no endpoint is left to pick
-    if net._edges or not preferential:
-        pick, nbrs = net.random_endpoint if preferential else net.random_node, net.adj[keeper]
-        for _ in range(_RETRIES):
-            w = pick(stream)
-            if w != keeper and w not in nbrs:
-                net.add_edge(keeper, w)
-                return True
-    net.add_edge(keeper, loser)  # restore: rewiring must conserve E
-    return False
+def _draw(e: float, n: float, k: tuple, u: float, v: float) -> tuple[float, int]:
+    """Waiting time and index of the next event of a graph of e links and n nodes.
 
-
-def _delete_link(net: Network, stream: _Stream, rates: ProcessRates, preferential: bool) -> bool:
-    u, v = net.random_edge(stream)
-    net.remove_edge(u, v)
-    return True
-
-
-def _add_link(net: Network, stream: _Stream, rates: ProcessRates, preferential: bool) -> bool:
-    pick, adj = net.random_endpoint if preferential else net.random_node, net.adj
-    for _ in range(_RETRIES):
-        u = pick(stream)
-        v = pick(stream)
-        if u != v and v not in adj[u]:
-            net.add_edge(u, v)
-            return True
-    return False
-
-
-def _delete_node(net: Network, stream: _Stream, rates: ProcessRates, preferential: bool) -> bool:
-    # clock 2E*n_d with a uniform victim: survivors then lose a
-    # neighbor at rate n_d*mu*k while the removed sample is unbiased
-    net.remove_node(net.random_node(stream))
-    return True
-
-
-def _add_node(net: Network, stream: _Stream, rates: ProcessRates, preferential: bool) -> bool:
-    m = rates.m
-    targets: set[int] = set()
-    if m > 0:
-        pick = net.random_endpoint if preferential else net.random_node
-        budget = _RETRIES * max(m, 1)
-        while len(targets) < m and budget > 0:
-            budget -= 1
-            targets.add(pick(stream))
-        if len(targets) < m:
-            return False
-    u = net.add_node()
-    for w in targets:
-        net.add_edge(u, w)
-    return True
-
-
-# (handler, preferential) of each process, in the order of ProcessRates' rate fields
-_HANDLERS = (
-    (_rewire, False),
-    (_rewire, True),
-    (_delete_link, False),
-    (_add_link, False),
-    (_add_link, True),
-    (_delete_node, False),
-    (_add_node, False),
-    (_add_node, True),
-)
-
-
-def _clocks(net: Network, rates: ProcessRates) -> tuple[float, ...]:
-    """Total rates of the eight processes, in the order of ProcessRates' rate fields.
-
-    The counts are compared with float literals: a float-to-float comparison
-    is the interpreter's fast path.
+    k holds ProcessRates' fields, the eight rates and m, as floats, taken
+    once per run; u and v are the uniforms of the waiting time and of the
+    pick.  The counts come as floats because a float-to-float comparison is
+    the interpreter's fast path.  The clocks are added by ``sum`` in field
+    order: CPython 3.12 and newer sum floats with compensation, so chained
+    ``+`` would round differently there.
     """
-    e, n = float(len(net._edges)), float(len(net._nodes))
-    e2, m = 2.0 * e, rates.m
-    return (
-        e2 * rates.omega_r,
-        e2 * rates.omega_p,
-        e * rates.l_d,
-        n * rates.l_r if n >= 2.0 else 0.0,
-        n * rates.l_p if e >= 1.0 and n >= 2.0 else 0.0,
-        e2 * rates.n_d,
-        n * rates.n_r if n >= m else 0.0,
-        n * rates.n_p if n >= m and (e >= 1.0 or m == 0) else 0.0,
+    wr, wp, ld, lr, lp, nd, nr, pn, m = k
+    e2 = 2.0 * e
+    lam = (
+        e2 * wr,
+        e2 * wp,
+        e * ld,
+        n * lr if n >= 2.0 else 0.0,
+        n * lp if e >= 1.0 and n >= 2.0 else 0.0,
+        e2 * nd,
+        n * nr if n >= m else 0.0,
+        n * pn if n >= m and (e >= 1.0 or m == 0.0) else 0.0,
     )
-
-
-def _draw(net: Network, rates: ProcessRates, stream: _Stream) -> tuple[float, int]:
-    """Waiting time and event index of the next event (state untouched)."""
-    lam = _clocks(net, rates)
     total = sum(lam)
     if total <= 0.0:
         raise AbsorbingStateReached("all event rates vanished")
-    dt = -math.log1p(-stream.uniform()) / total
-    pick = stream.uniform() * total
-    idx = 0
-    for rate in lam:
-        pick -= rate
-        if pick < 0.0:
-            return dt, idx
-        idx += 1
+    dt = -math.log1p(-u) / total
+    c0, c1, c2, c3, c4, c5, c6, c7 = lam
+    pick = v * total - c0
+    if pick < 0.0:
+        return dt, 0
+    pick -= c1
+    if pick < 0.0:
+        return dt, 1
+    pick -= c2
+    if pick < 0.0:
+        return dt, 2
+    pick -= c3
+    if pick < 0.0:
+        return dt, 3
+    pick -= c4
+    if pick < 0.0:
+        return dt, 4
+    pick -= c5
+    if pick < 0.0:
+        return dt, 5
+    pick -= c6
+    if pick < 0.0:
+        return dt, 6
+    pick -= c7
+    if pick < 0.0:
+        return dt, 7
     # rounding left the running sum short of the pick: take the last live process
     return dt, max(i for i, rate in enumerate(lam) if rate > 0.0)
+
+
+def _chain(net: Network, rates: ProcessRates, stream: _Stream, ts: tuple, snap, events: list, skips: list) -> float:
+    """Run the Gillespie chain on net from t = 0 until it passes the last sample time of ts.
+
+    Calls snap() once per sample time with the graph at that time, so a
+    sample inside a waiting interval sees the state before the event; adds
+    each event and each skip to its process's entry of events and skips;
+    returns the time of the last event.  With ts = (0.0,) it runs exactly
+    one event.  Raises AbsorbingStateReached once every clock is zero.
+
+    Each process is one branch of the loop, in the order of ProcessRates'
+    rate fields; a preferential variant picks a uniform endpoint of a
+    uniform link where its uniform twin picks a uniform node.  The graph's
+    lists, its methods and the stream's buffer are bound once, and each
+    uniform is popped from the buffer in place.
+    """
+    k = tuple(float(getattr(rates, f.name)) for f in fields(rates))
+    m = rates.m
+    nodes, edges, adj = net._nodes, net._edges, net.adj
+    add_edge, remove_edge, add_node, remove_node = net.add_edge, net.remove_edge, net.add_node, net.remove_node
+    buf, refill = stream.buf, stream.refill
+    pop = buf.pop
+    n_t, t, j = len(ts), 0.0, 0
+    while j < n_t:
+        # _draw is looked up in the module on each event, so that a wrapper
+        # put there (a tracer's event count) sees every draw
+        dt, idx = _draw(float(len(edges)), float(len(nodes)), k,
+                        pop() if buf else refill(), pop() if buf else refill())
+        t += dt
+        while j < n_t and ts[j] <= t:
+            snap()
+            j += 1
+        events[idx] += 1
+        if idx < 2:  # rewiring: one end of a uniform link moves to a new target
+            u, v = edges[int((pop() if buf else refill()) * len(edges))]
+            keeper, loser = (u, v) if (pop() if buf else refill()) < 0.5 else (v, u)
+            remove_edge(keeper, loser)
+            nbrs = adj[keeper]
+            # with the only link removed, no endpoint is left to pick
+            for _ in range(_RETRIES if edges or idx == 0 else 0):
+                if idx:
+                    a, b = edges[int((pop() if buf else refill()) * len(edges))]
+                    w = a if (pop() if buf else refill()) < 0.5 else b
+                else:
+                    w = nodes[int((pop() if buf else refill()) * len(nodes))]
+                if w != keeper and w not in nbrs:
+                    add_edge(keeper, w)
+                    break
+            else:
+                add_edge(keeper, loser)  # restore: rewiring must conserve E
+                skips[idx] += 1
+        elif idx == 2:  # link deletion
+            remove_edge(*edges[int((pop() if buf else refill()) * len(edges))])
+        elif idx < 5:  # link addition
+            for _ in range(_RETRIES):
+                if idx == 4:
+                    a, b = edges[int((pop() if buf else refill()) * len(edges))]
+                    u = a if (pop() if buf else refill()) < 0.5 else b
+                    a, b = edges[int((pop() if buf else refill()) * len(edges))]
+                    v = a if (pop() if buf else refill()) < 0.5 else b
+                else:
+                    u = nodes[int((pop() if buf else refill()) * len(nodes))]
+                    v = nodes[int((pop() if buf else refill()) * len(nodes))]
+                if u != v and v not in adj[u]:
+                    add_edge(u, v)
+                    break
+            else:
+                skips[idx] += 1
+        elif idx == 5:
+            # node deletion: clock 2E*n_d with a uniform victim, so survivors
+            # lose a neighbor at rate n_d*mu*k while the removed sample is unbiased
+            remove_node(nodes[int((pop() if buf else refill()) * len(nodes))])
+        else:  # node addition with m links to distinct targets
+            targets = set()
+            budget = _RETRIES * max(m, 1)
+            while len(targets) < m and budget > 0:
+                budget -= 1
+                if idx == 7:
+                    a, b = edges[int((pop() if buf else refill()) * len(edges))]
+                    targets.add(a if (pop() if buf else refill()) < 0.5 else b)
+                else:
+                    targets.add(nodes[int((pop() if buf else refill()) * len(nodes))])
+            if len(targets) < m:
+                skips[idx] += 1
+            else:
+                u = add_node()
+                for w in targets:
+                    add_edge(u, w)
+    return t
 
 
 # -- ensemble runs ----------------------------------------------------------
@@ -342,11 +365,11 @@ class SimConfig:
 
     graph: "regular" (circulant of degree graph_degree), "erdos" (mean
     degree graph_degree), or "empty"; graph_degree must be a finite real
-    number and is kept as a float.  Sample times must be real numbers,
-    finite, nonnegative and increasing.  n_nodes, seed, replicas and k_max
-    must be integers, the seed nonnegative and the others positive.  k_max
-    fixes the histogram length shared by all snapshots.  Anything else
-    raises ValidationError.
+    number, for "regular" an even integer in [0, n_nodes), and is kept as
+    a float.  Sample times must be real numbers, finite, nonnegative and
+    increasing.  n_nodes, seed, replicas and k_max must be integers, the
+    seed nonnegative and the others positive.  k_max fixes the histogram
+    length shared by all snapshots.  Anything else raises ValidationError.
     """
 
     rates: ProcessRates
@@ -385,6 +408,8 @@ class SimConfig:
         degree = _real("graph_degree", self.graph_degree)
         if not math.isfinite(degree):
             raise ValidationError(f"graph_degree must be finite, got {self.graph_degree!r}")
+        if self.graph == "regular" and not (0.0 <= degree < self.n_nodes and degree % 2.0 == 0.0):
+            raise ValidationError(f"a regular graph_degree must be an even integer in [0, {self.n_nodes}), got {degree!r}")
         if self.k_max < 1:
             raise ValidationError(f"k_max must be >= 1, got {self.k_max}")
         object.__setattr__(self, "sample_times", ts)
@@ -418,8 +443,7 @@ class SimResult:
 
 def _build_initial(config: SimConfig, rng: np.random.Generator) -> Network:
     if config.graph == "regular":
-        k = int(round(config.graph_degree))
-        return Network.regular_ring(config.n_nodes, k)
+        return Network.regular_ring(config.n_nodes, int(config.graph_degree))
     if config.graph == "erdos":
         return Network.erdos_renyi(config.n_nodes, config.graph_degree, rng)
     return Network.empty(config.n_nodes)
@@ -431,47 +455,26 @@ def _replica(config: SimConfig, r: int, seed: np.random.SeedSequence) -> tuple:
     Returns its (T, k_max+1) histograms, its (T,) node counts, whether it
     froze in an absorbing state, and its per-process events and skips.
     """
-    rates, ts = config.rates, config.sample_times
-    n_t = len(ts)
-    hist = np.empty((n_t, config.k_max + 1))
-    n_counts = np.zeros(n_t)
-    events = [0] * 8
-    skips = [0] * 8
     rng = np.random.default_rng(seed)
     net = _build_initial(config, rng)
-    stream = _Stream(rng)
-    t = 0.0
-    frozen = False
-    j = 0
+    k_max = config.k_max
+    hists, n_counts = [], []
 
-    def snap(j):
-        if net.n_nodes > 0:
-            hist[j] = net.degree_counts(config.k_max) / net.n_nodes
-        else:
-            hist[j] = 0.0
-        n_counts[j] = net.n_nodes
+    def snap():
+        n = net.n_nodes
+        hists.append(net.degree_counts(k_max) / n if n else np.zeros(k_max + 1))
+        n_counts.append(n)
 
-    # the event loop: plain Python floats and lists, no numpy call
-    while j < n_t:
-        try:
-            dt, idx = _draw(net, rates, stream)
-        except AbsorbingStateReached:
-            frozen = True
-            break
-        # Samples inside the waiting interval see the pre-event state.
-        t += dt
-        while j < n_t and ts[j] <= t:
-            snap(j)
-            j += 1
-        events[idx] += 1
-        handler, preferential = _HANDLERS[idx]
-        if not handler(net, stream, rates, preferential):
-            skips[idx] += 1
+    events, skips = [0] * 8, [0] * 8
+    try:
+        _chain(net, config.rates, _Stream(rng), config.sample_times, snap, events, skips)
+        frozen = False
+    except AbsorbingStateReached:
+        frozen = True
     # a frozen replica repeats its graph at the remaining times
-    while j < n_t:
-        snap(j)
-        j += 1
-    return hist, n_counts, frozen, events, skips
+    while len(hists) < len(config.sample_times):
+        snap()
+    return np.array(hists), np.array(n_counts, dtype=float), frozen, events, skips
 
 
 def _share(config: SimConfig, rs: range, seeds: list) -> list[tuple]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,6 +54,9 @@ class ProcessRates:
         Node deletion and node addition (uniform / preferential targets).
     m : int
         Number of links attached to each newly added node.
+
+    Each rate must be a finite real number >= 0 and m an integer >= 0;
+    anything else raises ValidationError.
     """
 
     omega_r: float = 0.0
@@ -68,8 +72,12 @@ class ProcessRates:
     def __post_init__(self):
         for name in _RATE_FIELDS:
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValidationError(f"rate {name} must be finite and >= 0, got {value!r}")
+            try:
+                bad = not isinstance(value, numbers.Real) or not math.isfinite(value) or value < 0.0
+            except OverflowError:  # an int past the float range
+                bad = True
+            if bad:
+                raise ValidationError(f"rate {name} must be a finite real number >= 0, got {value!r}")
         if not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool):
             raise ValidationError(f"m must be an integer, got {self.m!r}")
         if self.m < 0:

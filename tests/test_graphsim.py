@@ -22,10 +22,20 @@ FIG6 = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=0, l_p=1,
 
 
 def step(net, rates, stream):
-    """One Gillespie event in place: (elapsed time, executed flag)."""
-    dt, idx = graphsim._draw(net, rates, stream)
-    handler, preferential = graphsim._HANDLERS[idx]
-    return dt, handler(net, stream, rates, preferential)
+    """One Gillespie event in place, run by the simulator's own loop: (elapsed time, executed flag).
+
+    The loop runs until it passes its last sample time; with the one sample
+    time 0.0 that is after exactly one event.
+    """
+    events, skips = [0] * 8, [0] * 8
+    dt = graphsim._chain(net, rates, stream, (0.0,), lambda: None, events, skips)
+    assert sum(events) == 1
+    return dt, skips == [0] * 8
+
+
+def floats(rates):
+    """ProcessRates' fields as the floats the loop hands to ``_draw``."""
+    return tuple(float(getattr(rates, f.name)) for f in dataclasses.fields(rates))
 
 
 def stream(seed):
@@ -203,6 +213,31 @@ def test_seeded_run_is_pinned_bit_for_bit(monkeypatch, rates, graph, events, dig
     assert hashlib.sha256(res.mean.tobytes()).hexdigest() == digest
 
 
+# the complete-graph config of test_run_counts_skips_per_process and a
+# preferential twin; the pins were taken before the event loop was inlined
+SKIPPING = SimConfig(rates=ProcessRates(l_r=1, n_d=0.2), n_nodes=6, sample_times=(0.5,), seed=4,
+                     replicas=2, graph="erdos", graph_degree=5.0, k_max=10)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rates, events, skips, digest", [
+    (SKIPPING.rates, (0, 0, 0, 10, 0, 3, 0, 0), (0, 0, 0, 10, 0, 0, 0, 0),
+     "b8817b3fbdf2feb2f2c4db05a4b95b4ca556297c017705f3ff8c07f06f4aeee0"),
+    (ProcessRates(omega_p=1, l_p=1, n_d=0.2, n_p=0.5, m=5), (0, 21, 0, 0, 1, 6, 0, 1), (0, 0, 0, 0, 1, 0, 0, 0),
+     "a4a15366c239608ee85072eb404663d2d691419021ebc9ec8cca2f2b9e7b0823"),
+], ids=["uniform", "preferential"])
+def test_seeded_run_with_skips_is_pinned_bit_for_bit(monkeypatch, rates, events, skips, digest, workers):
+    # in a complete graph no link fits, a rewired end finds its one free
+    # target only after retries and a new node needs five distinct targets
+    # among six: the retry and skip paths must read the same uniforms as
+    # the rest
+    with_workers(monkeypatch, workers)
+    res = run(dataclasses.replace(SKIPPING, rates=rates))
+    assert res.events == events
+    assert res.skips == skips
+    assert hashlib.sha256(res.mean.tobytes()).hexdigest() == digest
+
+
 def fields(res):
     """Every SimResult field, arrays as (dtype, shape, bytes)."""
     out = {}
@@ -317,32 +352,55 @@ def test_run_tracks_growth():
     assert res.mean_nodes[0] > 100
 
 
+TOP = 1.0 - 2.0**-53  # the largest double below 1
+
+
 class _TopGenerator:
-    """Stand-in Generator whose every uniform is the largest double below 1."""
+    """Stand-in Generator whose every uniform is ``value``, by default the largest double below 1."""
+
+    def __init__(self, value=TOP):
+        self.value = value
 
     def random(self, size):
-        return np.full(size, 1.0 - 2.0**-53)
+        return np.full(size, self.value)
 
 
 def test_stream_index_stays_below_n_at_the_top_uniform():
-    top = _Stream(_TopGenerator())
-    for n in (1, 2, 3, 7, 10, 1000, 2**31 - 1, 2**52 + 1, 2**53):
-        assert 0 <= top.below(n) < n
+    # the stream clamps even a uniform of 1.0, which numpy never draws, to
+    # TOP; floor(TOP n), the index the loop takes, is then below n
+    u = _Stream(_TopGenerator(1.0)).refill()
+    assert u == TOP
+    sizes = np.random.default_rng(1).integers(1, 2**53, 10000, endpoint=True).tolist()
+    for n in (1, 2, 3, 7, 10, 1000, 2**31 - 1, 2**52 + 1, 2**53, *sizes):
+        assert 0 <= int(u * n) < n
+    # and the loop's own pick at the top uniform is the last node of the list
+    net = Network.regular_ring(50, 2)
+    assert step(net, ProcessRates(n_d=1), _Stream(_TopGenerator()))[1]
+    assert net.n_nodes == 49 and 49 not in net.adj
 
 
 def test_draw_at_the_top_uniform_picks_a_live_process():
     # clocks (0, 0, 0, 0, 115 - 1ulp, 140, 0, 0): subtracting them one by one
     # from the top pick rounds short of zero, and the last two clocks are dead
     rates = ProcessRates(l_p=2.3, n_d=1.4)
-    dt, idx = graphsim._draw(Network.regular_ring(50, 2), rates, _Stream(_TopGenerator()))
+    net = Network.regular_ring(50, 2)
+    dt, idx = graphsim._draw(float(net.n_edges), float(net.n_nodes), floats(rates), TOP, TOP)
     assert idx == 5
     assert np.isfinite(dt) and dt > 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_stream_index_is_uniform(n):
-    draws = stream(21)
-    counts = np.bincount([draws.below(n) for _ in range(20000)], minlength=n)
+    # a node deletion, the loop's uniform pick from the node list, removes
+    # each of the n nodes equally often
+    draws, rates = stream(21), ProcessRates(n_d=1)
+    counts = np.zeros(n, dtype=np.int64)
+    for _ in range(20000):
+        net = Network.empty(n)
+        net.add_edge(0, 1)
+        step(net, rates, draws)
+        (gone,) = set(range(n)) - net.adj.keys()
+        counts[gone] += 1
     assert counts.size == n
     assert stats.chisquare(counts).pvalue > 1e-3
 
@@ -351,10 +409,12 @@ def test_draw_picks_processes_in_proportion_to_their_clocks():
     rates = ProcessRates(omega_r=1, omega_p=2, l_d=0.5, l_r=1.5, l_p=3,
                          n_d=0.25, n_r=2.5, n_p=0.75, m=2)
     net = Network.regular_ring(50, 4)
-    lam = np.array(graphsim._clocks(net, rates))
+    e, n = float(net.n_edges), float(net.n_nodes)
+    # 2E omega_r, 2E omega_p, E l_d, N l_r, N l_p, 2E n_d, N n_r, N n_p
+    lam = np.array([2 * e * 1, 2 * e * 2, e * 0.5, n * 1.5, n * 3, 2 * e * 0.25, n * 2.5, n * 0.75])
     assert np.all(lam > 0)
-    draws = stream(22)
-    picks = [graphsim._draw(net, rates, draws) for _ in range(40000)]
+    draws = np.random.default_rng(22).random((40000, 2)).tolist()
+    picks = [graphsim._draw(e, n, floats(rates), u, v) for u, v in draws]
     counts = np.bincount([idx for _, idx in picks], minlength=8)
     assert stats.chisquare(counts, counts.sum() * lam / lam.sum()).pvalue > 1e-3
     # waiting times are exponential with mean 1/total
@@ -391,10 +451,7 @@ def test_run_draws_once_per_counted_event(monkeypatch, tmp_path):
 def test_run_counts_skips_per_process():
     # no link fits into a complete graph, and deleting a node leaves the
     # graph complete: every link addition is skipped, no node deletion is
-    rates = ProcessRates(l_r=1, n_d=0.2)
-    cfg = SimConfig(rates=rates, n_nodes=6, sample_times=(0.5,), seed=4,
-                    replicas=2, graph="erdos", graph_degree=5.0, k_max=10)
-    res = run(cfg)
+    res = run(SKIPPING)
     assert res.events[3] > 0 and res.events[5] > 0
     assert res.skips == (0, 0, 0, res.events[3], 0, 0, 0, 0)
     assert res.skipped == res.events[3]
@@ -426,6 +483,16 @@ def test_config_rejects_what_run_cannot_take(name, value):
     kwargs[name] = value
     with pytest.raises(ValidationError, match=name):
         SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("degree", [-2.0, 1.0, 2.4, 2.5, 3.0, 50.0, 1e300])
+def test_config_rejects_a_ring_degree_it_cannot_build(degree):
+    # 2.4 and 2.5 used to build a degree-2 ring, 3 failed only inside run,
+    # possibly in a worker process, and 1e300 printed a 301-digit integer
+    with pytest.raises(ValidationError, match="even integer in \\[0, 50\\)"):
+        SimConfig(rates=FIG2, n_nodes=50, sample_times=(0.05,), seed=1, graph="regular", graph_degree=degree)
+    # the same degree is a mean for an Erdos-Renyi graph
+    SimConfig(rates=FIG2, n_nodes=50, sample_times=(0.05,), seed=1, graph="erdos", graph_degree=abs(degree))
 
 
 def test_config_rejects_non_numeric_degree_and_times():

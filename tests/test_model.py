@@ -26,6 +26,14 @@ def test_rates_reject_negative():
                      n_d=0, n_r=0, n_p=0, m=0)
 
 
+@pytest.mark.parametrize("value", ["a", None, [1], 10**400])
+def test_rates_reject_what_is_not_a_finite_real_number(value):
+    # each of these used to raise a raw TypeError, or for the int past the
+    # float range an OverflowError, from math.isfinite
+    with pytest.raises(ValidationError, match="omega_r"):
+        ProcessRates(omega_r=value)
+
+
 def test_rates_reject_negative_m():
     with pytest.raises(ValidationError):
         ProcessRates(omega_r=1, omega_p=0, l_d=0, l_r=0, l_p=0,

@@ -138,6 +138,8 @@ def test_sim_config_constructs_or_raises_a_validation_error(kwargs):
     assert type(cfg.graph_degree) is float and np.isfinite(cfg.graph_degree)
     assert cfg.sample_times and all(type(t) is float for t in cfg.sample_times)
     assert min(cfg.n_nodes, cfg.replicas, cfg.k_max) >= 1 and cfg.seed >= 0
+    # a ring degree that regular_ring cannot build is refused here, not in run
+    assert cfg.graph != "regular" or (cfg.graph_degree % 2 == 0 and 0 <= cfg.graph_degree < cfg.n_nodes)
 
 # for the invalid inputs, so that most runs get past parsing; hypothesis
 # favours the ends of a range, so the rare value sits inside it
