@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .characteristics import CharacteristicSolver, SolutionField
+from .model import real
 from .steady import SteadyState
 
 __all__ = [
@@ -100,13 +101,18 @@ def fit_rate(
     (algebraic model); the exponential model is selected only when its
     coefficient of determination beats the algebraic one by 0.01.
     Needs at least 5 window points with strictly positive norms and times.
+    ``window`` is a pair (t_min, t_max) of finite real numbers.
     """
     if norm not in ("sup", "l2"):
         raise ValidationError(f"norm must be 'sup' or 'l2', got {norm!r}")
     y = series.sup_norm if norm == "sup" else series.l2_norm
     t = series.times
     if window is not None:
-        mask = (t >= window[0]) & (t <= window[1])
+        try:
+            lo, hi = window
+        except (TypeError, ValueError):
+            raise ValidationError(f"window must be a pair (t_min, t_max), got {window!r}") from None
+        mask = (t >= real("window t_min", lo)) & (t <= real("window t_max", hi))
         t, y = t[mask], y[mask]
     if t.size < 5:
         raise ValidationError(f"need at least 5 points in the fit window, got {t.size}")
@@ -131,8 +137,10 @@ def detect_bend(
 
     Returns the earliest output time whose maximizer sits at least ``jump``
     inside the domain while the previous one was within 1e-9 of
-    ``boundary``; None when no such transition occurs.
+    ``boundary``; None when no such transition occurs.  Both must be
+    finite real numbers.
     """
+    boundary, jump = real("boundary", boundary), real("jump", jump)
     arg = series.argmax_x
     for i in range(1, arg.size):
         if arg[i - 1] <= boundary + 1e-9 and arg[i] >= boundary + jump:

@@ -85,7 +85,7 @@ from scipy.linalg import block_diag
 
 from .errors import AccuracyError, DomainError, IntegrationError, ValidationError
 from .initial import InitialCondition
-from .model import ProcessRates, coefficients, derive_riccati, real_or_array
+from .model import ProcessRates, coefficients, derive_riccati, real, real_or_array
 from .riccati import ClosedFormMoment
 
 __all__ = [
@@ -207,7 +207,7 @@ def _check_points(x_bar, t_bar):
     microseconds on each operation on a 0-d or 1-element array, which is
     most of the cost of one backward trace.
     """
-    x, t = real_or_array(x_bar), real_or_array(t_bar)
+    x, t = real_or_array(x_bar, "x"), real_or_array(t_bar, "t")
     if isinstance(x, float) and isinstance(t, float):
         _check_ranges(x, x, t, t)
         return x, t
@@ -248,8 +248,7 @@ def _dense(sol):
 
 def _check_grid(x_grid, t_grid) -> tuple[np.ndarray, np.ndarray]:
     """x and t strictly increasing, x in [-1, 1], t finite and nonnegative."""
-    x = np.asarray(x_grid, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
+    x, t = np.asarray(real_or_array(x_grid, "x")), np.asarray(real_or_array(t_grid, "t"))
     for name, v in (("x", x), ("t", t)):
         if v.ndim != 1 or v.size == 0 or not np.all(np.diff(v) > 0.0):
             raise ValidationError(f"{name} must be a strictly increasing 1-d sequence")
@@ -284,8 +283,9 @@ class CharacteristicSolver:
     with t > 0, to the latest time that query asks for, and built again
     from t = 0 when a later query asks past it.  ``t_max`` is a hint for
     callers that query out of time order: the first build then reaches at
-    least ``t_max``, which must be finite, and later queries up to it
-    reuse the flow.
+    least ``t_max``, which must be a finite real number, and later
+    queries up to it reuse the flow.  Rates that are not ProcessRates
+    raise ValidationError.
     """
 
     def __init__(self, rates: ProcessRates, h: InitialCondition, t_max: float = 0.0):
@@ -297,10 +297,7 @@ class CharacteristicSolver:
         self._flow = None  # dense (L, psi) on [0, self._horizon] once built
         self._flow_evals = 0  # rhs evaluations of the solve that built it
         self._first_steps = {}  # the march's first step by rtol
-        t_max = float(t_max)
-        if not t_max < math.inf:  # NaN included: an infinite horizon never ends the flow
-            raise ValidationError(f"t_max must be finite, got {t_max!r}")
-        self._horizon = max(t_max, 0.0)
+        self._horizon = max(real("t_max", t_max), 0.0)  # an infinite horizon would never end the flow
 
     def _ensure(self, t: float):
         """(e^L, psi) at a time up to at least t, from the dense flow, for the backward trace."""

@@ -28,14 +28,13 @@ generating function of p.  The right-hand side is ``_Generator.rhs``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError, TruncationError, ValidationError
-from .model import ProcessRates, real_or_array
+from .model import ProcessRates, real, real_or_array
 
 __all__ = [
     "TruncatedDistribution",
@@ -61,11 +60,14 @@ class _Generator:
     LSODA and LAPACK, ``ab[1 + i - j, j] = T[i, j]``: column j of a row
     triple says where the mass of degree class j goes, to j - 1 (row 0),
     out of j (row 1) and to j + 1 (row 2).  The entry of row 2 in the last
-    column would leave the truncation and is zero.
+    column would leave the truncation and is zero.  Rates that are not
+    ProcessRates raise ValidationError.
     """
 
     def __init__(self, rates: ProcessRates, n: int):
         r = rates
+        if not isinstance(r, ProcessRates):
+            raise ValidationError(f"rates must be ProcessRates, got {type(r).__name__}")
         if (r.n_r > 0.0 or r.n_p > 0.0) and r.m >= n:
             raise ValidationError(
                 f"truncation k_max = {n - 1} cannot hold the injection degree m = {r.m}"
@@ -176,25 +178,25 @@ def integrate(
     TruncationError since it means probability reached the truncation
     boundary.  A preferential rate with a nonpositive first moment of p0
     raises DomainError; a solver trial step that reaches one raises
-    IntegrationError.
+    IntegrationError.  t_end, tol and mass_tol must be finite real numbers
+    > 0 (``model.real``).
     """
-    p0 = np.asarray(p0, dtype=float)
+    p0 = np.asarray(real_or_array(p0, "p0"))
     if p0.ndim != 1 or not np.all(np.isfinite(p0)):
         raise ValidationError("p0 must be a finite 1-d array")
     if np.any(p0 < _NEG_TOL) or abs(float(np.sum(p0)) - 1.0) > 1e-9:
         raise ValidationError("p0 must be a probability vector summing to 1")
+    t_end, tol, mass_tol = (real(name, v, 0.0, strict=True)
+                            for name, v in (("t_end", t_end), ("tol", tol), ("mass_tol", mass_tol)))
+    gen = _Generator(rates, p0.size)
     if p0.size < rates.m + 3:
         raise ValidationError(f"k_max must be at least m + 2 = {rates.m + 2}, got {p0.size - 1}")
-    for name, value in (("t_end", t_end), ("tol", tol), ("mass_tol", mass_tol)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-    gen = _Generator(rates, p0.size)
     start = np.clip(p0, 0.0, None)
     gen._moment(start)  # p0's own first moment: nonpositive is a DomainError
     try:
         sol = solve_ivp(
             gen.rhs,
-            (0.0, float(t_end)),
+            (0.0, t_end),
             start,
             method="LSODA",
             jac=gen.jac,
@@ -205,7 +207,7 @@ def integrate(
             # LSODA's own first-step estimate breaks down on a span this
             # short (scipy 1.17 loops forever below about 1e-145); one step
             # covers it to rounding
-            first_step=float(t_end) if t_end < 1e-100 else None,
+            first_step=t_end if t_end < 1e-100 else None,
             dense_output=True,
         )
     except DomainError as exc:
@@ -219,8 +221,8 @@ def integrate(
     if sol.status != 0:
         raise IntegrationError(f"master-equation integration failed: {sol.message}")
     stats = {"rhs_evals": sol.nfev, "jac_evals": int(sol.njev), "steps": sol.t.size - 1}
-    traj = DistributionTrajectory(sol.sol, float(t_end), stats)
-    probe = [sol.sol(t) for t in np.linspace(0.0, float(t_end), 101)]
+    traj = DistributionTrajectory(sol.sol, t_end, stats)
+    probe = [sol.sol(t) for t in np.linspace(0.0, t_end, 101)]
     masses = np.array([float(np.sum(p)) for p in probe])
     drift = stats["mass_drift"] = float(np.max(np.abs(masses - masses[0])))
     stats["tail_weight"] = float(max(p[-1] for p in probe))
@@ -241,7 +243,7 @@ def gf_eval(dist, x):
     of some microseconds for each operation on a 0-d array.
     """
     p = dist.p if isinstance(dist, TruncatedDistribution) else np.asarray(dist, dtype=float)
-    x = real_or_array(x)
+    x = real_or_array(x, "x")
     if isinstance(x, float):
         total = 0.0
         for coeff in reversed(p.tolist()):

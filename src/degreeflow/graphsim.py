@@ -39,8 +39,6 @@ worker) and for one replica or one CPU.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -48,7 +46,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import AbsorbingStateReached, ValidationError, WorkerError
-from .model import ProcessRates
+from .model import ProcessRates, count, real
 
 __all__ = ["Network", "SimConfig", "SimResult", "run"]
 
@@ -366,10 +364,12 @@ class SimConfig:
     graph: "regular" (circulant of degree graph_degree), "erdos" (mean
     degree graph_degree), or "empty"; graph_degree must be a finite real
     number, for "regular" an even integer in [0, n_nodes), and is kept as
-    a float.  Sample times must be real numbers, finite, nonnegative and
+    a float.  Sample times must be finite real numbers >= 0, strictly
     increasing.  n_nodes, seed, replicas and k_max must be integers, the
     seed nonnegative and the others positive.  k_max fixes the histogram
-    length shared by all snapshots.  Anything else raises ValidationError.
+    length shared by all snapshots.  Each number goes through the shared
+    check of ``model.real`` or ``model.count``, and anything else raises
+    ValidationError.
     """
 
     rates: ProcessRates
@@ -382,48 +382,23 @@ class SimConfig:
     k_max: int = 200
 
     def __post_init__(self):
-        for name in ("n_nodes", "seed", "replicas", "k_max"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-        if self.n_nodes < 1:
-            raise ValidationError(f"need at least one node, got {self.n_nodes}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.replicas < 1:
-            raise ValidationError(f"need at least one replica, got {self.replicas}")
+        for name, low in (("n_nodes", 1), ("seed", 0), ("replicas", 1), ("k_max", 1)):
+            object.__setattr__(self, name, count(name, getattr(self, name), low))
         if not isinstance(self.rates, ProcessRates):
-            raise ValidationError(f"rates must be ProcessRates, got {self.rates!r}")
+            raise ValidationError(f"rates must be ProcessRates, got {type(self.rates).__name__}")
         if self.graph not in ("regular", "erdos", "empty"):
             raise ValidationError(f"unknown initial graph kind {self.graph!r}")
         try:
-            ts = tuple(_real("sample time", t) for t in self.sample_times)
+            ts = tuple(real("sample time", t, 0.0) for t in self.sample_times)
         except TypeError:
             raise ValidationError(f"sample_times must be a sequence of times, got {self.sample_times!r}") from None
-        increasing = all(a < b for a, b in zip(ts, ts[1:]))
-        if not ts or not all(0.0 <= t < math.inf for t in ts) or not increasing:
-            raise ValidationError("sample times must be finite, nonnegative and strictly increasing")
-        degree = _real("graph_degree", self.graph_degree)
-        if not math.isfinite(degree):
-            raise ValidationError(f"graph_degree must be finite, got {self.graph_degree!r}")
+        if not ts or not all(a < b for a, b in zip(ts, ts[1:])):
+            raise ValidationError("sample times must be a nonempty, strictly increasing sequence")
+        degree = real("graph_degree", self.graph_degree)
         if self.graph == "regular" and not (0.0 <= degree < self.n_nodes and degree % 2.0 == 0.0):
             raise ValidationError(f"a regular graph_degree must be an even integer in [0, {self.n_nodes}), got {degree!r}")
-        if self.k_max < 1:
-            raise ValidationError(f"k_max must be >= 1, got {self.k_max}")
         object.__setattr__(self, "sample_times", ts)
         object.__setattr__(self, "graph_degree", degree)
-
-
-def _real(name: str, value) -> float:
-    """value as a float; anything but a real number raises ValidationError, and an int past the float range is infinite."""
-    if not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass

@@ -8,12 +8,11 @@ closed-form so they stay exact on the whole interval the solver needs.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import ValidationError
+from .model import count, real, real_or_array
 
 __all__ = ["InitialCondition"]
 
@@ -29,9 +28,9 @@ class InitialCondition:
     sequence.
     """
 
-    def __init__(self, kind: str, head: np.ndarray, tail: tuple[float, float] | None):
+    def __init__(self, kind: str, head, tail: tuple[float, float] | None):
         self.kind = kind
-        self.head = np.asarray(head, dtype=float)
+        self.head = np.asarray(real_or_array(head, "coefficients"))
         self.tail = tail
         self._scale = 1.0
         if self.head.ndim != 1:
@@ -46,10 +45,9 @@ class InitialCondition:
         self._slope = P.polyder(self.head)  # the coefficients of the head's derivative
         if tail is not None:
             a, rho = tail
-            if not math.isfinite(rho) or not (rho > 1.0):
-                raise ValidationError(f"tail ratio rho must exceed 1, got {rho!r}")
-            if not (0.0 < a <= 1.0):
-                raise ValidationError(f"tail scale a must lie in (0, 1], got {a!r}")
+            a, rho = self.tail = real("a", a, 0.0, strict=True), real("rho", rho, 1.0, strict=True)
+            if a > 1.0:
+                raise ValidationError(f"a must lie in (0, 1], got {a!r}")
         total = float(self(1.0))
         if abs(total - 1.0) > _NORM_TOL:
             raise ValidationError(f"generating function must satisfy h(1) = 1, got {total!r}")
@@ -61,28 +59,23 @@ class InitialCondition:
     @classmethod
     def polynomial(cls, coeffs) -> "InitialCondition":
         """Finitely supported distribution: h(x) = sum_k coeffs[k] x^k."""
-        return cls("polynomial", np.asarray(coeffs, dtype=float), None)
+        return cls("polynomial", coeffs, None)
 
     @classmethod
     def geometric(cls, rho: float, a: float | None = None) -> "InitialCondition":
         """Scaled geometric distribution p_k = a rho^-k; a defaults to (rho-1)/rho."""
-        rho = float(rho)
-        if a is None:
-            if not (rho > 1.0):
-                raise ValidationError(f"rho must exceed 1, got {rho!r}")
-            a = (rho - 1.0) / rho
-        return cls("geometric", np.array([]), (float(a), rho))
+        rho = real("rho", rho, 1.0, strict=True)
+        return cls("geometric", np.array([]), ((rho - 1.0) / rho if a is None else a, rho))
 
     @classmethod
     def explicit(cls, head, tail: tuple[float, float] | None = None) -> "InitialCondition":
         """Explicit coefficient head, optionally continued by a geometric tail."""
-        return cls("explicit", np.asarray(head, dtype=float), tail)
+        return cls("explicit", head, tail)
 
     @classmethod
     def delta(cls, m: int) -> "InitialCondition":
         """Point mass at degree m: h(x) = x^m."""
-        if m < 0:
-            raise ValidationError(f"degree must be >= 0, got {m}")
+        m = count("degree", m, 0)
         coeffs = np.zeros(m + 1)
         coeffs[m] = 1.0
         return cls.polynomial(coeffs)

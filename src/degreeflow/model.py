@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,6 +41,46 @@ __all__ = [
 _RATE_FIELDS = ("omega_r", "omega_p", "l_d", "l_r", "l_p", "n_d", "n_r", "n_p")
 
 
+def _brief(v) -> str:
+    """repr(v) cut to 40 characters, for a message."""
+    r = repr(v)
+    return r if len(r) <= 40 else r[:37] + "..."
+
+
+def real(name: str, v, low: float = -math.inf, strict: bool = False) -> float:
+    """The caller's number v as a float: finite, real and >= low (> low when strict).
+
+    This is the one check of a number a caller passes in.  Anything else,
+    an int past the float range included, raises ValidationError, whose
+    message names the argument.  A bool is a real number.
+    """
+    try:
+        x = float(v) if isinstance(v, numbers.Real) else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+        raise ValidationError(f"{name} must be a finite real number{bound}, got {_brief(v)}")
+    return x
+
+
+def count(name: str, v, low: int) -> int:
+    """The caller's integer v, >= low; anything else raises ValidationError naming it.
+
+    An integer is what ``operator.index`` takes, except a bool.  Every
+    count takes part in float arithmetic, so an int past the float range
+    is refused, as by ``real``.
+    """
+    try:
+        n = operator.index(v)
+        float(n)  # an int past the float range overflows
+    except (TypeError, OverflowError):
+        n = None
+    if n is None or isinstance(v, bool) or n < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {_brief(v)}")
+    return n
+
+
 @dataclass(frozen=True)
 class ProcessRates:
     """Per-process rates of the network model.
@@ -55,8 +96,8 @@ class ProcessRates:
     m : int
         Number of links attached to each newly added node.
 
-    Each rate must be a finite real number >= 0 and m an integer >= 0;
-    anything else raises ValidationError.
+    Each rate must be a finite real number >= 0 (``real``) and m an
+    integer >= 0 (``count``); anything else raises ValidationError.
     """
 
     omega_r: float = 0.0
@@ -71,17 +112,8 @@ class ProcessRates:
 
     def __post_init__(self):
         for name in _RATE_FIELDS:
-            value = getattr(self, name)
-            try:
-                bad = not isinstance(value, numbers.Real) or not math.isfinite(value) or value < 0.0
-            except OverflowError:  # an int past the float range
-                bad = True
-            if bad:
-                raise ValidationError(f"rate {name} must be a finite real number >= 0, got {value!r}")
-        if not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool):
-            raise ValidationError(f"m must be an integer, got {self.m!r}")
-        if self.m < 0:
-            raise ValidationError(f"m must be >= 0, got {self.m}")
+            real(name, getattr(self, name), 0.0)
+        count("m", self.m, 0)
 
 
 @dataclass(frozen=True)
@@ -122,7 +154,7 @@ class SteadyConstants:
 
 
 def derive_riccati(rates: ProcessRates) -> RiccatiCoefficients:
-    """Map process rates to the closed first-moment equation.
+    """Map process rates to the closed first-moment equation; anything but ProcessRates raises ValidationError.
 
     The mean degree g(t) of the evolving network obeys the scalar Riccati
     equation g' = -n_d g^2 - b g + c with
@@ -130,23 +162,31 @@ def derive_riccati(rates: ProcessRates) -> RiccatiCoefficients:
     ``b = l_d + n_p + n_r``,
     ``c = 2 (l_p + l_r + m (n_p + n_r))``.
     """
+    if not isinstance(rates, ProcessRates):
+        raise ValidationError(f"rates must be ProcessRates, got {type(rates).__name__}")
     b = rates.l_d + rates.n_p + rates.n_r
     c = 2.0 * (rates.l_p + rates.l_r + rates.m * (rates.n_p + rates.n_r))
     return RiccatiCoefficients(n_d=rates.n_d, b=b, c=c)
 
 
-def real_or_array(v):
+def real_or_array(v, name: str):
     """v as a Python float when numpy reads it as one number, else as a float array.
 
     Every float path in the package is chosen by this one rule: the scalar
-    queries of ``CharacteristicSolver``, ``degree_ode.gf_eval`` and
-    ``coefficients``.  Whatever ``np.asarray(v, dtype=float)`` makes 0-d
-    is one number (a Fraction, a 0-d array, None as nan), and a float or
-    an int skips np.asarray, which costs about a microsecond.
+    queries of ``CharacteristicSolver``, ``degree_ode.gf_eval``,
+    ``coefficients`` and ``riccati.ClosedFormMoment``.  Whatever
+    ``np.asarray(v, dtype=float)`` makes 0-d is one number (a Fraction, a
+    0-d array, None as nan), and a float or an int skips np.asarray, which
+    costs about a microsecond.  It only converts: NaN and inf pass, and
+    anything numpy cannot read as floats, an int past the float range
+    included, raises ValidationError naming the argument.
     """
-    if isinstance(v, (float, int)):
-        return float(v)
-    a = np.asarray(v, dtype=float)
+    try:
+        if isinstance(v, (float, int)):
+            return float(v)
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a real number or an array of them, got {_brief(v)}") from None
     return float(a) if a.ndim == 0 else a
 
 
@@ -172,7 +212,7 @@ def coefficients(rates: ProcessRates, g) -> Coefficients:
     network underflows; with it, a g whose square underflows raises
     DomainError.
     """
-    g = real_or_array(g)
+    g = real_or_array(g, "g")
     wsum = 2.0 * rates.l_p + rates.m * rates.n_p
     if wsum == 0.0:
         A, A_g = rates.omega_p, 0.0

@@ -14,20 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NoSteadyStateError, ValidationError
-from .model import RiccatiCoefficients
+from .errors import DomainError, NoSteadyStateError
+from .model import RiccatiCoefficients, real, real_or_array
 
 __all__ = [
     "ClosedFormMoment",
     "equilibrium",
 ]
-
-
-def _check_coeffs(coeffs: RiccatiCoefficients) -> None:
-    for name in ("n_d", "b", "c"):
-        value = getattr(coeffs, name)
-        if not math.isfinite(value) or value < 0.0:
-            raise ValidationError(f"Riccati coefficient {name} must be finite and >= 0, got {value!r}")
 
 
 def equilibrium(coeffs: RiccatiCoefficients) -> float:
@@ -38,10 +31,10 @@ def equilibrium(coeffs: RiccatiCoefficients) -> float:
     n_d = 0 < b, 0 when c = 0 < n_d + b, and ``math.inf`` when
     n_d = b = 0 < c.  When n_d = b = c = 0 the rates conserve g, whose
     limit is then g(0) itself: no limit follows from the coefficients
-    alone, and NoSteadyStateError is raised.
+    alone, and NoSteadyStateError is raised.  A coefficient that is not a
+    finite real number >= 0 raises ValidationError (``model.real``).
     """
-    _check_coeffs(coeffs)
-    n_d, b, c = coeffs.n_d, coeffs.b, coeffs.c
+    n_d, b, c = (real(name, getattr(coeffs, name), 0.0) for name in ("n_d", "b", "c"))
     if n_d > 0.0 and c > 0.0:
         # 2c/(b + sqrt(disc)) is the cancellation-free form of the + root.
         return 2.0 * c / (b + math.sqrt(b * b + 4.0 * n_d * c))
@@ -56,15 +49,9 @@ def equilibrium(coeffs: RiccatiCoefficients) -> float:
 
 
 def _with_exp(t):
-    """(t, exp): a float t as a Python float with math.exp, anything else as a float array with np.exp."""
-    if isinstance(t, float):
-        return float(t), math.exp
-    return np.asarray(t, dtype=float), np.exp
-
-
-def _scalar_or_array(out):
-    """A float for a Python float or a 0-d array, else the array itself."""
-    return out if type(out) is float or out.ndim else float(out)
+    """(t, exp): one number t (``model.real_or_array``) as a float with math.exp, else a float array with np.exp."""
+    t = real_or_array(t, "t")
+    return t, math.exp if isinstance(t, float) else np.exp
 
 
 @dataclass
@@ -83,8 +70,9 @@ class ClosedFormMoment:
     gap is 0 at every t.
 
     Construction checks its inputs, so every trajectory is valid: a g0
-    that is not finite and positive raises DomainError, and a negative or
-    non-finite coefficient raises ValidationError.
+    that is not one finite positive number raises DomainError, and one
+    that numpy cannot read as numbers, or a coefficient that is not a
+    finite real number >= 0, raises ValidationError.
     """
 
     coeffs: RiccatiCoefficients
@@ -95,9 +83,9 @@ class ClosedFormMoment:
     _K: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        self.g0 = float(self.g0)
-        if not math.isfinite(self.g0) or self.g0 <= 0.0:
-            raise DomainError(f"initial first moment must be strictly positive, got {self.g0!r}")
+        self.g0 = real_or_array(self.g0, "g0")
+        if not (isinstance(self.g0, float) and 0.0 < self.g0 < math.inf):
+            raise DomainError(f"initial first moment must be one finite positive number, got {self.g0!r}")
         try:
             self.equilibrium = equilibrium(self.coeffs)  # checks the coefficients too
         except NoSteadyStateError:  # the rates conserve g
@@ -110,23 +98,21 @@ class ClosedFormMoment:
             self._K = (self.g0 - self.equilibrium) / (self.g0 - self._r_minus)
 
     def __call__(self, t):
-        """g(t): a float for a float t, else an array (a float when t is 0-d).
+        """g(t): a float for one number t (``model.real_or_array``), else an array.
 
-        A float t, np.float64 included, is evaluated on Python floats with
-        ``math.exp``: the dense flow behind the backward trace calls g once
-        per right-hand-side evaluation, and numpy costs about a microsecond
-        per call on a 0-d array.  The last bit may differ from the array
-        path, which the march takes on its node times.
+        One number is evaluated on Python floats with ``math.exp``: the
+        dense flow behind the backward trace calls g once per
+        right-hand-side evaluation, and numpy costs about a microsecond per
+        call on a 0-d array.  The last bit may differ from the array path,
+        which the march takes on its node times.
         """
         t, exp = _with_exp(t)
         if self._sigma:
             decay = self._K * exp(-self._sigma * t)
-            out = (self.equilibrium - self._r_minus * decay) / (1.0 - decay)
-        elif self.equilibrium == math.inf:
-            out = self.g0 + self.coeffs.c * t
-        else:
-            out = self.equilibrium + self.gap(t)
-        return _scalar_or_array(out)
+            return (self.equilibrium - self._r_minus * decay) / (1.0 - decay)
+        if self.equilibrium == math.inf:
+            return self.g0 + self.coeffs.c * t
+        return self.equilibrium + self.gap(t)
 
     def derivative(self, t):
         """g'(t) = -n_d g^2 - b g + c at g = g(t), the Riccati right-hand side; a float or an array as for g(t)."""
@@ -143,14 +129,12 @@ class ClosedFormMoment:
         t, exp = _with_exp(t)
         if self._sigma:
             decay = self._K * exp(-self._sigma * t)
-            out = (self.equilibrium - self._r_minus) * decay / (1.0 - decay)
-        elif self.equilibrium == math.inf:
+            return (self.equilibrium - self._r_minus) * decay / (1.0 - decay)
+        if self.equilibrium == math.inf:
             raise DomainError("first moment has no finite equilibrium")
-        elif self.coeffs.n_d:  # b = c = 0: y' = -n_d y^2
+        if self.coeffs.n_d:  # b = c = 0: y' = -n_d y^2
             y0 = self.g0 - self.equilibrium
-            out = y0 / (1.0 + self.coeffs.n_d * y0 * t)
-        elif self.coeffs.b:  # n_d = 0: y' = -b y
-            out = (self.g0 - self.equilibrium) * exp(-self.coeffs.b * t)
-        else:  # the rates conserve g
-            out = np.zeros_like(t)
-        return _scalar_or_array(out)
+            return y0 / (1.0 + self.coeffs.n_d * y0 * t)
+        if self.coeffs.b:  # n_d = 0: y' = -b y
+            return (self.g0 - self.equilibrium) * exp(-self.coeffs.b * t)
+        return 0.0 if isinstance(t, float) else np.zeros_like(t)  # the rates conserve g; 0.0 * t is NaN at t = inf

@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
@@ -30,7 +29,7 @@ from scipy.integrate import quad, solve_ivp  # perfbench's tracer wraps both by 
 
 from .characteristics import _gauss
 from .errors import IntegrationError, NoSteadyStateError, ValidationError
-from .model import Degeneracy, ProcessRates, SteadyConstants, steady_constants
+from .model import Degeneracy, ProcessRates, SteadyConstants, count, real, real_or_array, steady_constants
 
 __all__ = [
     "SteadyCaseTag",
@@ -115,13 +114,13 @@ class SteadyState:
         return bool(np.max(np.abs(residual(self, self.case.constants, xs))) <= _CERT_TOL)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = real_or_array(x, "x")
         xv = np.atleast_1d(x)
         bad = ~((xv >= _X_LOW) & (xv <= 1.0 + _ONE_TIE))
         if np.any(bad):
             raise ValidationError(f"x = {float(xv[bad][0])!r} lies outside the profile domain [{_X_LOW}, 1]")
         out = self._eval(xv)
-        return float(out[0]) if x.ndim == 0 else out
+        return float(out[0]) if isinstance(x, float) else out
 
     def derivative(self, x):
         """dG*/dx by differencing the profile.
@@ -132,7 +131,7 @@ class SteadyState:
         end.  The profile is then evaluated once on all stencil nodes, none
         of which leaves the domain or crosses a singular point.
         """
-        x = np.asarray(x, dtype=float)
+        x = real_or_array(x, "x")
         xv = np.atleast_1d(x)
         side = np.zeros_like(xv)  # 0: central, +1: forward, -1: backward
         side[xv - _STEP < _X_LOW] = 1.0
@@ -148,7 +147,7 @@ class SteadyState:
         out = np.empty_like(xv)
         out[~one] = (fp - fm) / (2.0 * _STEP)
         out[one] = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-        return float(out[0]) if x.ndim == 0 else out
+        return float(out[0]) if isinstance(x, float) else out
 
 
 def explicit_constants(c1: float, c2: float, c3: float, c4: float, m: int) -> SteadyConstants:
@@ -157,18 +156,17 @@ def explicit_constants(c1: float, c2: float, c3: float, c4: float, m: int) -> St
     The implied equilibrium first moment (c3 + c4 m)/(c4 + c2 - c1) is
     attached when that quotient is defined and positive; otherwise g_inf is
     NaN (the constants are still usable for classification/construction).
+    Each constant must be a finite real number >= 0 (``model.real``) and m
+    an integer >= 0 (``model.count``); anything else raises ValidationError.
     """
-    for name, v in (("c1", c1), ("c2", c2), ("c3", c3), ("c4", c4)):
-        if not isinstance(v, numbers.Real) or not math.isfinite(v) or v < 0.0:
-            raise ValidationError(f"{name} must be a finite real number >= 0, got {v!r}")
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise ValidationError(f"m must be a nonnegative integer, got {m!r}")
+    c1, c2, c3, c4 = (real(name, v, 0.0) for name, v in zip(("c1", "c2", "c3", "c4"), (c1, c2, c3, c4)))
+    m = count("m", m, 0)
     denom = c4 + c2 - c1
     g_inf = (c3 + c4 * m) / denom if denom > _ZTOL else math.nan
     if not (g_inf > 0.0):
         g_inf = math.nan
     return SteadyConstants(
-        g_inf=g_inf, degeneracy=Degeneracy.REGULAR, c1=c1, c2=c2, c3=c3, c4=c4, m=int(m)
+        g_inf=g_inf, degeneracy=Degeneracy.REGULAR, c1=c1, c2=c2, c3=c3, c4=c4, m=m
     )
 
 
@@ -407,6 +405,7 @@ def _stationary(case: SteadyCase, anchor: float | None) -> SteadyState:
     alpha = c4 / kappa if two else math.inf
     beta = -c3 / c1 - alpha if two else None
     if anchor is not None:
+        anchor = real("anchor", anchor)
         if not xi < anchor < 1.0:
             raise ValidationError(f"anchor must lie in (xi, 1) = ({xi!r}, 1), got {anchor!r}")
         w_y = (1.0 - anchor) ** alpha * (anchor - xi) ** beta
@@ -523,8 +522,8 @@ def residual(state: SteadyState, constants: SteadyConstants, x):
     at points some distance away from them (see ``_away_from_singular``).
     """
     c1, c2, c3, c4, m = _unpack(constants)
-    x = np.asarray(x, dtype=float)
+    x = real_or_array(x, "x")
     xs = np.atleast_1d(x)
     val, slope = state(xs), state.derivative(xs)
     res = (xs - 1.0) * (c1 * xs - c2) * slope + ((xs - 1.0) * c3 - c4) * val + c4 * xs**m
-    return float(res[0]) if x.ndim == 0 else res
+    return float(res[0]) if isinstance(x, float) else res

@@ -1,11 +1,14 @@
-"""Property tests of the characteristic transport, the master-equation oracle, the simulator's config and the CLI over drawn inputs.
+"""Property tests of the characteristic transport, the master-equation oracle, the simulator's config, the
+public numeric arguments and the CLI over drawn inputs.
 
 Every case either raises a DegreeFlowError or meets the solver's
 invariants, every simulator config either constructs or raises
-ValidationError, and every CLI run ends in a documented exit code.  The draws
-are derandomized, so the suite sees the same cases on every run.
+ValidationError, every call with a drawn number either works or raises a
+DegreeFlowError, and every CLI run ends in a documented exit code.  The
+draws are derandomized, so the suite sees the same cases on every run.
 """
 
+import math
 import tempfile
 
 import numpy as np
@@ -15,13 +18,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from degreeflow.analysis import ConvergenceSeries, detect_bend, fit_rate  # noqa: E402
 from degreeflow.characteristics import CharacteristicSolver  # noqa: E402
 from degreeflow.cli import main  # noqa: E402
-from degreeflow.degree_ode import integrate  # noqa: E402
+from degreeflow.degree_ode import gf_eval, integrate  # noqa: E402
 from degreeflow.errors import DegreeFlowError, ValidationError  # noqa: E402
-from degreeflow.graphsim import SimConfig  # noqa: E402
+from degreeflow.graphsim import SimConfig, run  # noqa: E402
 from degreeflow.initial import InitialCondition  # noqa: E402
-from degreeflow.model import ProcessRates  # noqa: E402
+from degreeflow.model import ProcessRates, RiccatiCoefficients, derive_riccati  # noqa: E402
+from degreeflow.riccati import ClosedFormMoment  # noqa: E402
+from degreeflow.steady import construct, explicit_constants, steady_from_rates  # noqa: E402
 
 _PROCESSES = ("omega_r", "omega_p", "l_d", "l_r", "l_p", "n_d", "n_r", "n_p")
 _RATE = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
@@ -140,6 +146,109 @@ def test_sim_config_constructs_or_raises_a_validation_error(kwargs):
     assert min(cfg.n_nodes, cfg.replicas, cfg.k_max) >= 1 and cfg.seed >= 0
     # a ring degree that regular_ring cannot build is refused here, not in run
     assert cfg.graph != "regular" or (cfg.graph_degree % 2 == 0 and 0 <= cfg.graph_degree < cfg.n_nodes)
+
+# A caller's argument: anything _ANYTHING draws, or one of the values that
+# once ended in a raw error.  A valid time or degree far past the tested
+# range is left out, and so is a point far outside [-1, 1]: each is valid,
+# and costs a long march, a long simulation or gigabytes, or overflows.
+_ARGUMENT = st.one_of(_ANYTHING, st.sampled_from([10**400, True, math.nan, math.inf]))
+_MODEST = _ARGUMENT.filter(lambda v: not any(isinstance(e, (int, float)) and 10 < abs(e) < 2**1024
+                                             for e in (v if isinstance(v, list) else [v])))
+_FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0, n_d=1, n_r=1, n_p=1, m=3)
+_H = InitialCondition.polynomial([0.0, 0.0, 1.0])
+_P0 = np.eye(12)[2]
+_TWO_SINGULARITY = explicit_constants(2.0, 1.0, 1.0, 1.0, 2)
+_STEADY = steady_from_rates(_FIG2)
+_T = np.linspace(0.0, 5.0, 11)
+_SERIES = ConvergenceSeries(_T, np.exp(-_T) + 1e-3, np.exp(-_T) + 1e-3, np.where(_T < 2.0, -1.0, 0.3))
+
+
+def _replaced(args: tuple, i: int, v) -> tuple:
+    return args[:i] + (v,) + args[i + 1:]
+
+
+# each public entry, by name, with the call that passes the drawn value v
+# as one of its numeric arguments and the draw of v
+_ENTRIES = {
+    **{f"ProcessRates({name}=)": (lambda v, name=name: ProcessRates(**{name: v}), _ARGUMENT)
+       for name in (*_PROCESSES, "m")},
+    **{f"explicit_constants({name})": (lambda v, i=i: explicit_constants(*_replaced((2.0, 1.0, 1.0, 2.0, 3), i, v)),
+                                       _ARGUMENT)
+       for i, name in enumerate(("c1", "c2", "c3", "c4", "m"))},
+    "ClosedFormMoment(g0)": (lambda v: ClosedFormMoment(derive_riccati(_FIG2), v), _ARGUMENT),
+    **{f"ClosedFormMoment({name})": (lambda v, name=name: ClosedFormMoment(
+        RiccatiCoefficients(**{"n_d": 1.0, "b": 1.0, "c": 1.0, name: v}), 1.0), _ARGUMENT)
+       for name in ("n_d", "b", "c")},
+    "integrate(p0)": (lambda v: integrate(v, _FIG2, 0.5), _ARGUMENT),
+    "integrate(rates)": (lambda v: integrate(_P0, v, 0.5), _ARGUMENT),
+    "integrate(t_end)": (lambda v: integrate(_P0, _FIG2, v), _MODEST),
+    "integrate(tol)": (lambda v: integrate(_P0, _FIG2, 0.5, tol=v), _MODEST),
+    "integrate(mass_tol)": (lambda v: integrate(_P0, _FIG2, 0.5, mass_tol=v), _ARGUMENT),
+    "CharacteristicSolver(rates)": (lambda v: CharacteristicSolver(v, _H), _ARGUMENT),
+    "CharacteristicSolver(t_max=)": (lambda v: CharacteristicSolver(_FIG2, _H, t_max=v), _ARGUMENT),
+    "trace_back(x)": (lambda v: CharacteristicSolver(_FIG2, _H).trace_back(v, 0.5), _MODEST),
+    "trace_back(t)": (lambda v: CharacteristicSolver(_FIG2, _H).trace_back(0.5, v), _MODEST),
+    "solve_at(x)": (lambda v: CharacteristicSolver(_FIG2, _H).solve_at(v, 0.5), _MODEST),
+    "solve_at(t)": (lambda v: CharacteristicSolver(_FIG2, _H).solve_at(0.5, v), _MODEST),
+    "solve_grid(x)": (lambda v: CharacteristicSolver(_FIG2, _H).solve_grid(v, [0.0, 0.5]), _MODEST),
+    "solve_grid(t)": (lambda v: CharacteristicSolver(_FIG2, _H).solve_grid([0.0, 0.5], v), _MODEST),
+    "gf_eval(x)": (lambda v: gf_eval(_P0, v), _MODEST),
+    "InitialCondition.geometric(rho)": (lambda v: InitialCondition.geometric(v), _ARGUMENT),
+    "InitialCondition.geometric(a)": (lambda v: InitialCondition.geometric(2.0, v), _ARGUMENT),
+    "InitialCondition.polynomial": (InitialCondition.polynomial, _ARGUMENT),
+    "InitialCondition.delta": (InitialCondition.delta, _MODEST),
+    "SteadyState(x)": (_STEADY, _ARGUMENT),
+    "construct(anchor=)": (lambda v: construct(_TWO_SINGULARITY, anchor=v), _ARGUMENT),
+    "steady_from_rates(rates)": (steady_from_rates, _ARGUMENT),
+    "steady_from_rates(m)": (lambda v: steady_from_rates(ProcessRates(l_r=1.0, n_d=1.0, n_r=1.0, m=v)), _MODEST),
+    "run(m)": (lambda v: run(SimConfig(ProcessRates(l_r=1.0, n_r=1.0, m=v), 10, (0.1,), 1)), _MODEST),
+    "fit_rate(window=)": (lambda v: fit_rate(_SERIES, window=v), _ARGUMENT),
+    "detect_bend(boundary=)": (lambda v: detect_bend(_SERIES, boundary=v), _ARGUMENT),
+    "detect_bend(jump=)": (lambda v: detect_bend(_SERIES, jump=v), _ARGUMENT),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_ENTRIES)).flatmap(lambda name: st.tuples(st.just(name), _ENTRIES[name][1])))
+# each of these ended in a raw TypeError, ValueError, OverflowError or
+# AttributeError before every number went through model.real,
+# model.count or model.real_or_array
+@example(("CharacteristicSolver(t_max=)", "a"))
+@example(("trace_back(x)", "a"))
+@example(("solve_grid(x)", "a"))
+@example(("ClosedFormMoment(g0)", "a"))
+@example(("ClosedFormMoment(n_d)", "a"))
+@example(("integrate(t_end)", "a"))
+@example(("integrate(p0)", "a"))
+@example(("gf_eval(x)", "a"))
+@example(("InitialCondition.geometric(rho)", "a"))
+@example(("InitialCondition.geometric(a)", "a"))
+@example(("InitialCondition.polynomial", "a"))
+@example(("InitialCondition.delta", "a"))
+@example(("SteadyState(x)", "a"))
+@example(("construct(anchor=)", "a"))
+@example(("fit_rate(window=)", "a"))
+@example(("detect_bend(jump=)", "a"))
+@example(("CharacteristicSolver(t_max=)", 10**400))
+@example(("trace_back(t)", 10**400))
+@example(("ClosedFormMoment(g0)", 10**400))
+@example(("ClosedFormMoment(n_d)", 10**400))
+@example(("integrate(t_end)", 10**400))
+@example(("InitialCondition.geometric(rho)", 10**400))
+@example(("explicit_constants(c1)", 10**400))
+@example(("CharacteristicSolver(rates)", "a"))
+@example(("integrate(rates)", "a"))
+@example(("steady_from_rates(rates)", "a"))
+@example(("InitialCondition.delta", 2.5))
+@example(("steady_from_rates(m)", 10**400))
+@example(("run(m)", 10**400))
+def test_a_numeric_argument_works_or_raises_a_degreeflow_error(case):
+    name, value = case
+    try:
+        _ENTRIES[name][0](value)
+    except DegreeFlowError:
+        pass
+
 
 # for the invalid inputs, so that most runs get past parsing; hypothesis
 # favours the ends of a range, so the rare value sits inside it

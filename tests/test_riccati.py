@@ -91,14 +91,15 @@ BRANCHES = {
 
 @pytest.mark.parametrize("branch", sorted(BRANCHES))
 def test_float_argument_matches_the_array_path(branch):
-    # a float t (np.float64 included) is evaluated with math and gives a
-    # float; math.exp and np.exp may differ in the last bit, which the gap
-    # carries through a product and a quotient (3 ulp seen on a fine t grid)
+    # one number t (np.float64 and a 0-d array included) is evaluated with
+    # math and gives a float; math.exp and np.exp may differ in the last
+    # bit, which the gap carries through a product and a quotient (3 ulp
+    # seen on a fine t grid)
     g = ClosedFormMoment(*BRANCHES[branch])
     for t in (0.0, 0.3, 5.0, 50.0):
-        on_array = float(g(np.array(t)))
-        on_gap_array = float(g.gap(np.array(t))) if branch != "affine" else None
-        for arg in (t, np.float64(t)):
+        on_array = float(g(np.array([t]))[0])
+        on_gap_array = float(g.gap(np.array([t]))[0]) if branch != "affine" else None
+        for arg in (t, np.float64(t), np.array(t)):
             value = g(arg)
             assert type(value) is float
             assert abs(value - on_array) <= 2 * math.ulp(on_array)

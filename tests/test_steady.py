@@ -147,6 +147,7 @@ def test_profiles_need_no_ode_solver(monkeypatch):
     ((1.0, None, 1.0, 1.0, 1), "c2"),
     ((1.0, 2.0, float("nan"), 1.0, 1), "c3"),
     ((1.0, 2.0, 1.0, -1.0, 1), "c4"),
+    ((10**400, 2.0, 1.0, 1.0, 1), "c1"),  # an int past the float range raised a raw OverflowError
 ])
 def test_explicit_constants_reject_what_is_not_a_constant(args, bad):
     with pytest.raises(ValidationError, match=f"^{bad} must be"):
