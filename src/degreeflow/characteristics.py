@@ -38,10 +38,12 @@ contaminate G through G_x.
 Values are asked for at pairs (x_i, t_i): a single point, scattered points
 or every pair (x_i, t_j) of a tensor grid.  They are transported in a single
 forward pass: the curves through every pair start together from their
-traced origins and are stepped together, segment by segment between the
-distinct times.  Each curve is retired at its own time t_i and never
-integrated past it, because a forward path may leave [-1, 1] after its
-time, where the denominator e^L + psi w0 can reach zero.
+traced origins and are stepped together.  Each curve is retired at its own
+time t_i and never integrated past it, because a forward path may leave
+[-1, 1] after its time, where the denominator e^L + psi w0 can reach zero.
+A step that reaches several distinct times retires their curves inside
+it, each over its own part of the step, so the number of steps follows
+the error control rather than the number of output times.
 
 Every equation of the march is linear with coefficients known in closed
 form: (L, psi) above, and y' = a y + f for each data row.  A step [s, s+h]
@@ -85,7 +87,7 @@ from scipy.linalg import block_diag
 
 from .errors import AccuracyError, DomainError, IntegrationError, ValidationError
 from .initial import InitialCondition
-from .model import ProcessRates, coefficients, derive_riccati, real, real_or_array
+from .model import Coefficients, ProcessRates, coefficients, derive_riccati, real, real_or_array
 from .riccati import ClosedFormMoment
 
 __all__ = [
@@ -102,6 +104,7 @@ ATOL = 1e-12
 _CLAMP = 1e-6  # largest tolerated excursion of a traced origin below x = -1
 _TINY = float(np.finfo(float).tiny)  # smallest normal double: the least origin offset kept at full precision
 _DIFF_RTOL = 1e-10  # relative tolerance of the deviation transport
+_BLOCK = 512  # curves per block of a step's node work: a (14, 512) array is 56 KiB
 
 
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,6 +165,12 @@ def _shrunk(h: float, fac: float, s: float) -> float:
     return h
 
 
+def _gather(at, tau, c, psi_k, e, h):
+    """Node times, coefficients, psi and e^L at the nodes (14, at.size), and lengths, of the step's lengths at."""
+    return (tau.take(at, 1), Coefficients(*(v.take(at, 1) if isinstance(v, np.ndarray) else v for v in c)),
+            psi_k.take(at, 1), e.take(at, 1), h.take(at))
+
+
 def _factor(err: float) -> float:
     """Step-size factor 0.9 err^(-1/13) within [0.2, 10]: the error estimate is O(h^13); a non-finite one gives 0.2."""
     if err > 0.0:
@@ -177,10 +186,11 @@ class SolutionField:
     trajectory built from h'(1).  The transport marched (L, psi, G - 1,
     G_x) along every curve and nothing else.  ``stats`` holds the
     transport's ``node_evals`` (14 per step attempt, each one evaluation
-    of g, the coefficients and the data equations on all live curves) and
-    accepted ``steps``, summed over its ``segments``, and
-    ``flow_rhs_evals``, the rhs evaluations of the dense (L, psi) solve
-    behind the backward trace.
+    of g and the coefficients on the node times of the attempt's step
+    lengths, and of the data equations on all live curves), its accepted
+    ``steps``, its ``segments``, the distinct times whose curves it
+    retired (a step may retire several), and ``flow_rhs_evals``, the rhs
+    evaluations of the dense (L, psi) solve behind the backward trace.
     """
 
     x: np.ndarray
@@ -414,10 +424,13 @@ class CharacteristicSolver:
         may enter the rows after it.
 
         ``init(x0)`` gives the data at the origins, shape (k, n), and
-        ``rhs(s, w, c)`` is a generator over the k rows: it yields (a, f)
-        of a row at the node times s, shape (14, 1), while the curves sit
-        at 1 + w, shape (14, n_live), with c = coefficients(rates, g(s)),
-        and is sent back that row's node values before it yields the next.
+        ``rhs(s, w, c)`` is a generator over the k rows of a block of at
+        most ``_BLOCK`` curves: it yields (a, f) of a row at the node times
+        s while the curves sit at 1 + w, shape (14, n_block), with c =
+        coefficients(rates, g(s)), and is sent back that row's node values
+        before it yields the next.  s has shape (14, 1), or (14, n_block)
+        in a step that retires curves inside it, each curve at the nodes of
+        its own length.
 
         The 8-node result is kept, and its difference from the 6-node
         result is the error estimate, in scipy's RMS norm: ``rtol`` on
@@ -433,42 +446,66 @@ class CharacteristicSolver:
         curve's constant grows 100- to 1,000-fold a step as it leaves x = 1
         near its own time.  A step that produces a non-finite value is
         rejected with the factor 0.2, and a rejected step below 10 ulp of s
-        raises IntegrationError.  The first step is ``_first_step``, cut to
-        the first segment.  Steps are cut at each distinct time, where the
-        curves of that time are retired; the step size carries over, and a
-        step cut short keeps the larger step it was handed.  Returns the
-        data at each pair's own time, shape (k, n), and the march's counts.
+        raises IntegrationError.
+
+        Each curve is retired at its own time.  A step is cut at a distinct
+        time t when that is the one time it reaches (t - s <= h) or the last
+        time of all; the first step, whose size is a guess
+        (``_first_step``), is cut at the first time.  Any other step that
+        reaches two or more times runs its full h and retires their curves
+        inside it: a retiring curve is stepped over its own length t_i - s,
+        on the nodes of that length, and the data and (L, psi) of every
+        length enter the one error estimate.  Output times thus add steps
+        only where the error control accepts less than two of their
+        spacings.  The step size carries over, and a step cut short keeps
+        the larger step it was handed, unless that was the first step's
+        guess.  ``stats`` counts the node evaluations (14 per step
+        attempt), the accepted ``steps`` and the distinct times retired,
+        ``segments``.  Returns the data at each pair's own time, shape (k,
+        n), and the march's counts.
         """
         origins, w0 = self._trace_back_many(x, t)
         y = np.array(init(origins), dtype=float)
         L = psi = s = 0.0
-        h = None
         last_step, last_err = 1.0, 0.0  # the last accepted step and its error
         stats = {"node_evals": 0, "steps": 0, "segments": 0}
         lo = int(np.searchsorted(t, 0.0, side="right"))  # curves at t = 0 keep their data
-        for tj in np.unique(t[lo:]).tolist():
-            h = self._first_step(tj, rtol, stats) if h is None else h
-            w_live, y_live = w0[lo:], y[:, lo:]
-            while s < tj:
-                last = h >= tj - s
-                step = tj - s if last else h
-                L_new, psi_new, new, err = self._step(rhs, s, step, L, psi, w_live, y_live, rtol, atol)
-                stats["node_evals"] += sum(_ORDERS)
-                fac = _factor(err)
-                if err <= 1.0:
-                    if err > 0.0 and last_err > 0.0:
-                        # the growth of err / h^13, from ratios: h^13 underflows for h below 1e-25
-                        fac = max(0.2, fac * min(1.0, step / last_step * (last_err / err) ** (1.0 / 13.0)))
-                    last_step, last_err = step, err
-                    L, psi = L_new, psi_new
-                    y_live[:] = new
-                    s = tj if last else min(s + step, tj)
-                    h = max(h, step * fac) if step < h else step * fac
-                    stats["steps"] += 1
-                else:
-                    h = _shrunk(step, fac, s)
-            stats["segments"] += 1
-            lo = int(np.searchsorted(t, tj, side="right"))  # the curves of tj are retired
+        times = np.unique(t[lo:]).tolist()
+        ends = np.searchsorted(t, times, side="right").tolist()  # one past the last curve of each time
+        h = self._first_step(times[0], rtol, stats) if times else None
+        i, w_live, y_live = 0, w0[lo:], y[:, lo:]  # times[i] is the first time not yet retired
+        while i < len(times):
+            j = i  # times[i:j] are within reach
+            while j < len(times) and h >= times[j] - s:
+                j += 1
+            if s == 0.0:  # the first step is a guess (``_first_step``): it is cut at the first time
+                j = min(j, i + 1)
+            cut = j == i + 1 or j == len(times)
+            step = times[j - 1] - s if cut else h
+            inside = times[i : j - 1 if cut else j]  # the times retired inside the step, before its end
+            lengths = [tk - s for tk in inside] + [step]
+            # each live curve's index into lengths
+            group = np.searchsorted(inside, t[lo:]) if inside else None
+            L_new, psi_new, new, err = self._step(rhs, s, lengths, group, L, psi, w_live, y_live, rtol, atol)
+            stats["node_evals"] += sum(_ORDERS)
+            fac = _factor(err)
+            if err <= 1.0:
+                if err > 0.0 and last_err > 0.0:
+                    # the growth of err / h^13, from ratios: h^13 underflows for h below 1e-25
+                    fac = max(0.2, fac * min(1.0, step / last_step * (last_err / err) ** (1.0 / 13.0)))
+                last_step, last_err = step, err
+                L, psi = L_new, psi_new
+                y_live[:] = new
+                # a step cut short keeps the larger step it was handed, unless that was the first guess
+                h = max(h, step * fac) if step < h and s > 0.0 else step * fac
+                s = times[j - 1] if cut else min(s + step, times[j])
+                stats["steps"] += 1
+                if j > i:  # the curves of times[i:j] are retired
+                    stats["segments"] += j - i
+                    lo, i = ends[j - 1], j
+                    w_live, y_live = w0[lo:], y[:, lo:]
+            else:
+                h = _shrunk(step, fac, s)
         stats["flow_rhs_evals"] = self._flow_evals
         return y, stats
 
@@ -477,10 +514,10 @@ class CharacteristicSolver:
 
         The time scale of the coefficients at t = 0 is 1 / max(|A - B|, A).
         A first segment within it is tried whole: the step is the time
-        scale, and the march cuts it to the segment.  Without A and B, (L,
-        psi) stay 0, there is no time scale, and the step is infinite.  A
-        longer first segment starts from the step that (L, psi) alone
-        accept, found once per ``rtol``.  (L, psi) set the error of a first
+        scale, and the march cuts it at the first time, as it cuts every
+        first step.  Without A and B, (L, psi) stay 0, there is no time
+        scale, and the step is infinite.  A longer first segment starts
+        from the step that (L, psi) alone accept, found once per ``rtol``.  (L, psi) set the error of a first
         step and do not depend on the curves, so that step is a function of
         the rates and h only, and a query's answer never depends on earlier
         queries.  The probe steps (L, psi) with no curve from the time
@@ -496,7 +533,7 @@ class CharacteristicSolver:
 
             def probe(h):
                 stats["node_evals"] += sum(_ORDERS)
-                return self._step(self._rows, 0.0, h, 0.0, 0.0, np.empty(0), np.empty((0, 0)), rtol, ATOL)[3]
+                return self._step(self._rows, 0.0, [h], None, 0.0, 0.0, np.empty(0), np.empty((0, 0)), rtol, ATOL)[3]
 
             h = start = 1.0 / rate
             err = probe(h)
@@ -508,39 +545,57 @@ class CharacteristicSolver:
             self._first_steps[rtol] = h
         return self._first_steps[rtol]
 
-    def _step(self, rhs, s: float, h: float, L: float, psi: float, w0, y, rtol: float, atol: float):
-        """One step attempt of the march from s over h, on the live curves with origin offsets w0 and data y.
+    def _step(self, rhs, s: float, lengths, group, L: float, psi: float, w0, y, rtol: float, atol: float):
+        """One step attempt of the march from s, on the live curves with origin offsets w0 and data y.
 
-        Returns L, psi and the data at s + h by the 8-node rule, and the
-        error estimate, which is nan when a value is not finite.  The
-        (14, n) arrays of the step die with it.
+        Curve i is stepped over ``lengths[group[i]]``; ``group`` is None
+        when every curve takes ``lengths[0]``.  The last length is the
+        step.  g and the coefficients are evaluated once, on the node times
+        of every length, shape (14, len(lengths)), and each curve reads
+        those of its own length.  The node work runs on blocks of at most
+        ``_BLOCK`` curves, whose end values are written into full-width
+        arrays; the error norm is taken once over those, so the blocks
+        change no bit.  Returns L, psi and the data at the curves' ends by
+        the 8-node rule, and the error estimate over the data and the (L,
+        psi) of every length, which is nan when a value is not finite.
         """
         nodes, _, weights = _rules()
+        m = len(lengths)
+        h = lengths[0] if m == 1 else np.array(lengths)
         tau = s + h * nodes
         c = coefficients(self.rates, self.g(tau))
+        ends = np.empty((2, *y.shape))
         with np.errstate(all="ignore"):  # a non-finite result rejects the step
             lam = c.A - c.B
             psi_k, psi_e, e = _linear(psi, lam, c.A, h)
             L_e = L + h * (weights @ lam)
-            w = psi_k * w0
-            w += np.exp(L) * e  # e^L at the nodes
-            np.divide(w0, w, out=w)
-            if not np.isfinite(w).all():
-                # once e^L underflows to 0 the curve x = 1 sits at 0 / 0; it stays at w = 0
-                w[:, w0 == 0.0] = 0.0
-                if not np.isfinite(w).all():
-                    return L, psi, None, math.nan
-            ends = np.empty((2, *y.shape))
-            rows = rhs(tau, w, c)
-            y_k = None
-            for i in range(y.shape[0]):
-                a, f = rows.send(y_k)  # the first send starts the generator
-                y_k, _, _ = _linear(y[i], a, f, h, out=ends[:, i])
+            e *= np.exp(L)  # e^L at the nodes
+            for a0 in range(0, w0.size, _BLOCK):
+                cols = slice(a0, a0 + _BLOCK)
+                if m == 1:
+                    tau_b, c_b, psi_b, e_b, h_b = tau, c, psi_k, e, h
+                else:  # each curve reads the column of its length, a block of one length one column
+                    at = group[cols]
+                    tau_b, c_b, psi_b, e_b, h_b = _gather(at[:1] if at[0] == at[-1] else at, tau, c, psi_k, e, h)
+                w = psi_b * w0[cols]
+                w += e_b
+                np.divide(w0[cols], w, out=w)
+                if np.count_nonzero(np.isfinite(w)) < w.size:
+                    # once e^L underflows to 0 the curve x = 1 sits at 0 / 0; it stays at w = 0
+                    w[:, w0[cols] == 0.0] = 0.0
+                    if not np.isfinite(w).all():
+                        return L, psi, None, math.nan
+                rows = rhs(tau_b, w, c_b)
+                y_k = None
+                for i in range(y.shape[0]):
+                    a, f = rows.send(y_k)  # the first send starts the generator
+                    y_k, _, _ = _linear(y[i, cols], a, f, h_b, out=ends[:, i, cols])
             new, low = ends
-            sq = np.sum(((new - low) / (atol + rtol * np.maximum(np.abs(y), np.abs(new)))) ** 2)
-            for old, (hi, lw) in ((L, L_e[:, 0].tolist()), (psi, psi_e[:, 0].tolist())):
-                sq += ((hi - lw) / (ATOL + rtol * max(abs(old), abs(hi)))) ** 2
-        return float(L_e[0, 0]), float(psi_e[0, 0]), new, math.sqrt(sq / (2 + y.size))
+            sq = (((new - low) / (atol + rtol * np.maximum(np.abs(y), np.abs(new)))) ** 2).sum()
+            for k in range(m):
+                for old, (hi, lw) in ((L, L_e[:, k].tolist()), (psi, psi_e[:, k].tolist())):
+                    sq += ((hi - lw) / (ATOL + rtol * max(abs(old), abs(hi)))) ** 2
+        return float(L_e[0, -1]), float(psi_e[0, -1]), new, math.sqrt(sq / (2 * m + y.size))
 
     def _initial_data(self, x0: np.ndarray) -> np.ndarray:
         """(u, p1) = (h - 1, h') at the origins x0."""
@@ -613,10 +668,13 @@ class CharacteristicSolver:
         Along a curve D is one data row of the march, D' = (w C - c4) D + S,
         stepped by the exponential Gauss quadrature with relative tolerance
         1e-10 and absolute tolerance 1e-280, so the step control stays
-        relative however small D gets.  The source reads G* and dG*/dx at
-        the curves' node positions from one cubic spline through G* on a
-        fixed 4,097-point uniform mesh, value and slope from one index
-        computation and one Horner pass per evaluation.  Both are smooth in
+        relative however small D gets.  Where that control accepts steps
+        longer than the spacing of ``t_grid``, a step retires the curves of
+        every time it reaches (``_march``): on 41 x 51 grids to t = 5, FIG6
+        and FIG7 with h = x^2 take 7 and 8 steps, not 50.  The source reads
+        G* and dG*/dx at the curves' node positions from one cubic spline
+        through G* on a fixed 4,097-point uniform mesh, value and slope
+        from one index computation and one Horner pass per evaluation.  Both are smooth in
         x, so the step-size control sees no kinks where a curve crosses a
         mesh node.
 

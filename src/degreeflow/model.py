@@ -179,12 +179,16 @@ def real_or_array(v, name: str):
     0-d array, None as nan), and a float or an int skips np.asarray, which
     costs about a microsecond.  It only converts: NaN and inf pass, and
     anything numpy cannot read as floats, an int past the float range
-    included, raises ValidationError naming the argument.
+    included, raises ValidationError naming the argument.  So does text,
+    str or bytes alone or in an array, although numpy would parse "0.5".
     """
     try:
         if isinstance(v, (float, int)):
             return float(v)
-        a = np.asarray(v, dtype=float)
+        a = np.asarray(v)
+        if a.dtype.kind in "SU" or a.dtype.kind == "O" and any(isinstance(e, (str, bytes)) for e in a.flat):
+            raise TypeError("text is not a number")
+        a = np.asarray(a, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a real number or an array of them, got {_brief(v)}") from None
     return float(a) if a.ndim == 0 else a
@@ -216,7 +220,8 @@ def coefficients(rates: ProcessRates, g) -> Coefficients:
     wsum = 2.0 * rates.l_p + rates.m * rates.n_p
     if wsum == 0.0:
         A, A_g = rates.omega_p, 0.0
-    elif g * g > 0.0 if isinstance(g, float) else np.all(g * g > 0.0):  # np.all takes 3.5 us on a float
+    # np.all takes 3.5 us on a float, and 3 us on the march's 14 node moments, where count_nonzero takes 1.3
+    elif g * g > 0.0 if isinstance(g, float) else np.count_nonzero(g * g > 0.0) == g.size:
         A, A_g = rates.omega_p + wsum / g, -wsum / g**2
     else:
         raise DomainError(f"first moment g = {float(np.min(g))!r} is too small for the wsum / g term of A")

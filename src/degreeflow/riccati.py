@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NoSteadyStateError
+from .errors import DomainError, NoSteadyStateError, ValidationError
 from .model import RiccatiCoefficients, real, real_or_array
 
 __all__ = [
@@ -49,9 +49,20 @@ def equilibrium(coeffs: RiccatiCoefficients) -> float:
 
 
 def _with_exp(t):
-    """(t, exp): one number t (``model.real_or_array``) as a float with math.exp, else a float array with np.exp."""
+    """(t, exp): one number t (``model.real_or_array``) as a float with math.exp, else a float array with np.exp.
+
+    A time below 0 raises ValidationError: g is a trajectory forward from
+    g(0), and far back the closed forms overflow.  The check is one
+    comparison on a float and one reduction on an array.
+    """
     t = real_or_array(t, "t")
-    return t, math.exp if isinstance(t, float) else np.exp
+    if isinstance(t, float):
+        if t < 0.0:
+            raise ValidationError(f"t must be >= 0, got {t!r}")
+        return t, math.exp
+    if np.count_nonzero(t < 0.0):
+        raise ValidationError(f"t must be >= 0, got {float(t[t < 0.0].min())!r} among the times")
+    return t, np.exp
 
 
 @dataclass
@@ -98,7 +109,7 @@ class ClosedFormMoment:
             self._K = (self.g0 - self.equilibrium) / (self.g0 - self._r_minus)
 
     def __call__(self, t):
-        """g(t): a float for one number t (``model.real_or_array``), else an array.
+        """g(t): a float for one number t >= 0 (``model.real_or_array``), else an array.
 
         One number is evaluated on Python floats with ``math.exp``: the
         dense flow behind the backward trace calls g once per
@@ -124,7 +135,8 @@ class ClosedFormMoment:
 
         Each form has an explicit expression for the gap, so the result
         keeps full relative accuracy even when it is exponentially small.
-        Growth has no finite equilibrium and raises DomainError.
+        Growth has no finite equilibrium and raises DomainError; a t below
+        0 raises ValidationError, as for g(t).
         """
         t, exp = _with_exp(t)
         if self._sigma:

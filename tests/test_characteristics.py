@@ -379,8 +379,9 @@ def test_batched_points_match_per_point_queries(monkeypatch):
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
     seen = _march_stats(monkeypatch)
     G, Gx = solver.solve_at(xs, ts)
-    # 1,848 node evaluations and 377 for the flow, against 14,168 node
-    # evaluations for the 100 queries one by one
+    # 1,176 node evaluations and 377 for the flow (1,848 when every step was
+    # cut at the next time), against 14,168 node evaluations for the 100
+    # queries one by one
     (stats,) = seen
     assert stats["node_evals"] + stats["flow_rhs_evals"] <= 5000
     assert G.shape == Gx.shape == (100,)
@@ -552,6 +553,71 @@ def test_one_point_difference_grid_matches_the_wide_grid():
     for j in (0, 3, 10, 17, 20):
         alone = solver.solve_difference_grid(xs[j : j + 1], ts, steady)
         np.testing.assert_allclose(alone[:, 0], D[:, j], rtol=0, atol=1e-12)
+
+
+def test_a_step_retires_every_time_it_reaches(monkeypatch):
+    # on FIG6 a = f = 0 along every curve, so (L, psi) alone set the error,
+    # and the error control accepts steps of about 0.7: a step retires the
+    # curves of every time it reaches, 7 steps where a march cut at each of
+    # the 50 times took 50 (700 node evaluations).  segments still counts
+    # the distinct times retired.
+    seen = _march_stats(monkeypatch)
+    xs, ts = np.linspace(-1, 1, 41), np.linspace(0, 5, 51)
+    CharacteristicSolver(FIG6, h=InitialCondition.geometric(3.0)).solve_difference_grid(xs, ts, steady_from_rates(FIG6))
+    (stats,) = seen
+    assert (stats["node_evals"], stats["steps"], stats["segments"]) == (98, 7, 50)
+
+
+def _benchmark_points():
+    """The reference benchmark's 100 seeded points at seed 1: perfbench's stratified draws after its 2,000 others."""
+    rng = np.random.default_rng(1)
+
+    def stratified(n):
+        return rng.permutation((np.arange(n) + 1.0 - rng.random(n)) / n)
+
+    stratified(1000), stratified(1000)
+    return 2.0 * stratified(100) - 1.0, 5.0 * stratified(100)
+
+
+def test_batched_points_retire_inside_steps_with_one_evaluation_per_attempt(monkeypatch):
+    # 100 scattered times: most steps reach several of them, and each curve
+    # retires on its own part of the step.  The node times of every length
+    # are one evaluation of g and the coefficients, so an attempt still
+    # counts 14: 1,470 node evaluations in 82 steps, against 1,596 in 109
+    # when every step was cut at the next time.  Their accuracy against
+    # one-point queries is checked on other points above.
+    xs, ts = _benchmark_points()
+    solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
+    seen = _march_stats(monkeypatch)
+    solver.solve_at(xs, ts)
+    (stats,) = seen
+    assert (stats["node_evals"], stats["steps"], stats["segments"]) == (1470, 82, 100)
+
+
+def test_wide_steps_run_in_blocks_that_change_no_bit(monkeypatch):
+    # a 41 x 81 deviation grid marches 3,200 curves.  A step's node work
+    # runs on blocks of at most 512 of them, so no (14, n) array wider than
+    # a block reaches _linear (a (14, 3,200) one is 350 KiB, which the heap
+    # gave back and faulted in again on every step); a block as wide as the
+    # grid gives the same bits, since the error norm is taken once over the
+    # full-width end values
+    xs, ts = np.linspace(-1, 1, 41), np.linspace(0, 5, 81)
+    steady = steady_from_rates(FIG2)
+    widths = []
+    real = characteristics._linear
+
+    def recording(y, a, f, h, out=None):
+        widths.append(np.shape(a)[-1])
+        return real(y, a, f, h, out)
+
+    monkeypatch.setattr(characteristics, "_linear", recording)
+    D = CharacteristicSolver(FIG2, h=InitialCondition.geometric(3.0)).solve_difference_grid(xs, ts, steady)
+    assert max(widths) == characteristics._BLOCK == 512
+    widths.clear()
+    monkeypatch.setattr(characteristics, "_BLOCK", xs.size * ts.size)
+    whole = CharacteristicSolver(FIG2, h=InitialCondition.geometric(3.0)).solve_difference_grid(xs, ts, steady)
+    assert max(widths) == 40 * 80
+    assert np.array_equal(D, whole)
 
 
 def test_single_point_march_keeps_its_rhs_evaluation_count(monkeypatch):

@@ -242,12 +242,20 @@ _ENTRIES = {
 @example(("InitialCondition.delta", 2.5))
 @example(("steady_from_rates(m)", 10**400))
 @example(("run(m)", 10**400))
+# numpy parses these as numbers, and the queries used to answer them
+@example(("trace_back(x)", "0.5"))
+@example(("trace_back(t)", "0.5"))
+@example(("solve_at(x)", b"0.5"))
+@example(("solve_at(t)", "0.5"))
+@example(("gf_eval(x)", ["0.5"]))
 def test_a_numeric_argument_works_or_raises_a_degreeflow_error(case):
     name, value = case
     try:
         _ENTRIES[name][0](value)
     except DegreeFlowError:
-        pass
+        return
+    # text is not a number, alone or in a list, although numpy parses "0.5"
+    assert not any(isinstance(e, (str, bytes)) for e in (value if isinstance(value, list) else [value]))
 
 
 # for the invalid inputs, so that most runs get past parsing; hypothesis

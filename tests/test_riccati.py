@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from degreeflow.errors import DomainError, NoSteadyStateError
+from degreeflow.errors import DomainError, NoSteadyStateError, ValidationError
 from degreeflow.model import ProcessRates, derive_riccati
 from degreeflow.riccati import ClosedFormMoment, RiccatiCoefficients, equilibrium
 
@@ -118,6 +118,21 @@ def test_at_infinite_time_g_is_the_equilibrium(branch):
     ts = np.array([0.0, 1.0, math.inf])
     assert g(ts)[-1] == g.equilibrium and g.gap(ts)[-1] == 0.0
     assert np.all(np.isfinite(g(ts))) and g(ts)[0] == g.g0
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_a_negative_time_is_a_validation_error(branch):
+    # g is a trajectory forward from g(0); far back the logistic form
+    # overflowed, as a raw OverflowError from math.exp on a float and as
+    # nan with warnings on an array.  Both paths refuse any t < 0, and the
+    # gap and the derivative with them; t = 0 still answers.
+    g = ClosedFormMoment(*BRANCHES[branch])
+    calls = [g, g.derivative] + ([g.gap] if branch != "affine" else [])
+    for t in (-1000.0, -1e-300, np.array([-1000.0]), np.array([0.0, 1.0, -0.5])):
+        for call in calls:
+            with pytest.raises(ValidationError, match="t must be >= 0"):
+                call(t)
+    assert g(0.0) == g(np.array([0.0]))[0] == g.g0
 
 
 def test_rejects_nonpositive_start():

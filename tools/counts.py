@@ -1,0 +1,99 @@
+"""Print the march counts of the benchmark's transports: node evaluations, accepted steps and segments.
+
+Runs, with the package from the ``src`` directory next to this script:
+
+- ``decay``'s four deviation grids, 41 x 51 to t = 5: FIG2 with
+  geometric(3), FIG6 with geometric(3), FIG7 with h = x and FIG7 with
+  h = x^2;
+- ``reference``'s two 41 x 11 grids of ``perfbench/example.ini``, FIG2 with
+  h = x^2 and with geometric(3);
+- ``reference``'s 100 seeded points on FIG2 with h = x^2, as one batched
+  ``solve_at`` and as 100 single calls (counts summed).
+
+Each march's stats are read by wrapping ``CharacteristicSolver._march``,
+since ``solve_difference_grid`` and ``solve_at`` return no stats.  The
+counts depend on the arithmetic only, not on the machine's speed, so two
+checkouts can be compared line by line where timings drift.  Needs
+nothing beyond the standard library and the package's own dependencies.
+
+Usage: python tools/counts.py [SEED]   (SEED defaults to 1, as perfbench/run.py --seed 1)
+
+Prints one line per transport: ``<name> node_evals <n> steps <n> segments <n>``.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402  (the package's own dependency)
+
+from degreeflow import InitialCondition, ProcessRates, config  # noqa: E402
+from degreeflow.characteristics import CharacteristicSolver, solve_grid  # noqa: E402
+from degreeflow.steady import steady_from_rates  # noqa: E402
+
+FIG6 = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=0, l_p=1, n_d=1, n_r=0, n_p=0, m=3)
+FIG7 = ProcessRates(omega_r=1, omega_p=0, l_d=1, l_r=1, l_p=0, n_d=1, n_r=1, n_p=0, m=3)
+EXAMPLE_INI = Path(__file__).resolve().parents[1] / "perfbench" / "example.ini"
+
+
+def _stratified(rng: np.random.Generator, n: int) -> np.ndarray:
+    """perfbench's seeded draws: n values in (0, 1], one per stratum, in random order."""
+    return rng.permutation((np.arange(n) + 1.0 - rng.random(n)) / n)
+
+
+def _counting(seen: list):
+    real = CharacteristicSolver._march
+
+    def march(self, *args):
+        out = real(self, *args)
+        seen.append(out[1])
+        return out
+
+    return march
+
+
+def main(argv: list[str]) -> int:
+    seed = int(argv[1]) if len(argv) > 1 else 1
+    cfg = config.parse_config(str(EXAMPLE_INI))
+    fig2, square, geometric = cfg.rates, cfg.initial(), InitialCondition.geometric(3.0)
+    linear = InitialCondition.polynomial([0, 1])
+    rng = np.random.default_rng(seed)
+    for _ in range(2):  # the reference workload's 1,000 trace_back points come first
+        _stratified(rng, 1000)
+    px, pt = 2.0 * _stratified(rng, 100) - 1.0, 5.0 * _stratified(rng, 100)
+    xs, ts = np.linspace(-1.0, 1.0, 41), np.linspace(0.0, 5.0, 51)
+
+    def decay(rates, h):
+        return lambda: CharacteristicSolver(rates, h).solve_difference_grid(xs, ts, steady_from_rates(rates))
+
+    def points(batched):
+        solver = CharacteristicSolver(fig2, h=square, t_max=5.0)
+        if batched:
+            return lambda: solver.solve_at(px, pt)
+        return lambda: [solver.solve_at(x, t) for x, t in zip(px.tolist(), pt.tolist())]
+
+    runs = {
+        "decay_fig2_geometric": decay(fig2, geometric),
+        "decay_fig6_geometric": decay(FIG6, geometric),
+        "decay_fig7_linear": decay(FIG7, linear),
+        "decay_fig7_square": decay(FIG7, square),
+        "reference_grid_square": lambda: solve_grid(cfg.x_grid(), cfg.t_grid(), fig2, square),
+        "reference_grid_geometric": lambda: solve_grid(cfg.x_grid(), cfg.t_grid(), fig2, geometric),
+        "points_batched": points(True),
+        "points_single": points(False),
+    }
+    seen: list[dict] = []
+    CharacteristicSolver._march = _counting(seen)
+    for name, run in runs.items():
+        seen.clear()
+        run()
+        total = {key: sum(st[key] for st in seen) for key in ("node_evals", "steps", "segments")}
+        print(name, " ".join(f"{key} {value}" for key, value in total.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
