@@ -52,11 +52,13 @@ the exponential quadrature of Hochbruck and Ostermann (Exponential
 integrators, Acta Numerica 19, 2010) on Gauss-Legendre nodes (Hairer,
 Norsett and Wanner, Solving ODEs I, sec. II.7).  g, the coefficients and
 the curve positions x - 1 = w0 / (e^L + psi w0) are evaluated once per step
-on the nodes of an 8-node and a 6-node rule together.  With I = h Ahat a
-the integral of a up to each node (Ahat_kj = int_0^{c_k} l_j), a row's node
-values are y_k = e^{I_k} (y + h sum_j Ahat_kj e^{-I_j} f_j), and its end
-value takes the rule's weights in place of a row of Ahat.  The 8-node
-result is kept; its difference from the 6-node result controls the step.
+on the nodes of two rules together: an 8-node and a 6-node rule, or a
+16-node and a 14-node rule when one curve alone is past t = 0, whose steps
+only its accuracy limits.  With I = h Ahat a the integral of a up to each
+node (Ahat_kj = int_0^{c_k} l_j), a row's node values are y_k = e^{I_k} (y +
+h sum_j Ahat_kj e^{-I_j} f_j), and its end value takes the rule's weights in
+place of a row of Ahat.  The larger rule's result is kept; its difference
+from the smaller rule's result controls the step.
 The origin offsets w0 = e^{L(t_i)} / (vbar - psi(t_i)) come from the
 backward map as computed, never as x0 - 1, which rounds to 0 once e^L is
 below machine epsilon.  The dense (L, psi) integration (DOP853) serves only
@@ -121,31 +123,33 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (xg + 1.0) / 2.0, wg / 2.0, 0.5 * (Q * (np.arange(n) + 0.5)) @ (P[:, :n] * wg[:, None]).T
 
 
-_ORDERS = (8, 6)  # the march's Gauss rules: the kept result's, then the error estimate's
+_PAIR = (8, 6)  # the march's Gauss rules: the kept result's nodes, then the error estimate's
+_LONE_PAIR = (16, 14)  # the rules of a march with one curve past t = 0, whose steps only its accuracy limits
 
 
 @functools.cache
-def _rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes (14, 1), block-diagonal Ahat (14, 14) and end weights (2, 14) of the march's two rules side by side.
+def _rules(pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (n, 1), block-diagonal Ahat (n, n) and end weights (2, n) of the pair's two rules side by side.
 
-    Built on the first march: it loads LAPACK and BLAS work space, about
-    1 MiB, that a process which never marches does not need.
+    n = sum(pair).  Built on the first march: it loads LAPACK and BLAS
+    work space, about 1 MiB, that a process which never marches does not
+    need.
     """
-    rules = [_gauss(n) for n in _ORDERS]
+    rules = [_gauss(n) for n in pair]
     return (np.concatenate([c for c, _, _ in rules])[:, None], block_diag(*(a for _, _, a in rules)),
             block_diag(*(b for _, b, _ in rules)))
 
 
-def _linear(y, a, f, h: float, out=None):
-    """Node values (14, ...), the two rules' end values (2, ...) and e^{I} of y' = a y + f on one step h from y.
+def _linear(y, a, f, h: float, pair: tuple[int, int], out=None):
+    """Node values (n, ...), the two rules' end values (2, ...) and e^{I} of y' = a y + f on one step h from y.
 
-    a and f hold their values at the nodes.  With I = h Ahat a, node k gets
-    e^{I_k} (y + h sum_j Ahat_kj e^{-I_j} f_j); an end value takes the
-    rule's weights in place of a row of Ahat, and is written to ``out``
-    when given.  The (14, n) arrays are updated in place, since their count
-    sets the march's peak memory.
+    a and f hold their values at the n nodes of the rules of ``pair``.
+    With I = h Ahat a, node k gets e^{I_k} (y + h sum_j Ahat_kj e^{-I_j}
+    f_j); an end value takes the rule's weights in place of a row of Ahat,
+    and is written to ``out`` when given.  The (n, m) arrays are updated in
+    place, since their count sets the march's peak memory.
     """
-    _, ahat, ends = _rules()
+    _, ahat, ends = _rules(pair)
     e = ahat @ a
     e *= h
     np.exp(e, out=e)
@@ -166,15 +170,19 @@ def _shrunk(h: float, fac: float, s: float) -> float:
 
 
 def _gather(at, tau, c, psi_k, e, h):
-    """Node times, coefficients, psi and e^L at the nodes (14, at.size), and lengths, of the step's lengths at."""
+    """Node times, coefficients, psi and e^L at the nodes (n, at.size), and lengths, of the step's lengths at."""
     return (tau.take(at, 1), Coefficients(*(v.take(at, 1) if isinstance(v, np.ndarray) else v for v in c)),
             psi_k.take(at, 1), e.take(at, 1), h.take(at))
 
 
-def _factor(err: float) -> float:
-    """Step-size factor 0.9 err^(-1/13) within [0.2, 10]: the error estimate is O(h^13); a non-finite one gives 0.2."""
+def _factor(err: float, pair: tuple[int, int]) -> float:
+    """Step-size factor 0.9 err^(-1/(2q+1)) within [0.2, 10]; a non-finite err gives 0.2.
+
+    The error estimate is the local error of the q-node rule of ``pair``,
+    O(h^(2q+1)): 1/13 for the (8, 6) pair, 1/29 for (16, 14).
+    """
     if err > 0.0:
-        return min(10.0, max(0.2, 0.9 * err ** (-1.0 / 13.0)))
+        return min(10.0, max(0.2, 0.9 * err ** (-1.0 / (2 * pair[1] + 1))))
     return 10.0 if err == 0.0 else 0.2
 
 
@@ -185,12 +193,14 @@ class SolutionField:
     G and Gx have shape (len(t), len(x)), and g is the mean-degree
     trajectory built from h'(1).  The transport marched (L, psi, G - 1,
     G_x) along every curve and nothing else.  ``stats`` holds the
-    transport's ``node_evals`` (14 per step attempt, each one evaluation
-    of g and the coefficients on the node times of the attempt's step
-    lengths, and of the data equations on all live curves), its accepted
-    ``steps``, its ``segments``, the distinct times whose curves it
-    retired (a step may retire several), and ``flow_rhs_evals``, the rhs
-    evaluations of the dense (L, psi) solve behind the backward trace.
+    transport's step ``attempts``, accepted and rejected, the first step's
+    probe included; its ``node_evals``, 14 per attempt, or 30 when one
+    curve is past t = 0 (each one evaluation of g and the coefficients on
+    the node times of the attempt's step lengths, and of the data
+    equations on all live curves); its accepted ``steps``; its
+    ``segments``, the distinct times whose curves it retired (a step may
+    retire several); and ``flow_rhs_evals``, the rhs evaluations of the
+    dense (L, psi) solve behind the backward trace.
     """
 
     x: np.ndarray
@@ -306,7 +316,7 @@ class CharacteristicSolver:
         self.g = ClosedFormMoment(derive_riccati(rates), h.mean_degree)
         self._flow = None  # dense (L, psi) on [0, self._horizon] once built
         self._flow_evals = 0  # rhs evaluations of the solve that built it
-        self._first_steps = {}  # the march's first step by rtol
+        self._first_steps = {}  # the march's first step by (rtol, pair)
         self._horizon = max(real("t_max", t_max), 0.0)  # an infinite horizon would never end the flow
 
     def _ensure(self, t: float):
@@ -414,11 +424,17 @@ class CharacteristicSolver:
     def _march(self, x, t, init, rhs, rtol, atol):
         """Data at the pairs (x_i, t_i), sorted by t, carried from t = 0 in one forward pass.
 
-        Each step attempt [s, s + h] (``_step``) evaluates g and the
-        coefficients once, on the 14 nodes of the 8- and the 6-node Gauss
-        rule.  From them come the march's own (L, psi) at the nodes, shared
-        by every curve, and the curves' offsets w = x - 1 = w0 / (e^L +
-        psi w0) there, from the origin offsets w0 the backward trace
+        The march steps with a pair (p, q) of Gauss rules of p > q nodes:
+        (8, 6), or (16, 14) when exactly one curve is past t = 0.  Such a
+        curve has one output time, so only its accuracy limits its steps;
+        on a (p + q, 1) array an attempt costs about the same at 30 nodes
+        as at 14, and (16, 14) takes 2.6 times fewer attempts.  Many curves
+        are limited by the spacing of their times or by a C^2 source, where
+        more nodes are only cost.  Each step attempt [s, s + h] (``_step``)
+        evaluates g and the coefficients once, on the p + q nodes of both
+        rules.  From them come the march's own (L, psi) at the nodes,
+        shared by every curve, and the curves' offsets w = x - 1 = w0 /
+        (e^L + psi w0) there, from the origin offsets w0 the backward trace
         computed.  Every data row is a linear equation y' = a y + f along
         the curves and is stepped by ``_linear``; the node values of a row
         may enter the rows after it.
@@ -426,23 +442,24 @@ class CharacteristicSolver:
         ``init(x0)`` gives the data at the origins, shape (k, n), and
         ``rhs(s, w, c)`` is a generator over the k rows of a block of at
         most ``_BLOCK`` curves: it yields (a, f) of a row at the node times
-        s while the curves sit at 1 + w, shape (14, n_block), with c =
+        s while the curves sit at 1 + w, shape (p + q, n_block), with c =
         coefficients(rates, g(s)), and is sent back that row's node values
-        before it yields the next.  s has shape (14, 1), or (14, n_block)
-        in a step that retires curves inside it, each curve at the nodes of
-        its own length.
+        before it yields the next.  s has shape (p + q, 1), or (p + q,
+        n_block) in a step that retires curves inside it, each curve at the
+        nodes of its own length.
 
-        The 8-node result is kept, and its difference from the 6-node
+        The p-node result is kept, and its difference from the q-node
         result is the error estimate, in scipy's RMS norm: ``rtol`` on
         every component, ``atol`` on the data and the flow's own ``ATOL``
         on (L, psi), since a data ``atol`` as small as 1e-280 must not
-        control L, which starts at 0.  The estimate is the 6-node rule's
-        local error, O(h^13).  A step is accepted at an error of at most 1,
-        and the next is h * min(10, max(0.2, 0.9 err^(-1/13))).  After an
-        accepted step that factor also looks ahead (Gustafsson, ACM TOMS 20,
-        1994): when the error constant err / h^13 grew since the last
-        accepted step, it is expected to grow as much again, and the factor
-        shrinks by the 13th root of that growth, down to 0.2.  A lone
+        control L, which starts at 0.  The estimate is the q-node rule's
+        local error, O(h^(2q+1)): O(h^13) or O(h^29).  A step is accepted at
+        an error of at most 1, and the next is h * min(10, max(0.2, 0.9
+        err^(-1/(2q+1)))).  After an accepted step that factor also looks
+        ahead (Gustafsson, ACM TOMS 20, 1994): when the error constant err /
+        h^(2q+1) grew since the last accepted step, it is expected to grow
+        as much again, and the factor shrinks by the (2q+1)th root of that
+        growth, down to 0.2.  A lone
         curve's constant grows 100- to 1,000-fold a step as it leaves x = 1
         near its own time.  A step that produces a non-finite value is
         rejected with the factor 0.2, and a rejected step below 10 ulp of s
@@ -459,20 +476,22 @@ class CharacteristicSolver:
         only where the error control accepts less than two of their
         spacings.  The step size carries over, and a step cut short keeps
         the larger step it was handed, unless that was the first step's
-        guess.  ``stats`` counts the node evaluations (14 per step
-        attempt), the accepted ``steps`` and the distinct times retired,
-        ``segments``.  Returns the data at each pair's own time, shape (k,
-        n), and the march's counts.
+        guess.  ``stats`` counts the step ``attempts``, the node
+        evaluations (p + q per attempt), the accepted ``steps`` and the distinct
+        times retired, ``segments``.  Returns the data at each pair's own
+        time, shape (k, n), and the march's counts.
         """
         origins, w0 = self._trace_back_many(x, t)
         y = np.array(init(origins), dtype=float)
         L = psi = s = 0.0
         last_step, last_err = 1.0, 0.0  # the last accepted step and its error
-        stats = {"node_evals": 0, "steps": 0, "segments": 0}
+        stats = {"attempts": 0, "node_evals": 0, "steps": 0, "segments": 0}
         lo = int(np.searchsorted(t, 0.0, side="right"))  # curves at t = 0 keep their data
+        pair = _LONE_PAIR if t.size - lo == 1 else _PAIR
+        growth = 1.0 / (2 * pair[1] + 1)  # the exponent of the error constant's growth
         times = np.unique(t[lo:]).tolist()
         ends = np.searchsorted(t, times, side="right").tolist()  # one past the last curve of each time
-        h = self._first_step(times[0], rtol, stats) if times else None
+        h = self._first_step(times[0], rtol, pair, stats) if times else None
         i, w_live, y_live = 0, w0[lo:], y[:, lo:]  # times[i] is the first time not yet retired
         while i < len(times):
             j = i  # times[i:j] are within reach
@@ -486,13 +505,14 @@ class CharacteristicSolver:
             lengths = [tk - s for tk in inside] + [step]
             # each live curve's index into lengths
             group = np.searchsorted(inside, t[lo:]) if inside else None
-            L_new, psi_new, new, err = self._step(rhs, s, lengths, group, L, psi, w_live, y_live, rtol, atol)
-            stats["node_evals"] += sum(_ORDERS)
-            fac = _factor(err)
+            L_new, psi_new, new, err = self._step(rhs, s, lengths, group, L, psi, w_live, y_live, rtol, atol, pair)
+            stats["attempts"] += 1
+            stats["node_evals"] += sum(pair)
+            fac = _factor(err, pair)
             if err <= 1.0:
                 if err > 0.0 and last_err > 0.0:
-                    # the growth of err / h^13, from ratios: h^13 underflows for h below 1e-25
-                    fac = max(0.2, fac * min(1.0, step / last_step * (last_err / err) ** (1.0 / 13.0)))
+                    # the growth of err / h^(2q+1), from ratios: h^13 underflows below h = 1e-25, h^29 below 1e-11
+                    fac = max(0.2, fac * min(1.0, step / last_step * (last_err / err) ** growth))
                 last_step, last_err = step, err
                 L, psi = L_new, psi_new
                 y_live[:] = new
@@ -509,7 +529,7 @@ class CharacteristicSolver:
         stats["flow_rhs_evals"] = self._flow_evals
         return y, stats
 
-    def _first_step(self, tj: float, rtol: float, stats: dict) -> float:
+    def _first_step(self, tj: float, rtol: float, pair: tuple[int, int], stats: dict) -> float:
         """The march's first step from t = 0, whose first distinct time is tj.
 
         The time scale of the coefficients at t = 0 is 1 / max(|A - B|, A).
@@ -517,49 +537,53 @@ class CharacteristicSolver:
         scale, and the march cuts it at the first time, as it cuts every
         first step.  Without A and B, (L, psi) stay 0, there is no time
         scale, and the step is infinite.  A longer first segment starts
-        from the step that (L, psi) alone accept, found once per ``rtol``.  (L, psi) set the error of a first
+        from the step that (L, psi) alone accept on the rules of ``pair``,
+        found once per ``rtol`` and pair.  (L, psi) set the error of a first
         step and do not depend on the curves, so that step is a function of
         the rates and h only, and a query's answer never depends on earlier
         queries.  The probe steps (L, psi) with no curve from the time
         scale, shrinks by the march's factor until the step is accepted, and
         grows once when the time scale itself is accepted with room to
-        spare.  Its node evaluations count in ``stats``.
+        spare.  Its attempts and node evaluations count in ``stats``.
         """
         c = coefficients(self.rates, self.g.g0)
         rate = max(abs(c.A - c.B), c.A)
         if tj * rate <= 1.0:
             return 1.0 / rate if rate > 0.0 else math.inf
-        if rtol not in self._first_steps:
+        if (rtol, pair) not in self._first_steps:
 
             def probe(h):
-                stats["node_evals"] += sum(_ORDERS)
-                return self._step(self._rows, 0.0, [h], None, 0.0, 0.0, np.empty(0), np.empty((0, 0)), rtol, ATOL)[3]
+                stats["attempts"] += 1
+                stats["node_evals"] += sum(pair)
+                empty = np.empty(0), np.empty((0, 0))
+                return self._step(self._rows, 0.0, [h], None, 0.0, 0.0, *empty, rtol, ATOL, pair)[3]
 
             h = start = 1.0 / rate
             err = probe(h)
             while not err <= 1.0:
-                h = _shrunk(h, _factor(err), 0.0)
+                h = _shrunk(h, _factor(err, pair), 0.0)
                 err = probe(h)
-            if h == start and _factor(err) > 1.0 and probe(h * _factor(err)) <= 1.0:
-                h *= _factor(err)
-            self._first_steps[rtol] = h
-        return self._first_steps[rtol]
+            if h == start and _factor(err, pair) > 1.0 and probe(h * _factor(err, pair)) <= 1.0:
+                h *= _factor(err, pair)
+            self._first_steps[rtol, pair] = h
+        return self._first_steps[rtol, pair]
 
-    def _step(self, rhs, s: float, lengths, group, L: float, psi: float, w0, y, rtol: float, atol: float):
+    def _step(self, rhs, s: float, lengths, group, L: float, psi: float, w0, y, rtol: float, atol: float, pair):
         """One step attempt of the march from s, on the live curves with origin offsets w0 and data y.
 
         Curve i is stepped over ``lengths[group[i]]``; ``group`` is None
         when every curve takes ``lengths[0]``.  The last length is the
         step.  g and the coefficients are evaluated once, on the node times
-        of every length, shape (14, len(lengths)), and each curve reads
-        those of its own length.  The node work runs on blocks of at most
-        ``_BLOCK`` curves, whose end values are written into full-width
-        arrays; the error norm is taken once over those, so the blocks
-        change no bit.  Returns L, psi and the data at the curves' ends by
-        the 8-node rule, and the error estimate over the data and the (L,
-        psi) of every length, which is nan when a value is not finite.
+        of the rules of ``pair`` for every length, shape (sum(pair),
+        len(lengths)), and each curve reads those of its own length.  The
+        node work runs on blocks of at most ``_BLOCK`` curves, whose end
+        values are written into full-width arrays; the error norm is taken
+        once over those, so the blocks change no bit.  Returns L, psi and
+        the data at the curves' ends by the pair's larger rule, and the
+        error estimate over the data and the (L, psi) of every length,
+        which is nan when a value is not finite.
         """
-        nodes, _, weights = _rules()
+        nodes, _, weights = _rules(pair)
         m = len(lengths)
         h = lengths[0] if m == 1 else np.array(lengths)
         tau = s + h * nodes
@@ -567,7 +591,7 @@ class CharacteristicSolver:
         ends = np.empty((2, *y.shape))
         with np.errstate(all="ignore"):  # a non-finite result rejects the step
             lam = c.A - c.B
-            psi_k, psi_e, e = _linear(psi, lam, c.A, h)
+            psi_k, psi_e, e = _linear(psi, lam, c.A, h, pair)
             L_e = L + h * (weights @ lam)
             e *= np.exp(L)  # e^L at the nodes
             for a0 in range(0, w0.size, _BLOCK):
@@ -589,7 +613,7 @@ class CharacteristicSolver:
                 y_k = None
                 for i in range(y.shape[0]):
                     a, f = rows.send(y_k)  # the first send starts the generator
-                    y_k, _, _ = _linear(y[i, cols], a, f, h_b, out=ends[:, i, cols])
+                    y_k, _, _ = _linear(y[i, cols], a, f, h_b, pair, out=ends[:, i, cols])
             new, low = ends
             sq = (((new - low) / (atol + rtol * np.maximum(np.abs(y), np.abs(new)))) ** 2).sum()
             for k in range(m):

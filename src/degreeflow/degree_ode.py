@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _NEG_TOL = -1e-10
+_TOL_FLOOR = 100 * float(np.finfo(float).eps)  # the least rtol scipy passes to LSODA; it raises a smaller one
 
 
 @dataclass
@@ -178,16 +179,18 @@ def integrate(
     TruncationError since it means probability reached the truncation
     boundary.  A preferential rate with a nonpositive first moment of p0
     raises DomainError; a solver trial step that reaches one raises
-    IntegrationError.  t_end, tol and mass_tol must be finite real numbers
-    > 0 (``model.real``).
+    IntegrationError.  t_end and mass_tol must be finite real numbers > 0
+    and tol one >= 100 eps, about 2.2e-14 (``model.real``): scipy quietly
+    raises a smaller rtol to that floor, and the run would report a
+    tolerance it did not use.
     """
     p0 = np.asarray(real_or_array(p0, "p0"))
     if p0.ndim != 1 or not np.all(np.isfinite(p0)):
         raise ValidationError("p0 must be a finite 1-d array")
     if np.any(p0 < _NEG_TOL) or abs(float(np.sum(p0)) - 1.0) > 1e-9:
         raise ValidationError("p0 must be a probability vector summing to 1")
-    t_end, tol, mass_tol = (real(name, v, 0.0, strict=True)
-                            for name, v in (("t_end", t_end), ("tol", tol), ("mass_tol", mass_tol)))
+    t_end, mass_tol = (real(name, v, 0.0, strict=True) for name, v in (("t_end", t_end), ("mass_tol", mass_tol)))
+    tol = real("tol", tol, _TOL_FLOOR)
     gen = _Generator(rates, p0.size)
     if p0.size < rates.m + 3:
         raise ValidationError(f"k_max must be at least m + 2 = {rates.m + 2}, got {p0.size - 1}")

@@ -206,6 +206,10 @@ def test_input_validation():
             integrate(p0, FIG2, 0.5, tol=bad)
         with pytest.raises(ValidationError):
             integrate(p0, FIG2, 0.5, mass_tol=bad)
+    # below 100 eps scipy quietly raises LSODA's rtol to 2.2e-14, and the
+    # run would report a tolerance it did not use
+    with pytest.raises(ValidationError, match=r"tol must be .* >= 2\.22045e-14"):
+        integrate(p0, FIG2, 0.5, tol=1e-20)
     for bad in (np.nan, np.inf):
         q = p0.copy()
         q[7] = bad

@@ -1,4 +1,4 @@
-"""Print the march counts of the benchmark's transports: node evaluations, accepted steps and segments.
+"""Print the march counts of the benchmark's transports: step attempts, node evaluations, accepted steps and segments.
 
 Runs, with the package from the ``src`` directory next to this script:
 
@@ -8,7 +8,9 @@ Runs, with the package from the ``src`` directory next to this script:
 - ``reference``'s two 41 x 11 grids of ``perfbench/example.ini``, FIG2 with
   h = x^2 and with geometric(3);
 - ``reference``'s 100 seeded points on FIG2 with h = x^2, as one batched
-  ``solve_at`` and as 100 single calls (counts summed).
+  ``solve_at`` and as 100 single calls (counts summed);
+- one late query on x = 1, FIG2 with h = x^2 to t = 230, a lone curve
+  whose coefficients are constant for most of its march.
 
 Each march's stats are read by wrapping ``CharacteristicSolver._march``,
 since ``solve_difference_grid`` and ``solve_at`` return no stats.  The
@@ -18,7 +20,9 @@ nothing beyond the standard library and the package's own dependencies.
 
 Usage: python tools/counts.py [SEED]   (SEED defaults to 1, as perfbench/run.py --seed 1)
 
-Prints one line per transport: ``<name> node_evals <n> steps <n> segments <n>``.
+Prints one line per transport: ``<name> attempts <n> node_evals <n> steps <n> segments <n>``.
+A march of one curve past t = 0 takes 30 node evaluations an attempt, any
+other 14.
 """
 
 from __future__ import annotations
@@ -84,13 +88,14 @@ def main(argv: list[str]) -> int:
         "reference_grid_geometric": lambda: solve_grid(cfg.x_grid(), cfg.t_grid(), fig2, geometric),
         "points_batched": points(True),
         "points_single": points(False),
+        "late_query_x1": lambda: solve_grid([1.0], [0.0, 230.0], fig2, square),
     }
     seen: list[dict] = []
     CharacteristicSolver._march = _counting(seen)
     for name, run in runs.items():
         seen.clear()
         run()
-        total = {key: sum(st[key] for st in seen) for key in ("node_evals", "steps", "segments")}
+        total = {key: sum(st[key] for st in seen) for key in ("attempts", "node_evals", "steps", "segments")}
         print(name, " ".join(f"{key} {value}" for key, value in total.items()))
     return 0
 
