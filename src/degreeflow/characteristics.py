@@ -371,23 +371,27 @@ class CharacteristicSolver:
         """
         x, t = _check_points(x_bar, t_bar)
         if isinstance(x, float):
-            return self._trace_back_one(x, t)
+            return self._trace_back_one(x, t)[0]
         return self._trace_back_many(x, t)[0]
 
-    def _trace_back_one(self, x_bar: float, t_bar: float) -> float:
-        """Origin x0 of the one curve through (x_bar, t_bar): ``_trace_back_many`` on floats."""
+    def _trace_back_one(self, x_bar: float, t_bar: float) -> tuple[float, float]:
+        """Origin x0 and offset w0 of the one curve through (x_bar, t_bar): ``_trace_back_many`` on floats.
+
+        The same operations in the same order give the same bits and raise
+        the same errors; w0 is x0 - 1 at t = 0 and kept as computed past it.
+        """
         x0 = min(max(x_bar, -1.0), 1.0)
-        if not t_bar > 0.0:
-            return x0
-        eL, psi = self._ensure(t_bar)(t_bar)
         d = x0 - 1.0
+        if not t_bar > 0.0:
+            return x0, d
+        eL, psi = self._ensure(t_bar)(t_bar)
         wo = eL / ((1.0 / d if d else math.inf) - psi)  # a curve on x = 1 has vbar = inf and the offset 0
         if wo > -_TINY and d < 0.0:
             raise _lost(wo, x0, t_bar, eL)
         xo = 1.0 + wo
         if xo < -1.0 - _CLAMP:
             raise _escaped(xo, x0, t_bar)
-        return max(xo, -1.0)
+        return max(xo, -1.0), max(wo, -2.0)  # wo <= 0: vbar <= -1/2 and psi >= 0
 
     def _trace_back_many(self, x_bar: np.ndarray, t_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Origins x0 and offsets w0 of the curves through (x_bar, t_bar).
@@ -421,8 +425,15 @@ class CharacteristicSolver:
 
     # -- transported values ------------------------------------------------
 
-    def _march(self, x, t, init, rhs, rtol, atol):
-        """Data at the pairs (x_i, t_i), sorted by t, carried from t = 0 in one forward pass.
+    def _march(self, x0, w0, t, init, rhs, rtol, atol):
+        """Data at times t, sorted, of the curves with origins x0 and offsets w0, carried from t = 0 in one pass.
+
+        The caller traces the curves, ``_trace_back_many`` for arrays of
+        pairs and ``_trace_back_one`` on floats for a single pair, and
+        passes x0 and w0 as arrays.  The time bookkeeping (the curves at t =
+        0, the distinct times and one past the last curve of each) runs on
+        t as a sorted Python list with ``bisect``: for one curve, numpy's
+        set-up of 1-element arrays costs more than the arithmetic.
 
         The march steps with a pair (p, q) of Gauss rules of p > q nodes:
         (8, 6), or (16, 14) when exactly one curve is past t = 0.  Such a
@@ -434,10 +445,9 @@ class CharacteristicSolver:
         evaluates g and the coefficients once, on the p + q nodes of both
         rules.  From them come the march's own (L, psi) at the nodes,
         shared by every curve, and the curves' offsets w = x - 1 = w0 /
-        (e^L + psi w0) there, from the origin offsets w0 the backward trace
-        computed.  Every data row is a linear equation y' = a y + f along
-        the curves and is stepped by ``_linear``; the node values of a row
-        may enter the rows after it.
+        (e^L + psi w0) there.  Every data row is a linear equation y' = a y
+        + f along the curves and is stepped by ``_linear``; the node values
+        of a row may enter the rows after it.
 
         ``init(x0)`` gives the data at the origins, shape (k, n), and
         ``rhs(s, w, c)`` is a generator over the k rows of a block of at
@@ -481,16 +491,19 @@ class CharacteristicSolver:
         times retired, ``segments``.  Returns the data at each pair's own
         time, shape (k, n), and the march's counts.
         """
-        origins, w0 = self._trace_back_many(x, t)
-        y = np.array(init(origins), dtype=float)
+        y = np.array(init(x0), dtype=float)
         L = psi = s = 0.0
         last_step, last_err = 1.0, 0.0  # the last accepted step and its error
         stats = {"attempts": 0, "node_evals": 0, "steps": 0, "segments": 0}
-        lo = int(np.searchsorted(t, 0.0, side="right"))  # curves at t = 0 keep their data
-        pair = _LONE_PAIR if t.size - lo == 1 else _PAIR
+        ts = t.tolist()
+        lo = k = bisect.bisect_right(ts, 0.0)  # curves at t = 0 keep their data
+        pair = _LONE_PAIR if len(ts) - lo == 1 else _PAIR
         growth = 1.0 / (2 * pair[1] + 1)  # the exponent of the error constant's growth
-        times = np.unique(t[lo:]).tolist()
-        ends = np.searchsorted(t, times, side="right").tolist()  # one past the last curve of each time
+        times, ends = [], []  # the distinct times past 0, and one past the last curve of each
+        while k < len(ts):
+            times.append(ts[k])
+            k = bisect.bisect_right(ts, ts[k], k)
+            ends.append(k)
         h = self._first_step(times[0], rtol, pair, stats) if times else None
         i, w_live, y_live = 0, w0[lo:], y[:, lo:]  # times[i] is the first time not yet retired
         while i < len(times):
@@ -645,17 +658,20 @@ class CharacteristicSolver:
         x_bar and t_bar are numbers, giving two floats, or equal-length 1-d
         arrays of pairs, giving two arrays, as for ``trace_back``.  The
         curves of all pairs are transported in one forward pass, each
-        retired at its own time.  A pair of numbers is checked on floats
-        and marched as the one curve it is, with no sorting of times; it
-        gives the same bits, and raises the same errors, as the same pair
-        in an array.  G(1, t) = 1 at every t.
+        retired at its own time.  A pair of numbers is checked and traced
+        on floats (``_trace_back_one``) and marched as the one curve it is,
+        with no sorting of times; it gives the same bits, and raises the
+        same errors, as the same pair in an array.  G(1, t) = 1 at every t.
         """
         x, t = _check_points(x_bar, t_bar)
         if isinstance(x, float):
-            (u,), (gx,) = self._march(np.array([x]), np.array([t]), self._initial_data, self._rows, RTOL, ATOL)[0]
+            x0, w0 = self._trace_back_one(x, t)
+            (u,), (gx,) = self._march(np.array([x0]), np.array([w0]), np.array([t]), self._initial_data, self._rows,
+                                      RTOL, ATOL)[0]
             return 1.0 + float(u), float(gx)
         order = np.argsort(t, kind="stable")
-        data, _ = self._march(x[order], t[order], self._initial_data, self._rows, RTOL, ATOL)
+        x, t = x[order], t[order]
+        data, _ = self._march(*self._trace_back_many(x, t), t, self._initial_data, self._rows, RTOL, ATOL)
         G, Gx = np.empty_like(data)
         G[order], Gx[order] = 1.0 + data[0], data[1]
         return G, Gx
@@ -668,7 +684,8 @@ class CharacteristicSolver:
         its pairs (x_i, t_j) in row order, in one forward pass.
         """
         x, t = _check_grid(x_grid, t_grid)
-        data, stats = self._march(*_pairs(x, t), self._initial_data, self._rows, RTOL, ATOL)
+        xs, ts = _pairs(x, t)
+        data, stats = self._march(*self._trace_back_many(xs, ts), ts, self._initial_data, self._rows, RTOL, ATOL)
         u, Gx = data.reshape(2, t.size, x.size)
         return SolutionField(x=x, t=t, G=1.0 + u, Gx=Gx, g=self.g, stats=stats)
 
@@ -741,7 +758,9 @@ class CharacteristicSolver:
         active = x != 1.0
         xs = x[active]
         D = np.zeros((t.size, x.size))
-        data, _ = self._march(*_pairs(xs, t), lambda x0: [h(x0) - steady(x0)], rhs, _DIFF_RTOL, 1e-280)
+        xp, tp = _pairs(xs, t)
+        data, _ = self._march(*self._trace_back_many(xp, tp), tp, lambda x0: [h(x0) - steady(x0)], rhs, _DIFF_RTOL,
+                              1e-280)
         D[:, active] = data.reshape(t.size, xs.size)
         return D
 

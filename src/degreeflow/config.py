@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .degree_ode import _TOL_FLOOR
 from .errors import ValidationError
 from .initial import InitialCondition
 from .model import _RATE_FIELDS, ProcessRates
@@ -212,8 +213,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValidationError("[grid] x_points must be >= 2 and t_points >= 1")
     if cfg.t_max <= 0.0:
         raise ValidationError(f"[grid] t_max must be positive, got {cfg.t_max}")
-    if cfg.oracle_tol <= 0.0 or cfg.oracle_mass_tol <= 0.0:
-        raise ValidationError("tolerances must be positive")
+    if cfg.oracle_tol < _TOL_FLOOR:  # integrate refuses it: scipy would quietly raise it to the floor
+        raise ValidationError(f"[oracle] tol must be at least 100 eps = {_TOL_FLOOR:.3g}, got {cfg.oracle_tol!r}")
+    if cfg.oracle_mass_tol <= 0.0:
+        raise ValidationError(f"[oracle] mass_tol must be positive, got {cfg.oracle_mass_tol!r}")
     if cfg.oracle_k_max < cfg.rates.m + 2:
         raise ValidationError(f"[oracle] k_max must be >= m + 2 = {cfg.rates.m + 2}")
     if cfg.mc_seed < 0:

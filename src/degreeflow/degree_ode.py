@@ -63,6 +63,12 @@ class _Generator:
     out of j (row 1) and to j + 1 (row 2).  The entry of row 2 in the last
     column would leave the truncation and is zero.  Rates that are not
     ProcessRates raise ValidationError.
+
+    ``rhs`` runs once per LSODA function evaluation, thousands of times a
+    solve, so it sets up no arrays of its own beyond its result: it fills
+    the weights (1, mu, 1 / mu) in place and writes their rows into one
+    (3, n) buffer, whose diagonal, upper and lower views are fixed here.
+    ``jac`` returns fresh rows, which LSODA may keep.
     """
 
     def __init__(self, rates: ProcessRates, n: int):
@@ -88,6 +94,10 @@ class _Generator:
         b[:, 2, -1] = 0.0
         self._b = b.reshape(3, -1)
         self._m, self._source = r.m, r.n_r + r.n_p
+        self._w = np.ones(3)  # rhs's weights (1, mu, 1 / mu)
+        self._wb = np.empty(3 * n)  # rhs's rows w @ B, flat
+        ab = self._wb.reshape(3, n)
+        self._diag, self._upper, self._lower = ab[1], ab[0, 1:], ab[2, :-1]
 
     def _moment(self, p: np.ndarray) -> tuple[float, float]:
         """mu and 1 / mu (0 when mu <= 0 and no term divides by it)."""
@@ -102,17 +112,14 @@ class _Generator:
         """w0 B0 + w1 B1 + w2 B2 in banded layout, shape (3, n)."""
         return (np.array(weights) @ self._b).reshape(3, -1)
 
-    @staticmethod
-    def _apply(ab: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Product of the banded tridiagonal matrix ``ab`` with p."""
-        out = ab[1] * p
-        out[:-1] += ab[0, 1:] * p[1:]
-        out[1:] += ab[2, :-1] * p[:-1]
-        return out
-
     def rhs(self, t, p):
-        mu, inv_mu = self._moment(p)
-        dp = self._apply(self._rows((1.0, mu, inv_mu)), p)
+        """T(mu) p + s e_m, a fresh array: the banded rows times p, diagonal first."""
+        w = self._w
+        w[1], w[2] = self._moment(p)
+        np.matmul(w, self._b, out=self._wb)
+        dp = self._diag * p
+        dp[:-1] += self._upper * p[1:]
+        dp[1:] += self._lower * p[:-1]
         if self._source:
             dp[self._m] += self._source
         return dp
@@ -243,7 +250,8 @@ def gf_eval(dist, x):
     An array x gives an array.  A number x (``model.real_or_array``) gives
     a float, from Horner's rule on Python floats: the same operations in
     the same order as on an array, so the same bits, without numpy's cost
-    of some microseconds for each operation on a 0-d array.
+    of some microseconds for each operation on a 0-d array.  The array path
+    updates one array in place, with no temporary per coefficient.
     """
     p = dist.p if isinstance(dist, TruncatedDistribution) else np.asarray(dist, dtype=float)
     x = real_or_array(x, "x")
@@ -254,5 +262,6 @@ def gf_eval(dist, x):
         return total
     out = np.zeros_like(x)
     for coeff in p[::-1]:
-        out = out * x + coeff
+        out *= x
+        out += coeff
     return out

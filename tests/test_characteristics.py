@@ -435,6 +435,21 @@ def test_a_scalar_pair_gives_the_bits_of_a_one_element_array(query):
             assert np.array(values).tobytes() == np.ravel(array).tobytes(), (x, t)
 
 
+def test_a_scalar_solve_at_traces_on_floats(monkeypatch):
+    # a pair of numbers is traced by _trace_back_one; the array trace,
+    # whose numpy set-up costs more than the float arithmetic of one curve,
+    # is never reached, at t = 0 or past it
+    solver = _solver(5.0)
+    expected = [solver.solve_at(np.array([x]), np.array([t])) for x, t in PARITY_PAIRS]
+
+    def refuse(*args):
+        raise AssertionError("a scalar solve_at called _trace_back_many")
+
+    monkeypatch.setattr(CharacteristicSolver, "_trace_back_many", refuse)
+    for (x, t), (G, Gx) in zip(PARITY_PAIRS, expected):
+        assert solver.solve_at(x, t) == (float(G[0]), float(Gx[0])), (x, t)
+
+
 def test_a_lone_curve_keeps_the_march_tolerance():
     # one curve past t = 0 steps with the 16- and 14-node rules, and far
     # longer steps than many curves take; its answers stay within the
@@ -443,8 +458,9 @@ def test_a_lone_curve_keeps_the_march_tolerance():
     solver = _solver(5.0)
     for x, t in PARITY_PAIRS:
         G, Gx = solver.solve_at(x, t)
-        tight, _ = solver._march(np.array([x]), np.array([t]), solver._initial_data, solver._rows, 1e-14,
-                                 characteristics.ATOL)
+        x0, w0 = solver._trace_back_one(x, t)
+        tight, _ = solver._march(np.array([x0]), np.array([w0]), np.array([t]), solver._initial_data, solver._rows,
+                                 1e-14, characteristics.ATOL)
         for v, ref in ((G, 1.0 + tight[0, 0]), (Gx, tight[1, 0])):
             assert abs(v - ref) <= characteristics.RTOL * max(1.0, abs(ref)), (x, t)
 
@@ -724,7 +740,8 @@ def test_linear_rows_are_exact_on_constant_coefficients():
 
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=4.0)
     x, t = np.tile(xs, ts.size), np.repeat(ts, xs.size)
-    data, _ = solver._march(x, t, lambda x0: [1.0 + x0], rows, characteristics.RTOL, characteristics.ATOL)
+    data, _ = solver._march(*solver._trace_back_many(x, t), t, lambda x0: [1.0 + x0], rows, characteristics.RTOL,
+                            characteristics.ATOL)
     origins = solver.trace_back(x, t)
     exact = np.exp(a * t) * (1.0 + origins) + f * np.expm1(a * t) / a
     assert np.max(np.abs(data[0] - exact)) <= 4 * eps
@@ -789,7 +806,7 @@ def test_a_step_below_ten_ulp_is_an_integration_error():
 
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=1.0)
     with pytest.raises(IntegrationError, match="below 10 ulp") as info:
-        solver._march(np.array([0.3]), np.array([1.0]), lambda x0: [x0], rows,
-                      characteristics.RTOL, characteristics.ATOL)
+        solver._march(*solver._trace_back_many(np.array([0.3]), np.array([1.0])), np.array([1.0]), lambda x0: [x0],
+                      rows, characteristics.RTOL, characteristics.ATOL)
     s = float(str(info.value).split("t = ")[1].split(":")[0])
     assert abs(s - 0.5) <= 1e-13

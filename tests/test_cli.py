@@ -353,6 +353,23 @@ def test_non_finite_config_values(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("error:")
 
 
+def test_an_oracle_tol_below_the_integrate_floor_is_invalid_for_every_subcommand(tmp_path, capsys):
+    # integrate refuses a tol below 100 eps, which scipy would quietly raise
+    # to that floor; the config refuses it too, so solve and steady do not
+    # run on a file that ode and mc reject
+    for tol in ("1e-20", "0", "-1e-10"):
+        ini, _ = _ini(tmp_path, BASE + f"\n[oracle]\ntol = {tol}\n")
+        with pytest.raises(ValidationError, match=re.escape("[oracle] tol")):
+            parse_config(ini)
+        for cmd in ("solve", "steady", "ode", "mc", "compare"):
+            assert main([cmd, "--config", ini]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "[oracle] tol" in err, (tol, cmd)
+    floor = 100 * float(np.finfo(float).eps)
+    ini, _ = _ini(tmp_path, BASE + f"\n[oracle]\ntol = {floor!r}\n")
+    assert parse_config(ini).oracle_tol == floor
+
+
 def test_parse_config_round_trip(tmp_path):
     ini, _ = _ini(tmp_path)
     cfg = parse_config(ini)

@@ -1,5 +1,6 @@
 """Truncated degree-distribution system and its generating-function views."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,11 @@ FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
 def master_rhs(p, rates):
     """dp/dt of the truncated master equation at p."""
     return _Generator(rates, p.size).rhs(0.0, p)
+
+
+def _dense(ab):
+    """The tridiagonal matrix of the banded rows ab."""
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
 
 
 def test_rhs_reference_point():
@@ -66,9 +72,8 @@ def test_jacobian_matches_central_difference():
         p = rng.uniform(0, 1, n)
         p /= p.sum()
         ab = gen.jac(0.0, p)
-        T = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
         mu = k @ p
-        J = T + np.outer(gen._apply(gen._rows((0.0, 1.0, -1.0 / mu**2)), p), k)
+        J = _dense(ab) + np.outer(_dense(gen._rows((0.0, 1.0, -1.0 / mu**2))) @ p, k)
         fd = np.empty((n, n))
         for j in range(n):
             e = np.zeros(n)
@@ -77,6 +82,35 @@ def test_jacobian_matches_central_difference():
         assert np.max(np.abs(J - fd)) <= 1e-9 * np.max(np.abs(J))
         # the banded rows hold no entry outside the matrix
         assert ab[0, 0] == 0.0 and ab[2, -1] == 0.0
+
+
+@pytest.mark.parametrize("rates", [
+    FIG2,
+    ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=0, l_p=1, n_d=1, n_r=0, n_p=0, m=3),
+    ProcessRates(omega_r=0.5, omega_p=1, l_d=1, l_r=1, l_p=0.5, n_d=0, n_r=1, n_p=0.5, m=2),
+], ids=["fig2", "fig6", "no-node-deletion"])
+def test_rhs_gives_the_bits_of_the_banded_rows(rates):
+    # rhs writes its rows into a buffer kept by the generator; its result
+    # is T(mu) p + s e_m from the fresh rows of _rows, bit for bit: the
+    # diagonal product first, then the upper and the lower one.  A second
+    # call leaves the first call's result as it was, so the buffer is
+    # never handed out.
+    rng = np.random.default_rng(31)
+    n = 60
+    gen = _Generator(rates, n)
+    results = []
+    for _ in range(4):
+        p = rng.dirichlet(np.ones(n))
+        ab = gen._rows((1.0, *gen._moment(p)))
+        ref = ab[1] * p
+        ref[:-1] += ab[0, 1:] * p[1:]
+        ref[1:] += ab[2, :-1] * p[:-1]
+        ref[rates.m] += rates.n_r + rates.n_p
+        dp = gen.rhs(0.0, p)
+        assert dp.tobytes() == ref.tobytes()
+        results.append((dp, dp.copy()))
+    for dp, copy in results:
+        assert dp.tobytes() == copy.tobytes()
 
 
 def test_oracle_rhs_evaluation_budget(monkeypatch):
@@ -258,6 +292,17 @@ def test_gf_eval_on_a_scalar_gives_the_bits_of_a_one_element_array():
                 value = gf_eval(dist, arg)
                 assert type(value) is float
                 assert np.array([value]).tobytes() == array.tobytes(), x
+
+
+def test_gf_eval_on_an_array_keeps_its_bits():
+    # Horner's rule on one array updated in place gives the bits of the
+    # same rule with a fresh array per coefficient; the digest was taken
+    # with the latter.  p and x are exact quotients, so the inputs carry
+    # the same bits on every platform.
+    p = ((np.arange(201) * 37) % 101 + 1) / 5151.0
+    xs = (np.arange(41) - 20) / 20
+    digest = hashlib.sha256(gf_eval(p, xs).tobytes()).hexdigest()
+    assert digest == "c19e0519924468e6ba572d21e24de84919964e1730af4c2dbe65c041942e7d3e"
 
 
 def test_frozen_distribution_under_zero_rates():

@@ -1,4 +1,4 @@
-"""Print the march counts of the benchmark's transports: step attempts, node evaluations, accepted steps and segments.
+"""Print the solver counts of the benchmark's transports and of its master-equation oracles.
 
 Runs, with the package from the ``src`` directory next to this script:
 
@@ -10,19 +10,24 @@ Runs, with the package from the ``src`` directory next to this script:
 - ``reference``'s 100 seeded points on FIG2 with h = x^2, as one batched
   ``solve_at`` and as 100 single calls (counts summed);
 - one late query on x = 1, FIG2 with h = x^2 to t = 230, a lone curve
-  whose coefficients are constant for most of its march.
+  whose coefficients are constant for most of its march;
+- ``reference``'s three LSODA oracles on FIG2 with k_max = 200 and tol =
+  1e-12: h = x^2 and geometric(3) to t = 1, and h = x^2 to t = 5.
 
 Each march's stats are read by wrapping ``CharacteristicSolver._march``,
-since ``solve_difference_grid`` and ``solve_at`` return no stats.  The
-counts depend on the arithmetic only, not on the machine's speed, so two
-checkouts can be compared line by line where timings drift.  Needs
-nothing beyond the standard library and the package's own dependencies.
+since ``solve_difference_grid`` and ``solve_at`` return no stats; each
+oracle's from ``DistributionTrajectory.stats``.  The counts depend on the
+arithmetic only, not on the machine's speed, so two checkouts can be
+compared line by line where timings drift.  Needs nothing beyond the
+standard library and the package's own dependencies.
 
 Usage: python tools/counts.py [SEED]   (SEED defaults to 1, as perfbench/run.py --seed 1)
 
 Prints one line per transport: ``<name> attempts <n> node_evals <n> steps <n> segments <n>``.
 A march of one curve past t = 0 takes 30 node evaluations an attempt, any
-other 14.
+other 14.  Then one line per oracle: ``<name> rhs_evals <n> jac_evals <n>
+steps <n>``, LSODA's right-hand-side and Jacobian evaluations and its
+accepted steps.
 """
 
 from __future__ import annotations
@@ -36,11 +41,13 @@ import numpy as np  # noqa: E402  (the package's own dependency)
 
 from degreeflow import InitialCondition, ProcessRates, config  # noqa: E402
 from degreeflow.characteristics import CharacteristicSolver, solve_grid  # noqa: E402
+from degreeflow.degree_ode import integrate  # noqa: E402
 from degreeflow.steady import steady_from_rates  # noqa: E402
 
 FIG6 = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=0, l_p=1, n_d=1, n_r=0, n_p=0, m=3)
 FIG7 = ProcessRates(omega_r=1, omega_p=0, l_d=1, l_r=1, l_p=0, n_d=1, n_r=1, n_p=0, m=3)
 EXAMPLE_INI = Path(__file__).resolve().parents[1] / "perfbench" / "example.ini"
+ORACLE_K_MAX, ORACLE_TOL = 200, 1e-12  # perfbench's reference oracles
 
 
 def _stratified(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -97,6 +104,10 @@ def main(argv: list[str]) -> int:
         run()
         total = {key: sum(st[key] for st in seen) for key in ("attempts", "node_evals", "steps", "segments")}
         print(name, " ".join(f"{key} {value}" for key, value in total.items()))
+    for name, h, t_end in (("oracle_square_t1", square, 1.0), ("oracle_geometric_t1", geometric, 1.0),
+                           ("oracle_square_t5", square, 5.0)):
+        stats = integrate(h.coefficients(ORACLE_K_MAX), fig2, t_end, tol=ORACLE_TOL).stats
+        print(name, " ".join(f"{key} {stats[key]}" for key in ("rhs_evals", "jac_evals", "steps")))
     return 0
 
 
