@@ -140,14 +140,16 @@ def _rules(pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             block_diag(*(b for _, b, _ in rules)))
 
 
-def _linear(y, a, f, h: float, pair: tuple[int, int], out=None):
+def _linear(y, a, f, h: float, pair: tuple[int, int], out=None, nodes: bool = True):
     """Node values (n, ...), the two rules' end values (2, ...) and e^{I} of y' = a y + f on one step h from y.
 
     a and f hold their values at the n nodes of the rules of ``pair``.
     With I = h Ahat a, node k gets e^{I_k} (y + h sum_j Ahat_kj e^{-I_j}
     f_j); an end value takes the rule's weights in place of a row of Ahat,
-    and is written to ``out`` when given.  The (n, m) arrays are updated in
-    place, since their count sets the march's peak memory.
+    and is written to ``out`` when given.  The node values are None when
+    ``nodes`` is false: only a row that a later row reads needs them, and
+    the end values do not depend on them.  The (n, m) arrays are updated
+    in place, since their count sets the march's peak memory.
     """
     _, ahat, ends = _rules(pair)
     e = ahat @ a
@@ -155,10 +157,12 @@ def _linear(y, a, f, h: float, pair: tuple[int, int], out=None):
     np.exp(e, out=e)
     q = f / e
     q *= h
-    nodes = ahat @ q
-    nodes += y
-    nodes *= e
-    return nodes, np.multiply(np.exp(h * (ends @ a)), y + ends @ q, out=out), e
+    y_k = None
+    if nodes:
+        y_k = ahat @ q
+        y_k += y
+        y_k *= e
+    return y_k, np.multiply(np.exp(h * (ends @ a)), y + ends @ q, out=out), e
 
 
 def _shrunk(h: float, fac: float, s: float) -> float:
@@ -169,9 +173,9 @@ def _shrunk(h: float, fac: float, s: float) -> float:
     return h
 
 
-def _gather(at, tau, c, psi_k, e, h):
-    """Node times, coefficients, psi and e^L at the nodes (n, at.size), and lengths, of the step's lengths at."""
-    return (tau.take(at, 1), Coefficients(*(v.take(at, 1) if isinstance(v, np.ndarray) else v for v in c)),
+def _gather(at, rhs, tau, c, psi_k, e, h):
+    """``rhs`` at the node times and coefficients of the step's lengths ``at``, psi and e^L there, and the lengths."""
+    return (rhs(tau.take(at, 1), Coefficients(*(v.take(at, 1) if isinstance(v, np.ndarray) else v for v in c))),
             psi_k.take(at, 1), e.take(at, 1), h.take(at))
 
 
@@ -430,7 +434,7 @@ class CharacteristicSolver:
 
         The caller traces the curves, ``_trace_back_many`` for arrays of
         pairs and ``_trace_back_one`` on floats for a single pair, and
-        passes x0 and w0 as arrays.  The time bookkeeping (the curves at t =
+        passes w0 as an array.  The time bookkeeping (the curves at t =
         0, the distinct times and one past the last curve of each) runs on
         t as a sorted Python list with ``bisect``: for one curve, numpy's
         set-up of 1-element arrays costs more than the arithmetic.
@@ -440,8 +444,9 @@ class CharacteristicSolver:
         curve has one output time, so only its accuracy limits its steps;
         on a (p + q, 1) array an attempt costs about the same at 30 nodes
         as at 14, and (16, 14) takes 2.6 times fewer attempts.  Many curves
-        are limited by the spacing of their times or by a C^2 source, where
-        more nodes are only cost.  Each step attempt [s, s + h] (``_step``)
+        are limited by their many output times, each group of curves
+        needing short steps as it nears its own time, where more nodes are
+        only cost.  Each step attempt [s, s + h] (``_step``)
         evaluates g and the coefficients once, on the p + q nodes of both
         rules.  From them come the march's own (L, psi) at the nodes,
         shared by every curve, and the curves' offsets w = x - 1 = w0 /
@@ -449,14 +454,17 @@ class CharacteristicSolver:
         + f along the curves and is stepped by ``_linear``; the node values
         of a row may enter the rows after it.
 
-        ``init(x0)`` gives the data at the origins, shape (k, n), and
-        ``rhs(s, w, c)`` is a generator over the k rows of a block of at
-        most ``_BLOCK`` curves: it yields (a, f) of a row at the node times
-        s while the curves sit at 1 + w, shape (p + q, n_block), with c =
-        coefficients(rates, g(s)), and is sent back that row's node values
-        before it yields the next.  s has shape (p + q, 1), or (p + q,
-        n_block) in a step that retires curves inside it, each curve at the
-        nodes of its own length.
+        ``init(x0)`` gives the data at the origins, shape (k, n); a scalar
+        ``solve_at`` passes its one origin as a float.  ``rhs(s, c)``, with
+        c = coefficients(rates, g(s)) at the node times s, returns
+        ``rows(w)``, a generator over the k rows of a block of at most
+        ``_BLOCK`` curves: it yields (a, f) of a row while the curves sit at
+        1 + w, shape (p + q, n_block), and is sent back that row's node
+        values before it yields the next; the last row's are not formed.
+        rhs is called once per step attempt with s of shape (p + q, 1), so
+        what depends on s alone is formed once, or once per block with s of
+        shape (p + q, n_block) in a step that retires curves inside it, each
+        curve at the nodes of its own length.
 
         The p-node result is kept, and its difference from the q-node
         result is the error estimate, in scipy's RMS norm: ``rtol`` on
@@ -607,13 +615,13 @@ class CharacteristicSolver:
             psi_k, psi_e, e = _linear(psi, lam, c.A, h, pair)
             L_e = L + h * (weights @ lam)
             e *= np.exp(L)  # e^L at the nodes
+            if m == 1:  # one rhs call per attempt
+                rows_of, psi_b, e_b, h_b = rhs(tau, c), psi_k, e, h
             for a0 in range(0, w0.size, _BLOCK):
                 cols = slice(a0, a0 + _BLOCK)
-                if m == 1:
-                    tau_b, c_b, psi_b, e_b, h_b = tau, c, psi_k, e, h
-                else:  # each curve reads the column of its length, a block of one length one column
+                if m > 1:  # each curve reads the column of its length, a block of one length one column
                     at = group[cols]
-                    tau_b, c_b, psi_b, e_b, h_b = _gather(at[:1] if at[0] == at[-1] else at, tau, c, psi_k, e, h)
+                    rows_of, psi_b, e_b, h_b = _gather(at[:1] if at[0] == at[-1] else at, rhs, tau, c, psi_k, e, h)
                 w = psi_b * w0[cols]
                 w += e_b
                 np.divide(w0[cols], w, out=w)
@@ -622,11 +630,11 @@ class CharacteristicSolver:
                     w[:, w0[cols] == 0.0] = 0.0
                     if not np.isfinite(w).all():
                         return L, psi, None, math.nan
-                rows = rhs(tau_b, w, c_b)
+                rows = rows_of(w)
                 y_k = None
                 for i in range(y.shape[0]):
                     a, f = rows.send(y_k)  # the first send starts the generator
-                    y_k, _, _ = _linear(y[i, cols], a, f, h_b, pair, out=ends[:, i, cols])
+                    y_k, _, _ = _linear(y[i, cols], a, f, h_b, pair, out=ends[:, i, cols], nodes=i + 1 < y.shape[0])
             new, low = ends
             sq = (((new - low) / (atol + rtol * np.maximum(np.abs(y), np.abs(new)))) ** 2).sum()
             for k in range(m):
@@ -634,23 +642,27 @@ class CharacteristicSolver:
                     sq += ((hi - lw) / (ATOL + rtol * max(abs(old), abs(hi)))) ** 2
         return float(L_e[0, -1]), float(psi_e[0, -1]), new, math.sqrt(sq / (2 * m + y.size))
 
-    def _initial_data(self, x0: np.ndarray) -> np.ndarray:
-        """(u, p1) = (h - 1, h') at the origins x0."""
-        return np.array([self.h(x0) - 1.0, self.h.derivative(x0)], dtype=float)
+    def _initial_data(self, x0):
+        """(u, p1) = (h - 1, h') at the origins x0, shape (2, n); a float x0 is one origin, read on floats."""
+        return np.reshape([self.h(x0) - 1.0, self.h.derivative(x0)], (2, -1))
 
-    def _rows(self, s, w, k):
-        """The rows (u, p1) = (G - 1, G_x) along the curves at x = 1 + w; k holds the coefficients at g(s).
+    def _rows(self, s, k):
+        """``rows(w)``, the rows (u, p1) = (G - 1, G_x) along the curves at x = 1 + w; k holds the coefficients at g(s).
 
         z = G obeys z' = hb z + c4 x^m, hb = w C - c4, so u = z - 1 obeys
         u' = hb u + (hb + c4 x^m), whose source is exactly -c4 + c4 = 0 at
         w = 0.  p1' is the x-derivative of z', fed by the node values of u.
         """
         m = self.rates.m
-        x = 1.0 + w
-        hb = w * k.C - k.c4
-        u = yield hb, hb + k.c4 * x**m
-        src = m * k.c4 * x ** (m - 1) if m > 0 else 0.0
-        yield 2.0 * k.A * x - k.A - k.B + hb, k.C * (1.0 + u) + src
+
+        def rows(w):
+            x = 1.0 + w
+            hb = w * k.C - k.c4
+            u = yield hb, hb + k.c4 * x**m
+            src = m * k.c4 * x ** (m - 1) if m > 0 else 0.0
+            yield 2.0 * k.A * x - k.A - k.B + hb, k.C * (1.0 + u) + src
+
+        return rows
 
     def solve_at(self, x_bar, t_bar):
         """(G, G_x) at the point (x_bar, t_bar).
@@ -659,15 +671,15 @@ class CharacteristicSolver:
         arrays of pairs, giving two arrays, as for ``trace_back``.  The
         curves of all pairs are transported in one forward pass, each
         retired at its own time.  A pair of numbers is checked and traced
-        on floats (``_trace_back_one``) and marched as the one curve it is,
-        with no sorting of times; it gives the same bits, and raises the
-        same errors, as the same pair in an array.  G(1, t) = 1 at every t.
+        on floats (``_trace_back_one``), its initial data are read on
+        floats, and it is marched as the one curve it is, with no sorting
+        of times; it gives the same bits, and raises the same errors, as
+        the same pair in an array.  G(1, t) = 1 at every t.
         """
         x, t = _check_points(x_bar, t_bar)
         if isinstance(x, float):
             x0, w0 = self._trace_back_one(x, t)
-            (u,), (gx,) = self._march(np.array([x0]), np.array([w0]), np.array([t]), self._initial_data, self._rows,
-                                      RTOL, ATOL)[0]
+            (u,), (gx,) = self._march(x0, np.array([w0]), np.array([t]), self._initial_data, self._rows, RTOL, ATOL)[0]
             return 1.0 + float(u), float(gx)
         order = np.argsort(t, kind="stable")
         x, t = x[order], t[order]
@@ -742,18 +754,24 @@ class CharacteristicSolver:
         xs_tab = np.linspace(-1.0 - 2e-3, 1.0, 4097)
         lookup = _value_and_slope(CubicSpline(xs_tab, np.asarray(steady(xs_tab), dtype=float)))
 
-        def rhs(s, w, k):
+        def rhs(s, k):
             gap = g.gap(s)
             # A is linear in 1/g, so A(g) - A(g_inf) = A_g(g) g gap / g_inf
             # with g = g_inf + gap; A_g vanishes whenever g_inf does.
             dA = k.A_g * (g_inf + gap) * gap / g_inf if g_inf else 0.0
-            gs, gsx = lookup(1.0 + w)
-            # the source w ((dA x - B_g gap) G*' + C_g gap G*), built in gsx
-            gsx *= dA * (1.0 + w) - k.B_g * gap
-            gsx += k.C_g * gap * gs
-            gsx *= w
-            del gs
-            yield w * k.C - k.c4, gsx
+            b_gap, c_gap = k.B_g * gap, k.C_g * gap
+
+            def rows(w):
+                x = 1.0 + w
+                gs, src = lookup(x)
+                # the source w ((dA x - B_g gap) G*' + C_g gap G*), built in src; x and gs take the products
+                src *= np.subtract(np.multiply(x, dA, out=x), b_gap, out=x)
+                src += np.multiply(gs, c_gap, out=gs)
+                src *= w
+                del x, gs
+                yield w * k.C - k.c4, src
+
+            return rows
 
         active = x != 1.0
         xs = x[active]
@@ -775,9 +793,10 @@ def _value_and_slope(spline):
     only a rejected step of the march places a curve there.  Horner's rule
     on the coefficients of interval i in powers of r = x - x_i gives the
     value and the slope (de Boor, A Practical Guide to Splines).  The four
-    coefficient rows are kept contiguous and gathered with ``take``, one at
-    a time into an in-place Horner pass, which bounds the (14, n)
-    temporaries of a march step.
+    coefficient rows are kept contiguous and gathered with ``take`` into an
+    in-place Horner pass, which bounds the (14, n) temporaries of a march
+    step.  Each row is gathered once per lookup: rows 0 and 2 feed both
+    the value and the slope, and 2 c1 is a row of its own.
     """
     knots = spline.x
     row0, row1, row2, row3 = (np.ascontiguousarray(row) for row in spline.c)
@@ -788,11 +807,13 @@ def _value_and_slope(spline):
     def lookup(x):
         i = np.clip((x - lo) * scale, 0, n - 1).astype(np.intp)
         r = x - knots.take(i)
-        value, slope = row0.take(i), row0.take(i)  # ((c0 r + c1) r + c2) r + c3
-        slope *= 3.0  # (3 c0 r + 2 c1) r + c2
-        for v, c in ((value, row1), (slope, row1x2), (value, row2), (slope, row2), (value, row3)):
-            v *= r
-            v += c.take(i)
+        value = row0.take(i)  # ((c0 r + c1) r + c2) r + c3
+        slope = value * 3.0  # (3 c0 r + 2 c1) r + c2
+        for targets, row in (((value,), row1), ((slope,), row1x2), ((value, slope), row2), ((value,), row3)):
+            c = row.take(i)
+            for v in targets:
+                v *= r
+                v += c
         return value, slope
 
     return lookup

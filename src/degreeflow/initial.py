@@ -82,32 +82,33 @@ class InitialCondition:
 
     # -- evaluation --------------------------------------------------------
 
+    # x is one number or an array, as ``real_or_array`` reads it.  A number
+    # takes the float path: Horner's rule in polyval's order and the tail on
+    # Python floats, which give the array path's bits in a fraction of
+    # numpy's set-up time for one element.  Powers are numpy's on both paths,
+    # since libm's pow and numpy's SIMD power differ in the last bit.
+
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = P.polyval(x, self.head) if self.head.size else np.zeros_like(x)
+        x = real_or_array(x, "x")
+        out = _polyval(x, self.head) if self.head.size else _zero(x)
         if self.tail is not None:
             a, rho = self.tail
             k0 = self.head.size
-            out = out + a * rho ** (1 - k0) * x**k0 / (rho - x)
-        out = out * self._scale
-        return float(out) if out.ndim == 0 else out
+            out = out + a * rho ** (1 - k0) * _power(x, k0) / (rho - x)
+        return out * self._scale
 
     def derivative(self, x):
         """h'(x); h'(1) is the initial mean degree."""
-        x = np.asarray(x, dtype=float)
-        if self.head.size > 1:
-            out = P.polyval(x, self._slope)
-        else:
-            out = np.zeros_like(x)
+        x = real_or_array(x, "x")
+        out = _polyval(x, self._slope) if self.head.size > 1 else _zero(x)
         if self.tail is not None:
             a, rho = self.tail
             k0 = self.head.size
             if k0 == 0:
-                out = out + a * rho / (rho - x) ** 2
+                out = out + a * rho / _power(rho - x, 2)
             else:
-                out = out + a * rho ** (1 - k0) * x ** (k0 - 1) * (k0 * (rho - x) + x) / (rho - x) ** 2
-        out = out * self._scale
-        return float(out) if out.ndim == 0 else out
+                out = out + a * rho ** (1 - k0) * _power(x, k0 - 1) * (k0 * (rho - x) + x) / _power(rho - x, 2)
+        return out * self._scale
 
     @property
     def mean_degree(self) -> float:
@@ -131,3 +132,24 @@ class InitialCondition:
             a, rho = self.tail
             return f"InitialCondition.geometric(rho={rho!r}, a={a!r})"
         return f"InitialCondition({self.kind!r}, head={self.head!r}, tail={self.tail!r})"
+
+
+def _polyval(x, c):
+    """numpy's polyval of the coefficients c at x; on floats when x is a float, in polyval's order."""
+    if not isinstance(x, float):
+        return P.polyval(x, c)
+    c = c.tolist()
+    out = c[-1] + x * 0
+    for ck in reversed(c[:-1]):
+        out = ck + out * x
+    return out
+
+
+def _zero(x):
+    """0 in the shape of x."""
+    return 0.0 if isinstance(x, float) else np.zeros_like(x)
+
+
+def _power(x, k: int):
+    """x ** k by numpy's power, a float for a float."""
+    return float(np.power(x, k)) if isinstance(x, float) else x**k

@@ -174,7 +174,8 @@ def real_or_array(v, name: str):
 
     Every float path in the package is chosen by this one rule: the scalar
     queries of ``CharacteristicSolver``, ``degree_ode.gf_eval``,
-    ``coefficients`` and ``riccati.ClosedFormMoment``.  Whatever
+    ``coefficients``, ``riccati.ClosedFormMoment`` and
+    ``InitialCondition``.  Whatever
     ``np.asarray(v, dtype=float)`` makes 0-d is one number (a Fraction, a
     0-d array, None as nan), and a float or an int skips np.asarray, which
     costs about a microsecond.  It only converts: NaN and inf pass, and
@@ -214,7 +215,8 @@ def coefficients(rates: ProcessRates, g) -> Coefficients:
     floats.  g enters A only as wsum / g, wsum = 2 l_p + m n_p.  Without
     that term A stays finite down to g = 0, where the moment of a dying
     network underflows; with it, a g whose square underflows raises
-    DomainError.
+    DomainError, and so does a NaN g, whose message says that the
+    closed-form moment overflowed.
     """
     g = real_or_array(g, "g")
     wsum = 2.0 * rates.l_p + rates.m * rates.n_p
@@ -224,7 +226,10 @@ def coefficients(rates: ProcessRates, g) -> Coefficients:
     elif g * g > 0.0 if isinstance(g, float) else np.count_nonzero(g * g > 0.0) == g.size:
         A, A_g = rates.omega_p + wsum / g, -wsum / g**2
     else:
-        raise DomainError(f"first moment g = {float(np.min(g))!r} is too small for the wsum / g term of A")
+        g_min = float(np.min(g))  # nan when any moment is nan
+        if math.isnan(g_min):  # inf passes the test above
+            raise DomainError(f"first moment g = {g_min!r}: the closed-form moment overflowed for these rates")
+        raise DomainError(f"first moment g = {g_min!r} is too small for the wsum / g term of A")
     # positional: keywords double the cost, and the dense flow calls this
     # once per right-hand-side evaluation
     return Coefficients(

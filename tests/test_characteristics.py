@@ -450,6 +450,20 @@ def test_a_scalar_solve_at_traces_on_floats(monkeypatch):
         assert solver.solve_at(x, t) == (float(G[0]), float(Gx[0])), (x, t)
 
 
+def test_a_scalar_solve_at_reads_its_initial_data_on_floats(monkeypatch):
+    # the one origin of a pair of numbers is evaluated on InitialCondition's
+    # float path; numpy's polyval, which the array path runs, is never reached
+    solver = _solver(5.0)
+    expected = [solver.solve_at(np.array([x]), np.array([t])) for x, t in PARITY_PAIRS]
+
+    def refuse(*args):
+        raise AssertionError("a scalar solve_at called numpy's polyval")
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval", refuse)
+    for (x, t), (G, Gx) in zip(PARITY_PAIRS, expected):
+        assert solver.solve_at(x, t) == (float(G[0]), float(Gx[0])), (x, t)
+
+
 def test_a_lone_curve_keeps_the_march_tolerance():
     # one curve past t = 0 steps with the 16- and 14-node rules, and far
     # longer steps than many curves take; its answers stay within the
@@ -580,6 +594,40 @@ def test_spline_lookup_matches_cubic_spline():
                                atol=8 * np.finfo(float).eps)
 
 
+def test_spline_lookup_is_horner_on_the_spline_coefficients():
+    # each coefficient row is gathered once and rows 0 and 2 feed both value
+    # and slope; the result must be bit for bit Horner's rule on the
+    # spline's own c of the point's interval, inside the mesh, at both of
+    # its ends and outside it, where the end intervals extend
+    xs = np.linspace(-1.0 - 2e-3, 1.0, 4097)
+    spline = CubicSpline(xs, steady_from_rates(FIG2)(xs))
+    lookup = characteristics._value_and_slope(spline)
+    rng = np.random.default_rng(4)
+    inside = rng.integers(0, xs.size - 1, 500)
+    points = np.concatenate([xs[inside] + rng.uniform(0.01, 0.99, inside.size) * (xs[inside + 1] - xs[inside]),
+                             [xs[0], xs[-1], xs[0] - 1e-3, xs[-1] + 1e-3]])
+    intervals = np.concatenate([inside, [0, xs.size - 2, 0, xs.size - 2]])
+    value, slope = lookup(points.reshape(4, -1))
+    c = spline.c
+    for k, (x, i) in enumerate(zip(points.tolist(), intervals.tolist())):
+        r = x - xs[i]
+        assert value.flat[k] == ((c[0, i] * r + c[1, i]) * r + c[2, i]) * r + c[3, i], x
+        assert slope.flat[k] == (c[0, i] * 3.0 * r + 2.0 * c[1, i]) * r + c[2, i], x
+
+
+def test_linear_end_values_do_not_depend_on_the_node_values():
+    # a row that no later row reads skips its node values; its end values
+    # and e^I keep every bit
+    rng = np.random.default_rng(6)
+    for pair, width in ((characteristics._PAIR, 37), (characteristics._LONE_PAIR, 1)):
+        y, a, f = rng.normal(size=width), rng.normal(size=(sum(pair), width)), rng.normal(size=(sum(pair), width))
+        with_nodes, without = np.empty((2, width)), np.empty((2, width))
+        nodes, _, e = characteristics._linear(y, a, f, 0.3, pair, out=with_nodes)
+        none, _, e2 = characteristics._linear(y, a, f, 0.3, pair, out=without, nodes=False)
+        assert nodes.shape == (sum(pair), width) and none is None
+        assert with_nodes.tobytes() == without.tobytes() and e.tobytes() == e2.tobytes()
+
+
 def test_one_point_difference_grid_matches_the_wide_grid():
     # a one-point x grid marches its curve alone, through the deviation rows
     # and the spline lookup, and takes its own steps; the wide grid marches
@@ -604,6 +652,22 @@ def test_a_step_retires_every_time_it_reaches(monkeypatch):
     CharacteristicSolver(FIG6, h=InitialCondition.geometric(3.0)).solve_difference_grid(xs, ts, steady_from_rates(FIG6))
     (stats,) = seen
     assert (stats["node_evals"], stats["steps"], stats["segments"]) == (98, 7, 50)
+
+
+@pytest.mark.parametrize(("rates", "h", "counts"), [
+    (FIG2, InitialCondition.geometric(3.0), (57, 798, 55, 50)),
+    (FIG7, InitialCondition.polynomial([0, 1]), (50, 700, 50, 50)),
+    (FIG7, H_SQUARE, (8, 112, 8, 50)),
+], ids=["fig2", "fig7-x", "fig7-x2"])
+def test_decay_grids_keep_their_march_counts(monkeypatch, rates, h, counts):
+    # the attempts, node evaluations, steps and segments of the decay
+    # workload's other three 41 x 51 grids to t = 5, pinned: they depend on
+    # the arithmetic only, and a change to the step control shows here
+    seen = _march_stats(monkeypatch)
+    xs, ts = np.linspace(-1, 1, 41), np.linspace(0, 5, 51)
+    CharacteristicSolver(rates, h=h).solve_difference_grid(xs, ts, steady_from_rates(rates))
+    (stats,) = seen
+    assert tuple(stats[key] for key in ("attempts", "node_evals", "steps", "segments")) == counts
 
 
 def _benchmark_points():
@@ -644,9 +708,9 @@ def test_wide_steps_run_in_blocks_that_change_no_bit(monkeypatch):
     widths = []
     real = characteristics._linear
 
-    def recording(y, a, f, h, pair, out=None):
+    def recording(y, a, *args, **kwargs):
         widths.append(np.shape(a)[-1])
-        return real(y, a, f, h, pair, out)
+        return real(y, a, *args, **kwargs)
 
     monkeypatch.setattr(characteristics, "_linear", recording)
     D = CharacteristicSolver(FIG2, h=InitialCondition.geometric(3.0)).solve_difference_grid(xs, ts, steady)
@@ -735,8 +799,11 @@ def test_linear_rows_are_exact_on_constant_coefficients():
     xs, ts = np.linspace(-1, 1, 9), np.array([0.0, 0.3, 1.0, 2.5, 4.0])
     a, f = -1.3, 0.7
 
-    def rows(s, w, k):
-        yield np.full_like(w, a), np.full_like(w, f)
+    def rows(s, k):
+        def block(w):
+            yield np.full_like(w, a), np.full_like(w, f)
+
+        return block
 
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=4.0)
     x, t = np.tile(xs, ts.size), np.repeat(ts, xs.size)
@@ -801,8 +868,11 @@ def test_a_step_below_ten_ulp_is_an_integration_error():
     # with a node there; the march stops with IntegrationError once the
     # step falls below 10 ulp of s instead of shrinking without end.  The
     # nodes are interior, so the last accepted step may end just past 0.5.
-    def rows(s, w, k):
-        yield np.zeros_like(w), np.where(s > 0.5, np.nan, 0.0) + w
+    def rows(s, k):
+        def block(w):
+            yield np.zeros_like(w), np.where(s > 0.5, np.nan, 0.0) + w
+
+        return block
 
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=1.0)
     with pytest.raises(IntegrationError, match="below 10 ulp") as info:

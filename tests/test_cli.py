@@ -146,6 +146,17 @@ def test_divergent_rates_exit_code(tmp_path, capsys, command, rates, initial, re
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("l_d", ["1e200", "1e300"])
+def test_an_overflowed_moment_is_reported_as_such(tmp_path, capsys, command, l_d):
+    # sigma = sqrt(b^2 + 4 n_d c) overflows and the closed-form g(t) is
+    # nan; the message says so rather than calling the moment too small
+    ini, _ = _ini(tmp_path, BASE.replace("l_d = 1\n", f"l_d = {l_d}\n"))
+    assert main([command, "--config", ini]) == 1
+    err = capsys.readouterr().err
+    assert "the closed-form moment overflowed for these rates" in err and "too small" not in err
+
+
 def test_invalid_config_exit_code(tmp_path, capsys):
     body = BASE.replace("omega_r = 1", "omega_r = -1")
     ini, _ = _ini(tmp_path, body)

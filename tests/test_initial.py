@@ -76,3 +76,26 @@ def test_mean_degree_matches_slope_at_one():
     ):
         fd = (h(1.0) - h(1.0 - 1e-7)) / 1e-7
         assert h.mean_degree == pytest.approx(fd, rel=1e-5)
+
+
+# the domain's edges and seeded points, as the solver's parity pairs take them
+PARITY_X = [-1.0, 1.0, 1.0 - 1e-12, 0.3, 0.0, -0.0, 1e-300]
+PARITY_X += np.random.default_rng(21).uniform(-1.0, 1.0, 10).tolist()
+
+
+@pytest.mark.parametrize("h", [
+    InitialCondition.polynomial([0.1, 0.2, 0.3, 0.4]),
+    InitialCondition.geometric(3.0),
+    InitialCondition.explicit([0.1, 0.2, 0.1], (0.675, 1.5)),  # tail from degree 3: 0.675 / 1.5^2 / 0.5 = 0.6
+    InitialCondition.explicit([0.05], (0.95, 2.0)),  # tail from degree 1: a / (rho - 1) = 0.95
+    InitialCondition.delta(3),
+], ids=["polynomial", "geometric", "explicit-tail-3", "explicit-tail-1", "delta"])
+def test_a_number_gives_the_bits_of_a_one_element_array(h):
+    # a number is evaluated on Python floats, Horner in polyval's order and
+    # the tail on floats with numpy's power; it must give the bits of the
+    # same point in a 1-element array, which takes numpy's path
+    for x in PARITY_X:
+        for f in (h, h.derivative):
+            scalar, array = f(x), f(np.array([x]))
+            assert type(scalar) is float
+            assert np.array([scalar]).tobytes() == array.tobytes(), (f, x)

@@ -18,12 +18,17 @@ Each march's stats are read by wrapping ``CharacteristicSolver._march``,
 since ``solve_difference_grid`` and ``solve_at`` return no stats; each
 oracle's from ``DistributionTrajectory.stats``.  The counts depend on the
 arithmetic only, not on the machine's speed, so two checkouts can be
-compared line by line where timings drift.  Needs nothing beyond the
-standard library and the package's own dependencies.
+compared line by line where timings drift.  Next to the counts, each
+transport's output is fingerprinted: the first 12 hex digits of a sha256
+over the bytes of its arrays (a decay grid's D; G and G_x of the others),
+so a change that must keep every bit shows whether it did.  Those bits
+depend on the BLAS build and the CPU's SIMD paths, so a fingerprint is
+compared only against the parent commit's on the same machine.  Needs
+nothing beyond the standard library and the package's own dependencies.
 
 Usage: python tools/counts.py [SEED]   (SEED defaults to 1, as perfbench/run.py --seed 1)
 
-Prints one line per transport: ``<name> attempts <n> node_evals <n> steps <n> segments <n>``.
+Prints one line per transport: ``<name> attempts <n> node_evals <n> steps <n> segments <n> sha256 <hex>``.
 A march of one curve past t = 0 takes 30 node evaluations an attempt, any
 other 14.  Then one line per oracle: ``<name> rhs_evals <n> jac_evals <n>
 steps <n>``, LSODA's right-hand-side and Jacobian evaluations and its
@@ -32,6 +37,7 @@ accepted steps.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -53,6 +59,14 @@ ORACLE_K_MAX, ORACLE_TOL = 200, 1e-12  # perfbench's reference oracles
 def _stratified(rng: np.random.Generator, n: int) -> np.ndarray:
     """perfbench's seeded draws: n values in (0, 1], one per stratum, in random order."""
     return rng.permutation((np.arange(n) + 1.0 - rng.random(n)) / n)
+
+
+def _fingerprint(arrays) -> str:
+    """The first 12 hex digits of the sha256 of the arrays' float64 bytes, in order."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return digest.hexdigest()[:12]
 
 
 def _counting(seen: list):
@@ -78,32 +92,39 @@ def main(argv: list[str]) -> int:
     xs, ts = np.linspace(-1.0, 1.0, 41), np.linspace(0.0, 5.0, 51)
 
     def decay(rates, h):
-        return lambda: CharacteristicSolver(rates, h).solve_difference_grid(xs, ts, steady_from_rates(rates))
+        return lambda: [CharacteristicSolver(rates, h).solve_difference_grid(xs, ts, steady_from_rates(rates))]
+
+    def grid(x, t, h):
+        def run():
+            field = solve_grid(x, t, fig2, h)
+            return [field.G, field.Gx]
+
+        return run
 
     def points(batched):
         solver = CharacteristicSolver(fig2, h=square, t_max=5.0)
         if batched:
             return lambda: solver.solve_at(px, pt)
-        return lambda: [solver.solve_at(x, t) for x, t in zip(px.tolist(), pt.tolist())]
+        return lambda: np.array([solver.solve_at(x, t) for x, t in zip(px.tolist(), pt.tolist())]).T
 
     runs = {
         "decay_fig2_geometric": decay(fig2, geometric),
         "decay_fig6_geometric": decay(FIG6, geometric),
         "decay_fig7_linear": decay(FIG7, linear),
         "decay_fig7_square": decay(FIG7, square),
-        "reference_grid_square": lambda: solve_grid(cfg.x_grid(), cfg.t_grid(), fig2, square),
-        "reference_grid_geometric": lambda: solve_grid(cfg.x_grid(), cfg.t_grid(), fig2, geometric),
+        "reference_grid_square": grid(cfg.x_grid(), cfg.t_grid(), square),
+        "reference_grid_geometric": grid(cfg.x_grid(), cfg.t_grid(), geometric),
         "points_batched": points(True),
         "points_single": points(False),
-        "late_query_x1": lambda: solve_grid([1.0], [0.0, 230.0], fig2, square),
+        "late_query_x1": grid([1.0], [0.0, 230.0], square),
     }
     seen: list[dict] = []
     CharacteristicSolver._march = _counting(seen)
     for name, run in runs.items():
         seen.clear()
-        run()
+        fingerprint = _fingerprint(run())
         total = {key: sum(st[key] for st in seen) for key in ("attempts", "node_evals", "steps", "segments")}
-        print(name, " ".join(f"{key} {value}" for key, value in total.items()))
+        print(name, " ".join(f"{key} {value}" for key, value in total.items()), "sha256", fingerprint)
     for name, h, t_end in (("oracle_square_t1", square, 1.0), ("oracle_geometric_t1", geometric, 1.0),
                            ("oracle_square_t5", square, 5.0)):
         stats = integrate(h.coefficients(ORACLE_K_MAX), fig2, t_end, tol=ORACLE_TOL).stats
