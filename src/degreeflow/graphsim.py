@@ -13,7 +13,10 @@ of attempts and then skipped, with a counter per process; so is a
 degree-biased rewiring of the only link, which leaves no endpoint to pick.
 
 The event loop, ``_chain``, runs each process as one branch of the loop,
-with the graph's lists and methods bound once per run.  Every random choice
+with the graph's containers bound once per run and updated in place by the
+branch, with the operations of ``Network``'s methods in their order; the
+methods stay the checked public API.  The initial graphs are filled in
+bulk, in the order ``add_edge`` would fill them.  Every random choice
 of an event pops one uniform double u from a buffer that ``_Stream`` fills
 from the replica's Generator in blocks of ``_BLOCK``, so the loop makes no
 numpy call of its own.  The stream clamps u to at most 1 - 2**-53, the one
@@ -104,43 +107,71 @@ class Network:
         return net
 
     @classmethod
+    def _linked(cls, n: int, edges: list) -> "Network":
+        """Nodes 0..n-1 with the links of edges, distinct (u, v) pairs with u < v, filled in bulk.
+
+        The containers are those that ``add_edge`` called once per link in
+        the order of edges leaves: the same link list and, since each
+        neighbour set receives its elements in the same order, the same set
+        iteration orders, which decide the order in which ``remove_node``
+        drops links.
+        """
+        net = cls.empty(n)
+        adj = net.adj
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        net._edges = edges
+        net._edge_pos = dict(zip(edges, range(len(edges))))
+        return net
+
+    @classmethod
     def regular_ring(cls, n: int, k: int) -> "Network":
-        """Circulant graph: node i linked to i +- 1 .. i +- k/2 (k even, k < n)."""
+        """Circulant graph: node i linked to i +- 1 .. i +- k/2 (k even, k < n).
+
+        The links come in order of i, then of the offset d = 1 .. k/2.
+        """
         if k % 2 != 0 or k < 0:
             raise ValidationError(f"ring degree must be even and >= 0, got {k}")
         if k >= n:
             raise ValidationError(f"ring degree {k} needs more than {n} nodes")
-        net = cls.empty(n)
-        for i in range(n):
-            for d in range(1, k // 2 + 1):
-                net.add_edge(i, (i + d) % n)
-        return net
+        offsets = range(1, k // 2 + 1)
+        return cls._linked(n, [(i, i + d) if i + d < n else (i + d - n, i) for i in range(n) for d in offsets])
 
     @classmethod
     def erdos_renyi(cls, n: int, mean_degree: float, rng: np.random.Generator) -> "Network":
-        """G(n, p) with p = mean_degree/(n-1), sampled by geometric skipping."""
+        """G(n, p) with p = mean_degree/(n-1), sampled by geometric skipping.
+
+        Each skip reads one uniform.  They are drawn ``_BLOCK`` at a time,
+        and the Generator is then put back and advanced by the number read,
+        so it is left where one draw per skip would leave it.
+        """
         if n < 1:
             raise ValidationError(f"need at least one node, got {n}")
-        net = cls.empty(n)
         if n == 1 or mean_degree <= 0.0:
-            return net
+            return cls.empty(n)
         p = min(mean_degree / (n - 1), 1.0)
         if p >= 1.0:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    net.add_edge(i, j)
-            return net
+            return cls._linked(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
         # Batagelj-Brandes skip sampling over the upper-triangular pair index.
         lq = math.log1p(-p)
+        state = rng.bit_generator.state
+        edges, draws, drawn = [], [], 0
         i, j = 1, -1
         while i < n:
-            j += 1 + int(math.log(1.0 - rng.random()) / lq)
+            if not draws:
+                draws = rng.random(_BLOCK).tolist()
+                draws.reverse()
+                drawn += _BLOCK
+            j += 1 + int(math.log(1.0 - draws.pop()) / lq)
             while j >= i and i < n:
                 j -= i
                 i += 1
             if i < n:
-                net.add_edge(i, j)
-        return net
+                edges.append((j, i))
+        rng.bit_generator.state = state
+        rng.random(drawn - len(draws))
+        return cls._linked(n, edges)
 
     # -- counts -------------------------------------------------------------
 
@@ -201,7 +232,7 @@ class Network:
         adj[v].discard(u)
 
     def degree_counts(self, k_max: int) -> np.ndarray:
-        degs = np.fromiter((len(s) for s in self.adj.values()), dtype=np.int64, count=len(self.adj))
+        degs = np.fromiter(map(len, self.adj.values()), dtype=np.int64, count=len(self.adj))
         counts = np.bincount(np.minimum(degs, k_max + 1), minlength=k_max + 2)
         return counts[: k_max + 1]  # degrees beyond k_max fall off the histogram
 
@@ -276,13 +307,18 @@ def _chain(net: Network, rates: ProcessRates, stream: _Stream, ts: tuple, snap, 
     Each process is one branch of the loop, in the order of ProcessRates'
     rate fields; a preferential variant picks a uniform endpoint of a
     uniform link where its uniform twin picks a uniform node.  The graph's
-    lists, its methods and the stream's buffer are bound once, and each
-    uniform is popped from the buffer in place.
+    containers and the stream's buffer are bound once, each uniform is
+    popped from the buffer in place, and each branch updates the containers
+    itself, with the operations of ``Network.add_edge``, ``remove_edge`` and
+    ``remove_node`` in their order, so a link change costs no method call;
+    only a new node goes through ``add_node``.  Rewiring and link deletion
+    share the removal of a uniform link, and rewiring and link addition the
+    link they end with.
     """
     k = tuple(float(getattr(rates, f.name)) for f in fields(rates))
     m = rates.m
-    nodes, edges, adj = net._nodes, net._edges, net.adj
-    add_edge, remove_edge, add_node, remove_node = net.add_edge, net.remove_edge, net.add_node, net.remove_node
+    nodes, node_pos, edges, edge_pos, adj = net._nodes, net._node_pos, net._edges, net._edge_pos, net.adj
+    add_node = net.add_node
     buf, refill = stream.buf, stream.refill
     pop = buf.pop
     n_t, t, j = len(ts), 0.0, 0
@@ -296,11 +332,21 @@ def _chain(net: Network, rates: ProcessRates, stream: _Stream, ts: tuple, snap, 
             snap()
             j += 1
         events[idx] += 1
-        if idx < 2:  # rewiring: one end of a uniform link moves to a new target
-            u, v = edges[int((pop() if buf else refill()) * len(edges))]
-            keeper, loser = (u, v) if (pop() if buf else refill()) < 0.5 else (v, u)
-            remove_edge(keeper, loser)
-            nbrs = adj[keeper]
+        if idx < 3:  # rewiring and link deletion remove a uniform link
+            key = edges[int((pop() if buf else refill()) * len(edges))]
+            pos = edge_pos.pop(key)
+            last = edges.pop()
+            if pos < len(edges):
+                edges[pos] = last
+                edge_pos[last] = pos
+            a, b = key
+            adj[a].discard(b)
+            adj[b].discard(a)
+            if idx == 2:
+                continue
+            # rewiring: the keeper u links to a new target in place of v
+            u, v = key if (pop() if buf else refill()) < 0.5 else (b, a)
+            nbrs = adj[u]
             # with the only link removed, no endpoint is left to pick
             for _ in range(_RETRIES if edges or idx == 0 else 0):
                 if idx:
@@ -308,14 +354,11 @@ def _chain(net: Network, rates: ProcessRates, stream: _Stream, ts: tuple, snap, 
                     w = a if (pop() if buf else refill()) < 0.5 else b
                 else:
                     w = nodes[int((pop() if buf else refill()) * len(nodes))]
-                if w != keeper and w not in nbrs:
-                    add_edge(keeper, w)
+                if w != u and w not in nbrs:
+                    v = w
                     break
             else:
-                add_edge(keeper, loser)  # restore: rewiring must conserve E
-                skips[idx] += 1
-        elif idx == 2:  # link deletion
-            remove_edge(*edges[int((pop() if buf else refill()) * len(edges))])
+                skips[idx] += 1  # v stays the old end: rewiring must conserve E
         elif idx < 5:  # link addition
             for _ in range(_RETRIES):
                 if idx == 4:
@@ -327,14 +370,28 @@ def _chain(net: Network, rates: ProcessRates, stream: _Stream, ts: tuple, snap, 
                     u = nodes[int((pop() if buf else refill()) * len(nodes))]
                     v = nodes[int((pop() if buf else refill()) * len(nodes))]
                 if u != v and v not in adj[u]:
-                    add_edge(u, v)
                     break
             else:
                 skips[idx] += 1
+                continue
         elif idx == 5:
             # node deletion: clock 2E*n_d with a uniform victim, so survivors
             # lose a neighbor at rate n_d*mu*k while the removed sample is unbiased
-            remove_node(nodes[int((pop() if buf else refill()) * len(nodes))])
+            u = nodes[int((pop() if buf else refill()) * len(nodes))]
+            for v in adj.pop(u):
+                key = (u, v) if u < v else (v, u)
+                pos = edge_pos.pop(key)
+                last = edges.pop()
+                if pos < len(edges):
+                    edges[pos] = last
+                    edge_pos[last] = pos
+                adj[v].discard(u)
+            pos = node_pos.pop(u)
+            last = nodes.pop()
+            if pos < len(nodes):
+                nodes[pos] = last
+                node_pos[last] = pos
+            continue
         else:  # node addition with m links to distinct targets
             targets = set()
             budget = _RETRIES * max(m, 1)
@@ -349,8 +406,20 @@ def _chain(net: Network, rates: ProcessRates, stream: _Stream, ts: tuple, snap, 
                 skips[idx] += 1
             else:
                 u = add_node()
+                nbrs = adj[u]
                 for w in targets:
-                    add_edge(u, w)
+                    key = (w, u)  # the new node's id is above every other
+                    edge_pos[key] = len(edges)
+                    edges.append(key)
+                    nbrs.add(w)
+                    adj[w].add(u)
+            continue
+        # rewiring and link addition end by linking u and v
+        key = (u, v) if u < v else (v, u)
+        edge_pos[key] = len(edges)
+        edges.append(key)
+        adj[u].add(v)
+        adj[v].add(u)
     return t
 
 

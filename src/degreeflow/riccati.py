@@ -32,12 +32,17 @@ def equilibrium(coeffs: RiccatiCoefficients) -> float:
     n_d = b = 0 < c.  When n_d = b = c = 0 the rates conserve g, whose
     limit is then g(0) itself: no limit follows from the coefficients
     alone, and NoSteadyStateError is raised.  A coefficient that is not a
-    finite real number >= 0 raises ValidationError (``model.real``).
+    finite real number >= 0 raises ValidationError (``model.real``), and
+    finite coefficients whose discriminant b^2 + 4 n_d c overflows raise
+    DomainError: the root would read 0, a dying network.
     """
     n_d, b, c = (real(name, getattr(coeffs, name), 0.0) for name in ("n_d", "b", "c"))
     if n_d > 0.0 and c > 0.0:
+        disc = b * b + 4.0 * n_d * c
+        if disc == math.inf:
+            raise DomainError(f"b^2 + 4 n_d c = {disc!r}: the closed-form moment overflowed for these rates")
         # 2c/(b + sqrt(disc)) is the cancellation-free form of the + root.
-        return 2.0 * c / (b + math.sqrt(b * b + 4.0 * n_d * c))
+        return 2.0 * c / (b + math.sqrt(disc))
     if b > 0.0:
         return c / b
     if n_d > 0.0:

@@ -157,6 +157,18 @@ def test_an_overflowed_moment_is_reported_as_such(tmp_path, capsys, command, l_d
     assert "the closed-form moment overflowed for these rates" in err and "too small" not in err
 
 
+@pytest.mark.parametrize("l_d", ["1e200", "1e300"])
+def test_steady_reports_an_overflowed_moment_and_writes_nothing(tmp_path, capsys, l_d):
+    # b^2 + 4 n_d c overflows: read as a root of 0, it would certify a
+    # dying network and write its CSV
+    ini, out = _ini(tmp_path, BASE.replace("l_d = 1\n", f"l_d = {l_d}\n"))
+    assert main(["steady", "--config", ini]) == 1
+    captured = capsys.readouterr()
+    assert "the closed-form moment overflowed for these rates" in captured.err
+    assert "certified" not in captured.out
+    assert not (out / "steady.csv").exists()
+
+
 def test_invalid_config_exit_code(tmp_path, capsys):
     body = BASE.replace("omega_r = 1", "omega_r = -1")
     ini, _ = _ini(tmp_path, body)

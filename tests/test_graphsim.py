@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import multiprocessing
 import os
 import sys
@@ -168,6 +169,78 @@ def test_mixed_dynamics_keeps_invariants():
         step(net, FIG2, draws)
     check(net)
     assert net.n_nodes > 0
+
+
+def test_every_process_runs_through_the_loop_and_keeps_invariants():
+    # from one link on four nodes every clock is live: a degree-biased
+    # rewiring of the only link is restored and skipped, and node additions
+    # of both kinds link their new node
+    rates = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=1, n_d=1, n_r=1, n_p=1, m=1)
+    net = Network.empty(4)
+    net.add_edge(0, 1)
+    events, skips = [0] * 8, [0] * 8
+    graphsim._chain(net, rates, stream(0), (10.0,), lambda: None, events, skips)
+    assert min(events) > 0
+    assert skips[1] > 0
+    assert events[6] > skips[6] and events[7] > skips[7]
+    check(net)
+    assert net.n_nodes == 4 + (events[6] - skips[6]) + (events[7] - skips[7]) - events[5]
+
+
+def built_by_add_edge(n, pairs):
+    net = Network.empty(n)
+    for u, v in pairs:
+        net.add_edge(u, v)
+    return net
+
+
+def ring_pairs(n, k):
+    return [(i, (i + d) % n) for i in range(n) for d in range(1, k // 2 + 1)]
+
+
+def erdos_pairs(n, mean_degree, rng):
+    """The pairs of Network.erdos_renyi in its order, one uniform drawn per skip."""
+    if n == 1 or mean_degree <= 0.0:
+        return []
+    p = min(mean_degree / (n - 1), 1.0)
+    if p >= 1.0:
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lq = math.log1p(-p)
+    pairs, i, j = [], 1, -1
+    while i < n:
+        j += 1 + int(math.log(1.0 - rng.random()) / lq)
+        while j >= i and i < n:
+            j -= i
+            i += 1
+        if i < n:
+            pairs.append((i, j))
+    return pairs
+
+
+def assert_same_graph(net, ref):
+    assert net._nodes == ref._nodes and net._node_pos == ref._node_pos and net._next_id == ref._next_id
+    assert net._edges == ref._edges
+    assert list(net._edge_pos.items()) == list(ref._edge_pos.items())
+    # set iteration order decides the order in which remove_node drops links
+    assert [(u, list(s)) for u, s in net.adj.items()] == [(u, list(s)) for u, s in ref.adj.items()]
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (7, 0), (3, 2), (10, 2), (11, 4), (9, 8), (200, 4)])
+def test_ring_is_filled_as_add_edge_fills_it(n, k):
+    assert_same_graph(Network.regular_ring(n, k), built_by_add_edge(n, ring_pairs(n, k)))
+
+
+@pytest.mark.parametrize("n, mean_degree", [(1, 2.0), (50, 0.0), (2, 0.5), (6, 5.0), (6, 9.0), (40, 3.0),
+                                            (300, 2.0), (5000, 2.0)])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_erdos_renyi_is_filled_as_add_edge_fills_it(n, mean_degree, seed):
+    # the 5000-node graph reads its uniforms in two blocks; the Generator is
+    # left where one draw per skip leaves it, since the replica's events
+    # draw from it next
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    net = Network.erdos_renyi(n, mean_degree, rng)
+    assert_same_graph(net, built_by_add_edge(n, erdos_pairs(n, mean_degree, ref_rng)))
+    assert rng.random() == ref_rng.random()
 
 
 def test_run_is_deterministic():

@@ -189,3 +189,19 @@ def test_equilibrium_function_branches():
     # cancellation-free root: b dominant, tiny n_d*c
     val = equilibrium(RiccatiCoefficients(1e-12, 1.0, 1.0))
     assert val == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("co", [
+    RiccatiCoefficients(1.0, 1e200, 1.0),  # b^2 overflows
+    RiccatiCoefficients(1e300, 1.0, 1e300),  # 4 n_d c overflows
+])
+def test_equilibrium_refuses_an_overflowed_discriminant(co):
+    # sqrt(inf) would put the root at 0, a network that dies out
+    with pytest.raises(DomainError, match="the closed-form moment overflowed for these rates"):
+        equilibrium(co)
+
+
+def test_equilibrium_keeps_the_largest_finite_discriminant():
+    # b^2 = 2**1022 and 4 n_d c = 2**1022 sum to 2**1023, still finite
+    co = RiccatiCoefficients(1.0, 2.0**511, 2.0**1020)
+    assert equilibrium(co) == 2.0 * 2.0**1020 / (2.0**511 + math.sqrt(2.0**1023))

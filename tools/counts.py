@@ -1,4 +1,4 @@
-"""Print the solver counts of the benchmark's transports and of its master-equation oracles.
+"""Print the solver counts of the benchmark's transports, master-equation oracles and ensembles.
 
 Runs, with the package from the ``src`` directory next to this script:
 
@@ -12,15 +12,22 @@ Runs, with the package from the ``src`` directory next to this script:
 - one late query on x = 1, FIG2 with h = x^2 to t = 230, a lone curve
   whose coefficients are constant for most of its march;
 - ``reference``'s three LSODA oracles on FIG2 with k_max = 200 and tol =
-  1e-12: h = x^2 and geometric(3) to t = 1, and h = x^2 to t = 5.
+  1e-12: h = x^2 and geometric(3) to t = 1, and h = x^2 to t = 5;
+- ``ensemble``'s two Gillespie ensembles of ``perfbench/example.ini``'s
+  ``[mc]`` size (2000 nodes, 20 replicas, k_max = 60) at the sample times
+  0, 0.05, 0.1, 0.2 and 0.5 with the seed argument: FIG2 on a degree-2
+  ring and FIG6 on an Erdos-Renyi graph of mean degree 2.
 
 Each march's stats are read by wrapping ``CharacteristicSolver._march``,
 since ``solve_difference_grid`` and ``solve_at`` return no stats; each
-oracle's from ``DistributionTrajectory.stats``.  The counts depend on the
-arithmetic only, not on the machine's speed, so two checkouts can be
-compared line by line where timings drift.  Next to the counts, each
-transport's output is fingerprinted: the first 12 hex digits of a sha256
-over the bytes of its arrays (a decay grid's D; G and G_x of the others),
+oracle's from ``DistributionTrajectory.stats``, and each ensemble's from
+its ``SimResult``, whose counts are summed over every worker process (a
+wrapper around ``graphsim._draw`` sees only the calling process's share).
+The counts depend on the arithmetic only, not on the machine's speed, so
+two checkouts can be compared line by line where timings drift.  Next to the counts, each
+transport's and each ensemble's output is fingerprinted: the first 12 hex
+digits of a sha256 over the bytes of its arrays (a decay grid's D; G and
+G_x of the other transports; an ensemble's mean and stderr),
 so a change that must keep every bit shows whether it did.  Those bits
 depend on the BLAS build and the CPU's SIMD paths, so a fingerprint is
 compared only against the parent commit's on the same machine.  Needs
@@ -32,7 +39,9 @@ Prints one line per transport: ``<name> attempts <n> node_evals <n> steps <n> se
 A march of one curve past t = 0 takes 30 node evaluations an attempt, any
 other 14.  Then one line per oracle: ``<name> rhs_evals <n> jac_evals <n>
 steps <n>``, LSODA's right-hand-side and Jacobian evaluations and its
-accepted steps.
+accepted steps.  Last, one line per ensemble: ``<name> events <n> skips <n>
+sha256 <hex>``, the events drawn and the placements skipped over all
+replicas and processes.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402  (the package's own dependency)
 
-from degreeflow import InitialCondition, ProcessRates, config  # noqa: E402
+from degreeflow import InitialCondition, ProcessRates, config, graphsim  # noqa: E402
 from degreeflow.characteristics import CharacteristicSolver, solve_grid  # noqa: E402
 from degreeflow.degree_ode import integrate  # noqa: E402
 from degreeflow.steady import steady_from_rates  # noqa: E402
@@ -54,6 +63,7 @@ FIG6 = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=0, l_p=1, n_d=1, n_r=0, n_p
 FIG7 = ProcessRates(omega_r=1, omega_p=0, l_d=1, l_r=1, l_p=0, n_d=1, n_r=1, n_p=0, m=3)
 EXAMPLE_INI = Path(__file__).resolve().parents[1] / "perfbench" / "example.ini"
 ORACLE_K_MAX, ORACLE_TOL = 200, 1e-12  # perfbench's reference oracles
+ENSEMBLE_TIMES = (0.0, 0.05, 0.1, 0.2, 0.5)  # perfbench's ensemble sample times
 
 
 def _stratified(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -129,6 +139,11 @@ def main(argv: list[str]) -> int:
                            ("oracle_square_t5", square, 5.0)):
         stats = integrate(h.coefficients(ORACLE_K_MAX), fig2, t_end, tol=ORACLE_TOL).stats
         print(name, " ".join(f"{key} {stats[key]}" for key in ("rhs_evals", "jac_evals", "steps")))
+    common = dict(n_nodes=cfg.mc_nodes, replicas=cfg.mc_replicas, k_max=cfg.mc_k_max, sample_times=ENSEMBLE_TIMES,
+                  seed=seed, graph_degree=cfg.mc_graph_degree)
+    for name, rates, graph in (("ensemble_fig2_ring", fig2, cfg.mc_graph), ("ensemble_fig6_erdos", FIG6, "erdos")):
+        res = graphsim.run(graphsim.SimConfig(rates=rates, graph=graph, **common))
+        print(name, "events", sum(res.events), "skips", sum(res.skips), "sha256", _fingerprint([res.mean, res.stderr]))
     return 0
 
 
