@@ -403,27 +403,31 @@ class CharacteristicSolver:
         w0 = e^L / (vbar - psi) is kept as computed rather than as x0 - 1,
         so it keeps its relative precision after x0 = 1 + w0 has rounded to
         1.  An offset below the normal double range raises DomainError.
+        The dense flow is evaluated once per distinct time past 0 and
+        gathered onto the pairs; an error names the first pair at fault
+        (the lowest origin for an escape) with its own x and t, as
+        ``_trace_back_one`` names it.
         """
         x0 = np.minimum(np.maximum(x_bar, -1.0), 1.0)
         w0 = x0 - 1.0
         live = t_bar > 0.0
         if not live.any():
             return x0, w0
-        xb, tb = x0[live], t_bar[live].tolist()
-        flow = self._ensure(max(tb))
-        at = {v: flow(v) for v in set(tb)}  # once per distinct time
-        eL, psi = np.array([at[v] for v in tb]).T
+        xb, tb = x0[live], t_bar[live]
+        times, which = np.unique(tb, return_inverse=True)
+        flow = self._ensure(float(times[-1]))
+        eL, psi = np.array([flow(v) for v in times.tolist()])[which].T  # once per distinct time
         d = xb - 1.0
         with np.errstate(divide="ignore"):  # a curve on x = 1 has vbar = inf and the offset 0
             wo = eL / (1.0 / d - psi)
         lost = (wo > -_TINY) & (d < 0.0)
         if lost.any():
             i = int(np.argmax(lost))
-            raise _lost(float(wo[i]), float(xb[i]), tb[i], float(eL[i]))
+            raise _lost(float(wo[i]), float(xb[i]), float(tb[i]), float(eL[i]))
         xo = 1.0 + wo
         if xo.min() < -1.0 - _CLAMP:
             i = int(np.argmin(xo))
-            raise _escaped(float(xo[i]), float(xb[i]), tb[i])
+            raise _escaped(float(xo[i]), float(xb[i]), float(tb[i]))
         x0[live], w0[live] = np.maximum(xo, -1.0), np.maximum(wo, -2.0)  # wo <= 0: vbar <= -1/2 and psi >= 0
         return x0, w0
 
@@ -787,33 +791,44 @@ def _value_and_slope(spline):
     """(value, slope) lookup of a cubic spline whose breakpoints are uniform.
 
     One index computation replaces the spline's interval search: i is
-    (x - x_0) / h clipped onto the first and the last interval and then
-    truncated, which is its floor inside the mesh.  Outside it the end
-    intervals extend their polynomials outward, as the spline itself does;
-    only a rejected step of the march places a curve there.  Horner's rule
-    on the coefficients of interval i in powers of r = x - x_i gives the
-    value and the slope (de Boor, A Practical Guide to Splines).  The four
-    coefficient rows are kept contiguous and gathered with ``take`` into an
-    in-place Horner pass, which bounds the (14, n) temporaries of a march
-    step.  Each row is gathered once per lookup: rows 0 and 2 feed both
-    the value and the slope, and 2 c1 is a row of its own.
+    (x - x_0) / h capped at the last interval and then truncated, which is
+    its floor inside the mesh; every gather clips i onto [0, n - 1], so a
+    point below the mesh, where i is negative or the cast out of range,
+    takes the first interval.  Outside the mesh the end intervals extend
+    their polynomials outward, as the spline itself does; only a rejected
+    step of the march places a curve there.  Horner's rule on the
+    coefficients of interval i in powers of r = x - x_i gives the value
+    and the slope (de Boor, A Practical Guide to Splines).  The four
+    coefficient rows are kept contiguous and gathered with ``take`` into
+    an in-place Horner pass, which bounds the (14, n) temporaries of a
+    march step.  Each row is gathered once per lookup: rows 0 and 2 feed
+    both the value and the slope, and 2 c1 is the gathered c1 doubled,
+    which is exact.
     """
     knots = spline.x
     row0, row1, row2, row3 = (np.ascontiguousarray(row) for row in spline.c)
     n = knots.size - 1
     lo, scale = knots[0], n / (knots[-1] - knots[0])
-    row1x2 = 2.0 * row1
 
     def lookup(x):
-        i = np.clip((x - lo) * scale, 0, n - 1).astype(np.intp)
-        r = x - knots.take(i)
-        value = row0.take(i)  # ((c0 r + c1) r + c2) r + c3
+        u = x - lo
+        u *= scale
+        i = np.minimum(u, n - 1, out=u).astype(np.intp)
+        r = x - knots.take(i, mode="clip")
+        value = row0.take(i, mode="clip")  # ((c0 r + c1) r + c2) r + c3
         slope = value * 3.0  # (3 c0 r + 2 c1) r + c2
-        for targets, row in (((value,), row1), ((slope,), row1x2), ((value, slope), row2), ((value,), row3)):
-            c = row.take(i)
-            for v in targets:
-                v *= r
-                v += c
+        c = row1.take(i, mode="clip")
+        value *= r
+        value += c
+        c += c  # 2 c1
+        slope *= r
+        slope += c
+        row2.take(i, out=c, mode="clip")
+        for v in (value, slope):
+            v *= r
+            v += c
+        value *= r
+        value += row3.take(i, out=c, mode="clip")
         return value, slope
 
     return lookup

@@ -26,7 +26,7 @@ from .degree_ode import gf_eval, integrate
 from .errors import DegreeFlowError, DomainError, NoSteadyStateError, ValidationError
 from .graphsim import SimConfig, run
 from .model import _RATE_FIELDS, Degeneracy, derive_riccati
-from .riccati import ClosedFormMoment
+from .riccati import ClosedFormMoment, equilibrium
 from .steady import _away_from_singular, construct, explicit_constants, residual, steady_from_rates
 
 
@@ -52,6 +52,19 @@ def _steady_state(cfg: ExperimentConfig):
     if cfg.steady_constants is not None:
         return construct(explicit_constants(*cfg.steady_constants))
     return steady_from_rates(cfg.rates)
+
+
+def _check_moment(cfg: ExperimentConfig) -> None:
+    """Raise DomainError when the closed-form moment of [rates] overflows, before a solver meets its rate scale.
+
+    ``ode`` and ``mc`` need no equilibrium, but at such rates the oracle
+    and the simulator run for minutes.  Rates that conserve the first
+    moment have no equilibrium and pass.
+    """
+    try:
+        equilibrium(derive_riccati(cfg.rates))
+    except NoSteadyStateError:
+        pass
 
 
 def _oracle(cfg: ExperimentConfig, t_end: float, histogram=None):
@@ -134,6 +147,7 @@ def cmd_steady(cfg: ExperimentConfig) -> int:
 
 def cmd_ode(cfg: ExperimentConfig) -> int:
     h = cfg.initial()
+    _check_moment(cfg)
     traj = _oracle(cfg, cfg.t_max)
     t = cfg.t_grid()
     rows = (
@@ -187,6 +201,7 @@ def cmd_mc(cfg: ExperimentConfig) -> int:
         graph_degree=cfg.mc_graph_degree,
         k_max=cfg.mc_k_max,
     )
+    _check_moment(cfg)
     result = run(sim)
     kk = cfg.mc_k_max + 1
     traj = _oracle(cfg, max(times), result.mean[0])

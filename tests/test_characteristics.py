@@ -515,6 +515,47 @@ def test_a_scalar_pair_raises_as_a_one_element_array(monkeypatch, x, t, error, f
         assert str(scalar.value) == str(array.value)
 
 
+def test_a_grid_traced_together_gives_the_bits_of_each_pair_alone():
+    # _trace_back_many reads the flow once per distinct time and gathers it
+    # onto the pairs, here a shuffled tensor grid with t = 0 among its times
+    solver = _solver(5.0)
+    x, t = characteristics._pairs(np.linspace(-1.0, 1.0, 41), np.linspace(0.0, 5.0, 51))
+    order = np.random.default_rng(8).permutation(x.size)
+    x, t = x[order], t[order]
+    x0, w0 = solver._trace_back_many(x, t)
+    for k, pair in enumerate(zip(x.tolist(), t.tolist())):
+        assert np.array(solver._trace_back_one(*pair)).tobytes() == np.array([x0[k], w0[k]]).tobytes(), pair
+
+
+def _raised(trace, *pair):
+    """The message of the error that trace(*pair) raises, or None."""
+    try:
+        trace(*pair)
+    except (AccuracyError, DomainError) as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(("times", "flow"), [((0.5, 300.0, 0.5, 300.0), None), ((1.0, 2.0, 1.0), _escaping_flow)],
+                         ids=["lost", "escaped"])
+def test_a_grid_traced_together_raises_as_its_pair_alone(monkeypatch, times, flow):
+    # among repeated times, the pair the grid names in its error (the first
+    # lost offset; the lowest origin, first among equals) raises the same
+    # message traced alone
+    solver = CharacteristicSolver(FIG2, H_SQUARE)
+    if flow is not None:
+        monkeypatch.setattr(solver, "_ensure", flow)
+    x, t = characteristics._pairs(np.array([0.0, -0.5, 0.3, 0.9]), np.array(times))
+    message = _raised(solver._trace_back_many, x, t)
+    alone = [_raised(solver._trace_back_one, *pair) for pair in zip(x.tolist(), t.tolist())]
+    if flow is None:
+        named = next(k for k, m in enumerate(alone) if m is not None)
+    else:
+        named = int(np.argmin(x))
+    assert message is not None and message == alone[named]
+    assert f"({float(x[named])!r}, {float(t[named])!r})" in message
+
+
 def test_an_initial_condition_is_required():
     # g is always built from h'(1); a caller's trajectory in h's place, as
     # in the removed (rates, g) call, or no h at all is invalid input
@@ -597,17 +638,25 @@ def test_spline_lookup_matches_cubic_spline():
 def test_spline_lookup_is_horner_on_the_spline_coefficients():
     # each coefficient row is gathered once and rows 0 and 2 feed both value
     # and slope; the result must be bit for bit Horner's rule on the
-    # spline's own c of the point's interval, inside the mesh, at both of
-    # its ends and outside it, where the end intervals extend
+    # spline's own c of the point's interval, inside the mesh, on every
+    # mesh node, at both of its ends and outside it, where the end
+    # intervals extend, out to +-1e16, past the int64 range of the index
     xs = np.linspace(-1.0 - 2e-3, 1.0, 4097)
     spline = CubicSpline(xs, steady_from_rates(FIG2)(xs))
     lookup = characteristics._value_and_slope(spline)
     rng = np.random.default_rng(4)
     inside = rng.integers(0, xs.size - 1, 500)
+    n, scale = xs.size - 1, (xs.size - 1) / (xs[-1] - xs[0])
+    # a node's interval is the floor of (x - x_0) / h as computed, which may round to the interval below
+    on_nodes = [min(math.floor((x - xs[0]) * scale), n - 1) for x in xs.tolist()]
+    assert all(i in (k - 1, k, n - 1) for k, i in enumerate(on_nodes))
     points = np.concatenate([xs[inside] + rng.uniform(0.01, 0.99, inside.size) * (xs[inside + 1] - xs[inside]),
-                             [xs[0], xs[-1], xs[0] - 1e-3, xs[-1] + 1e-3]])
-    intervals = np.concatenate([inside, [0, xs.size - 2, 0, xs.size - 2]])
-    value, slope = lookup(points.reshape(4, -1))
+                             [xs[0], xs[-1], xs[0] - 1e-3, xs[-1] + 1e-3], xs, [-10.0, 10.0, -1e16, 1e16]])
+    intervals = np.concatenate([inside, [0, n - 1, 0, n - 1], on_nodes, [0, n - 1, 0, n - 1]])
+    # below about -4.5e15 the index cast leaves the int64 range, which numpy
+    # flags as invalid; the march steps under np.errstate(all="ignore")
+    with np.errstate(invalid="ignore"):
+        value, slope = lookup(points.reshape(5, -1))
     c = spline.c
     for k, (x, i) in enumerate(zip(points.tolist(), intervals.tolist())):
         r = x - xs[i]

@@ -1,7 +1,11 @@
 """Command-line surface: subcommands, exit codes, reproducible files."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,32 @@ def test_steady_reports_an_overflowed_moment_and_writes_nothing(tmp_path, capsys
     assert "the closed-form moment overflowed for these rates" in captured.err
     assert "certified" not in captured.out
     assert not (out / "steady.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["ode", "mc"])
+@pytest.mark.parametrize("l_d", ["1e200", "1e300"])
+def test_ode_and_mc_stop_at_an_overflowed_moment(tmp_path, command, l_d):
+    # neither the oracle nor the simulator reads the equilibrium, and at
+    # these rates both would run for minutes; a subprocess with a timeout
+    # makes a regression fail instead of hanging the suite
+    ini, out = _ini(tmp_path, BASE.replace("l_d = 1\n", f"l_d = {l_d}\n"))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "degreeflow.cli", command, "--config", ini], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "the closed-form moment overflowed for these rates" in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ode", "mc"])
+def test_ode_and_mc_run_on_rates_that_conserve_the_moment(tmp_path, capsys, command):
+    # rewiring alone has no equilibrium to check (NoSteadyStateError), and
+    # the oracle and the simulator need none
+    rates = "omega_r = 1\nomega_p = 0.5\nl_d = 0\nl_r = 0\nl_p = 0\nn_d = 0\nn_r = 0\nn_p = 0\nm = 3\n"
+    ini, _ = _ini(tmp_path, BASE[:BASE.index("omega_r")] + rates + BASE[BASE.index("\n[initial]"):])
+    assert main([command, "--config", ini]) == 0
+    assert "wrote" in capsys.readouterr().out
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):
