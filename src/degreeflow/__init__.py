@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     WorkerError,
 )
-from .graphsim import Network, SimConfig, SimResult, run
+from .graphsim import SimConfig, SimResult, run
 from .initial import InitialCondition
 from .model import (
     Degeneracy,
@@ -67,7 +67,6 @@ __all__ = [
     "FitResult",
     "InitialCondition",
     "IntegrationError",
-    "Network",
     "NoSteadyStateError",
     "ProcessRates",
     "RiccatiCoefficients",

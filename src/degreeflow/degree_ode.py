@@ -133,8 +133,9 @@ class _Generator:
 class DistributionTrajectory:
     """Dense-in-time solution of the truncated master equation.
 
-    ``at``, ``mass`` and ``first_moment`` read p(t) for t in [0, t_end]
-    only; any other t, NaN included, raises ValidationError.
+    ``at``, ``mass`` and ``first_moment`` read p(t) for one number t in
+    [0, t_end] only (``model.real_or_array``); any other t, NaN and an
+    array included, raises ValidationError.
 
     ``stats`` holds the solver's ``rhs_evals``, ``jac_evals`` and ``steps``,
     the ``mass_drift`` that ``integrate`` checked against ``mass_tol``, and
@@ -147,7 +148,10 @@ class DistributionTrajectory:
         self.stats = stats
 
     def _p(self, t: float) -> np.ndarray:
-        """p(t) from the dense output, for t in the integrated range only."""
+        """p(t) from the dense output, for one number t in the integrated range only."""
+        t = real_or_array(t, "t")
+        if not isinstance(t, float):
+            raise ValidationError(f"t must be one number, got an array of shape {t.shape}")
         if not (0.0 <= t <= self.t_end * (1.0 + 1e-12)):
             raise ValidationError(f"t = {t!r} outside the integrated range [0, {self.t_end!r}]")
         return self._sol(min(t, self.t_end))
@@ -247,13 +251,20 @@ def integrate(
 def gf_eval(dist, x):
     """Generating function sum_k p_k x^k of a truncated distribution (Horner).
 
+    dist is a ``TruncatedDistribution`` or a 1-d array of p_0 .. p_K, read
+    by ``model.real_or_array``; anything else raises ValidationError.
     An array x gives an array.  A number x (``model.real_or_array``) gives
     a float, from Horner's rule on Python floats: the same operations in
     the same order as on an array, so the same bits, without numpy's cost
     of some microseconds for each operation on a 0-d array.  The array path
     updates one array in place, with no temporary per coefficient.
     """
-    p = dist.p if isinstance(dist, TruncatedDistribution) else np.asarray(dist, dtype=float)
+    if isinstance(dist, TruncatedDistribution):
+        p = dist.p
+    else:
+        p = real_or_array(dist, "dist")
+        if np.ndim(p) != 1:
+            raise ValidationError(f"dist must be a 1-d array of probabilities, got shape {np.shape(p)}")
     x = real_or_array(x, "x")
     if isinstance(x, float):
         total = 0.0

@@ -14,11 +14,11 @@ degree-biased rewiring of the only link, which leaves no endpoint to pick.
 
 The event loop, ``_chain``, runs each process as one branch of the loop,
 with the graph's containers bound once per run and updated in place by the
-branch, with the operations of ``Network``'s methods in their order; the
-methods stay the checked public API.  The initial graphs are filled in
-bulk, in the order ``add_edge`` would fill them.  Every random choice
-of an event pops one uniform double u from a buffer that ``_Stream`` fills
-from the replica's Generator in blocks of ``_BLOCK``, so the loop makes no
+branch.  It and the bulk builders of the initial graphs are the only code
+that writes the containers: ``Network`` has no mutators of its own, and it
+is internal, built and run only by ``run``.  Every random choice of an
+event pops one uniform double u from a buffer that ``_Stream`` fills from
+the replica's Generator in blocks of ``_BLOCK``, so the loop makes no
 numpy call of its own.  The stream clamps u to at most 1 - 2**-53, the one
 place that guards an index: for such u, floor(u n) < n for every n up to
 2**53, so it indexes a list of n as it stands.  Since u is a multiple of
@@ -51,7 +51,7 @@ import numpy as np
 from .errors import AbsorbingStateReached, ValidationError, WorkerError
 from .model import ProcessRates, count, real
 
-__all__ = ["Network", "SimConfig", "SimResult", "run"]
+__all__ = ["SimConfig", "SimResult", "run"]
 
 _RETRIES = 100
 _BLOCK = 4096  # uniforms drawn from the Generator at a time
@@ -110,11 +110,9 @@ class Network:
     def _linked(cls, n: int, edges: list) -> "Network":
         """Nodes 0..n-1 with the links of edges, distinct (u, v) pairs with u < v, filled in bulk.
 
-        The containers are those that ``add_edge`` called once per link in
-        the order of edges leaves: the same link list and, since each
-        neighbour set receives its elements in the same order, the same set
-        iteration orders, which decide the order in which ``remove_node``
-        drops links.
+        The link list is edges itself, and each neighbour set receives its
+        elements in link order.  That fixes the sets' iteration order, and
+        so the order in which ``_chain``'s node deletion drops links.
         """
         net = cls.empty(n)
         adj = net.adj
@@ -173,63 +171,9 @@ class Network:
         rng.random(drawn - len(draws))
         return cls._linked(n, edges)
 
-    # -- counts -------------------------------------------------------------
-
     @property
     def n_nodes(self) -> int:
         return len(self._nodes)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self._edges)
-
-    # -- mutation -----------------------------------------------------------
-
-    def add_node(self) -> int:
-        u = self._next_id
-        self._next_id += 1
-        self._node_pos[u] = len(self._nodes)
-        self._nodes.append(u)
-        self.adj[u] = set()
-        return u
-
-    def remove_node(self, u: int) -> None:
-        remove_edge = self.remove_edge
-        for v in list(self.adj[u]):
-            remove_edge(u, v)
-        nodes, node_pos = self._nodes, self._node_pos
-        pos = node_pos.pop(u)
-        last = nodes.pop()
-        if last != u:
-            nodes[pos] = last
-            node_pos[last] = pos
-        del self.adj[u]
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValidationError("self-links are not allowed")
-        adj = self.adj
-        nbrs = adj[u]
-        if v in nbrs:
-            raise ValidationError(f"link ({u}, {v}) already present")
-        key = (u, v) if u < v else (v, u)
-        edges = self._edges
-        self._edge_pos[key] = len(edges)
-        edges.append(key)
-        nbrs.add(v)
-        adj[v].add(u)
-
-    def remove_edge(self, u: int, v: int) -> None:
-        key = (u, v) if u < v else (v, u)
-        edges, edge_pos = self._edges, self._edge_pos
-        pos = edge_pos.pop(key)
-        last = edges.pop()
-        if last != key:
-            edges[pos] = last
-            edge_pos[last] = pos
-        adj = self.adj
-        adj[u].discard(v)
-        adj[v].discard(u)
 
     def degree_counts(self, k_max: int) -> np.ndarray:
         degs = np.fromiter(map(len, self.adj.values()), dtype=np.int64, count=len(self.adj))
@@ -309,16 +253,15 @@ def _chain(net: Network, rates: ProcessRates, stream: _Stream, ts: tuple, snap, 
     uniform link where its uniform twin picks a uniform node.  The graph's
     containers and the stream's buffer are bound once, each uniform is
     popped from the buffer in place, and each branch updates the containers
-    itself, with the operations of ``Network.add_edge``, ``remove_edge`` and
-    ``remove_node`` in their order, so a link change costs no method call;
-    only a new node goes through ``add_node``.  Rewiring and link deletion
-    share the removal of a uniform link, and rewiring and link addition the
-    link they end with.
+    itself, so a change to the graph costs no method call.  A link is
+    stored once, as (u, v) with u < v; the slot of a removed link or node
+    in its list is filled by the list's last entry.
+    Rewiring and link deletion share the removal of a uniform link, and
+    rewiring and link addition the link they end with.
     """
     k = tuple(float(getattr(rates, f.name)) for f in fields(rates))
     m = rates.m
     nodes, node_pos, edges, edge_pos, adj = net._nodes, net._node_pos, net._edges, net._edge_pos, net.adj
-    add_node = net.add_node
     buf, refill = stream.buf, stream.refill
     pop = buf.pop
     n_t, t, j = len(ts), 0.0, 0
@@ -405,8 +348,11 @@ def _chain(net: Network, rates: ProcessRates, stream: _Stream, ts: tuple, snap, 
             if len(targets) < m:
                 skips[idx] += 1
             else:
-                u = add_node()
-                nbrs = adj[u]
+                u = net._next_id
+                net._next_id = u + 1
+                node_pos[u] = len(nodes)
+                nodes.append(u)
+                adj[u] = nbrs = set()
                 for w in targets:
                     key = (w, u)  # the new node's id is above every other
                     edge_pos[key] = len(edges)
@@ -432,10 +378,10 @@ class SimConfig:
 
     graph: "regular" (circulant of degree graph_degree), "erdos" (mean
     degree graph_degree), or "empty"; graph_degree must be a finite real
-    number, for "regular" an even integer in [0, n_nodes), and is kept as
-    a float.  Sample times must be finite real numbers >= 0, strictly
-    increasing.  n_nodes, seed, replicas and k_max must be integers, the
-    seed nonnegative and the others positive.  k_max fixes the histogram
+    number, for "regular" an even integer in [0, n_nodes) and for "erdos"
+    one >= 0, and is kept as a float.  Sample times must be finite real
+    numbers >= 0, strictly increasing.  n_nodes, seed, replicas and k_max
+    must be integers, the seed nonnegative and the others positive.  k_max fixes the histogram
     length shared by all snapshots.  Each number goes through the shared
     check of ``model.real`` or ``model.count``, and anything else raises
     ValidationError.
@@ -463,7 +409,7 @@ class SimConfig:
             raise ValidationError(f"sample_times must be a sequence of times, got {self.sample_times!r}") from None
         if not ts or not all(a < b for a, b in zip(ts, ts[1:])):
             raise ValidationError("sample times must be a nonempty, strictly increasing sequence")
-        degree = real("graph_degree", self.graph_degree)
+        degree = real("graph_degree", self.graph_degree, 0.0 if self.graph == "erdos" else -math.inf)
         if self.graph == "regular" and not (0.0 <= degree < self.n_nodes and degree % 2.0 == 0.0):
             raise ValidationError(f"a regular graph_degree must be an even integer in [0, {self.n_nodes}), got {degree!r}")
         object.__setattr__(self, "sample_times", ts)

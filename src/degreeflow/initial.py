@@ -44,7 +44,10 @@ class InitialCondition:
         self.head = np.clip(self.head, 0.0, 1.0)
         self._slope = P.polyder(self.head)  # the coefficients of the head's derivative
         if tail is not None:
-            a, rho = tail
+            try:
+                a, rho = tail
+            except (TypeError, ValueError):
+                raise ValidationError(f"tail must be a pair (a, rho), got {tail!r}") from None
             a, rho = self.tail = real("a", a, 0.0, strict=True), real("rho", rho, 1.0, strict=True)
             if a > 1.0:
                 raise ValidationError(f"a must lie in (0, 1], got {a!r}")
@@ -115,9 +118,8 @@ class InitialCondition:
         return float(self.derivative(1.0))
 
     def coefficients(self, k_max: int) -> np.ndarray:
-        """Degree probabilities p_0 .. p_{k_max} (geometric tails extended exactly)."""
-        if k_max < 0:
-            raise ValidationError(f"k_max must be >= 0, got {k_max}")
+        """Degree probabilities p_0 .. p_{k_max} (geometric tails extended exactly); k_max is a ``model.count``."""
+        k_max = count("k_max", k_max, 0)
         out = np.zeros(k_max + 1)
         n = min(self.head.size, k_max + 1)
         out[:n] = self.head[:n]

@@ -283,6 +283,19 @@ def test_mc_scores_against_the_ensemble_start(tmp_path, capsys):
     assert main(["mc", "--config", ini]) == 1
 
 
+def test_mc_refuses_a_negative_erdos_degree(tmp_path):
+    # it used to exit 0, print "erdos start" and simulate from an empty graph
+    ini, out = _ini(tmp_path, BASE.replace("k_max = 30", "k_max = 30\ngraph = erdos\ngraph_degree = -3"))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "degreeflow.cli", "mc", "--config", ini], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error:") and "graph_degree" in done.stderr
+    assert "erdos start" not in done.stdout
+    assert not out.exists()
+
+
 def test_mc_scores_t_0_against_the_ensemble_start_itself(tmp_path, monkeypatch):
     # at t = 0 the reference is the ensemble's own histogram: ode_p equals
     # mean and tv is 0; with no later time the oracle is not integrated

@@ -203,6 +203,16 @@ def test_every_read_checks_the_integrated_range():
     assert traj.first_moment(0.0) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("read", ["at", "mass", "first_moment"])
+@pytest.mark.parametrize("t, message", [("x", "t must be a real number"), (np.array([0.5]), "t must be one number")],
+                         ids=["text", "array"])
+def test_every_read_takes_one_number(read, t, message):
+    # text raised a raw TypeError from the range comparison
+    traj = integrate(InitialCondition.polynomial((0.0, 0.0, 1.0)).coefficients(60), FIG2, 1.0)
+    with pytest.raises(ValidationError, match=message):
+        getattr(traj, read)(t)
+
+
 def test_an_undefined_probability_is_a_truncation_error():
     # a solve that left NaN behind is a numerical failure (exit 2), not
     # invalid input (exit 1): at() checks p >= -1e-10, which NaN fails
@@ -292,6 +302,16 @@ def test_gf_eval_on_a_scalar_gives_the_bits_of_a_one_element_array():
                 value = gf_eval(dist, arg)
                 assert type(value) is float
                 assert np.array([value]).tobytes() == array.tobytes(), x
+
+
+@pytest.mark.parametrize("dist, message", [
+    (["a"], "dist must be a real number or an array of them"),  # a raw ValueError
+    (np.ones((2, 2)), "dist must be a 1-d array"),  # a raw TypeError
+    (0.5, "dist must be a 1-d array"),
+], ids=["text", "2-d", "number"])
+def test_gf_eval_refuses_a_dist_that_is_not_a_1d_array(dist, message):
+    with pytest.raises(ValidationError, match=message):
+        gf_eval(dist, 0.5)
 
 
 def test_gf_eval_on_an_array_keeps_its_bits():

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -64,35 +65,9 @@ def check(net):
 def test_ring_construction():
     net = Network.regular_ring(10, 2)
     assert net.n_nodes == 10
-    assert net.n_edges == 10
+    assert len(net._edges) == 10
     counts = net.degree_counts(4)
     assert counts[2] == 10 and counts.sum() == 10
-    check(net)
-
-
-def test_manual_edge_bookkeeping():
-    net = Network.empty(0)
-    a = net.add_node()
-    b = net.add_node()
-    c = net.add_node()
-    net.add_edge(a, b)
-    net.add_edge(b, c)
-    assert net.n_edges == 2
-    assert len(net.adj[b]) == 2
-    assert b in net.adj[a] and c not in net.adj[a]
-    net.remove_edge(a, b)
-    assert net.n_edges == 1
-    assert len(net.adj[a]) == 0
-    check(net)
-
-
-def test_remove_node_drops_incident_edges():
-    net = Network.regular_ring(6, 2)
-    victim = 0
-    k = len(net.adj[victim])
-    net.remove_node(victim)
-    assert net.n_nodes == 5
-    assert net.n_edges == 6 - k
     check(net)
 
 
@@ -101,7 +76,7 @@ def test_erdos_renyi_sane():
     net = Network.erdos_renyi(300, 3.0, rng)
     check(net)
     assert net.n_nodes == 300
-    mean_deg = 2.0 * net.n_edges / net.n_nodes
+    mean_deg = 2.0 * len(net._edges) / net.n_nodes
     assert 2.4 < mean_deg < 3.6
 
 
@@ -125,7 +100,7 @@ def test_rewiring_conserves_counts():
     for _ in range(300):
         dt, _ = step(net, rates, draws)
         assert dt > 0
-    assert net.n_edges == 60
+    assert len(net._edges) == 60
     assert net.n_nodes == 30
     check(net)
 
@@ -134,10 +109,10 @@ def test_link_deletion_strictly_drains():
     draws = stream(3)
     rates = ProcessRates(0, 0, 1, 0, 0, 0, 0, 0, 0)
     net = Network.regular_ring(12, 2)
-    seen = [net.n_edges]
+    seen = [len(net._edges)]
     for _ in range(12):
         step(net, rates, draws)
-        seen.append(net.n_edges)
+        seen.append(len(net._edges))
     assert seen == list(range(12, -1, -1))
     check(net)
 
@@ -149,7 +124,7 @@ def test_node_creation_adds_m_edges():
     for i in range(5):
         step(net, rates, draws)
         assert net.n_nodes == 11 + i
-        assert net.n_edges == 10 + 3 * (i + 1)
+        assert len(net._edges) == 10 + 3 * (i + 1)
     check(net)
 
 
@@ -176,8 +151,7 @@ def test_every_process_runs_through_the_loop_and_keeps_invariants():
     # rewiring of the only link is restored and skipped, and node additions
     # of both kinds link their new node
     rates = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=1, n_d=1, n_r=1, n_p=1, m=1)
-    net = Network.empty(4)
-    net.add_edge(0, 1)
+    net = Network._linked(4, [(0, 1)])
     events, skips = [0] * 8, [0] * 8
     graphsim._chain(net, rates, stream(0), (10.0,), lambda: None, events, skips)
     assert min(events) > 0
@@ -187,11 +161,23 @@ def test_every_process_runs_through_the_loop_and_keeps_invariants():
     assert net.n_nodes == 4 + (events[6] - skips[6]) + (events[7] - skips[7]) - events[5]
 
 
-def built_by_add_edge(n, pairs):
-    net = Network.empty(n)
+def add_edges(n, pairs):
+    """Reference graph: nodes 0..n-1, then the pairs linked one at a time, in order.
+
+    Each link is stored as (u, v) with u < v at the end of the link list,
+    and each end joins the other's neighbour set; the bulk builders must
+    leave the same containers.
+    """
+    ref = types.SimpleNamespace(_nodes=list(range(n)), _node_pos={u: u for u in range(n)}, _next_id=n,
+                                adj={u: set() for u in range(n)}, _edges=[], _edge_pos={})
     for u, v in pairs:
-        net.add_edge(u, v)
-    return net
+        key = (u, v) if u < v else (v, u)
+        assert u != v and key not in ref._edge_pos
+        ref._edge_pos[key] = len(ref._edges)
+        ref._edges.append(key)
+        ref.adj[u].add(v)
+        ref.adj[v].add(u)
+    return ref
 
 
 def ring_pairs(n, k):
@@ -221,13 +207,13 @@ def assert_same_graph(net, ref):
     assert net._nodes == ref._nodes and net._node_pos == ref._node_pos and net._next_id == ref._next_id
     assert net._edges == ref._edges
     assert list(net._edge_pos.items()) == list(ref._edge_pos.items())
-    # set iteration order decides the order in which remove_node drops links
+    # set iteration order decides the order in which _chain's node deletion drops links
     assert [(u, list(s)) for u, s in net.adj.items()] == [(u, list(s)) for u, s in ref.adj.items()]
 
 
 @pytest.mark.parametrize("n, k", [(1, 0), (7, 0), (3, 2), (10, 2), (11, 4), (9, 8), (200, 4)])
 def test_ring_is_filled_as_add_edge_fills_it(n, k):
-    assert_same_graph(Network.regular_ring(n, k), built_by_add_edge(n, ring_pairs(n, k)))
+    assert_same_graph(Network.regular_ring(n, k), add_edges(n, ring_pairs(n, k)))
 
 
 @pytest.mark.parametrize("n, mean_degree", [(1, 2.0), (50, 0.0), (2, 0.5), (6, 5.0), (6, 9.0), (40, 3.0),
@@ -239,7 +225,7 @@ def test_erdos_renyi_is_filled_as_add_edge_fills_it(n, mean_degree, seed):
     # draw from it next
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     net = Network.erdos_renyi(n, mean_degree, rng)
-    assert_same_graph(net, built_by_add_edge(n, erdos_pairs(n, mean_degree, ref_rng)))
+    assert_same_graph(net, add_edges(n, erdos_pairs(n, mean_degree, ref_rng)))
     assert rng.random() == ref_rng.random()
 
 
@@ -396,11 +382,10 @@ def test_run_inside_a_pool_worker_stays_serial(monkeypatch):
 def test_preferential_rewiring_of_the_only_link_is_skipped():
     # removing the only link leaves no endpoint to pick a degree-biased
     # target from: the link is restored and the event counts as skipped
-    net = Network.empty(3)
-    net.add_edge(0, 1)
+    net = Network._linked(3, [(0, 1)])
     dt, executed = step(net, ProcessRates(omega_p=1), stream(5))
     assert not executed and dt > 0
-    assert net.n_edges == 1 and 1 in net.adj[0]
+    assert len(net._edges) == 1 and 1 in net.adj[0]
     check(net)
 
 
@@ -457,7 +442,7 @@ def test_draw_at_the_top_uniform_picks_a_live_process():
     # from the top pick rounds short of zero, and the last two clocks are dead
     rates = ProcessRates(l_p=2.3, n_d=1.4)
     net = Network.regular_ring(50, 2)
-    dt, idx = graphsim._draw(float(net.n_edges), float(net.n_nodes), floats(rates), TOP, TOP)
+    dt, idx = graphsim._draw(float(len(net._edges)), float(net.n_nodes), floats(rates), TOP, TOP)
     assert idx == 5
     assert np.isfinite(dt) and dt > 0
 
@@ -469,8 +454,7 @@ def test_stream_index_is_uniform(n):
     draws, rates = stream(21), ProcessRates(n_d=1)
     counts = np.zeros(n, dtype=np.int64)
     for _ in range(20000):
-        net = Network.empty(n)
-        net.add_edge(0, 1)
+        net = Network._linked(n, [(0, 1)])
         step(net, rates, draws)
         (gone,) = set(range(n)) - net.adj.keys()
         counts[gone] += 1
@@ -482,7 +466,7 @@ def test_draw_picks_processes_in_proportion_to_their_clocks():
     rates = ProcessRates(omega_r=1, omega_p=2, l_d=0.5, l_r=1.5, l_p=3,
                          n_d=0.25, n_r=2.5, n_p=0.75, m=2)
     net = Network.regular_ring(50, 4)
-    e, n = float(net.n_edges), float(net.n_nodes)
+    e, n = float(len(net._edges)), float(net.n_nodes)
     # 2E omega_r, 2E omega_p, E l_d, N l_r, N l_p, 2E n_d, N n_r, N n_p
     lam = np.array([2 * e * 1, 2 * e * 2, e * 0.5, n * 1.5, n * 3, 2 * e * 0.25, n * 2.5, n * 0.75])
     assert np.all(lam > 0)
@@ -566,6 +550,16 @@ def test_config_rejects_a_ring_degree_it_cannot_build(degree):
         SimConfig(rates=FIG2, n_nodes=50, sample_times=(0.05,), seed=1, graph="regular", graph_degree=degree)
     # the same degree is a mean for an Erdos-Renyi graph
     SimConfig(rates=FIG2, n_nodes=50, sample_times=(0.05,), seed=1, graph="erdos", graph_degree=abs(degree))
+
+
+@pytest.mark.parametrize("degree", [-3.0, -1e-300, -2])
+def test_config_rejects_a_negative_erdos_degree(degree):
+    # erdos_renyi builds an empty graph for any mean degree <= 0, so a
+    # negative one used to be accepted and simulated from an empty start
+    with pytest.raises(ValidationError, match="graph_degree must be a finite real number >= 0"):
+        SimConfig(rates=FIG2, n_nodes=50, sample_times=(0.05,), seed=1, graph="erdos", graph_degree=degree)
+    assert SimConfig(rates=FIG2, n_nodes=50, sample_times=(0.05,), seed=1, graph="erdos",
+                     graph_degree=0.0).graph_degree == 0.0
 
 
 def test_config_rejects_non_numeric_degree_and_times():

@@ -52,6 +52,20 @@ def test_geometric():
     )
 
 
+@pytest.mark.parametrize("k_max", [2.5, -1, "3", True])
+def test_coefficients_take_a_count(k_max):
+    # 2.5 raised a raw TypeError from np.zeros
+    with pytest.raises(ValidationError, match="k_max must be an integer >= 0"):
+        InitialCondition.polynomial([0, 0, 1]).coefficients(k_max)
+
+
+@pytest.mark.parametrize("tail", [(0.5,), 0.5, (0.5, 2.0, 3.0)])
+def test_explicit_tail_must_be_a_pair(tail):
+    # (0.5,) raised a raw ValueError on unpacking, 0.5 a raw TypeError
+    with pytest.raises(ValidationError, match="tail must be a pair"):
+        InitialCondition.explicit([0.5], tail)
+
+
 def test_geometric_requires_radius_above_one():
     with pytest.raises(ValidationError):
         InitialCondition.geometric(1.0)

@@ -1,11 +1,13 @@
-"""Property tests of the characteristic transport, the master-equation oracle, the simulator's config, the
-public numeric arguments and the CLI over drawn inputs.
+"""Property tests of the characteristic transport, the master-equation oracle, the simulator's event loop and
+config, the public numeric arguments and the CLI over drawn inputs.
 
 Every case either raises a DegreeFlowError or meets the solver's
-invariants, every simulator config either constructs or raises
-ValidationError, every call with a drawn number either works or raises a
-DegreeFlowError, and every CLI run ends in a documented exit code.  The
-draws are derandomized, so the suite sees the same cases on every run.
+invariants, every run of the event loop leaves a consistent graph whose
+node and link counts match its event counts, every simulator config
+either constructs or raises ValidationError, every call with a drawn
+number either works or raises a DegreeFlowError, and every CLI run ends
+in a documented exit code.  The draws are derandomized, so the suite sees
+the same cases on every run.
 """
 
 import math
@@ -22,12 +24,13 @@ from degreeflow.analysis import ConvergenceSeries, detect_bend, fit_rate  # noqa
 from degreeflow.characteristics import CharacteristicSolver  # noqa: E402
 from degreeflow.cli import main  # noqa: E402
 from degreeflow.degree_ode import gf_eval, integrate  # noqa: E402
-from degreeflow.errors import DegreeFlowError, ValidationError  # noqa: E402
-from degreeflow.graphsim import SimConfig, run  # noqa: E402
+from degreeflow.errors import AbsorbingStateReached, DegreeFlowError, ValidationError  # noqa: E402
+from degreeflow.graphsim import Network, SimConfig, _chain, _Stream, run  # noqa: E402
 from degreeflow.initial import InitialCondition  # noqa: E402
 from degreeflow.model import ProcessRates, RiccatiCoefficients, derive_riccati  # noqa: E402
 from degreeflow.riccati import ClosedFormMoment  # noqa: E402
 from degreeflow.steady import construct, explicit_constants, steady_from_rates  # noqa: E402
+from test_graphsim import check  # noqa: E402
 
 _PROCESSES = ("omega_r", "omega_p", "l_d", "l_r", "l_p", "n_d", "n_r", "n_p")
 _RATE = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
@@ -101,6 +104,42 @@ def test_oracle_conserves_mass_or_a_degreeflow_error(case):
 
 
 
+# a rate of the event loop is 0 in three draws of ten, away from the ends
+# of the range that hypothesis favours, else drawn from [0.05, 2]
+_LOOP_RATE = st.tuples(st.integers(0, 9), st.floats(0.05, 2.0)).map(lambda d: 0.0 if d[0] in (2, 5, 7) else d[1])
+
+
+@st.composite
+def _chain_cases(draw):
+    rates = ProcessRates(**{name: draw(_LOOP_RATE) for name in _PROCESSES}, m=draw(st.integers(0, 4)))
+    n = draw(st.integers(2, 30))
+    start = draw(st.sampled_from(("ring", "erdos", "empty", "one link")))
+    degree = 2 * draw(st.integers(0, (n - 1) // 2)) if start == "ring" else draw(st.floats(0.0, 6.0))
+    return rates, start, n, degree, draw(st.integers(0, 2**32)), draw(st.floats(0.01, 1.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_chain_cases())
+def test_event_loop_keeps_the_graph_and_its_counts(case):
+    rates, start, n, degree, seed, t_end = case
+    rng = np.random.default_rng(seed)
+    net = {"ring": lambda: Network.regular_ring(n, degree), "erdos": lambda: Network.erdos_renyi(n, degree, rng),
+           "empty": lambda: Network.empty(n), "one link": lambda: Network._linked(n, [(0, 1)])}[start]()
+    n0, e0 = len(net._nodes), len(net._edges)
+    events, skips = [0] * 8, [0] * 8
+    try:
+        _chain(net, rates, _Stream(rng), (t_end,), lambda: None, events, skips)
+    except AbsorbingStateReached:
+        pass  # a frozen graph is checked as it stands
+    check(net)
+    assert all(u < net._next_id for u in net._nodes)
+    added = (events[6] - skips[6]) + (events[7] - skips[7])
+    assert len(net._nodes) == n0 + added - events[5]
+    # a node deletion also drops the links of its node, which no count records
+    if rates.n_d == 0.0:
+        assert len(net._edges) == e0 - events[2] + (events[3] - skips[3]) + (events[4] - skips[4]) + rates.m * added
+
+
 # SimConfig's fields, each drawn valid, and then at most one of them
 # replaced by None, a bool, an int of any size, a float with nan and inf, a
 # short string or a list, so that the checks before it pass; a sample time
@@ -157,6 +196,7 @@ _MODEST = _ARGUMENT.filter(lambda v: not any(isinstance(e, (int, float)) and 10 
 _FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0, n_d=1, n_r=1, n_p=1, m=3)
 _H = InitialCondition.polynomial([0.0, 0.0, 1.0])
 _P0 = np.eye(12)[2]
+_TRAJ = integrate(np.eye(61)[2], _FIG2, 0.5)
 _TWO_SINGULARITY = explicit_constants(2.0, 1.0, 1.0, 1.0, 2)
 _STEADY = steady_from_rates(_FIG2)
 _T = np.linspace(0.0, 5.0, 11)
@@ -193,6 +233,10 @@ _ENTRIES = {
     "solve_grid(x)": (lambda v: CharacteristicSolver(_FIG2, _H).solve_grid(v, [0.0, 0.5]), _MODEST),
     "solve_grid(t)": (lambda v: CharacteristicSolver(_FIG2, _H).solve_grid([0.0, 0.5], v), _MODEST),
     "gf_eval(x)": (lambda v: gf_eval(_P0, v), _MODEST),
+    "gf_eval(dist)": (lambda v: gf_eval(v, 0.5), _ARGUMENT),
+    "DistributionTrajectory.at(t)": (lambda v: _TRAJ.at(v), _ARGUMENT),
+    "InitialCondition.coefficients(k_max)": (lambda v: _H.coefficients(v), _MODEST),
+    "InitialCondition.explicit(tail)": (lambda v: InitialCondition.explicit([0.5], v), _ARGUMENT),
     "InitialCondition.geometric(rho)": (lambda v: InitialCondition.geometric(v), _ARGUMENT),
     "InitialCondition.geometric(a)": (lambda v: InitialCondition.geometric(2.0, v), _ARGUMENT),
     "InitialCondition.polynomial": (InitialCondition.polynomial, _ARGUMENT),
