@@ -310,6 +310,13 @@ class CharacteristicSolver:
     least ``t_max``, which must be a finite real number, and later
     queries up to it reuse the flow.  Rates that are not ProcessRates
     raise ValidationError.
+
+    ``stats`` holds the counts of the last march, that is of the last
+    ``solve_at``, ``solve_grid`` or ``solve_difference_grid`` call (empty
+    before the first): its step ``attempts``, ``node_evals``, accepted
+    ``steps``, ``segments`` and the dense flow's ``flow_rhs_evals``, as
+    ``_march`` documents them.  A grid's ``SolutionField.stats`` is the
+    same dict.
     """
 
     def __init__(self, rates: ProcessRates, h: InitialCondition, t_max: float = 0.0):
@@ -321,6 +328,7 @@ class CharacteristicSolver:
         self._flow = None  # dense (L, psi) on [0, self._horizon] once built
         self._flow_evals = 0  # rhs evaluations of the solve that built it
         self._first_steps = {}  # the march's first step by (rtol, pair)
+        self.stats: dict = {}  # the last march's counts
         self._horizon = max(real("t_max", t_max), 0.0)  # an infinite horizon would never end the flow
 
     def _ensure(self, t: float):
@@ -506,7 +514,7 @@ class CharacteristicSolver:
         y = np.array(init(x0), dtype=float)
         L = psi = s = 0.0
         last_step, last_err = 1.0, 0.0  # the last accepted step and its error
-        stats = {"attempts": 0, "node_evals": 0, "steps": 0, "segments": 0}
+        self.stats = stats = {"attempts": 0, "node_evals": 0, "steps": 0, "segments": 0}
         ts = t.tolist()
         lo = k = bisect.bisect_right(ts, 0.0)  # curves at t = 0 keep their data
         pair = _LONE_PAIR if len(ts) - lo == 1 else _PAIR

@@ -12,6 +12,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from .characteristics import solve_grid
 from .config import ExperimentConfig, _parse_constants, parse_config
 from .degree_ode import gf_eval, integrate
 from .errors import DegreeFlowError, DomainError, NoSteadyStateError, ValidationError
-from .graphsim import SimConfig, run
+from .graphsim import run
 from .model import _RATE_FIELDS, Degeneracy, derive_riccati
 from .riccati import ClosedFormMoment, equilibrium
 from .steady import _away_from_singular, construct, explicit_constants, residual, steady_from_rates
@@ -181,26 +182,15 @@ def cmd_ode(cfg: ExperimentConfig) -> int:
 
 
 def cmd_mc(cfg: ExperimentConfig) -> int:
-    times = cfg.mc_sample_times
-    if not times:
-        raise ValidationError("[mc] sample_times must not be empty")
     if cfg.mc_k_max > cfg.oracle_k_max:
         raise ValidationError(
             f"[mc] k_max = {cfg.mc_k_max} exceeds [oracle] k_max = {cfg.oracle_k_max}"
         )
     # The reference starts from the ensemble's own t = 0 histogram, whatever
-    # [initial] says; a t = 0 snapshot draws no random numbers.
-    lead = 0 if times[0] == 0.0 else 1
-    sim = SimConfig(
-        rates=cfg.rates,
-        n_nodes=cfg.mc_nodes,
-        sample_times=(0.0,) * lead + times,
-        seed=cfg.mc_seed,
-        replicas=cfg.mc_replicas,
-        graph=cfg.mc_graph,
-        graph_degree=cfg.mc_graph_degree,
-        k_max=cfg.mc_k_max,
-    )
+    # [initial] says; the simulation samples t = 0 first, added when missing.
+    sim = cfg.simulation()
+    times = cfg.mc_sample_times
+    lead = len(sim.sample_times) - len(times)
     _check_moment(cfg)
     result = run(sim)
     kk = cfg.mc_k_max + 1
@@ -261,14 +251,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     window = (cfg.fit_t_min, cfg.fit_t_max if cfg.fit_t_max is not None else cfg.t_max)
     try:
         fit = fit_rate(series, window, cfg.fit_norm)
-        report["fit"] = {
-            "model": fit.model,
-            "rate": fit.rate,
-            "r_squared": fit.r_squared,
-            "r2_exponential": fit.r2_exponential,
-            "r2_algebraic": fit.r2_algebraic,
-            "n_points": fit.n_points,
-        }
+        report["fit"] = dataclasses.asdict(fit)
         print(f"decay law ({cfg.fit_norm} norm, window {window}): {fit.model}, rate {fit.rate:.4f}, R^2 {fit.r_squared:.4f}")
     except (ValidationError, DomainError) as exc:
         report["fit"] = {"error": str(exc)}

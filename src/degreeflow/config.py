@@ -2,10 +2,13 @@
 
 One config file drives every CLI subcommand.  All values have defaults
 except the process rates, so a minimal file is just a [rates] section; an
-unknown section or key is invalid input.  The canonical hash covers the
-fully resolved configuration (after defaults and command-line overrides),
-and is echoed into every output file so that a result can always be traced
-to the exact inputs that produced it.
+unknown section or key is invalid input.  A file is valid only when every
+object it describes can be built: the initial condition, the simulator's
+set-up and the explicit stationary constants.  So every subcommand refuses
+what any one of them refuses, and the subcommands check none of it again.
+The canonical hash covers the fully resolved configuration (after defaults
+and command-line overrides), and is echoed into every output file so that
+a result can always be traced to the exact inputs that produced it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import numpy as np
 
 from .degree_ode import _TOL_FLOOR
 from .errors import ValidationError
+from .graphsim import SimConfig
 from .initial import InitialCondition
 from .model import _RATE_FIELDS, ProcessRates
+from .steady import explicit_constants
 
 __all__ = ["ExperimentConfig", "parse_config"]
 
@@ -71,6 +76,25 @@ class ExperimentConfig:
                 tail = (self.initial_a, self.initial_rho)
             return InitialCondition.explicit(self.initial_coeffs, tail)
         raise ValidationError(f"unknown initial kind {kind!r}")
+
+    def simulation(self) -> SimConfig:
+        """Build (and validate) the simulator's set-up from [rates] and [mc].
+
+        t = 0 comes first among the sample times, added when [mc]
+        sample_times lacks it: ``mc`` starts its reference from the
+        ensemble's t = 0 histogram, and a t = 0 snapshot draws no random
+        numbers.  SimConfig's messages come prefixed with [mc] and name its
+        fields, such as n_nodes for the key nodes.
+        """
+        times = self.mc_sample_times
+        if not times:
+            raise ValidationError("[mc] sample_times must not be empty")
+        try:
+            return SimConfig(rates=self.rates, n_nodes=self.mc_nodes, seed=self.mc_seed, replicas=self.mc_replicas,
+                             graph=self.mc_graph, graph_degree=self.mc_graph_degree, k_max=self.mc_k_max,
+                             sample_times=times if times[0] == 0.0 else (0.0, *times))
+        except ValidationError as exc:
+            raise ValidationError(f"[mc] {exc}") from exc
 
     def x_grid(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.x_points)
@@ -128,8 +152,8 @@ def _parse_constants(raw: str) -> tuple[float, float, float, float, int]:
     if len(vals) != 5:
         raise ValidationError(f"constants need 5 values c1,c2,c3,c4,m, got {len(vals)}")
     c1, c2, c3, c4, m = vals
-    if m != int(m) or m < 0:
-        raise ValidationError(f"constants m must be a nonnegative integer, got {m!r}")
+    if not m.is_integer():  # int(m) would truncate it; explicit_constants checks its sign
+        raise ValidationError(f"constants m must be an integer, got {m!r}")
     return (c1, c2, c3, c4, int(m))
 
 
@@ -219,8 +243,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValidationError(f"[oracle] mass_tol must be positive, got {cfg.oracle_mass_tol!r}")
     if cfg.oracle_k_max < cfg.rates.m + 2:
         raise ValidationError(f"[oracle] k_max must be >= m + 2 = {cfg.rates.m + 2}")
-    if cfg.mc_seed < 0:
-        raise ValidationError(f"[mc] seed must be >= 0, got {cfg.mc_seed}")
     if cfg.fit_norm not in ("sup", "l2"):
         raise ValidationError(f"[analysis] norm must be sup or l2, got {cfg.fit_norm!r}")
-    cfg.initial()  # validates the initial condition eagerly
+    # a config is valid only if every object it describes can be built
+    cfg.initial()
+    cfg.simulation()
+    if cfg.steady_constants is not None:
+        explicit_constants(*cfg.steady_constants)

@@ -62,7 +62,8 @@ class _Generator:
     triple says where the mass of degree class j goes, to j - 1 (row 0),
     out of j (row 1) and to j + 1 (row 2).  The entry of row 2 in the last
     column would leave the truncation and is zero.  Rates that are not
-    ProcessRates raise ValidationError.
+    ProcessRates raise ValidationError; n must be at least m + 3, which
+    ``integrate`` checks.
 
     ``rhs`` runs once per LSODA function evaluation, thousands of times a
     solve, so it sets up no arrays of its own beyond its result: it fills
@@ -75,10 +76,6 @@ class _Generator:
         r = rates
         if not isinstance(r, ProcessRates):
             raise ValidationError(f"rates must be ProcessRates, got {type(r).__name__}")
-        if (r.n_r > 0.0 or r.n_p > 0.0) and r.m >= n:
-            raise ValidationError(
-                f"truncation k_max = {n - 1} cannot hold the injection degree m = {r.m}"
-            )
         self._needs_mu = r.l_p > 0.0 or r.n_p > 0.0
         self._k = k = np.arange(n, dtype=float)
         one, zero = np.ones(n), np.zeros(n)

@@ -84,7 +84,12 @@ class _Stream:
 
 
 class Network:
-    """Undirected simple graph whose node and link lists give the event loop O(1) uniform picks."""
+    """Undirected simple graph whose node and link lists give the event loop O(1) uniform picks.
+
+    The builders take the values that ``SimConfig`` has checked and check
+    none of their own: a ring of odd degree, or of degree n or more, and an
+    Erdos-Renyi graph of no node are not refused here.
+    """
 
     def __init__(self):
         self.adj: dict[int, set[int]] = {}
@@ -125,14 +130,10 @@ class Network:
 
     @classmethod
     def regular_ring(cls, n: int, k: int) -> "Network":
-        """Circulant graph: node i linked to i +- 1 .. i +- k/2 (k even, k < n).
+        """Circulant graph: node i linked to i +- 1 .. i +- k/2 (k even, 0 <= k < n).
 
         The links come in order of i, then of the offset d = 1 .. k/2.
         """
-        if k % 2 != 0 or k < 0:
-            raise ValidationError(f"ring degree must be even and >= 0, got {k}")
-        if k >= n:
-            raise ValidationError(f"ring degree {k} needs more than {n} nodes")
         offsets = range(1, k // 2 + 1)
         return cls._linked(n, [(i, i + d) if i + d < n else (i + d - n, i) for i in range(n) for d in offsets])
 
@@ -144,8 +145,6 @@ class Network:
         and the Generator is then put back and advanced by the number read,
         so it is left where one draw per skip would leave it.
         """
-        if n < 1:
-            raise ValidationError(f"need at least one node, got {n}")
         if n == 1 or mean_degree <= 0.0:
             return cls.empty(n)
         p = min(mean_degree / (n - 1), 1.0)
@@ -381,10 +380,11 @@ class SimConfig:
     number, for "regular" an even integer in [0, n_nodes) and for "erdos"
     one >= 0, and is kept as a float.  Sample times must be finite real
     numbers >= 0, strictly increasing.  n_nodes, seed, replicas and k_max
-    must be integers, the seed nonnegative and the others positive.  k_max fixes the histogram
-    length shared by all snapshots.  Each number goes through the shared
-    check of ``model.real`` or ``model.count``, and anything else raises
-    ValidationError.
+    must be integers, the seed nonnegative and the others positive.  k_max
+    fixes the histogram length shared by all snapshots.  Each number goes
+    through the shared check of ``model.real`` or ``model.count``, and
+    anything else raises ValidationError.  This is the simulator's only
+    check of its set-up: ``Network``'s builders trust these values.
     """
 
     rates: ProcessRates
@@ -425,7 +425,6 @@ class SimResult:
     stderr: np.ndarray  # (T, k_max+1) standard error over replicas
     absorbed: list[bool]
     skipped: int  # placements skipped, all processes together
-    mean_nodes: np.ndarray  # (T,) average node count
     # per process, in the order of ProcessRates' rate fields, over all replicas
     events: tuple[int, ...]  # events drawn, skipped ones included
     skips: tuple[int, ...]  # events skipped after their placement attempts
@@ -442,18 +441,17 @@ def _build_initial(config: SimConfig, rng: np.random.Generator) -> Network:
 def _replica(config: SimConfig, r: int, seed: np.random.SeedSequence) -> tuple:
     """Replica r of the ensemble, drawing only from its child stream ``seed``.
 
-    Returns its (T, k_max+1) histograms, its (T,) node counts, whether it
-    froze in an absorbing state, and its per-process events and skips.
+    Returns its (T, k_max+1) histograms, whether it froze in an absorbing
+    state, and its per-process events and skips.
     """
     rng = np.random.default_rng(seed)
     net = _build_initial(config, rng)
     k_max = config.k_max
-    hists, n_counts = [], []
+    hists = []
 
     def snap():
         n = net.n_nodes
         hists.append(net.degree_counts(k_max) / n if n else np.zeros(k_max + 1))
-        n_counts.append(n)
 
     events, skips = [0] * 8, [0] * 8
     try:
@@ -464,7 +462,7 @@ def _replica(config: SimConfig, r: int, seed: np.random.SeedSequence) -> tuple:
     # a frozen replica repeats its graph at the remaining times
     while len(hists) < len(config.sample_times):
         snap()
-    return np.array(hists), np.array(n_counts, dtype=float), frozen, events, skips
+    return np.array(hists), frozen, events, skips
 
 
 def _share(config: SimConfig, rs: range, seeds: list) -> list[tuple]:
@@ -566,7 +564,7 @@ def run(config: SimConfig) -> SimResult:
     cuts = [config.replicas * i // n_proc for i in range(n_proc + 1)]
     shares = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     results = _share(config, shares[0], seeds) if n_proc == 1 else _forked(config, shares, seeds)
-    hists, n_counts, absorbed, events, skips = zip(*results)
+    hists, absorbed, events, skips = zip(*results)
     events = tuple(map(sum, zip(*events)))
     skips = tuple(map(sum, zip(*skips)))
 
@@ -582,7 +580,6 @@ def run(config: SimConfig) -> SimResult:
         stderr=stderr,
         absorbed=list(absorbed),
         skipped=sum(skips),
-        mean_nodes=np.array(n_counts).mean(axis=0),
         events=events,
         skips=skips,
     )

@@ -74,6 +74,12 @@ def test_fit_l2_route():
     assert fit.rate == pytest.approx(-0.5, abs=1e-6)
 
 
+def test_fit_refuses_an_unknown_norm():
+    t = np.linspace(1, 5, 21)
+    with pytest.raises(ValidationError, match="norm must be 'sup' or 'l2', got 'max'"):
+        fit_rate(_series(t, np.exp(-t)), norm="max")
+
+
 def test_bend_detection():
     ts = np.array([0.0, 0.1, 0.2, 0.3])
     ones = np.ones(4)

@@ -44,20 +44,6 @@ def _solver(t):
     return CharacteristicSolver(FIG2, H_SQUARE, t_max=np.max(t, initial=0.0))
 
 
-def _march_stats(monkeypatch) -> list[dict]:
-    """The stats of every march from here on, in call order."""
-    seen = []
-    real = CharacteristicSolver._march
-
-    def counting(self, *args):
-        out = real(self, *args)
-        seen.append(out[1])
-        return out
-
-    monkeypatch.setattr(CharacteristicSolver, "_march", counting)
-    return seen
-
-
 @dataclass(frozen=True)
 class CharacteristicState:
     """Point on a characteristic curve: position x, (p1, p2, z) = (G_x, G_t, G)."""
@@ -265,16 +251,15 @@ def test_difference_rows_match_separate_solves():
         assert np.max(np.abs(D[j] - row)) <= 1e-6 * np.max(np.abs(row))
 
 
-def test_difference_grid_rhs_evaluation_budget(monkeypatch):
+def test_difference_grid_rhs_evaluation_budget():
     # a source with kinks in x (piecewise-linear lookups of G* and G*')
     # forces tiny steps on every curve that crosses a kink; the smooth
     # spline source needs 336 march node evaluations here and 332 rhs
     # evaluations of the (L, psi) flow, the kinked one over 8 million node
     # evaluations.  Counts the march and the flow.
-    seen = _march_stats(monkeypatch)
     solver = CharacteristicSolver(FIG2, h=InitialCondition.geometric(3.0), t_max=1.0)
     solver.solve_difference_grid(np.linspace(-1, 1, 21), np.linspace(0, 1, 11), steady_from_rates(FIG2))
-    (stats,) = seen
+    stats = solver.stats
     assert stats["node_evals"] + stats["flow_rhs_evals"] <= 3000
 
 
@@ -371,18 +356,17 @@ def test_grid_stats_count_the_transport(monkeypatch):
         assert len(flows) == 1 and flows[0].sol is not None
 
 
-def test_batched_points_match_per_point_queries(monkeypatch):
+def test_batched_points_match_per_point_queries():
     # 100 scattered points in one call: one trace, one march that retires
     # each curve at its own time
     rng = np.random.default_rng(11)
     xs, ts = rng.uniform(-1.0, 1.0, 100), rng.uniform(0.05, 5.0, 100)
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
-    seen = _march_stats(monkeypatch)
     G, Gx = solver.solve_at(xs, ts)
     # 1,176 node evaluations and 377 for the flow (1,848 when every step was
     # cut at the next time), against 14,168 node evaluations for the 100
     # queries one by one
-    (stats,) = seen
+    stats = solver.stats
     assert stats["node_evals"] + stats["flow_rhs_evals"] <= 5000
     assert G.shape == Gx.shape == (100,)
     alone = np.array([solver.solve_at(x, t) for x, t in zip(xs.tolist(), ts.tolist())])
@@ -556,6 +540,17 @@ def test_a_grid_traced_together_raises_as_its_pair_alone(monkeypatch, times, flo
     assert f"({float(x[named])!r}, {float(t[named])!r})" in message
 
 
+def test_a_difference_grid_needs_a_profile_and_a_finite_equilibrium():
+    xs, ts = np.linspace(-1, 1, 5), np.linspace(0, 1, 3)
+    solver = CharacteristicSolver(FIG2, H_SQUARE)
+    with pytest.raises(ValidationError, match="steady must be a callable"):
+        solver.solve_difference_grid(xs, ts, 1.0)
+    # link addition alone: the first moment grows without bound
+    growth = CharacteristicSolver(ProcessRates(l_r=1.0), H_SQUARE)
+    with pytest.raises(DomainError, match="no finite moment equilibrium"):
+        growth.solve_difference_grid(xs, ts, steady_from_rates(FIG2))
+
+
 def test_an_initial_condition_is_required():
     # g is always built from h'(1); a caller's trajectory in h's place, as
     # in the removed (rates, g) call, or no h at all is invalid input
@@ -690,16 +685,16 @@ def test_one_point_difference_grid_matches_the_wide_grid():
         np.testing.assert_allclose(alone[:, 0], D[:, j], rtol=0, atol=1e-12)
 
 
-def test_a_step_retires_every_time_it_reaches(monkeypatch):
+def test_a_step_retires_every_time_it_reaches():
     # on FIG6 a = f = 0 along every curve, so (L, psi) alone set the error,
     # and the error control accepts steps of about 0.7: a step retires the
     # curves of every time it reaches, 7 steps where a march cut at each of
     # the 50 times took 50 (700 node evaluations).  segments still counts
     # the distinct times retired.
-    seen = _march_stats(monkeypatch)
     xs, ts = np.linspace(-1, 1, 41), np.linspace(0, 5, 51)
-    CharacteristicSolver(FIG6, h=InitialCondition.geometric(3.0)).solve_difference_grid(xs, ts, steady_from_rates(FIG6))
-    (stats,) = seen
+    solver = CharacteristicSolver(FIG6, h=InitialCondition.geometric(3.0))
+    solver.solve_difference_grid(xs, ts, steady_from_rates(FIG6))
+    stats = solver.stats
     assert (stats["node_evals"], stats["steps"], stats["segments"]) == (98, 7, 50)
 
 
@@ -708,14 +703,14 @@ def test_a_step_retires_every_time_it_reaches(monkeypatch):
     (FIG7, InitialCondition.polynomial([0, 1]), (50, 700, 50, 50)),
     (FIG7, H_SQUARE, (8, 112, 8, 50)),
 ], ids=["fig2", "fig7-x", "fig7-x2"])
-def test_decay_grids_keep_their_march_counts(monkeypatch, rates, h, counts):
+def test_decay_grids_keep_their_march_counts(rates, h, counts):
     # the attempts, node evaluations, steps and segments of the decay
     # workload's other three 41 x 51 grids to t = 5, pinned: they depend on
     # the arithmetic only, and a change to the step control shows here
-    seen = _march_stats(monkeypatch)
     xs, ts = np.linspace(-1, 1, 41), np.linspace(0, 5, 51)
-    CharacteristicSolver(rates, h=h).solve_difference_grid(xs, ts, steady_from_rates(rates))
-    (stats,) = seen
+    solver = CharacteristicSolver(rates, h=h)
+    solver.solve_difference_grid(xs, ts, steady_from_rates(rates))
+    stats = solver.stats
     assert tuple(stats[key] for key in ("attempts", "node_evals", "steps", "segments")) == counts
 
 
@@ -730,7 +725,7 @@ def _benchmark_points():
     return 2.0 * stratified(100) - 1.0, 5.0 * stratified(100)
 
 
-def test_batched_points_retire_inside_steps_with_one_evaluation_per_attempt(monkeypatch):
+def test_batched_points_retire_inside_steps_with_one_evaluation_per_attempt():
     # 100 scattered times: most steps reach several of them, and each curve
     # retires on its own part of the step.  The node times of every length
     # are one evaluation of g and the coefficients, so an attempt still
@@ -739,9 +734,8 @@ def test_batched_points_retire_inside_steps_with_one_evaluation_per_attempt(monk
     # one-point queries is checked on other points above.
     xs, ts = _benchmark_points()
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
-    seen = _march_stats(monkeypatch)
     solver.solve_at(xs, ts)
-    (stats,) = seen
+    stats = solver.stats
     assert (stats["node_evals"], stats["steps"], stats["segments"]) == (1470, 82, 100)
 
 
@@ -771,16 +765,17 @@ def test_wide_steps_run_in_blocks_that_change_no_bit(monkeypatch):
     assert np.array_equal(D, whole)
 
 
-def test_single_point_march_keeps_its_rhs_evaluation_count(monkeypatch):
+def test_single_point_march_keeps_its_rhs_evaluation_count():
     # the attempts, node evaluations and steps of one-point marches,
     # pinned: a lone curve steps with the 16- and 14-node rules, 30 node
     # evaluations an attempt, and a change to the rules or the step control
     # shows here.  With the 8- and 6-node rules they took 6, 12, 14, 1, 7
     # and 7 attempts.
     solver = CharacteristicSolver(FIG2, h=H_SQUARE, t_max=5.0)
-    seen = _march_stats(monkeypatch)
+    seen = []
     for x, t in [(-0.9, 0.3), (-0.4, 1.7), (0.2, 4.6), (0.7, 0.05), (0.95, 2.5), (1.0, 3.0)]:
         solver.solve_at(x, t)
+        seen.append(solver.stats)
     # the probe's 2 attempts count in the second query, the first past
     # FIG2's time scale of 0.4
     assert [st["attempts"] for st in seen] == [1, 5, 5, 1, 3, 4]
@@ -792,7 +787,7 @@ _RATE_NAMES = ("omega_r", "omega_p", "l_d", "l_r", "l_p", "n_d", "n_r", "n_p")
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e3])
-def test_a_query_does_not_depend_on_earlier_queries(monkeypatch, scale):
+def test_a_query_does_not_depend_on_earlier_queries(scale):
     # the first step comes from the rates and h alone, so a point gives the
     # same bits on a fresh solver as after queries earlier and later in t.
     # All rates times 1e-4 or 1e3, with the times scaled the other way, is
@@ -804,19 +799,21 @@ def test_a_query_does_not_depend_on_earlier_queries(monkeypatch, scale):
     points = [(x, t / scale) for x, t in [(-0.9, 0.3), (-0.4, 1.7), (0.2, 4.6), (0.7, 0.05), (0.95, 2.5), (1.0, 3.0)]]
     fresh = {p: CharacteristicSolver(rates, h=H_SQUARE, t_max=5.0 / scale).solve_at(*p) for p in points}
     solver = CharacteristicSolver(rates, h=H_SQUARE, t_max=5.0 / scale)
-    seen = _march_stats(monkeypatch)
+    node_evals = 0
     for order in (points, points[::-1]):
-        assert [solver.solve_at(*p) for p in order] == [fresh[p] for p in order]
-    assert sum(st["node_evals"] for st in seen) <= 14 * 132
+        for p in order:
+            assert solver.solve_at(*p) == fresh[p]
+            node_evals += solver.stats["node_evals"]
+    assert node_evals <= 14 * 132
 
 
-def test_without_rates_the_first_step_is_the_first_segment(monkeypatch):
+def test_without_rates_the_first_step_is_the_first_segment():
     # no rate, no time scale and no probe: one step to t = 2, on the 30
     # nodes of a lone curve's rules, and G = h, G_x = h' stay put
     solver = CharacteristicSolver(ProcessRates(), h=H_SQUARE)
-    seen = _march_stats(monkeypatch)
     np.testing.assert_allclose(solver.solve_at(0.3, 2.0), (0.09, 0.6), rtol=1e-15)
-    assert (seen[0]["attempts"], seen[0]["node_evals"], seen[0]["steps"]) == (1, 30, 1)
+    stats = solver.stats
+    assert (stats["attempts"], stats["node_evals"], stats["steps"]) == (1, 30, 1)
 
 
 def test_one_moment_evaluation_per_rhs_call(monkeypatch):

@@ -15,6 +15,7 @@ from degreeflow.cli import main
 from degreeflow.config import parse_config
 from degreeflow.degree_ode import integrate
 from degreeflow.errors import ValidationError
+from degreeflow.graphsim import SimConfig
 
 BASE = """\
 [rates]
@@ -436,6 +437,82 @@ def test_an_oracle_tol_below_the_integrate_floor_is_invalid_for_every_subcommand
     assert parse_config(ini).oracle_tol == floor
 
 
+@pytest.mark.parametrize("edit, named", [
+    (("coeffs = 0, 0, 1", ""), "[initial] coeffs required for kind = polynomial"),
+    (("kind = polynomial\ncoeffs = 0, 0, 1", "kind = explicit\ncoeffs = 0.5\nrho = 2"),
+     "[initial] a required when a tail rho is given"),
+    (("x_points = 21", "x_points = ten"), "[grid] x_points = 'ten'"),
+    (("[output]", "[steady]\nconstants = 2, 1, 1, 2, 2.5\n\n[output]"), "constants m must be an integer, got 2.5"),
+    (("[rates]", "omega_r = 1\n[rates]"), "malformed config"),
+    (("x_min = -1", "x_min = 1"), "[grid] needs -1 <= x_min < x_max <= 1"),
+    (("x_points = 21", "x_points = 1"), "[grid] x_points must be >= 2"),
+    (("t_max = 0.5", "t_max = 0"), "[grid] t_max must be positive"),
+    (("[output]", "[oracle]\nmass_tol = 0\n\n[output]"), "[oracle] mass_tol must be positive"),
+    (("[output]", "[analysis]\nnorm = max\n\n[output]"), "[analysis] norm must be sup or l2"),
+], ids=["no-coeffs", "tail-without-a", "not-a-number", "m-not-integer", "malformed", "x-range", "x-points",
+        "t-max", "mass-tol", "norm"])
+def test_each_invalid_entry_is_named(tmp_path, capsys, edit, named):
+    ini, _ = _ini(tmp_path, BASE.replace(*edit))
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        parse_config(ini)
+    assert main(["solve", "--config", ini]) == 1
+    assert named in capsys.readouterr().err
+
+
+FOUND = BASE.replace("k_max = 30", "k_max = 0\ngraph = bogus\ngraph_degree = -3").replace(
+    "nodes = 200", "nodes = 0").replace("replicas = 2", "replicas = 0")
+
+
+@pytest.mark.parametrize("body, named", [
+    (FOUND, "[mc] n_nodes must be an integer >= 1, got 0"),
+    (BASE.replace("k_max = 30", "k_max = 30\ngraph = bogus"), "[mc] unknown initial graph kind 'bogus'"),
+    (BASE.replace("k_max = 30", "k_max = 30\ngraph_degree = -3"), "[mc] a regular graph_degree must be an even integer"),
+    (BASE.replace("k_max = 30", "k_max = 30\ngraph_degree = 200"), "[mc] a regular graph_degree must be an even integer"),
+    (BASE.replace("replicas = 2", "replicas = 0"), "[mc] replicas must be an integer >= 1, got 0"),
+    (BASE.replace("k_max = 30", "k_max = 0"), "[mc] k_max must be an integer >= 1, got 0"),
+    (BASE.replace("seed = 7", "seed = -5"), "[mc] seed must be an integer >= 0, got -5"),
+    (BASE.replace("sample_times = 0.05", "sample_times ="), "[mc] sample_times must not be empty"),
+    (BASE.replace("sample_times = 0.05", "sample_times = 0.2, 0.1"), "[mc] sample times must be a nonempty, strictly"),
+    (BASE.replace("sample_times = 0.05", "sample_times = -0.1"), "[mc] sample time must be a finite real number >= 0"),
+], ids=["found", "graph", "degree", "degree-too-large", "replicas", "k_max", "seed", "no-times", "unsorted-times",
+        "negative-time"])
+def test_an_invalid_mc_section_is_invalid_for_every_subcommand(tmp_path, capsys, body, named):
+    # the config builds the simulator's set-up, so solve, steady, ode and
+    # compare refuse what mc refuses; they used to run on it and exit 0
+    ini, out = _ini(tmp_path, body)
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        parse_config(ini)
+    for cmd in ("solve", "steady", "ode", "mc", "compare") if body is FOUND else ("solve",):
+        assert main([cmd, "--config", ini]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, (cmd, err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "steady", "ode", "mc", "compare"])
+@pytest.mark.parametrize("constants, named", [
+    ("1,2,-3,1,2", "c3 must be a finite real number >= 0, got -3.0"),
+    ("1,2,3,1,-2", "m must be an integer >= 0, got -2"),
+    ("1,2,3,1,nan", "constants m must be an integer, got nan"),  # a raw ValueError from int(nan)
+], ids=["negative-c3", "negative-m", "nan-m"])
+def test_invalid_constants_are_invalid_for_every_subcommand(tmp_path, capsys, command, constants, named):
+    # solve, ode and mc do not read the constants, and used to exit 0 on them
+    ini, out = _ini(tmp_path)
+    assert main([command, "--config", ini, "--constants", constants]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+def test_the_simulation_is_the_set_up_mc_runs():
+    # perfbench/example.ini's [mc] section, with t = 0 put first
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "perfbench" / "example.ini")
+    assert cfg.simulation() == SimConfig(rates=cfg.rates, n_nodes=2000, sample_times=(0.0, 0.05, 0.1, 0.2), seed=12345,
+                                         replicas=20, graph="regular", graph_degree=2.0, k_max=60)
+    # a t = 0 already there is not repeated
+    assert cfg.override(mc_sample_times=(0.0, 0.5)).simulation().sample_times == (0.0, 0.5)
+
+
 def test_parse_config_round_trip(tmp_path):
     ini, _ = _ini(tmp_path)
     cfg = parse_config(ini)
@@ -490,3 +567,12 @@ def test_mc_reports_the_mass_beyond_k_max(tmp_path, capsys):
     dropped = max(1.0 - rows[rows[:, 0] == t, 2].sum() for t in (0.05, 0.2))
     assert match and dropped > 0.01
     assert float(match.group(1)) == pytest.approx(dropped, rel=1e-2)
+
+
+def test_mc_reports_absorbed_replicas(tmp_path, capsys):
+    # link deletion alone empties the graph of its links, and every clock stops
+    rates = "omega_r = 0\nomega_p = 0\nl_d = 1\nl_r = 0\nl_p = 0\nn_d = 0\nn_r = 0\nn_p = 0\nm = 3\n"
+    body = BASE[:BASE.index("omega_r")] + rates + BASE[BASE.index("\n[initial]"):]
+    ini, _ = _ini(tmp_path, body.replace("nodes = 200", "nodes = 20").replace("sample_times = 0.05", "sample_times = 40"))
+    assert main(["mc", "--config", ini]) == 0
+    assert "absorbed replicas: 2/2" in capsys.readouterr().out.splitlines()

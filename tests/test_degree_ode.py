@@ -261,6 +261,10 @@ def test_input_validation():
             integrate(q, FIG2, 0.5)
     with pytest.raises(ValidationError):
         integrate(p0.reshape(4, 5), FIG2, 0.5)
+    # the truncation holds the injection degree m = 3 and two degrees above it
+    for size in (2, 4, 5):
+        with pytest.raises(ValidationError, match=r"k_max must be at least m \+ 2 = 5, got"):
+            integrate(np.eye(size)[1], FIG2, 0.5)
 
 
 def test_preferential_attachment_needs_positive_moment():

@@ -402,12 +402,24 @@ def test_run_frozen_when_absorbed():
 
 
 def test_run_tracks_growth():
-    # node creation dominates: the network must grow on average
+    # node creation alone: nodes are added and none is deleted, so the
+    # network grows
     rates = ProcessRates(0, 0, 0, 0, 0, 0, 1, 0, 2)
     cfg = SimConfig(rates=rates, n_nodes=100, sample_times=(0.5,), seed=8,
                     replicas=3, graph="regular", graph_degree=2.0, k_max=40)
     res = run(cfg)
-    assert res.mean_nodes[0] > 100
+    assert res.events[6] - res.skips[6] > 0
+    assert res.events[5] == 0
+
+
+def test_an_empty_start_has_every_node_at_degree_0():
+    # link addition alone, from 50 isolated nodes
+    cfg = SimConfig(rates=ProcessRates(l_r=1.0), n_nodes=50, sample_times=(0.0, 0.5), seed=3,
+                    replicas=2, graph="empty", k_max=10)
+    res = run(cfg)
+    np.testing.assert_array_equal(res.mean[0], np.eye(11)[0])
+    assert res.events[3] > 0 and res.mean[1][0] < 1.0
+    assert not any(res.absorbed)
 
 
 TOP = 1.0 - 2.0**-53  # the largest double below 1

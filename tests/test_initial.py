@@ -1,5 +1,7 @@
 """Initial generating functions and their coefficient views."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,17 @@ def test_explicit_tail_must_be_a_pair(tail):
     # (0.5,) raised a raw ValueError on unpacking, 0.5 a raw TypeError
     with pytest.raises(ValidationError, match="tail must be a pair"):
         InitialCondition.explicit([0.5], tail)
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, math.nan, 1.0], [0.0, math.inf]])
+def test_coefficients_must_be_finite(coeffs):
+    with pytest.raises(ValidationError, match="coefficients must be finite"):
+        InitialCondition.polynomial(coeffs)
+
+
+def test_a_tail_amplitude_above_one_is_refused():
+    with pytest.raises(ValidationError, match=r"a must lie in \(0, 1\], got 1.5"):
+        InitialCondition.geometric(3.0, a=1.5)
 
 
 def test_geometric_requires_radius_above_one():

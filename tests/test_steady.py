@@ -230,6 +230,29 @@ def test_divergent_growth_has_no_profile():
         steady_from_rates(ProcessRates(0, 0, 0, 1, 0, 0, 0, 0, 0))
 
 
+def test_divergent_constants_have_no_case():
+    divergent = steady_constants(ProcessRates(0, 0, 0, 1, 0, 0, 0, 0, 0))
+    for build in (classify, construct):
+        with pytest.raises(ValidationError, match="only defined for a regular first moment"):
+            build(divergent)
+
+
+@pytest.mark.parametrize("args, tag, singular, value", [
+    ((0.0, 0.0, 0.0, 0.0, 0), SteadyCaseTag.ALL_ZERO, (), 1.0),
+    ((0.0, 0.0, 1.0, 0.0, 0), SteadyCaseTag.ZERO_ONLY, (), 0.0),
+    ((2.0, 1.0, 1.0, 0.0, 0), SteadyCaseTag.ZERO_ONLY, (0.5, 1.0), 0.0),
+], ids=["all-zero", "zero-only", "zero-only-c1-above-c2"])
+def test_constants_without_a_unique_profile_give_a_flagged_representative(args, tag, singular, value):
+    constants = explicit_constants(*args)
+    case = classify(constants)
+    assert (case.tag, case.singular_points) == (tag, singular)
+    st = construct(constants)
+    assert st.case == case
+    np.testing.assert_array_equal(st(np.linspace(-1, 1, 5)), value)
+    # a zero slope is not pinned: the representative is never certified
+    assert (st.value_at_one, st.slope_at_one, st.certified) == (value, 0.0, False)
+
+
 def test_resonant_exponent_leaves_slope_open():
     # interior exponent exactly 1: the slope cannot be certified
     r = ProcessRates(0, 0, 0, 0, 1, 0, 0, 1, 0)

@@ -18,10 +18,11 @@ Runs, with the package from the ``src`` directory next to this script:
   0, 0.05, 0.1, 0.2 and 0.5 with the seed argument: FIG2 on a degree-2
   ring and FIG6 on an Erdos-Renyi graph of mean degree 2.
 
-Each march's stats are read by wrapping ``CharacteristicSolver._march``,
-since ``solve_difference_grid`` and ``solve_at`` return no stats; each
-oracle's from ``DistributionTrajectory.stats``, and each ensemble's from
-its ``SimResult``, whose counts are summed over every worker process (a
+Each march's stats are read from ``CharacteristicSolver.stats`` after
+its call, since ``solve_difference_grid`` and ``solve_at`` return no
+stats, and summed over the 100 single calls; each oracle's from
+``DistributionTrajectory.stats``, and each ensemble's from its
+``SimResult``, whose counts are summed over every worker process (a
 wrapper around ``graphsim._draw`` sees only the calling process's share).
 The counts depend on the arithmetic only, not on the machine's speed, so
 two checkouts can be compared line by line where timings drift.  Next to the counts, each
@@ -79,17 +80,6 @@ def _fingerprint(arrays) -> str:
     return digest.hexdigest()[:12]
 
 
-def _counting(seen: list):
-    real = CharacteristicSolver._march
-
-    def march(self, *args):
-        out = real(self, *args)
-        seen.append(out[1])
-        return out
-
-    return march
-
-
 def main(argv: list[str]) -> int:
     seed = int(argv[1]) if len(argv) > 1 else 1
     cfg = config.parse_config(str(EXAMPLE_INI))
@@ -101,21 +91,34 @@ def main(argv: list[str]) -> int:
     px, pt = 2.0 * _stratified(rng, 100) - 1.0, 5.0 * _stratified(rng, 100)
     xs, ts = np.linspace(-1.0, 1.0, 41), np.linspace(0.0, 5.0, 51)
 
+    # each run returns its output arrays and the stats of its marches
     def decay(rates, h):
-        return lambda: [CharacteristicSolver(rates, h).solve_difference_grid(xs, ts, steady_from_rates(rates))]
+        def run():
+            solver = CharacteristicSolver(rates, h)
+            return [solver.solve_difference_grid(xs, ts, steady_from_rates(rates))], [solver.stats]
+
+        return run
 
     def grid(x, t, h):
         def run():
             field = solve_grid(x, t, fig2, h)
-            return [field.G, field.Gx]
+            return [field.G, field.Gx], [field.stats]
 
         return run
 
     def points(batched):
         solver = CharacteristicSolver(fig2, h=square, t_max=5.0)
         if batched:
-            return lambda: solver.solve_at(px, pt)
-        return lambda: np.array([solver.solve_at(x, t) for x, t in zip(px.tolist(), pt.tolist())]).T
+            return lambda: (solver.solve_at(px, pt), [solver.stats])
+
+        def run():
+            values, seen = [], []
+            for x, t in zip(px.tolist(), pt.tolist()):
+                values.append(solver.solve_at(x, t))
+                seen.append(solver.stats)
+            return np.array(values).T, seen
+
+        return run
 
     runs = {
         "decay_fig2_geometric": decay(fig2, geometric),
@@ -128,11 +131,9 @@ def main(argv: list[str]) -> int:
         "points_single": points(False),
         "late_query_x1": grid([1.0], [0.0, 230.0], square),
     }
-    seen: list[dict] = []
-    CharacteristicSolver._march = _counting(seen)
     for name, run in runs.items():
-        seen.clear()
-        fingerprint = _fingerprint(run())
+        arrays, seen = run()
+        fingerprint = _fingerprint(arrays)
         total = {key: sum(st[key] for st in seen) for key in ("attempts", "node_evals", "steps", "segments")}
         print(name, " ".join(f"{key} {value}" for key, value in total.items()), "sha256", fingerprint)
     for name, h, t_end in (("oracle_square_t1", square, 1.0), ("oracle_geometric_t1", geometric, 1.0),
