@@ -8,6 +8,7 @@ domain boundary into the interior.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +99,13 @@ def fit_rate(
     """Fit the decay law of the norm series on a time window.
 
     Regresses log-norm against t (exponential model) and against log t
-    (algebraic model); the exponential model is selected only when its
-    coefficient of determination beats the algebraic one by 0.01.
+    (algebraic model), and reports the chosen model's slope and R^2.  The
+    choice comes from the joint least-squares fit log y = a + b t + c log t
+    over the window's points: the decay is exponential when the t term
+    changes log y by more across the window than the log t term does,
+    |b| (t_hi - t_lo) > |c| log(t_hi / t_lo), and algebraic otherwise.
+    Comparing the two R^2 values cannot decide on a short window, where
+    both are near 1.
     Needs at least 5 window points with strictly positive norms and times.
     ``window`` is a pair (t_min, t_max) of finite real numbers.
     """
@@ -123,7 +129,9 @@ def fit_rate(
     lny = np.log(y)
     s_exp, r2_exp = _log_fit(t, lny)
     s_alg, r2_alg = _log_fit(np.log(t), lny)
-    if r2_exp >= r2_alg + 0.01:
+    _, b, c = np.linalg.lstsq(np.column_stack((np.ones_like(t), t, np.log(t))), lny, rcond=None)[0]
+    t_lo, t_hi = float(t.min()), float(t.max())
+    if abs(b) * (t_hi - t_lo) > abs(c) * math.log(t_hi / t_lo):
         return FitResult("exponential", s_exp, r2_exp, r2_exp, r2_alg, t.size)
     return FitResult("algebraic", s_alg, r2_alg, r2_exp, r2_alg, t.size)
 

@@ -149,9 +149,14 @@ def _linear(y, a, f, h: float, pair: tuple[int, int], out=None, nodes: bool = Tr
     and is written to ``out`` when given.  The node values are None when
     ``nodes`` is false: only a row that a later row reads needs them, and
     the end values do not depend on them.  The (n, m) arrays are updated
-    in place, since their count sets the march's peak memory.
+    in place, since their count sets the march's peak memory.  A source f
+    of None is a homogeneous row y' = a y, which has no node values and no
+    e^{I}: its end values are y e^{h (ends @ a)}, the bits that a zero
+    source gives for every y but -0.0.
     """
     _, ahat, ends = _rules(pair)
+    if f is None:  # y' = a y
+        return None, np.multiply(np.exp(h * (ends @ a)), y, out=out), None
     e = ahat @ a
     e *= h
     np.exp(e, out=e)
@@ -472,7 +477,8 @@ class CharacteristicSolver:
         ``rows(w)``, a generator over the k rows of a block of at most
         ``_BLOCK`` curves: it yields (a, f) of a row while the curves sit at
         1 + w, shape (p + q, n_block), and is sent back that row's node
-        values before it yields the next; the last row's are not formed.
+        values before it yields the next; the last row's are not formed, and
+        a row whose f is None has none (``_linear``).
         rhs is called once per step attempt with s of shape (p + q, 1), so
         what depends on s alone is formed once, or once per block with s of
         shape (p + q, n_block) in a step that retires curves inside it, each
@@ -713,6 +719,21 @@ class CharacteristicSolver:
         u, Gx = data.reshape(2, t.size, x.size)
         return SolutionField(x=x, t=t, G=1.0 + u, Gx=Gx, g=self.g, stats=stats)
 
+    def _source_vanishes(self, table) -> bool:
+        """Whether the deviation source S is 0 at every x and t, decided once from the inputs.
+
+        S is proportional to the moment gap g(t) - g_inf, so it vanishes
+        when g(0) = g_inf: ``g.gap`` is then exactly 0.0 in every closed
+        form, and G* is not tabulated.  Otherwise ``table()`` gives G* on
+        the transport's mesh, and S vanishes when that is constant and
+        omega_r G* = 0: the spline of constant data has slope 0 exactly,
+        and C_g = omega_r.
+        """
+        if self.g.g0 == self.g.equilibrium:
+            return True
+        tab = table()
+        return bool(np.all(tab == tab[0])) and self.rates.omega_r * tab[0] == 0.0
+
     def solve_difference_grid(self, x_grid, t_grid, steady) -> np.ndarray:
         """Deviation field D(x, t) = G(x, t) - G*(x) on the tensor grid.
 
@@ -741,7 +762,13 @@ class CharacteristicSolver:
         through G* on a fixed 4,097-point uniform mesh, value and slope
         from one index computation and one Horner pass per evaluation.  Both are smooth in
         x, so the step-size control sees no kinks where a curve crosses a
-        mesh node.
+        mesh node.  S vanishes identically when g(0) = g_inf, or when G* is
+        constant on the mesh and omega_r G* = 0, as with no node addition
+        and no uniform attachment (G* = 1, omega_r = 0); the rows are then
+        homogeneous, D' = (w C - c4) D, with no spline and no lookup at the
+        nodes, and with no mesh at all when g(0) = g_inf
+        (``_source_vanishes``).  Each end value is then D e^{int (w C -
+        c4)}, the bits that the zero source gives.
 
         One residual rounding floor remains: the transported initial datum
         h(x0) - G*(x0) is an ordinary subtraction, and when h'(1) equals
@@ -752,9 +779,6 @@ class CharacteristicSolver:
 
         Returns an array of shape (len(t_grid), len(x_grid)).
         """
-        # scipy.interpolate is imported here: only this path needs it
-        from scipy.interpolate import CubicSpline
-
         x, t = _check_grid(x_grid, t_grid)
         if not callable(steady):
             raise ValidationError("steady must be a callable stationary profile")
@@ -764,26 +788,39 @@ class CharacteristicSolver:
             raise DomainError("no finite moment equilibrium; the deviation field has no target")
 
         xs_tab = np.linspace(-1.0 - 2e-3, 1.0, 4097)
-        lookup = _value_and_slope(CubicSpline(xs_tab, np.asarray(steady(xs_tab), dtype=float)))
+        table = functools.cache(lambda: np.asarray(steady(xs_tab), dtype=float))
+        if self._source_vanishes(table):
 
-        def rhs(s, k):
-            gap = g.gap(s)
-            # A is linear in 1/g, so A(g) - A(g_inf) = A_g(g) g gap / g_inf
-            # with g = g_inf + gap; A_g vanishes whenever g_inf does.
-            dA = k.A_g * (g_inf + gap) * gap / g_inf if g_inf else 0.0
-            b_gap, c_gap = k.B_g * gap, k.C_g * gap
+            def rhs(s, k):
+                def rows(w):
+                    yield w * k.C - k.c4, None
 
-            def rows(w):
-                x = 1.0 + w
-                gs, src = lookup(x)
-                # the source w ((dA x - B_g gap) G*' + C_g gap G*), built in src; x and gs take the products
-                src *= np.subtract(np.multiply(x, dA, out=x), b_gap, out=x)
-                src += np.multiply(gs, c_gap, out=gs)
-                src *= w
-                del x, gs
-                yield w * k.C - k.c4, src
+                return rows
 
-            return rows
+        else:
+            # scipy.interpolate is imported here: only this path needs it
+            from scipy.interpolate import CubicSpline
+
+            lookup = _value_and_slope(CubicSpline(xs_tab, table()))
+
+            def rhs(s, k):
+                gap = g.gap(s)
+                # A is linear in 1/g, so A(g) - A(g_inf) = A_g(g) g gap / g_inf
+                # with g = g_inf + gap; A_g vanishes whenever g_inf does.
+                dA = k.A_g * (g_inf + gap) * gap / g_inf if g_inf else 0.0
+                b_gap, c_gap = k.B_g * gap, k.C_g * gap
+
+                def rows(w):
+                    x = 1.0 + w
+                    gs, src = lookup(x)
+                    # the source w ((dA x - B_g gap) G*' + C_g gap G*), built in src; x and gs take the products
+                    src *= np.subtract(np.multiply(x, dA, out=x), b_gap, out=x)
+                    src += np.multiply(gs, c_gap, out=gs)
+                    src *= w
+                    del x, gs
+                    yield w * k.C - k.c4, src
+
+                return rows
 
         active = x != 1.0
         xs = x[active]

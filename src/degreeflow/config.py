@@ -60,22 +60,31 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def initial(self) -> InitialCondition:
-        """Build (and validate) the initial generating function."""
+        """Build (and validate) the initial generating function.
+
+        Each kind refuses the [initial] keys it does not read: polynomial
+        reads coeffs, geometric rho, and explicit coeffs and a tail rho
+        with its a.  A key at its default value (no coeffs, rho = 0, no a)
+        counts as absent.
+        """
         kind = self.initial_kind
+        if kind not in _INITIAL_KEYS:
+            raise ValidationError(f"[initial] unknown kind {kind!r}; kind is polynomial, geometric or explicit")
+        given = {"coeffs": self.initial_coeffs != (), "rho": self.initial_rho != 0.0, "a": self.initial_a is not None}
+        unread = [f"[initial] {key}" for key, on in given.items() if on and key not in _INITIAL_KEYS[kind]]
+        if unread:
+            raise ValidationError(f"{', '.join(unread)} not read for kind = {kind}")
         if kind == "polynomial":
             if not self.initial_coeffs:
                 raise ValidationError("[initial] coeffs required for kind = polynomial")
             return InitialCondition.polynomial(self.initial_coeffs)
         if kind == "geometric":
-            return InitialCondition.geometric(self.initial_rho, self.initial_a)
-        if kind == "explicit":
-            tail = None
-            if self.initial_rho > 0.0:
-                if self.initial_a is None:
-                    raise ValidationError("[initial] a required when a tail rho is given")
-                tail = (self.initial_a, self.initial_rho)
-            return InitialCondition.explicit(self.initial_coeffs, tail)
-        raise ValidationError(f"unknown initial kind {kind!r}")
+            return InitialCondition.geometric(self.initial_rho)
+        if given["rho"] != given["a"]:
+            raise ValidationError("[initial] a required when a tail rho is given" if given["rho"]
+                                  else "[initial] a is read only with a tail rho")
+        tail = (self.initial_a, self.initial_rho) if given["rho"] else None
+        return InitialCondition.explicit(self.initial_coeffs, tail)
 
     def simulation(self) -> SimConfig:
         """Build (and validate) the simulator's set-up from [rates] and [mc].
@@ -156,6 +165,9 @@ def _parse_constants(raw: str) -> tuple[float, float, float, float, int]:
         raise ValidationError(f"constants m must be an integer, got {m!r}")
     return (c1, c2, c3, c4, int(m))
 
+
+# the [initial] keys that each kind reads
+_INITIAL_KEYS = {"polynomial": ("coeffs",), "geometric": ("rho",), "explicit": ("coeffs", "rho", "a")}
 
 # (section, key) -> (ExperimentConfig field, converter).  A key missing from
 # the file keeps the field's default.

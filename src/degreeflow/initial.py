@@ -1,7 +1,8 @@
 """Initial degree distributions given through their generating functions.
 
-Supported shapes: finitely supported distributions (polynomial h), scaled
-geometric distributions p_k = a rho^-k (radius of convergence rho > 1), and
+Supported shapes: finitely supported distributions (polynomial h),
+geometric distributions p_k = a rho^-k (radius of convergence rho > 1, and
+a = (rho - 1)/rho), and
 an explicit head vector with an optional geometric tail.  All evaluators are
 closed-form so they stay exact on the whole interval the solver needs.
 """
@@ -65,10 +66,10 @@ class InitialCondition:
         return cls("polynomial", coeffs, None)
 
     @classmethod
-    def geometric(cls, rho: float, a: float | None = None) -> "InitialCondition":
-        """Scaled geometric distribution p_k = a rho^-k; a defaults to (rho-1)/rho."""
+    def geometric(cls, rho: float) -> "InitialCondition":
+        """Geometric distribution p_k = a rho^-k, whose h(1) = 1 fixes a = (rho-1)/rho."""
         rho = real("rho", rho, 1.0, strict=True)
-        return cls("geometric", np.array([]), ((rho - 1.0) / rho if a is None else a, rho))
+        return cls("geometric", np.array([]), ((rho - 1.0) / rho, rho))
 
     @classmethod
     def explicit(cls, head, tail: tuple[float, float] | None = None) -> "InitialCondition":
@@ -131,8 +132,7 @@ class InitialCondition:
 
     def __repr__(self):
         if self.kind == "geometric" and self.tail is not None:
-            a, rho = self.tail
-            return f"InitialCondition.geometric(rho={rho!r}, a={a!r})"
+            return f"InitialCondition.geometric(rho={self.tail[1]!r})"
         return f"InitialCondition({self.kind!r}, head={self.head!r}, tail={self.tail!r})"
 
 

@@ -80,6 +80,31 @@ def test_fit_refuses_an_unknown_norm():
         fit_rate(_series(t, np.exp(-t)), norm="max")
 
 
+FIG6 = ProcessRates(omega_r=0, omega_p=1, l_d=1, l_r=0, l_p=1, n_d=1, n_r=0, n_p=0, m=3)
+
+
+@pytest.mark.parametrize(("rates", "t_max", "window", "model"), [
+    (FIG2, 5.0, (1.0, 5.0), "exponential"),
+    (FIG2, 5.0, (2.5, 5.0), "exponential"),
+    (FIG6, 5.0, (1.0, 5.0), "algebraic"),
+    (FIG6, 50.0, (25.0, 50.0), "algebraic"),
+], ids=["fig2", "fig2-short", "fig6", "fig6-late"])
+def test_fit_decides_by_the_joint_fit(rates, t_max, window, model):
+    # the joint fit log y = a + b t + c log t decides: measured b = -8.078
+    # and c = 0.113 for FIG2 on (1, 5), -8.080 and 0.117 on (2.5, 5),
+    # -0.080 and -0.497 for FIG6 on (1, 5) and -0.001 and -0.945 on
+    # (25, 50).  On FIG2's short window both R^2 are near 1 (0.9999999
+    # against 0.9915), and a 0.01 margin between them called it algebraic
+    # with rate -29.18
+    series = decay_norms(np.linspace(-1, 1, 41), np.linspace(0, t_max, 51), rates,
+                         InitialCondition.geometric(3.0), steady_from_rates(rates))
+    fit = fit_rate(series, window)
+    assert fit.model == model
+    assert fit.r_squared == (fit.r2_exponential if model == "exponential" else fit.r2_algebraic)
+    if rates is FIG2:
+        assert fit.rate == pytest.approx(-8.04, abs=0.05)
+
+
 def test_bend_detection():
     ts = np.array([0.0, 0.1, 0.2, 0.3])
     ones = np.ones(4)

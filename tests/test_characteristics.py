@@ -18,6 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from degreeflow import characteristics
+from degreeflow.analysis import decay_norms, diff_norms
 from degreeflow.characteristics import CharacteristicSolver, solve_grid
 from degreeflow.config import parse_config
 from degreeflow.degree_ode import gf_eval, integrate
@@ -25,7 +26,7 @@ from degreeflow.errors import AccuracyError, DomainError, IntegrationError, Vali
 from degreeflow.initial import InitialCondition
 from degreeflow.model import ProcessRates, coefficients, derive_riccati
 from degreeflow.riccati import ClosedFormMoment
-from degreeflow.steady import steady_from_rates
+from degreeflow.steady import SteadyCaseTag, steady_from_rates
 from pde_reference import deviation_by_dop853, evaluate_H
 
 FIG2 = ProcessRates(omega_r=1, omega_p=1, l_d=1, l_r=1, l_p=0,
@@ -712,6 +713,69 @@ def test_decay_grids_keep_their_march_counts(rates, h, counts):
     solver.solve_difference_grid(xs, ts, steady_from_rates(rates))
     stats = solver.stats
     assert tuple(stats[key] for key in ("attempts", "node_evals", "steps", "segments")) == counts
+
+
+def _record_decisions(monkeypatch) -> list:
+    """The list that ``_source_vanishes`` appends each of its decisions to, from now on."""
+    decided, real = [], CharacteristicSolver._source_vanishes
+
+    def spy(self, table):
+        decided.append(real(self, table))
+        return decided[-1]
+
+    monkeypatch.setattr(CharacteristicSolver, "_source_vanishes", spy)
+    return decided
+
+
+@pytest.mark.parametrize(("rates", "h"), [(FIG6, InitialCondition.geometric(3.0)), (FIG7, H_SQUARE)],
+                         ids=["fig6", "fig7-x2"])
+def test_a_vanishing_source_gives_the_bits_of_the_zero_source(rates, h, monkeypatch):
+    # FIG6 has G* = 1 and omega_r = 0, and FIG7 with h = x^2 starts at
+    # g_inf = 2: the source is 0 at every x and t, and the homogeneous rows
+    # give the bits that the spline, the lookup and the zero source give
+    xs, ts = np.linspace(-1, 1, 21), np.linspace(0, 2, 11)
+    steady = steady_from_rates(rates)
+    decided = _record_decisions(monkeypatch)
+    D = CharacteristicSolver(rates, h=h).solve_difference_grid(xs, ts, steady)
+    monkeypatch.setattr(CharacteristicSolver, "_source_vanishes", lambda self, table: False)
+    sourced = CharacteristicSolver(rates, h=h).solve_difference_grid(xs, ts, steady)
+    assert decided == [True]
+    assert D.tobytes() == sourced.tobytes()
+    assert np.any(D[1:] != 0.0)
+
+
+def test_a_start_at_the_equilibrium_moment_tabulates_no_profile():
+    # g(0) = g_inf = 2 on FIG7 with h = x^2 decides the source from g
+    # alone: G* is evaluated once, at the 20 x 11 traced origins off x = 1,
+    # and never on the transport's 4,097-point mesh
+    sizes = []
+    steady = steady_from_rates(FIG7)
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return steady(x)
+
+    solver = CharacteristicSolver(FIG7, h=H_SQUARE)
+    assert solver.g.g0 == solver.g.equilibrium == 2.0
+    solver.solve_difference_grid(np.linspace(-1, 1, 21), np.linspace(0, 2, 11), counting)
+    assert sizes == [20 * 11]
+
+
+def test_a_constant_profile_with_rewiring_keeps_its_source(monkeypatch):
+    # rewiring and link deletion alone: g decays to 0, G* = 1 (the uniform
+    # limit), yet omega_r G* = 1 enters the source through C_g = omega_r,
+    # so the source stays and the deviation matches plain subtraction early
+    rates, h = ProcessRates(omega_r=1.0, l_d=1.0), H_SQUARE
+    steady = steady_from_rates(rates)
+    assert steady.case.tag is SteadyCaseTag.UNIFORM_LIMIT
+    assert np.all(steady(np.linspace(-1.002, 1.0, 4097)) == 1.0)
+    decided = _record_decisions(monkeypatch)
+    xs, ts = np.linspace(-1, 1, 21), np.array([0.0, 0.25, 0.5])
+    transported = decay_norms(xs, ts, rates, h, steady)
+    subtracted = diff_norms(solve_grid(xs, ts, rates, h), steady)
+    assert decided == [False]
+    np.testing.assert_allclose(transported.sup_norm, subtracted.sup_norm, rtol=1e-4, atol=1e-9)
+    np.testing.assert_allclose(transported.argmax_x, subtracted.argmax_x, atol=1e-12)
 
 
 def _benchmark_points():

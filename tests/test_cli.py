@@ -367,6 +367,19 @@ def test_compare_fits_the_transported_deviation(tmp_path):
     assert fit["rate"] == pytest.approx(-8.036, abs=1e-2)
 
 
+def test_compare_calls_a_short_window_of_exponential_decay_exponential(tmp_path, capsys):
+    # perfbench/example.ini to t = 5, fitted on (2.5, 5): both R^2 are near
+    # 1 there, and the joint fit of log y against t and log t finds the
+    # exponential term
+    example = (Path(__file__).resolve().parents[1] / "perfbench" / "example.ini").read_text()
+    body = example.replace("t_max = 1.0", "t_max = 5").replace("t_points = 11", "t_points = 51")
+    ini = tmp_path / "exp.ini"
+    ini.write_text(body + "\n[analysis]\nfit_t_min = 2.5\n")
+    assert main(["compare", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+    assert "decay law (sup norm, window (2.5, 5.0)): exponential" in capsys.readouterr().out
+    assert json.loads((tmp_path / "out" / "fit.json").read_text())["fit"]["model"] == "exponential"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -441,6 +454,15 @@ def test_an_oracle_tol_below_the_integrate_floor_is_invalid_for_every_subcommand
     (("coeffs = 0, 0, 1", ""), "[initial] coeffs required for kind = polynomial"),
     (("kind = polynomial\ncoeffs = 0, 0, 1", "kind = explicit\ncoeffs = 0.5\nrho = 2"),
      "[initial] a required when a tail rho is given"),
+    (("kind = polynomial", "kind = delta"), "[initial] unknown kind 'delta'; kind is polynomial, geometric or explicit"),
+    (("coeffs = 0, 0, 1", "coeffs = 0, 0, 1\nrho = 3\na = 0.5"),
+     "[initial] rho, [initial] a not read for kind = polynomial"),
+    (("kind = polynomial\ncoeffs = 0, 0, 1", "kind = geometric\nrho = 3\ncoeffs = 0.5, 0.5"),
+     "[initial] coeffs not read for kind = geometric"),
+    (("kind = polynomial\ncoeffs = 0, 0, 1", "kind = geometric\nrho = 3\na = 0.5"),
+     "[initial] a not read for kind = geometric"),
+    (("kind = polynomial\ncoeffs = 0, 0, 1", "kind = explicit\ncoeffs = 0.5, 0.5\na = 0.5"),
+     "[initial] a is read only with a tail rho"),
     (("x_points = 21", "x_points = ten"), "[grid] x_points = 'ten'"),
     (("[output]", "[steady]\nconstants = 2, 1, 1, 2, 2.5\n\n[output]"), "constants m must be an integer, got 2.5"),
     (("[rates]", "omega_r = 1\n[rates]"), "malformed config"),
@@ -449,7 +471,8 @@ def test_an_oracle_tol_below_the_integrate_floor_is_invalid_for_every_subcommand
     (("t_max = 0.5", "t_max = 0"), "[grid] t_max must be positive"),
     (("[output]", "[oracle]\nmass_tol = 0\n\n[output]"), "[oracle] mass_tol must be positive"),
     (("[output]", "[analysis]\nnorm = max\n\n[output]"), "[analysis] norm must be sup or l2"),
-], ids=["no-coeffs", "tail-without-a", "not-a-number", "m-not-integer", "malformed", "x-range", "x-points",
+], ids=["no-coeffs", "tail-without-a", "unknown-kind", "polynomial-rho-a", "geometric-coeffs", "geometric-a",
+        "a-without-tail", "not-a-number", "m-not-integer", "malformed", "x-range", "x-points",
         "t-max", "mass-tol", "norm"])
 def test_each_invalid_entry_is_named(tmp_path, capsys, edit, named):
     ini, _ = _ini(tmp_path, BASE.replace(*edit))

@@ -49,6 +49,7 @@ def test_geometric():
     assert h(1.0) == pytest.approx(1.0)
     assert h.mean_degree == pytest.approx(0.5)
     assert h.tail[1] == pytest.approx(3.0)
+    assert repr(h) == "InitialCondition.geometric(rho=3.0)"
     np.testing.assert_allclose(
         h.coefficients(3), [2 / 3, 2 / 9, 2 / 27, 2 / 81], rtol=1e-13
     )
@@ -76,7 +77,7 @@ def test_coefficients_must_be_finite(coeffs):
 
 def test_a_tail_amplitude_above_one_is_refused():
     with pytest.raises(ValidationError, match=r"a must lie in \(0, 1\], got 1.5"):
-        InitialCondition.geometric(3.0, a=1.5)
+        InitialCondition.explicit([], (1.5, 3.0))
 
 
 def test_geometric_requires_radius_above_one():

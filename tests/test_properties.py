@@ -62,7 +62,7 @@ def _cases(draw):
 # as 1.40129846e-45), makes h^13 underflow to 0, and a step control that
 # forms the error constant err / h^13 raised a raw ZeroDivisionError
 @example((ProcessRates(l_p=1.0), InitialCondition.geometric(2.0), np.array([0.0, 1.0]), np.array([1.0, 1.5e-183])))
-@example((ProcessRates(n_p=1.0, m=1), InitialCondition.geometric(rho=1.21875, a=0.1794871794871795),
+@example((ProcessRates(n_p=1.0, m=1), InitialCondition.geometric(1.21875),
           np.array([0.0, 1.0]), np.array([1.0, 2.0**-149])))
 def test_transport_invariants_or_a_degreeflow_error(case):
     rates, h, xs, ts = case
@@ -238,7 +238,6 @@ _ENTRIES = {
     "InitialCondition.coefficients(k_max)": (lambda v: _H.coefficients(v), _MODEST),
     "InitialCondition.explicit(tail)": (lambda v: InitialCondition.explicit([0.5], v), _ARGUMENT),
     "InitialCondition.geometric(rho)": (lambda v: InitialCondition.geometric(v), _ARGUMENT),
-    "InitialCondition.geometric(a)": (lambda v: InitialCondition.geometric(2.0, v), _ARGUMENT),
     "InitialCondition.polynomial": (InitialCondition.polynomial, _ARGUMENT),
     "InitialCondition.delta": (InitialCondition.delta, _MODEST),
     "SteadyState(x)": (_STEADY, _ARGUMENT),
@@ -266,7 +265,6 @@ _ENTRIES = {
 @example(("integrate(p0)", "a"))
 @example(("gf_eval(x)", "a"))
 @example(("InitialCondition.geometric(rho)", "a"))
-@example(("InitialCondition.geometric(a)", "a"))
 @example(("InitialCondition.polynomial", "a"))
 @example(("InitialCondition.delta", "a"))
 @example(("SteadyState(x)", "a"))
