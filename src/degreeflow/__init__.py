@@ -35,7 +35,6 @@ from .errors import (
 from .graphsim import SimConfig, SimResult, run
 from .initial import InitialCondition
 from .model import (
-    Degeneracy,
     ProcessRates,
     RiccatiCoefficients,
     SteadyConstants,
@@ -59,7 +58,6 @@ __all__ = [
     "CharacteristicSolver",
     "ClosedFormMoment",
     "ConvergenceSeries",
-    "Degeneracy",
     "DegreeFlowError",
     "DistributionTrajectory",
     "DomainError",

@@ -146,9 +146,10 @@ def detect_bend(
     Returns the earliest output time whose maximizer sits at least ``jump``
     inside the domain while the previous one was within 1e-9 of
     ``boundary``; None when no such transition occurs.  Both must be
-    finite real numbers.
+    finite real numbers, and ``jump`` must be positive: at 0 or below, a
+    maximizer that stays on the boundary would count as leaving it.
     """
-    boundary, jump = real("boundary", boundary), real("jump", jump)
+    boundary, jump = real("boundary", boundary), real("jump", jump, 0.0, strict=True)
     arg = series.argmax_x
     for i in range(1, arg.size):
         if arg[i - 1] <= boundary + 1e-9 and arg[i] >= boundary + jump:

@@ -26,7 +26,7 @@ from .config import ExperimentConfig, _parse_constants, parse_config
 from .degree_ode import gf_eval, integrate
 from .errors import DegreeFlowError, DomainError, NoSteadyStateError, ValidationError
 from .graphsim import run
-from .model import _RATE_FIELDS, Degeneracy, derive_riccati
+from .model import _RATE_FIELDS, derive_riccati
 from .riccati import ClosedFormMoment, equilibrium
 from .steady import _away_from_singular, construct, explicit_constants, residual, steady_from_rates
 
@@ -127,15 +127,13 @@ def cmd_steady(cfg: ExperimentConfig) -> int:
     x = cfg.x_grid()
     values = state(x)
     res = np.full_like(x, np.nan)
-    # the rates' constants are defined only when the first moment settles
-    if constants.degeneracy is Degeneracy.REGULAR:
-        ok = _away_from_singular(state.case, x)
-        if np.any(ok):
-            res[ok] = residual(state, constants, x[ok])
+    ok = _away_from_singular(state.case, x)
+    if np.any(ok):
+        res[ok] = residual(state, constants, x[ok])
     path = _write_csv(cfg, "steady.csv", ["x", "g_star", "residual"], zip(x, values, res))
     print(f"case: {state.case.tag.value}")
     print(f"singular points: {list(state.case.singular_points)}")
-    print(f"G*(1) = {state.value_at_one}")
+    print(f"G*(1) = {state(1.0)}")
     print(f"slope at 1 = {state.slope_at_one}")
     if state.value_at_ratio is not None:
         print(f"G*(c2/c1) = {state.value_at_ratio}")

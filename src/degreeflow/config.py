@@ -255,6 +255,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValidationError(f"[oracle] mass_tol must be positive, got {cfg.oracle_mass_tol!r}")
     if cfg.oracle_k_max < cfg.rates.m + 2:
         raise ValidationError(f"[oracle] k_max must be >= m + 2 = {cfg.rates.m + 2}")
+    if cfg.bend_jump <= 0.0:
+        raise ValidationError(f"[analysis] bend_jump must be positive, got {cfg.bend_jump!r}")
     if cfg.fit_norm not in ("sup", "l2"):
         raise ValidationError(f"[analysis] norm must be sup or l2, got {cfg.fit_norm!r}")
     # a config is valid only if every object it describes can be built

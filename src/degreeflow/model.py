@@ -16,7 +16,6 @@ and the constants of the stationary equation.
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 import operator
@@ -25,13 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, ValidationError
+from .errors import AccuracyError, DomainError, NoSteadyStateError, ValidationError
 
 __all__ = [
     "ProcessRates",
     "Coefficients",
     "RiccatiCoefficients",
-    "Degeneracy",
     "SteadyConstants",
     "coefficients",
     "derive_riccati",
@@ -125,32 +123,23 @@ class RiccatiCoefficients:
     c: float
 
 
-class Degeneracy(enum.Enum):
-    """How the long-time first moment behaves."""
-
-    REGULAR = "regular"  # finite positive limit
-    UNIFORM = "uniform"  # g -> 0: degrees die out, G* = 1
-    DIVERGENT = "divergent"  # g -> infinity: no stationary distribution
-
-
 @dataclass(frozen=True)
 class SteadyConstants:
     """Constants of the stationary generating-function ODE.
 
     The stationary equation reads
     ``0 = (x-1)(c1 x - c2) G*'(x) + ((x-1) c3 - c4) G*(x) + c4 x^m``
-    with all four constants nonnegative.  They are only defined when the
-    first moment has a finite positive limit (``degeneracy == REGULAR``);
-    otherwise ``c1..c4`` are None and ``g_inf`` is 0 or ``math.inf``.
+    with all four constants nonnegative, taken at the equilibrium first
+    moment ``g_inf``: 0 when the degrees die out, NaN for constants given
+    explicitly (``steady.explicit_constants``).
     """
 
     g_inf: float
-    degeneracy: Degeneracy
-    c1: float | None = None
-    c2: float | None = None
-    c3: float | None = None
-    c4: float | None = None
-    m: int = 0
+    c1: float
+    c2: float
+    c3: float
+    c4: float
+    m: int
 
 
 def derive_riccati(rates: ProcessRates) -> RiccatiCoefficients:
@@ -246,21 +235,18 @@ def coefficients(rates: ProcessRates, g) -> Coefficients:
 def steady_constants(rates: ProcessRates) -> SteadyConstants:
     """Constants of the stationary ODE for the given rates.
 
-    Uses the equilibrium first moment g_inf of the Riccati equation.  When
-    g_inf = 0 every degree eventually vanishes (G* = 1, ``UNIFORM``); when
-    g_inf diverges there is no stationary distribution (``DIVERGENT``).
-    Rates that conserve g (n_d = b = c = 0) fix no g_inf and raise
-    NoSteadyStateError.  Constants that miss their consistency identity
-    beyond rounding raise AccuracyError.
+    Uses the equilibrium first moment g_inf of the Riccati equation,
+    g_inf = 0 included: every degree then eventually vanishes, and the
+    constants' profile is G* = 1.  A first moment that grows without bound
+    fixes no stationary distribution, and neither do rates that conserve g
+    (n_d = b = c = 0); both raise NoSteadyStateError.  Constants that miss
+    their consistency identity beyond rounding raise AccuracyError.
     """
     from .riccati import equilibrium  # local import: riccati depends on model
 
-    coeffs = derive_riccati(rates)
-    g_inf = equilibrium(coeffs)
+    g_inf = equilibrium(derive_riccati(rates))
     if math.isinf(g_inf):
-        return SteadyConstants(g_inf=math.inf, degeneracy=Degeneracy.DIVERGENT, m=rates.m)
-    if g_inf == 0.0:
-        return SteadyConstants(g_inf=0.0, degeneracy=Degeneracy.UNIFORM, m=rates.m)
+        raise NoSteadyStateError("the first moment grows without bound; no stationary distribution exists")
     c1, c2, c3, c4 = coefficients(rates, g_inf)[:4]
     # Consistency identity: g_inf * (c4 + c2 - c1) == c3 + c4 * m exactly.
     # Its rounding scales with the terms that cancel, not with the result.
@@ -271,6 +257,4 @@ def steady_constants(rates: ProcessRates) -> SteadyConstants:
         raise AccuracyError(
             f"steady-constant identity violated: {lhs!r} != {rhs!r} for {rates!r}"
         )
-    return SteadyConstants(
-        g_inf=g_inf, degeneracy=Degeneracy.REGULAR, c1=c1, c2=c2, c3=c3, c4=c4, m=rates.m
-    )
+    return SteadyConstants(g_inf, c1, c2, c3, c4, rates.m)

@@ -28,8 +28,8 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp  # perfbench's tracer wraps both by module attribute
 
 from .characteristics import _gauss
-from .errors import IntegrationError, NoSteadyStateError, ValidationError
-from .model import Degeneracy, ProcessRates, SteadyConstants, count, real, real_or_array, steady_constants
+from .errors import IntegrationError, ValidationError
+from .model import ProcessRates, SteadyConstants, count, real, real_or_array, steady_constants
 
 __all__ = [
     "SteadyCaseTag",
@@ -80,17 +80,13 @@ class SteadyState:
 
     Holds what a construction decides: the case, the slope at 1 when the
     construction pins it (None otherwise), a note and the evaluator.
-    ``value_at_one``, ``value_at_ratio`` and ``certified`` derive from them.
+    ``value_at_ratio`` and ``certified`` derive from them.
     """
 
     case: SteadyCase
     slope_at_one: float | None
     note: str
     _eval: Callable[[np.ndarray], np.ndarray]
-
-    @property
-    def value_at_one(self) -> float:
-        return self(1.0)
 
     @property
     def value_at_ratio(self) -> float | None:
@@ -151,28 +147,16 @@ class SteadyState:
 
 
 def explicit_constants(c1: float, c2: float, c3: float, c4: float, m: int) -> SteadyConstants:
-    """Wrap user-supplied stationary-equation constants.
+    """Wrap user-supplied stationary-equation constants, with g_inf = NaN: no rates fix it.
 
-    The implied equilibrium first moment (c3 + c4 m)/(c4 + c2 - c1) is
-    attached when that quotient is defined and positive; otherwise g_inf is
-    NaN (the constants are still usable for classification/construction).
     Each constant must be a finite real number >= 0 (``model.real``) and m
     an integer >= 0 (``model.count``); anything else raises ValidationError.
     """
     c1, c2, c3, c4 = (real(name, v, 0.0) for name, v in zip(("c1", "c2", "c3", "c4"), (c1, c2, c3, c4)))
-    m = count("m", m, 0)
-    denom = c4 + c2 - c1
-    g_inf = (c3 + c4 * m) / denom if denom > _ZTOL else math.nan
-    if not (g_inf > 0.0):
-        g_inf = math.nan
-    return SteadyConstants(
-        g_inf=g_inf, degeneracy=Degeneracy.REGULAR, c1=c1, c2=c2, c3=c3, c4=c4, m=m
-    )
+    return SteadyConstants(math.nan, c1, c2, c3, c4, count("m", m, 0))
 
 
 def _unpack(constants: SteadyConstants) -> tuple[float, float, float, float, int]:
-    if constants.degeneracy is not Degeneracy.REGULAR or constants.c1 is None:
-        raise ValidationError("stationary constants are only defined for a regular first moment")
     return constants.c1, constants.c2, constants.c3, constants.c4, constants.m
 
 
@@ -491,16 +475,14 @@ def construct(constants: SteadyConstants, anchor: float | None = None) -> Steady
 def steady_from_rates(rates: ProcessRates) -> SteadyState:
     """Stationary profile implied by the process rates.
 
-    Raises NoSteadyStateError when the first moment diverges or when the
-    rates conserve it, since it then keeps its initial value; returns the
-    unit profile when the first moment decays to zero.
+    ``model.steady_constants`` raises NoSteadyStateError when the first
+    moment diverges or when the rates conserve it, since it then keeps its
+    initial value.  When the first moment decays to zero, g_inf = 0, the
+    unit profile comes tagged ``UNIFORM_LIMIT``; ``construct`` of the same
+    constants gives the same values under its structural case.
     """
     constants = steady_constants(rates)
-    if constants.degeneracy is Degeneracy.DIVERGENT:
-        raise NoSteadyStateError(
-            "the first moment grows without bound; no stationary distribution exists"
-        )
-    if constants.degeneracy is Degeneracy.UNIFORM:
+    if constants.g_inf == 0.0:
         case = SteadyCase(SteadyCaseTag.UNIFORM_LIMIT, constants, ())
         return _constant_state(case, 1.0, "first moment decays to zero: all degrees die out, G* = 1")
     return construct(constants)

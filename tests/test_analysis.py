@@ -116,6 +116,15 @@ def test_bend_detection():
     assert detect_bend(interior) is None
 
 
+@pytest.mark.parametrize("jump", [0.0, -1.0])
+def test_bend_jump_must_be_positive(jump):
+    # at jump <= 0 a maximizer that stays on the boundary counted as a bend
+    # at the second output time
+    flat = _series(np.array([0.0, 0.1, 0.2]), np.ones(3), np.full(3, -1.0))
+    with pytest.raises(ValidationError, match="jump must be a finite real number > 0"):
+        detect_bend(flat, jump=jump)
+
+
 def test_diff_norms_of_matching_profiles_vanish():
     steady = steady_from_rates(FIG2)
     xs = np.linspace(-1, 1, 31)

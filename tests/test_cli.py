@@ -151,6 +151,32 @@ def test_divergent_rates_exit_code(tmp_path, capsys, command, rates, initial, re
     assert reason in capsys.readouterr().err
 
 
+def test_steady_uniform_limit_has_a_zero_residual(tmp_path, capsys):
+    # link deletion alone: g_inf = 0, and the unit profile solves the
+    # equation of its constants exactly, so the residual column is 0, not nan
+    body = BASE[:BASE.index("omega_r")] + "l_d = 1\n" + BASE[BASE.index("\n[initial]"):]
+    ini, out = _ini(tmp_path, body)
+    assert main(["steady", "--config", ini]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "case: uniform_limit" in printed
+    assert "max |residual| away from singular points = 0.000e+00" in printed
+    _, header, rows = _load_csv(out / "steady.csv")
+    assert header == ["x", "g_star", "residual"]
+    assert np.all(rows[:, 1] == 1.0) and np.all(rows[:, 2] == 0.0)
+
+
+@pytest.mark.parametrize("jump", ["0", "-1"])
+def test_a_bend_jump_of_zero_or_below_is_invalid_for_every_subcommand(tmp_path, capsys, jump):
+    # compare used to report a bend at the second output time although the
+    # sup-norm maximizer never left x = -1
+    ini, _ = _ini(tmp_path, BASE + f"\n[analysis]\nbend_jump = {jump}\n")
+    with pytest.raises(ValidationError, match=re.escape("[analysis] bend_jump must be positive")):
+        parse_config(ini)
+    for cmd in ("solve", "steady", "ode", "mc", "compare"):
+        assert main([cmd, "--config", ini]) == 1
+        assert "[analysis] bend_jump must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "compare"])
 @pytest.mark.parametrize("l_d", ["1e200", "1e300"])
 def test_an_overflowed_moment_is_reported_as_such(tmp_path, capsys, command, l_d):

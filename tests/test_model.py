@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from degreeflow import model
-from degreeflow.errors import AccuracyError, DomainError, ValidationError
+from degreeflow.errors import AccuracyError, DomainError, NoSteadyStateError, ValidationError
 from degreeflow.model import (
-    Degeneracy,
     ProcessRates,
+    SteadyConstants,
     coefficients,
     derive_riccati,
     steady_constants,
@@ -86,7 +86,6 @@ def test_H_inhomogeneous_term():
 def test_steady_constants_reference_set():
     sc = steady_constants(FIG2)
     g_inf = (-3.0 + math.sqrt(65.0)) / 2.0
-    assert sc.degeneracy is Degeneracy.REGULAR
     assert sc.g_inf == pytest.approx(g_inf, abs=1e-14)
     assert sc.c1 == pytest.approx(1.0 + 3.0 / g_inf, abs=1e-12)
     assert sc.c2 == pytest.approx(3.0 + g_inf, abs=1e-12)
@@ -102,7 +101,7 @@ def test_steady_constants_identity():
         v = rng.uniform(0, 2, 8)
         m = int(rng.integers(0, 5))
         sc = steady_constants(ProcessRates(*v, m=m))
-        if sc.degeneracy is not Degeneracy.REGULAR:
+        if sc.g_inf == 0.0:
             continue
         lhs = sc.g_inf * (sc.c4 + sc.c2 - sc.c1)
         rhs = sc.c3 + sc.c4 * m
@@ -117,7 +116,6 @@ CANCELLING = ProcessRates(omega_p=2079.315, l_d=6.459, l_r=2.261, l_p=6457.002, 
 
 def test_steady_constants_identity_scales_with_the_cancelled_terms():
     sc = steady_constants(CANCELLING)
-    assert sc.degeneracy is Degeneracy.REGULAR
     assert sc.c3 + sc.c4 * CANCELLING.m == 4.522
 
 
@@ -136,11 +134,14 @@ def test_steady_constants_identity_still_catches_a_wrong_constant(monkeypatch):
 
 
 def test_degeneracy_tags():
+    # a dying network keeps its constants, at g_inf = 0; a diverging first
+    # moment fixes none
     only_decay = ProcessRates(0, 0, 1, 0, 0, 0, 0, 0, 0)
-    assert steady_constants(only_decay).degeneracy is Degeneracy.UNIFORM
+    assert steady_constants(only_decay) == SteadyConstants(0.0, 0.0, 1.0, 0.0, 0.0, 0)
     only_growth = ProcessRates(0, 0, 0, 1, 0, 0, 0, 0, 0)
-    assert steady_constants(only_growth).degeneracy is Degeneracy.DIVERGENT
-    assert steady_constants(FIG2).degeneracy is Degeneracy.REGULAR
+    with pytest.raises(NoSteadyStateError, match="the first moment grows without bound"):
+        steady_constants(only_growth)
+    assert steady_constants(FIG2).g_inf > 0.0
 
 
 def test_coefficients_as_the_moment_vanishes():

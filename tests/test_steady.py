@@ -231,10 +231,25 @@ def test_divergent_growth_has_no_profile():
 
 
 def test_divergent_constants_have_no_case():
-    divergent = steady_constants(ProcessRates(0, 0, 0, 1, 0, 0, 0, 0, 0))
-    for build in (classify, construct):
-        with pytest.raises(ValidationError, match="only defined for a regular first moment"):
-            build(divergent)
+    # a first moment that grows without bound fixes no constants to classify
+    with pytest.raises(NoSteadyStateError, match="the first moment grows without bound"):
+        steady_constants(ProcessRates(0, 0, 0, 1, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("rates, constants, tag", [
+    (ProcessRates(l_d=1), (0.0, 0.0, 1.0, 0.0, 0.0, 0), SteadyCaseTag.CONSTANTS_ONLY),
+    (ProcessRates(l_d=1, n_r=1, m=0), (0.0, 0.0, 1.0, 0.0, 1.0, 0), SteadyCaseTag.SERIES_SEEDED),
+], ids=["link-deletion", "node-turnover"])
+def test_uniform_limit_constants_build_the_unit_profile(rates, constants, tag):
+    # g_inf = 0 keeps its constants: c3 = 0, and c4 = 0 unless m = 0, so
+    # construct solves the equation with the unit profile, while
+    # steady_from_rates still tags that profile as the uniform limit
+    sc = steady_constants(rates)
+    assert (sc.g_inf, sc.c1, sc.c2, sc.c3, sc.c4, sc.m) == constants
+    st = construct(sc)
+    assert st.case.tag is tag
+    assert np.all(st(TABLE_X) == 1.0)
+    assert steady_from_rates(rates).case.tag is SteadyCaseTag.UNIFORM_LIMIT
 
 
 @pytest.mark.parametrize("args, tag, singular, value", [
@@ -250,7 +265,7 @@ def test_constants_without_a_unique_profile_give_a_flagged_representative(args, 
     assert st.case == case
     np.testing.assert_array_equal(st(np.linspace(-1, 1, 5)), value)
     # a zero slope is not pinned: the representative is never certified
-    assert (st.value_at_one, st.slope_at_one, st.certified) == (value, 0.0, False)
+    assert (st(1.0), st.slope_at_one, st.certified) == (value, 0.0, False)
 
 
 def test_resonant_exponent_leaves_slope_open():
@@ -302,7 +317,7 @@ def test_certificate_rejects_a_profile_that_misses_its_equation():
     assert st.case.tag is SteadyCaseTag.FAMILY
     assert st.certified
     off = replace(st, _eval=lambda x, f=st._eval: f(x) * (1.0 + 1e-3 * (1.0 - x)))
-    assert off.value_at_one == 1.0 and off.slope_at_one == st.slope_at_one
+    assert off(1.0) == 1.0 and off.slope_at_one == st.slope_at_one
     assert not off.certified
 
 
